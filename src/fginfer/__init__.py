@@ -16,7 +16,6 @@ from .entropy import (
     entropy_in_base,
     lift_graph,
     posterior_entropy,
-    sum_product_total,
 )
 from .errors import (
     CycleDetected,
@@ -130,7 +129,6 @@ __all__ = [
     "nary_product",
     "posterior_entropy",
     "run",
-    "sum_product_total",
     "total_sum",
     "validate",
     "variable_to_factor",

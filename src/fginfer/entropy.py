@@ -27,7 +27,7 @@ import numpy as np
 from .errors import OutOfDomain, ZeroEvidence
 from .graph import FactorGraph, FactorTable, validate
 from .propagation import run
-from .semiring import ENTROPY, SUM_PRODUCT, Semiring
+from .semiring import ENTROPY, Semiring
 
 _LN2 = math.log(2.0)
 _Z_FLOOR = 1e-300
@@ -53,7 +53,7 @@ class EntropyResult:
     ``Z`` and ``H`` are as the engine reported them: when rescaling was on,
     the true totals are Z * exp(log_scale) and H * exp(log_scale). The
     ratio H/Z needs no correction. ``entropy_bits`` is filled in by
-    :func:`posterior_entropy` and is None otherwise.
+    :func:`entropy_from_zh` and is None otherwise.
     """
 
     Z: float
@@ -76,12 +76,11 @@ class EntropyResult:
 class WeightedGraph:
     """A validated factor graph plus per-factor companion tables.
 
-    Lifted carrier tables are cached per semiring so repeated runs (and
-    bulk-built chains, which pre-fill the cache) skip the lift loop.
+    Lifted carrier tables are cached per semiring so repeated runs skip the
+    lift loop.
     """
 
-    def __init__(self, graph: FactorGraph, companions=None, _lifted_entropy=None,
-                 _trusted: bool = False):
+    def __init__(self, graph: FactorGraph, companions=None, _trusted: bool = False):
         self.graph = validate(graph)
         if companions is None:
             companions = [None] * len(graph.factors)
@@ -98,8 +97,6 @@ class WeightedGraph:
                 for i, c in enumerate(companions)
             ]
         self._table_cache: dict[str, list] = {}
-        if _lifted_entropy is not None:
-            self._table_cache[ENTROPY.name] = _lifted_entropy
 
     def carrier_tables(self, s: Semiring) -> list:
         cached = self._table_cache.get(s.name)
@@ -188,15 +185,25 @@ def posterior_entropy(wg, root: str | None = None, rescale: bool = False) -> Ent
     negative outcomes from roundoff (>= -1e-9) are clamped to exactly 0.
     """
     res = compute_zh(wg, root=root, rescale=rescale)
-    if res.Z <= 0.0:
-        raise ZeroEvidence(f"total weight Z = {res.Z}; no assignment has positive weight")
-    if res.Z < _Z_FLOOR:
-        raise ZeroEvidence(f"total weight {res.Z} is below 1e-300")
-    log_z = math.log(res.Z) + res.log_scale
-    bits = -res.H / res.Z + log_z / _LN2
+    return entropy_from_zh(res.Z, res.H, res.log_scale)
+
+
+def entropy_from_zh(z: float, h: float, log_scale: float) -> EntropyResult:
+    """The entropy result of a run's (Z, H) pair and accumulated log scale.
+
+    Applies the rules :func:`posterior_entropy` documents: ZeroEvidence for
+    Z <= 0 or Z < 1e-300, bits = -H/Z + log2(Z), and roundoff negatives
+    down to -1e-9 clamped to 0.
+    """
+    if z <= 0.0:
+        raise ZeroEvidence(f"total weight Z = {z}; no assignment has positive weight")
+    if z < _Z_FLOOR:
+        raise ZeroEvidence(f"total weight {z} is below 1e-300")
+    log_z = math.log(z) + log_scale
+    bits = -h / z + log_z / _LN2
     if -1e-9 <= bits < 0.0:
         bits = 0.0
-    return EntropyResult(Z=res.Z, H=res.H, log_scale=res.log_scale, entropy_bits=bits)
+    return EntropyResult(Z=z, H=h, log_scale=log_scale, entropy_bits=bits)
 
 
 def entropy_in_base(bits: float, base: str) -> float:
@@ -216,14 +223,18 @@ def derive_log2_companions(graph: FactorGraph) -> list:
     """
     out = []
     for f in graph.factors:
-        v = f.values
-        if (v < 0).any():
+        if (f.values < 0).any():
             raise OutOfDomain(
                 f"factor {f.id!r}: log companions need nonnegative values"
             )
-        with np.errstate(divide="ignore"):
-            out.append(np.where(v > 0.0, np.log2(np.where(v > 0.0, v, 1.0)), 0.0))
+        out.append(log2_or_zero(f.values))
     return out
+
+
+def log2_or_zero(values: np.ndarray) -> np.ndarray:
+    """Elementwise base-2 log of nonnegative values, 0 where a value is 0."""
+    with np.errstate(divide="ignore"):
+        return np.where(values > 0.0, np.log2(np.where(values > 0.0, values, 1.0)), 0.0)
 
 
 def first_component_scores(store, kind: str, key) -> list:
@@ -233,21 +244,3 @@ def first_component_scores(store, kind: str, key) -> list:
     """
     msg = (store.q if kind == "q" else store.r)[key]
     return store.semiring.scores(msg)
-
-
-def sum_product_total(g, root=None, rescale=False):
-    """Total weight over the sum-product semiring, as (Z, log_scale).
-
-    Convenience used by the CLI partition path; components multiply.
-    """
-    marginals, _ = run(_plain_graph(g), SUM_PRODUCT, root=root, rescale=rescale)
-    z = 1.0
-    log_scale = 0.0
-    for marg in marginals.values():
-        z *= SUM_PRODUCT.reduce_msg(marg.msg)
-        log_scale += marg.log_scale
-    return z, log_scale
-
-
-def _plain_graph(g) -> FactorGraph:
-    return g.graph if isinstance(g, WeightedGraph) else g

@@ -172,20 +172,6 @@ def validate(g: FactorGraph) -> FactorGraph:
     return g
 
 
-def _stamp_checked(g: FactorGraph, factor_vars, factor_cards, var_factors,
-                   n_edges: int) -> FactorGraph:
-    # For bulk builders whose output is a forest by construction (the HMM
-    # chain): installs adjacency without the union-find pass. The caller
-    # guarantees consistency; everything downstream behaves as after
-    # validate(). Not part of the public surface.
-    g.factor_vars = factor_vars
-    g.factor_cards = factor_cards
-    g.var_factors = var_factors
-    g.n_edges = n_edges
-    g.checked = True
-    return g
-
-
 @dataclass
 class Schedule:
     """An ordered list of directed edges, every feeding edge first.

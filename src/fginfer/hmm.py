@@ -12,40 +12,31 @@ path and the observations, and the total weight is the evidence P(y).
 Companions are the base-2 logs of the tables, which makes the chain a
 posterior-entropy input: the entropy of the state posterior given y.
 
-Construction is vectorized and the entropy carrier tables are pre-lifted
-in bulk, so building plus one rescaled pass stays linear in T with a small
-constant (about a second for T = 100000, S = 2).
+:func:`hmm_entropy` runs the entropy-semiring pass directly along the chain
+with the semiring kernels, making the same kernel calls in the same order
+as the generic engine on :func:`hmm_to_weighted_graph` rooted at x1, so the
+two agree bit for bit; the tests hold the pass to that.
 """
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import EntropyResult, WeightedGraph, posterior_entropy
+from .entropy import (
+    EntropyResult,
+    WeightedGraph,
+    derive_log2_companions,
+    entropy_from_zh,
+    log2_or_zero,
+)
+from .entropy import posterior_entropy  # noqa: F401  (the benchmark's tracer patches this name)
 from .errors import OutOfDomain
-from .graph import FactorGraph, FactorTable, VariableDecl, _stamp_checked
+from .graph import FactorGraph, FactorTable, VariableDecl
+from .propagation import rescale_message
+from .semiring import ENTROPY
 
 _ROW_TOL = 1e-9
 _LONG_CHAIN = 1000
-
-
-@contextmanager
-def _gc_paused():
-    # Building a 1e5-step chain allocates millions of small containers;
-    # the cycle collector's full passes over them cost about as much as
-    # the inference itself. Nothing here creates reference cycles, so
-    # pause collection for the bounded region and restore it on exit.
-    # Reference counting still frees garbage immediately.
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 @dataclass
@@ -119,65 +110,39 @@ class HmmSpec:
         return self.observations.size
 
 
-def _log2_or_zero(values: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(values > 0.0, np.log2(np.where(values > 0.0, values, 1.0)), 0.0)
+def _chain_tables(h: HmmSpec):
+    # unary[i] = pi[i] * B[i, y_1]; pair[t - 2][i, j] = A[i, j] * B[j, y_t]
+    y = h.observations
+    unary = h.pi * h.emission[:, y[0]]
+    pair = h.transition[None, :, :] * h.emission[:, y[1:]].T[:, None, :]
+    return unary, pair.reshape(h.num_steps - 1, h.num_states ** 2)
 
 
 def hmm_to_weighted_graph(h: HmmSpec) -> WeightedGraph:
     """Build the weighted chain for an observation sequence.
 
-    Variables are named x1..xT. Tables and their log companions are
-    computed in bulk; the per-factor objects hold views into the bulk
-    arrays, and the entropy carrier cache is pre-filled so a following
-    entropy run does not loop over factors again.
+    Variables are named x1..xT, factors f1..fT, companions the base-2 logs
+    of the tables. The graph is validated like any other; it is the
+    reference that :func:`hmm_entropy` is checked against bit for bit.
     """
     s = h.num_states
-    t_len = h.num_steps
-    y = h.observations
-
-    unary = h.pi * h.emission[:, y[0]]
-    variables = [VariableDecl(f"x{t + 1}", s) for t in range(t_len)]
+    unary, pair = _chain_tables(h)
+    variables = [VariableDecl(f"x{t}", s) for t in range(1, h.num_steps + 1)]
     factors = [FactorTable("f1", ("x1",), unary)]
-
-    unary_g = _log2_or_zero(unary)
-    companions: list = [unary_g]
-
-    lifted = [(unary.tolist(), (unary * unary_g).tolist())]
-    if t_len > 1:
-        # pair[t - 2][i, j] = A[i, j] * B[j, y_t]
-        pair = h.transition[None, :, :] * h.emission[:, y[1:]].T[:, None, :]
-        pair_g = _log2_or_zero(pair)
-        pair_aux = pair * pair_g
-        flat_f = pair.reshape(t_len - 1, s * s)
-        flat_g = pair_g.reshape(t_len - 1, s * s)
-        flat_aux = pair_aux.reshape(t_len - 1, s * s)
-        f_lists = flat_f.tolist()
-        aux_lists = flat_aux.tolist()
-        for t in range(2, t_len + 1):
-            k = t - 2
-            factors.append(FactorTable(f"f{t}", (f"x{t - 1}", f"x{t}"), flat_f[k]))
-            companions.append(flat_g[k])
-            lifted.append((f_lists[k], aux_lists[k]))
-
+    factors += [
+        FactorTable(f"f{t}", (f"x{t - 1}", f"x{t}"), pair[t - 2])
+        for t in range(2, h.num_steps + 1)
+    ]
     graph = FactorGraph(variables, factors)
-    # the chain is a tree by construction; stamp its adjacency instead of
-    # paying the union-find validation pass on every step
-    factor_vars = [[0]] + [[k, k + 1] for k in range(t_len - 1)]
-    factor_cards = [[s]] + [[s, s] for _ in range(t_len - 1)]
-    if t_len == 1:
-        var_factors = [[0]]
-    else:
-        var_factors = [[0, 1]]
-        var_factors += [[k, k + 1] for k in range(1, t_len - 1)]
-        var_factors.append([t_len - 1])
-    _stamp_checked(graph, factor_vars, factor_cards, var_factors, 2 * t_len - 1)
-
-    return WeightedGraph(graph, companions, _lifted_entropy=lifted, _trusted=True)
+    return WeightedGraph(graph, derive_log2_companions(graph))
 
 
 def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     """Posterior state-sequence entropy H(X | Y = y) in bits.
+
+    One entropy-semiring pass inward along the chain from the leaf x_T to
+    the root x1, with f1 last. The result is bit-identical to
+    ``posterior_entropy(hmm_to_weighted_graph(h), rescale=rescale)``.
 
     ``rescale=None`` turns per-message rescaling on automatically for
     sequences longer than 1000 steps, where the evidence would underflow.
@@ -185,9 +150,27 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     """
     if rescale is None:
         rescale = h.num_steps > _LONG_CHAIN
-    if h.num_steps > _LONG_CHAIN:
-        with _gc_paused():
-            wg = hmm_to_weighted_graph(h)
-            return posterior_entropy(wg, rescale=rescale)
-    wg = hmm_to_weighted_graph(h)
-    return posterior_entropy(wg, rescale=rescale)
+    s = h.num_states
+    unary, pair = _chain_tables(h)
+    unary_table = ENTROPY.lift_table(unary, log2_or_zero(unary))
+    pair_f, pair_aux = ENTROPY.lift_table(pair, log2_or_zero(pair))
+
+    # inward from the leaf x_T: x_{k+2} sends f_{k+2} the product of what
+    # reached it from beyond, then f_{k+2} sends x_{k+1} its contraction
+    msgs = []
+    scale = 0.0
+    for k in range(h.num_steps - 2, -1, -1):
+        msg = ENTROPY.combine(msgs, s)
+        # only the leaf's ones vector is fresh; a single input is aliased
+        if rescale and not msgs:
+            scale = rescale_message(ENTROPY, msg, scale)
+        msg = ENTROPY.contract((pair_f[k], pair_aux[k]), [s, s], [(1, msg)], 0)
+        if rescale:
+            scale = rescale_message(ENTROPY, msg, scale)
+        msgs = [msg]
+
+    # f1 last; the root marginal at x1 combines f1's message, then f2's
+    root = ENTROPY.contract(unary_table, [s], [], 0)
+    log_scale = rescale_message(ENTROPY, root, 0.0) if rescale else 0.0
+    total = ENTROPY.reduce_msg(ENTROPY.combine([root] + msgs, s))
+    return entropy_from_zh(total.score, total.aux, log_scale + scale)

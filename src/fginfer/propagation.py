@@ -68,6 +68,19 @@ class MessageStore:
         return len(self.q) + len(self.r)
 
 
+def rescale_message(s: Semiring, msg, log_scale: float) -> float:
+    """Divide a fresh message in place by its largest score magnitude.
+
+    Returns ``log_scale`` plus the natural log of the divisor. Messages
+    whose largest magnitude is 0 or 1 are left untouched.
+    """
+    mx = s.max_abs_score(msg)
+    if mx != 0.0 and mx != 1.0:
+        s.scale_msg_inplace(msg, 1.0 / mx)
+        log_scale += _LN(mx)
+    return log_scale
+
+
 def _send_v2f(store: MessageStore, vi: int, fi: int):
     g = store.graph
     s = store.semiring
@@ -89,10 +102,7 @@ def _send_v2f(store: MessageStore, vi: int, fi: int):
     msg = s.combine(msgs, g.variables[vi].cardinality)
     # single-input messages are aliased, already scaled by induction
     if store.rescale and s.supports_rescaling and len(msgs) != 1:
-        mx = s.max_abs_score(msg)
-        if mx != 0.0 and mx != 1.0:
-            s.scale_msg_inplace(msg, 1.0 / mx)
-            acc += _LN(mx)
+        acc = rescale_message(s, msg, acc)
     store.q[(vi, fi)] = msg
     store.q_scale[(vi, fi)] = acc
     return msg
@@ -124,10 +134,7 @@ def _send_f2v(store: MessageStore, fi: int, vi: int):
         )
     msg = s.contract(store.tables[fi], g.factor_cards[fi], incoming, tpos)
     if store.rescale and s.supports_rescaling:
-        mx = s.max_abs_score(msg)
-        if mx != 0.0 and mx != 1.0:
-            s.scale_msg_inplace(msg, 1.0 / mx)
-            acc += _LN(mx)
+        acc = rescale_message(s, msg, acc)
     store.r[(fi, vi)] = msg
     store.r_scale[(fi, vi)] = acc
     return msg
@@ -191,9 +198,6 @@ class MarginalResult:
         """Score components, one per domain value (the raw vector for
         real semirings)."""
         return self.semiring.scores(self.msg)
-
-    def weights(self) -> list:
-        return self.semiring.msg_weights(self.msg)
 
 
 def _execute(store: MessageStore, schedule: Schedule) -> None:

@@ -118,10 +118,6 @@ class Semiring:
         """First (score) components of a message vector, as a list."""
         raise NotImplementedError
 
-    def msg_weights(self, msg) -> list:
-        """Entries of a message vector as scalar weights."""
-        raise NotImplementedError
-
     def scale_weight(self, w, factor: float):
         """Uniform scalar multiple of a weight (both components for pairs)."""
         raise NotImplementedError
@@ -210,9 +206,6 @@ class _RealSemiring(Semiring):
     def scores(self, msg):
         return list(msg)
 
-    def msg_weights(self, msg):
-        return [float(v) for v in msg]
-
     def scale_weight(self, w, factor):
         return w * factor
 
@@ -291,6 +284,13 @@ class EntropySemiring(Semiring):
         return EntropyWeight(x1 * x2, x1 * y2 + x2 * y1)
 
     def lift_table(self, values, companion=None):
+        """Lift a table and its companion to the carrier pair (scores, auxes).
+
+        Entries lift as in :func:`lift`, so zero values give (0, 0) whatever
+        the companion holds. A 2-D input (one table per row, with a companion
+        of the same shape) is lifted row by row: both components come back as
+        lists of per-row lists.
+        """
         values = np.asarray(values, dtype=float)
         if companion is None:
             aux = np.zeros_like(values)
@@ -397,9 +397,6 @@ class EntropySemiring(Semiring):
 
     def scores(self, msg):
         return list(msg[0])
-
-    def msg_weights(self, msg):
-        return [EntropyWeight(f, a) for f, a in zip(msg[0], msg[1])]
 
     def scale_weight(self, w, factor):
         return EntropyWeight(w[0] * factor, w[1] * factor)

@@ -169,3 +169,52 @@ class TestRescaling:
             posterior_entropy(wg).entropy_bits,
             what="bits",
         )
+
+
+def entropy_outcome(fn):
+    try:
+        res = fn()
+    except ZeroEvidence:
+        return "ZeroEvidence"
+    return (res.Z, res.H, res.log_scale, res.entropy_bits)
+
+
+class TestDirectPass:
+    """hmm_entropy against the generic engine on the same chain, exactly."""
+
+    def assert_bit_identical(self, h, rescale, engine_rescale):
+        direct = entropy_outcome(lambda: hmm_entropy(h, rescale=rescale))
+        engine = entropy_outcome(
+            lambda: posterior_entropy(hmm_to_weighted_graph(h), rescale=engine_rescale)
+        )
+        assert direct == engine
+
+    def test_random_models_with_zero_transitions(self, rng):
+        def rows(n, m, zeros):
+            a = rng.uniform(0.1, 1.0, (n, m))
+            if zeros:
+                a[a < 0.4] = 0.0
+                a[:, rng.integers(m)] += 0.1
+            return a / a.sum(axis=1, keepdims=True)
+
+        for i in range(150):
+            s, o = (int(v) for v in rng.integers(1, 6, 2))
+            t_len = int(rng.integers(1, 41))
+            h = HmmSpec(rows(1, s, False)[0], rows(s, s, i % 2 == 0), rows(s, o, False),
+                        rng.integers(0, o, t_len))
+            for rescale in (False, True):
+                self.assert_bit_identical(h, rescale, rescale)
+
+    def test_default_rescale_on_long_chain(self, rng):
+        h = random_hmm(rng, 3, 2, 1001)
+        self.assert_bit_identical(h, None, True)
+        assert hmm_entropy(h).log_scale != 0.0
+
+    def test_zero_evidence_on_both_paths(self):
+        # x1 = 0 forever under the identity transitions, but y2 needs x2 = 1
+        h = HmmSpec([1.0, 0.0], np.eye(2), np.eye(2), [0, 1, 0])
+        for rescale in (False, True):
+            with pytest.raises(ZeroEvidence):
+                hmm_entropy(h, rescale=rescale)
+            with pytest.raises(ZeroEvidence):
+                posterior_entropy(hmm_to_weighted_graph(h), rescale=rescale)

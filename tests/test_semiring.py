@@ -183,3 +183,8 @@ def test_lift_table_vectorized_matches_scalar_lift():
     for i in range(16):
         expect = lift(float(values[i]), float(companion[i]))
         assert (scores[i], aux[i]) == expect
+    # a 2-D input holds one table per row and is lifted row by row
+    row_scores, row_aux = ENTROPY.lift_table(values.reshape(4, 4), companion.reshape(4, 4))
+    assert (len(row_scores), len(row_aux)) == (4, 4)
+    for r in range(4):
+        assert (row_scores[r], row_aux[r]) == (scores[4 * r:4 * r + 4], aux[4 * r:4 * r + 4])
