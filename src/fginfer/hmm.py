@@ -12,12 +12,15 @@ path and the observations, and the total weight is the evidence P(y).
 Companions are the base-2 logs of the tables, which makes the chain a
 posterior-entropy input: the entropy of the state posterior given y.
 
-:func:`hmm_entropy` runs the entropy-semiring pass directly along the chain
-with the semiring kernels, making the same kernel calls in the same order
-as the generic engine on :func:`hmm_to_weighted_graph` rooted at x1, so the
-two agree bit for bit; the tests hold the pass to that.
+:func:`hmm_entropy` does not build that graph. Each chain step acts on an
+entropy-semiring pair as the dual-number block matrix [[F, 0], [G, F]]
+with G = F * log2 F, and the semiring's associativity lets it reduce the
+stacked steps pairwise in log2 T levels of batched matrix products. The
+tests hold it to the generic engine on :func:`hmm_to_weighted_graph` at a
+relative tolerance, and long reducible chains to their exact values.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,11 +35,18 @@ from .entropy import (
 from .entropy import posterior_entropy  # noqa: F401  (the benchmark's tracer patches this name)
 from .errors import OutOfDomain
 from .graph import FactorGraph, FactorTable, VariableDecl
-from .propagation import rescale_message
-from .semiring import ENTROPY
 
 _ROW_TOL = 1e-9
 _LONG_CHAIN = 1000
+_LN2 = math.log(2.0)
+# Products of blocks scaled to sum to at most 1 lose only terms below the
+# smallest normal double, at most S of them per entry, S * 2^-1073 in all.
+# That is under S * 2^-113 of an entry above _TINY (62 bits above the
+# smallest normal), and under S * 2^-1021 of a vector whose sum stays above
+# _LOW: about the level where the engine's own rescaled messages turn
+# subnormal.
+_TINY = 2.0 ** -960
+_LOW = 2.0 ** -52
 
 
 @dataclass
@@ -45,7 +55,7 @@ class HmmSpec:
 
     pi has shape (S,), A is (S, S) row stochastic, B is (S, O) row
     stochastic, observations are symbol indices in [0, O). Rows must sum
-    to 1 within 1e-9 and all entries must be nonnegative.
+    to 1 within 1e-9 and all entries must be finite and nonnegative.
     """
 
     pi: np.ndarray
@@ -71,6 +81,11 @@ class HmmSpec:
             )
         if self.emission.shape[1] < 1:
             raise ValueError("emission alphabet must have at least one symbol")
+        # NaN fails every comparison below, so it must be caught here
+        for name, arr in (("pi", self.pi), ("transition", self.transition),
+                          ("emission", self.emission)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} probabilities must be finite")
         if (self.pi < 0).any() or (self.transition < 0).any() or (self.emission < 0).any():
             raise ValueError("probabilities must be nonnegative")
         if abs(self.pi.sum() - 1.0) > _ROW_TOL:
@@ -111,11 +126,16 @@ class HmmSpec:
 
 
 def _chain_tables(h: HmmSpec):
-    # unary[i] = pi[i] * B[i, y_1]; pair[t - 2][i, j] = A[i, j] * B[j, y_t]
+    # unary[i] = pi[i] * B[i, y_1]; step t = 2..T has the table
+    # tables[steps[t - 2]], one per symbol o seen in y_2..y_T, holding
+    # A[i, j] * B[j, o]
     y = h.observations
     unary = h.pi * h.emission[:, y[0]]
-    pair = h.transition[None, :, :] * h.emission[:, y[1:]].T[:, None, :]
-    return unary, pair.reshape(h.num_steps - 1, h.num_states ** 2)
+    symbols = np.flatnonzero(np.bincount(y[1:], minlength=h.num_symbols))
+    index = np.zeros(h.num_symbols, dtype=np.intp)
+    index[symbols] = np.arange(symbols.size)
+    tables = h.transition[None, :, :] * h.emission[:, symbols].T[:, None, :]
+    return unary, tables, index.take(y[1:])
 
 
 def hmm_to_weighted_graph(h: HmmSpec) -> WeightedGraph:
@@ -123,10 +143,11 @@ def hmm_to_weighted_graph(h: HmmSpec) -> WeightedGraph:
 
     Variables are named x1..xT, factors f1..fT, companions the base-2 logs
     of the tables. The graph is validated like any other; it is the
-    reference that :func:`hmm_entropy` is checked against bit for bit.
+    reference that the tests check :func:`hmm_entropy` against.
     """
     s = h.num_states
-    unary, pair = _chain_tables(h)
+    unary, tables, steps = _chain_tables(h)
+    pair = tables.take(steps, axis=0).reshape(steps.size, s * s)
     variables = [VariableDecl(f"x{t}", s) for t in range(1, h.num_steps + 1)]
     factors = [FactorTable("f1", ("x1",), unary)]
     factors += [
@@ -137,40 +158,124 @@ def hmm_to_weighted_graph(h: HmmSpec) -> WeightedGraph:
     return WeightedGraph(graph, derive_log2_companions(graph))
 
 
+def _normalised(f: np.ndarray, g: np.ndarray):
+    """Scale each stacked block (f[n], g[n]) by 2^-k[n], k[n] the frexp
+    exponent of the sum of f[n], so that sum lands in [0.5, 1); returns
+    the scaled stacks and the integer exponents k."""
+    k = np.frexp(np.einsum("nij->n", f))[1]
+    return np.ldexp(f, -k[:, None, None]), np.ldexp(g, -k[:, None, None]), k
+
+
+def _normalised_vector(v: np.ndarray, gv: np.ndarray):
+    """(v, gv) scaled by 2^-k, k the frexp exponent of the sum of v."""
+    k = math.frexp(v.sum())[1]
+    return np.ldexp(v, -k), np.ldexp(gv, -k), k
+
+
+def _inexact(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flags, per stacked product c = a @ b of nonnegative blocks, whether
+    an entry that the supports of a and b make positive is below _TINY:
+    only such an entry can have lost terms that fell below the float
+    range, and it may even read 0."""
+    small = c < _TINY
+    if not small.any():
+        return np.zeros(len(c), dtype=bool)
+    return (small & np.matmul(a > 0, b > 0)).any(axis=(1, 2))
+
+
+def _levels(tables, duals, k_tables, steps, rescale: bool, keep: bool) -> list:
+    """The pairwise reduction of the steps: level n holds the blocks of 2^n
+    steps as (F, G, exponents, exact flags), an odd last block carried up
+    unpaired. Returns every level if ``keep``, else the top one alone,
+    which holds the block of the whole run."""
+    f, g, k = tables.take(steps, axis=0), duals.take(steps, axis=0), k_tables.take(steps)
+    levels = [(f, g, k, np.ones(len(f), dtype=bool))]
+    while len(f) > 1:
+        m = len(f) // 2 * 2
+        f1, f2, g1, g2 = f[:m:2], f[1:m:2], g[:m:2], g[1:m:2]
+        exact = levels[-1][3]
+        product = f1 @ f2
+        paired = exact[:m:2] & exact[1:m:2]
+        if rescale:
+            paired &= ~_inexact(product, f1, f2)
+        f = np.concatenate((product, f[m:]))
+        g = np.concatenate((g1 @ f2 + f1 @ g2, g[m:]))
+        k = np.concatenate((k[:m:2] + k[1:m:2], k[m:]))
+        if rescale:
+            f, g, k_level = _normalised(f, g)
+            k += k_level
+        if not keep:
+            levels.clear()
+        levels.append((f, g, k, np.concatenate((paired, exact[m:]))))
+    return levels
+
+
+def _must_split(exact, w: np.ndarray, rescale: bool) -> bool:
+    """Whether a block is applied as its two halves instead: it lost
+    entries, or it sends the rescaled vector's sum below _LOW."""
+    return not exact or rescale and w.sum() < _LOW
+
+
 def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     """Posterior state-sequence entropy H(X | Y = y) in bits.
 
-    One entropy-semiring pass inward along the chain from the leaf x_T to
-    the root x1, with f1 last. The result is bit-identical to
-    ``posterior_entropy(hmm_to_weighted_graph(h), rescale=rescale)``.
+    Steps 2..T are stacked as pairs (F, G), F the transition-emission
+    table and G = F * log2 F (0 where F is 0), and reduced pairwise with
+    the block product (F1, G1)(F2, G2) = (F1 F2, G1 F2 + F1 G2): three
+    batched matrix products per level, an odd element carried to the
+    next. Steps that observe the same symbol share one table. The product
+    is applied to the pair (ones, zeros) at x_T, and f1's pair
+    (u, u * log2 u) is folded in last. The bracketing differs from the
+    generic engine's, so the result matches
+    ``posterior_entropy(hmm_to_weighted_graph(h), rescale=rescale)`` to
+    roundoff, not bit for bit.
 
-    ``rescale=None`` turns per-message rescaling on automatically for
-    sequences longer than 1000 steps, where the evidence would underflow.
-    Raises ZeroEvidence when the observation sequence has zero probability.
+    Rescaling scales u, every table, every product and the vector after
+    every applied block by 2^-k, k the frexp exponent of its sum, and
+    ``log_scale`` is E ln 2 for the integer sum E of the k that enter the
+    result. That is exact away from subnormals, so Z * 2^E and H * 2^E
+    equal an unrescaled run bit for bit while its evidence stays in float
+    range. A block scaled as a whole still drops entries more than the
+    float range below its largest, which a long reducible chain can need
+    later. So a product with a positive entry below 2^-960 is marked
+    inexact and not applied: its two halves are, in turn. So are the
+    halves of a block that sends the vector's sum below 2^-52.
+    Down to single steps, that is the engine's own pass, a vector
+    rescaled after every step. ``rescale=None`` turns rescaling on for
+    sequences longer than 1000 steps. Raises ZeroEvidence when the
+    observation sequence has zero probability.
     """
     if rescale is None:
         rescale = h.num_steps > _LONG_CHAIN
-    s = h.num_states
-    unary, pair = _chain_tables(h)
-    unary_table = ENTROPY.lift_table(unary, log2_or_zero(unary))
-    pair_f, pair_aux = ENTROPY.lift_table(pair, log2_or_zero(pair))
+    unary, tables, steps = _chain_tables(h)
+    duals = tables * log2_or_zero(tables)
+    u, gu = unary, unary * log2_or_zero(unary)
+    exponent = 0
+    k_tables = np.zeros(len(tables), dtype=np.int64)
+    if rescale:
+        u, gu, exponent = _normalised_vector(u, gu)
+        tables, duals, k = _normalised(tables, duals)
+        k_tables += k
 
-    # inward from the leaf x_T: x_{k+2} sends f_{k+2} the product of what
-    # reached it from beyond, then f_{k+2} sends x_{k+1} its contraction
-    msgs = []
-    scale = 0.0
-    for k in range(h.num_steps - 2, -1, -1):
-        msg = ENTROPY.combine(msgs, s)
-        # only the leaf's ones vector is fresh; a single input is aliased
-        if rescale and not msgs:
-            scale = rescale_message(ENTROPY, msg, scale)
-        msg = ENTROPY.contract((pair_f[k], pair_aux[k]), [s, s], [(1, msg)], 0)
+    # inward from x_T; a block that is split pushes its right half last, so
+    # that half acts first. Splitting needs the levels below the top, so
+    # they are kept only when the top block itself must be split.
+    v, gv = np.ones(h.num_states), np.zeros(h.num_states)
+    levels = _levels(tables, duals, k_tables, steps, rescale, keep=False)
+    f, g, k, exact = levels[-1]
+    if len(steps) > 1 and _must_split(exact[0], f[0] @ v, rescale):
+        levels = _levels(tables, duals, k_tables, steps, rescale, keep=True)
+    todo = [(len(levels) - 1, 0)] if len(steps) else []
+    while todo and v.any():
+        n, i = todo.pop()
+        f, g, k, exact = (x[i] for x in levels[n])
+        w = f @ v
+        if n and _must_split(exact, w, rescale):
+            todo += [(n - 1, j) for j in range(2 * i, min(2 * i + 2, len(levels[n - 1][0])))]
+            continue
+        v, gv = w, g @ v + f @ gv
+        exponent += int(k)
         if rescale:
-            scale = rescale_message(ENTROPY, msg, scale)
-        msgs = [msg]
-
-    # f1 last; the root marginal at x1 combines f1's message, then f2's
-    root = ENTROPY.contract(unary_table, [s], [], 0)
-    log_scale = rescale_message(ENTROPY, root, 0.0) if rescale else 0.0
-    total = ENTROPY.reduce_msg(ENTROPY.combine([root] + msgs, s))
-    return entropy_from_zh(total.score, total.aux, log_scale + scale)
+            v, gv, k_v = _normalised_vector(v, gv)
+            exponent += k_v
+    return entropy_from_zh(float(u @ v), float(gu @ v + u @ gv), exponent * _LN2)

@@ -65,7 +65,15 @@ def _as_list(x, path: str) -> list:
 def _as_number(x, path: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ParseError(f"{path}: expected a number, got {x!r}")
-    return float(x)
+    # Python's json module decodes NaN, Infinity and 1e999 to non-finite
+    # floats, and integer literals of any length to int
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParseError(f"{path}: expected a finite number, got {value!r}")
+    return value
 
 
 def _number_list(x, path: str) -> list:

@@ -192,6 +192,24 @@ class TestEntropy:
         assert out["error"]["kind"] == "ZeroEvidence"
         assert "fg: ZeroEvidence" in err
 
+    def test_non_finite_hmm_is_a_parse_error(self, cli, write):
+        path = write(dumps(hmm_doc()).replace('"pi": [0.5, 0.5]', '"pi": [NaN, 1.0]'))
+        code, out, err = cli("entropy", "--hmm", path)
+        assert code == 1
+        assert out["error"]["kind"] == "ParseError"
+        assert out["error"]["detail"].startswith("$.pi[0]: expected a finite number")
+        assert "fg: ParseError" in err
+
+    def test_non_finite_graph_is_a_parse_error(self, cli, write):
+        path = write(dumps(unary_doc(values=(0.5, 0.25))).replace("0.25", "Infinity"))
+        code, out, err = cli("entropy", path)
+        assert code == 1
+        assert out["error"] == {
+            "kind": "ParseError",
+            "detail": "$.factors[0].values[1]: expected a finite number, got inf",
+        }
+        assert "fg: ParseError" in err
+
     def test_graph_and_hmm_conflict(self, cli, write):
         g = write(unary_doc(), "g.json")
         h = write(hmm_doc(), "h.json")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -147,6 +148,18 @@ class TestParseGraphErrors:
 
     def test_top_level_not_object(self):
         self.assert_raises([], ParseError, "expected an object")
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "1e999", "huge-int"])
+    def test_non_finite_value(self, literal):
+        d = json.loads(dumps(doc_unary([1.0, 2.0])).replace("2.0", literal))
+        self.assert_raises(d, ParseError, "$.factors[0].values[1]: expected a finite number")
+
+    def test_non_finite_g(self):
+        # null, not -Infinity, marks the undefined log of a zero value
+        self.assert_raises(
+            doc_unary([0.0, 1.0], g=[-math.inf, 0.0]), ParseError, "$.factors[0].g[0]"
+        )
 
 
 class TestParametricBlock:
@@ -329,6 +342,12 @@ class TestHmmDocuments:
     def test_empty_observations(self):
         self.assert_error(
             lambda d: d.update(observations=[]), ParseError, "$.observations"
+        )
+
+    def test_non_finite_probability(self):
+        self.assert_error(
+            lambda d: d.update(pi=[math.nan, 1.0]), ParseError,
+            "$.pi[0]: expected a finite number",
         )
 
 
