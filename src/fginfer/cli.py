@@ -33,10 +33,11 @@ from .oracle import (
     enumerate_marginal,
     enumerate_z,
 )
-from .propagation import run, total_sum
+from .propagation import run, scale_exponent, total_sum
 from .semiring import SUM_PRODUCT, get_semiring
 
 _CHECK_TOL = 1e-9
+_LN2 = math.log(2.0)
 
 
 class UsageError(FactorGraphError):
@@ -68,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--semiring", default="sum-product",
                     choices=["sum-product", "max-product", "boolean"])
     sp.add_argument("--root", default=None, help="root variable id")
-    sp.add_argument("--rescale", action="store_true")
     sp.set_defaults(func=cmd_partition)
 
     sp = sub.add_parser("marginal", help="per-variable marginal vectors")
@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     who.add_argument("--all", action="store_true", help="every variable (two passes)")
     sp.add_argument("--semiring", default="sum-product",
                     choices=["sum-product", "max-product", "boolean"])
-    sp.add_argument("--rescale", action="store_true")
     sp.set_defaults(func=cmd_marginal)
 
     sp = sub.add_parser("entropy", help="partition function, H, and entropy")
@@ -90,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--root", default=None)
     sp.add_argument("--derive-g", action="store_true",
                     help="use log2 of the factor values as the companion tables")
-    sp.add_argument("--rescale", action=argparse.BooleanOptionalAction, default=None,
-                    help="per-message rescaling; defaults on for HMMs longer than 1000 steps")
     sp.set_defaults(func=cmd_entropy)
 
     sp = sub.add_parser("em-step", help="closed-form M-step for linear-gradient families")
@@ -135,35 +132,41 @@ def cmd_validate(args):
     return 0, {"valid": True, "errors": []}
 
 
+def _folded(mantissas: list, exponent: int) -> tuple[list, float]:
+    """(mantissas * 2^exponent, log scale 0) if those are all finite normal
+    floats or 0, else (mantissas, exponent * ln 2)."""
+    # x * 2^E is normal iff its frexp exponent k + E is in [-1021, 1024]
+    if all(x == 0.0 or -1021 <= math.frexp(x)[1] + exponent <= 1024 for x in mantissas):
+        return [math.ldexp(x, exponent) for x in mantissas], 0.0
+    return mantissas, exponent * _LN2
+
+
 def cmd_partition(args):
     pg = fgio.load_graph(args.graph)
     s = get_semiring(args.semiring)
-    marginals, _ = run(pg.graph, s, root=args.root, rescale=args.rescale)
-    z = None
-    log_scale = 0.0
+    marginals, _ = run(pg.graph, s, root=args.root, rescale=True)
+    z, exponent = s.one, 0
     for marg in marginals.values():
-        w = total_sum(marg, s, apply_scale=False)
-        z = w if z is None else s.mul(z, w)
-        log_scale += marg.log_scale
-    return 0, {"Z": float(z), "log_scale": log_scale}
+        # rescaled, so that many components cannot overflow the product
+        z = s.mul(z, s.reduce_msg(marg.msg))
+        e = scale_exponent(z)
+        z, exponent = math.ldexp(z, -e), exponent + marg.exponent + e
+    (z,), log_scale = _folded([z], exponent)
+    return 0, {"Z": z, "log_scale": log_scale}
 
 
 def cmd_marginal(args):
     pg = fgio.load_graph(args.graph)
     s = get_semiring(args.semiring)
     if args.var is not None:
-        marginals, _ = run(pg.graph, s, root=args.var, rescale=args.rescale)
+        marginals, _ = run(pg.graph, s, root=args.var, rescale=True)
         marginals = {args.var: marginals[args.var]}
     else:
-        marginals, _ = run(pg.graph, s, two_pass=True, rescale=args.rescale)
-    out = {}
+        marginals, _ = run(pg.graph, s, two_pass=True, rescale=True)
+    out, log_scale = {}, {}
     for vid, marg in marginals.items():
-        vals = marg.scores()
-        if marg.log_scale != 0.0:
-            c = math.exp(marg.log_scale)
-            vals = [x * c for x in vals]
-        out[vid] = [float(x) for x in vals]
-    return 0, {"marginals": out}
+        out[vid], log_scale[vid] = _folded([float(x) for x in marg.scores()], marg.exponent)
+    return 0, {"marginals": out, "log_scale": log_scale}
 
 
 def cmd_entropy(args):
@@ -171,7 +174,7 @@ def cmd_entropy(args):
         raise UsageError("entropy needs a graph document or --hmm, not both")
     if args.hmm is not None:
         h = fgio.load_hmm(args.hmm)
-        res = hmm_entropy(h, rescale=args.rescale)
+        res = hmm_entropy(h, rescale=True)
     else:
         pg = fgio.load_graph(args.graph)
         if args.derive_g:
@@ -184,13 +187,14 @@ def cmd_entropy(args):
                 " document or pass --derive-g"
             )
         wg = WeightedGraph(pg.graph, companions)
-        res = posterior_entropy(wg, root=args.root, rescale=bool(args.rescale))
+        res = posterior_entropy(wg, root=args.root, rescale=True)
+    (z, h), log_scale = _folded([res.Z, res.H], res.exponent)
     return 0, {
-        "Z": res.Z,
-        "H": res.H,
+        "Z": z,
+        "H": h,
         "entropy": entropy_in_base(res.entropy_bits, args.base),
         "base": args.base,
-        "log_scale": res.log_scale,
+        "log_scale": log_scale,
     }
 
 
@@ -252,9 +256,8 @@ def _check_graph(graph: FactorGraph, companions) -> float:
     marginals, _ = run(graph, SUM_PRODUCT, two_pass=True, rescale=True)
     for vid, marg in marginals.items():
         oracle_m = enumerate_marginal(graph, vid)
-        scale = math.exp(marg.log_scale)
         for a, b in zip(marg.scores(), oracle_m):
-            worst = max(worst, _rel_err(a * scale, float(b)))
+            worst = max(worst, _rel_err(math.ldexp(a, marg.exponent), float(b)))
     # totals agree no matter which root's marginal is summed; use the first
     first = next(iter(marginals.values()))
     z_engine = float(total_sum(first, SUM_PRODUCT))
@@ -263,9 +266,8 @@ def _check_graph(graph: FactorGraph, companions) -> float:
     if companions is not None:
         wg = WeightedGraph(graph, companions)
         res = compute_zh(wg, rescale=True)
-        worst = max(worst, _rel_err(res.scaled_z(), enumerate_z(graph)))
-        worst = max(worst, _rel_err(res.H * math.exp(res.log_scale),
-                                    enumerate_h(graph, companions)))
+        worst = max(worst, _rel_err(math.ldexp(res.Z, res.exponent), enumerate_z(graph)),
+                    _rel_err(math.ldexp(res.H, res.exponent), enumerate_h(graph, companions)))
     # the posterior-entropy leg only makes sense for nonnegative tables
     # with usable evidence; sum-product legs above cover the rest
     if all(np.all(f.values >= 0.0) for f in graph.factors) and z_engine > 1e-300:
@@ -277,12 +279,10 @@ def _check_graph(graph: FactorGraph, companions) -> float:
 
 
 def _check_hmm(h: HmmSpec) -> float:
-    wg = hmm_to_weighted_graph(h)
+    g = hmm_to_weighted_graph(h).graph
     res = hmm_entropy(h)
-    oracle_bits = enumerate_entropy(wg.graph)
-    worst = _rel_err(res.entropy_bits, oracle_bits)
-    worst = max(worst, _rel_err(res.scaled_z(), enumerate_z(wg.graph)))
-    return worst
+    return max(_rel_err(res.entropy_bits, enumerate_entropy(g)),
+               _rel_err(math.ldexp(res.Z, res.exponent), enumerate_z(g)))
 
 
 def _refill_graph(graph: FactorGraph, rng) -> tuple[FactorGraph, list]:

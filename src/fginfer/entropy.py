@@ -13,10 +13,9 @@ give the entropy of the distribution the graph defines:
     H(X) = -H/Z + log2(Z)   [bits]
 
 which is exactly the posterior entropy of a model conditioned on observed
-evidence once the evidence has been folded into the tables. The quotient
-H/Z ignores uniform message rescaling, and log2(Z) is reconstructed from
-the accumulated log scale, so the formula stays finite on chains far past
-float range.
+evidence once the evidence has been folded into the tables. Rescaled
+runs report (Z, H) as mantissas times 2^E: H/Z ignores the factor and
+log2(Z) adds E, so the formula stays finite far past float range.
 """
 
 import math
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import OutOfDomain, ZeroEvidence
 from .graph import FactorGraph, FactorTable, validate
-from .propagation import run
+from .propagation import run, scale_exponent
 from .semiring import ENTROPY, Semiring
 
 _LN2 = math.log(2.0)
@@ -48,11 +47,11 @@ class WeightedFactor:
 
 @dataclass
 class EntropyResult:
-    """The (Z, H) pair of a run, with its log scale and derived entropy.
+    """The (Z, H) pair of a run, with its scale and derived entropy.
 
-    ``Z`` and ``H`` are as the engine reported them: when rescaling was on,
-    the true totals are Z * exp(log_scale) and H * exp(log_scale). The
-    ratio H/Z needs no correction. ``entropy_bits`` is filled in by
+    When rescaling was on, ``Z`` and ``H`` are mantissas: the true totals
+    are Z * 2^exponent and H * 2^exponent, and ``log_scale`` is
+    exponent * ln 2. ``entropy_bits`` is filled in by
     :func:`entropy_from_zh` and is None otherwise.
     """
 
@@ -60,9 +59,7 @@ class EntropyResult:
     H: float
     log_scale: float = 0.0
     entropy_bits: float | None = None
-
-    def scaled_z(self) -> float:
-        return self.Z * math.exp(self.log_scale)
+    exponent: int = 0
 
     def scaled_h(self) -> float:
         return self.H * math.exp(self.log_scale)
@@ -164,12 +161,14 @@ def compute_zh(wg, root: str | None = None, rescale: bool = False) -> EntropyRes
         wg.graph, ENTROPY, root=root, two_pass=False, rescale=rescale,
         tables=wg.carrier_tables(ENTROPY),
     )
-    total = ENTROPY.one
-    log_scale = 0.0
+    z, h, exponent = 1.0, 0.0, 0
     for marg in marginals.values():
-        total = ENTROPY.mul(total, ENTROPY.reduce_msg(marg.msg))
-        log_scale += marg.log_scale
-    return EntropyResult(Z=total.score, H=total.aux, log_scale=log_scale)
+        w = ENTROPY.reduce_msg(marg.msg)
+        # rescaled, so that many components cannot overflow the product
+        e = scale_exponent(z * w.score) if rescale else 0
+        z, h = math.ldexp(z * w.score, -e), math.ldexp(z * w.aux + w.score * h, -e)
+        exponent += marg.exponent + e
+    return EntropyResult(Z=z, H=h, log_scale=exponent * _LN2, exponent=exponent)
 
 
 def posterior_entropy(wg, root: str | None = None, rescale: bool = False) -> EntropyResult:
@@ -177,7 +176,7 @@ def posterior_entropy(wg, root: str | None = None, rescale: bool = False) -> Ent
 
     Requires nonnegative tables whose companions are the base-2 logs of the
     values (undefined at zeros). The result combines the run's pair as
-    -H/Z + log2(Z), reconstructing log2(Z) from the accumulated log scale.
+    -H/Z + log2(Z), reconstructing log2(Z) from the exponent.
     Raises ZeroEvidence when the weight the run holds is numerically zero
     (below 1e-300): without rescaling that is the full total, with rescaling
     it is the order-one mantissa, so long chains whose true evidence only
@@ -185,25 +184,24 @@ def posterior_entropy(wg, root: str | None = None, rescale: bool = False) -> Ent
     negative outcomes from roundoff (>= -1e-9) are clamped to exactly 0.
     """
     res = compute_zh(wg, root=root, rescale=rescale)
-    return entropy_from_zh(res.Z, res.H, res.log_scale)
+    return entropy_from_zh(res.Z, res.H, res.exponent)
 
 
-def entropy_from_zh(z: float, h: float, log_scale: float) -> EntropyResult:
-    """The entropy result of a run's (Z, H) pair and accumulated log scale.
+def entropy_from_zh(z: float, h: float, exponent: int) -> EntropyResult:
+    """The entropy result of a run's (Z, H) mantissas and exponent E.
 
     Applies the rules :func:`posterior_entropy` documents: ZeroEvidence for
-    Z <= 0 or Z < 1e-300, bits = -H/Z + log2(Z), and roundoff negatives
+    Z <= 0 or Z < 1e-300, bits = -H/Z + log2(Z) + E, and roundoff negatives
     down to -1e-9 clamped to 0.
     """
     if z <= 0.0:
         raise ZeroEvidence(f"total weight Z = {z}; no assignment has positive weight")
     if z < _Z_FLOOR:
         raise ZeroEvidence(f"total weight {z} is below 1e-300")
-    log_z = math.log(z) + log_scale
-    bits = -h / z + log_z / _LN2
+    bits = -h / z + (math.log(z) + exponent * _LN2) / _LN2
     if -1e-9 <= bits < 0.0:
         bits = 0.0
-    return EntropyResult(Z=z, H=h, log_scale=log_scale, entropy_bits=bits)
+    return EntropyResult(z, h, exponent * _LN2, bits, exponent)
 
 
 def entropy_in_base(bits: float, base: str) -> float:

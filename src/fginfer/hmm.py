@@ -38,7 +38,6 @@ from .graph import FactorGraph, FactorTable, VariableDecl
 
 _ROW_TOL = 1e-9
 _LONG_CHAIN = 1000
-_LN2 = math.log(2.0)
 # Products of blocks scaled to sum to at most 1 lose only terms below the
 # smallest normal double, at most S of them per entry, S * 2^-1073 in all.
 # That is under S * 2^-113 of an entry above _TINY (62 bits above the
@@ -67,7 +66,9 @@ class HmmSpec:
         self.pi = np.asarray(self.pi, dtype=float).ravel()
         self.transition = np.asarray(self.transition, dtype=float)
         self.emission = np.asarray(self.emission, dtype=float)
-        self.observations = np.asarray(self.observations, dtype=int).ravel()
+        observations = np.asarray(self.observations).ravel()
+        with np.errstate(invalid="ignore"):
+            self.observations = observations.astype(int, copy=False)
         s = self.pi.size
         if s < 1:
             raise ValueError("pi must have at least one state")
@@ -104,6 +105,10 @@ class HmmSpec:
             )
         if self.observations.size < 1:
             raise ValueError("observation sequence must not be empty")
+        bad = np.flatnonzero(self.observations != observations)
+        if bad.size:
+            raise ValueError(f"observation at position {bad[0]} is {observations[bad[0]]},"
+                             " not a symbol index")
         o = self.emission.shape[1]
         if (self.observations < 0).any() or (self.observations >= o).any():
             bad = int(np.argmax((self.observations < 0) | (self.observations >= o)))
@@ -183,37 +188,33 @@ def _inexact(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (small & np.matmul(a > 0, b > 0)).any(axis=(1, 2))
 
 
-def _levels(tables, duals, k_tables, steps, rescale: bool, keep: bool) -> list:
+def _levels(tables, duals, k_tables, steps, keep: bool) -> list:
     """The pairwise reduction of the steps: level n holds the blocks of 2^n
     steps as (F, G, exponents, exact flags), an odd last block carried up
     unpaired. Returns every level if ``keep``, else the top one alone,
     which holds the block of the whole run."""
-    f, g, k = tables.take(steps, axis=0), duals.take(steps, axis=0), k_tables.take(steps)
+    f, g = tables.take(steps, axis=0), duals.take(steps, axis=0)
+    k = k_tables.take(steps).astype(np.int64)  # int64 sums; np.ldexp is far faster on int32
     levels = [(f, g, k, np.ones(len(f), dtype=bool))]
     while len(f) > 1:
         m = len(f) // 2 * 2
         f1, f2, g1, g2 = f[:m:2], f[1:m:2], g[:m:2], g[1:m:2]
         exact = levels[-1][3]
         product = f1 @ f2
-        paired = exact[:m:2] & exact[1:m:2]
-        if rescale:
-            paired &= ~_inexact(product, f1, f2)
-        f = np.concatenate((product, f[m:]))
-        g = np.concatenate((g1 @ f2 + f1 @ g2, g[m:]))
-        k = np.concatenate((k[:m:2] + k[1:m:2], k[m:]))
-        if rescale:
-            f, g, k_level = _normalised(f, g)
-            k += k_level
+        paired = exact[:m:2] & exact[1:m:2] & ~_inexact(product, f1, f2)
+        f, g, k_level = _normalised(np.concatenate((product, f[m:])),
+                                    np.concatenate((g1 @ f2 + f1 @ g2, g[m:])))
+        k = np.concatenate((k[:m:2] + k[1:m:2], k[m:])) + k_level
         if not keep:
             levels.clear()
         levels.append((f, g, k, np.concatenate((paired, exact[m:]))))
     return levels
 
 
-def _must_split(exact, w: np.ndarray, rescale: bool) -> bool:
+def _must_split(exact, w: np.ndarray) -> bool:
     """Whether a block is applied as its two halves instead: it lost
     entries, or it sends the rescaled vector's sum below _LOW."""
-    return not exact or rescale and w.sum() < _LOW
+    return not exact or w.sum() < _LOW
 
 
 def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
@@ -227,55 +228,49 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     is applied to the pair (ones, zeros) at x_T, and f1's pair
     (u, u * log2 u) is folded in last. The bracketing differs from the
     generic engine's, so the result matches
-    ``posterior_entropy(hmm_to_weighted_graph(h), rescale=rescale)`` to
+    ``posterior_entropy(hmm_to_weighted_graph(h), rescale=True)`` to
     roundoff, not bit for bit.
 
-    Rescaling scales u, every table, every product and the vector after
+    The pass scales u, every table, every product and the vector after
     every applied block by 2^-k, k the frexp exponent of its sum, and
-    ``log_scale`` is E ln 2 for the integer sum E of the k that enter the
-    result. That is exact away from subnormals, so Z * 2^E and H * 2^E
-    equal an unrescaled run bit for bit while its evidence stays in float
-    range. A block scaled as a whole still drops entries more than the
-    float range below its largest, which a long reducible chain can need
-    later. So a product with a positive entry below 2^-960 is marked
-    inexact and not applied: its two halves are, in turn. So are the
-    halves of a block that sends the vector's sum below 2^-52.
-    Down to single steps, that is the engine's own pass, a vector
-    rescaled after every step. ``rescale=None`` turns rescaling on for
-    sequences longer than 1000 steps. Raises ZeroEvidence when the
-    observation sequence has zero probability.
+    keeps the integer sum E of the k that enter the result. That is
+    exact away from subnormals. A block scaled as a whole still drops
+    entries more than the float range below its largest, which a long
+    reducible chain can need later. So a product with a positive entry
+    below 2^-960 is marked inexact and not applied: its two halves are,
+    in turn. So are the halves of a block that sends the vector's sum
+    below 2^-52. Down to single steps, that is the engine's own pass.
+
+    ``rescale`` only picks how (Z, H) are reported: as mantissas with
+    ``exponent`` E, or, when false, times 2^E, which raises ZeroEvidence
+    if P(y) underflows. ``rescale=None`` is true for sequences longer than
+    1000 steps. Raises ZeroEvidence when y has zero probability.
     """
     if rescale is None:
         rescale = h.num_steps > _LONG_CHAIN
     unary, tables, steps = _chain_tables(h)
-    duals = tables * log2_or_zero(tables)
-    u, gu = unary, unary * log2_or_zero(unary)
-    exponent = 0
-    k_tables = np.zeros(len(tables), dtype=np.int64)
-    if rescale:
-        u, gu, exponent = _normalised_vector(u, gu)
-        tables, duals, k = _normalised(tables, duals)
-        k_tables += k
+    u, gu, exponent = _normalised_vector(unary, unary * log2_or_zero(unary))
+    tables, duals, k_tables = _normalised(tables, tables * log2_or_zero(tables))
 
     # inward from x_T; a block that is split pushes its right half last, so
     # that half acts first. Splitting needs the levels below the top, so
     # they are kept only when the top block itself must be split.
     v, gv = np.ones(h.num_states), np.zeros(h.num_states)
-    levels = _levels(tables, duals, k_tables, steps, rescale, keep=False)
+    levels = _levels(tables, duals, k_tables, steps, keep=False)
     f, g, k, exact = levels[-1]
-    if len(steps) > 1 and _must_split(exact[0], f[0] @ v, rescale):
-        levels = _levels(tables, duals, k_tables, steps, rescale, keep=True)
+    if len(steps) > 1 and _must_split(exact[0], f[0] @ v):
+        levels = _levels(tables, duals, k_tables, steps, keep=True)
     todo = [(len(levels) - 1, 0)] if len(steps) else []
     while todo and v.any():
         n, i = todo.pop()
         f, g, k, exact = (x[i] for x in levels[n])
         w = f @ v
-        if n and _must_split(exact, w, rescale):
+        if n and _must_split(exact, w):
             todo += [(n - 1, j) for j in range(2 * i, min(2 * i + 2, len(levels[n - 1][0])))]
             continue
-        v, gv = w, g @ v + f @ gv
-        exponent += int(k)
-        if rescale:
-            v, gv, k_v = _normalised_vector(v, gv)
-            exponent += k_v
-    return entropy_from_zh(float(u @ v), float(gu @ v + u @ gv), exponent * _LN2)
+        v, gv, k_v = _normalised_vector(w, g @ v + f @ gv)
+        exponent += int(k) + k_v
+    # rescale=False folds 2^E into Z and H; rescale=True reports E
+    shift = 0 if rescale else exponent
+    return entropy_from_zh(math.ldexp(float(u @ v), shift),
+                           math.ldexp(float(gu @ v + u @ gv), shift), exponent - shift)

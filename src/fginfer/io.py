@@ -77,7 +77,9 @@ def _as_number(x, path: str) -> float:
 
 
 def _number_list(x, path: str) -> list:
-    return [_as_number(v, f"{path}[{i}]") for i, v in enumerate(_as_list(x, path))]
+    # only entries other than finite floats pay for formatting their path
+    return [v if type(v) is float and -math.inf < v < math.inf else _as_number(v, f"{path}[{i}]")
+            for i, v in enumerate(_as_list(x, path))]
 
 
 def parse_graph_document(doc) -> ParsedGraph:

@@ -60,6 +60,9 @@ class ParametricFactorSet:
         self.u = None if u is None else [np.asarray(t, dtype=float).ravel() for t in u]
         self.v = None if v is None else [np.asarray(t, dtype=float).ravel() for t in v]
         self.lam = None if lam is None else np.asarray(lam, dtype=float).ravel()
+        linear = (self.u or []) + (self.v or []) + ([] if lam is None else [self.lam])
+        if linear and not np.isfinite(np.concatenate(linear)).all():
+            raise ValueError("u, v and lam must be finite")
         self.base_tables = None if base_tables is None else [
             np.asarray(t, dtype=float).ravel() for t in base_tables
         ]

@@ -13,12 +13,12 @@ sum). A schedule from :func:`fginfer.graph.make_schedule` lists directed
 edges so that every feeding message exists before it is needed; one pass
 yields the root marginal, a second pass yields every marginal.
 
-Optional per-message rescaling divides a freshly computed message by its
-largest score magnitude and accumulates the log of the divisor in a
-per-edge running total, so products on long chains neither underflow nor
-overflow. All-zero messages are left untouched. Totals are reported next
-to the accumulated log scale; quantities that are ratios of message
-components do not feel the scaling at all.
+Optional per-message rescaling multiplies a fresh message by 2^-e, which
+puts its largest score magnitude in [1, 2), and adds the integer e to a
+per-edge total E, so long chains neither underflow nor overflow. Powers
+of two are exact away from subnormals: a rescaled message times 2^E is
+the unrescaled one bit for bit. Boolean messages never scale. Quantities
+that are ratios of message components do not feel the scaling at all.
 
 Everything here is single threaded; stores must not be shared across
 threads while messages are still being written.
@@ -31,7 +31,7 @@ from .errors import MissingDependency
 from .graph import FactorGraph, Schedule, make_schedule
 from .semiring import Semiring
 
-_LN = math.log
+_LN2 = math.log(2.0)
 
 
 class MessageStore:
@@ -40,7 +40,7 @@ class MessageStore:
     ``q`` maps (variable index, factor index) to variable-to-factor
     messages; ``r`` maps (factor index, variable index) to factor-to-
     variable messages. The parallel ``q_scale`` / ``r_scale`` dicts carry
-    the accumulated natural-log scale of each message (all zero when
+    the integer exponent E of each message, its scale 2^E (all zero when
     rescaling is off). Message vectors are owned by the store and must be
     treated as immutable by callers.
     """
@@ -68,24 +68,26 @@ class MessageStore:
         return len(self.q) + len(self.r)
 
 
-def rescale_message(s: Semiring, msg, log_scale: float) -> float:
-    """Divide a fresh message in place by its largest score magnitude.
+def scale_exponent(x: float) -> int:
+    """The e with |x| 2^-e in [1, 2), 0 for x = 0; at least -1021, so 2^-e is finite."""
+    return max(math.frexp(x)[1] - 1, -1021) if x else 0
 
-    Returns ``log_scale`` plus the natural log of the divisor. Messages
-    whose largest magnitude is 0 or 1 are left untouched.
-    """
-    mx = s.max_abs_score(msg)
-    if mx != 0.0 and mx != 1.0:
-        s.scale_msg_inplace(msg, 1.0 / mx)
-        log_scale += _LN(mx)
-    return log_scale
+
+def rescale_message(s: Semiring, msg, exponent: int) -> int:
+    """Multiply a fresh message in place by 2^-e, e the
+    :func:`scale_exponent` of its largest score magnitude; returns
+    ``exponent + e``."""
+    e = scale_exponent(s.max_abs_score(msg))
+    if e:
+        s.scale_msg_inplace(msg, math.ldexp(1.0, -e))
+    return exponent + e
 
 
 def _send_v2f(store: MessageStore, vi: int, fi: int):
     g = store.graph
     s = store.semiring
     msgs = []
-    acc = 0.0
+    acc = 0
     r = store.r
     r_scale = store.r_scale
     for f2 in g.var_factors[vi]:
@@ -98,10 +100,10 @@ def _send_v2f(store: MessageStore, vi: int, fi: int):
                 )
             msgs.append(m)
             # a message with no recorded scale was never rescaled
-            acc += r_scale.get(key, 0.0)
+            acc += r_scale.get(key, 0)
     msg = s.combine(msgs, g.variables[vi].cardinality)
     # single-input messages are aliased, already scaled by induction
-    if store.rescale and s.supports_rescaling and len(msgs) != 1:
+    if store.rescale and len(msgs) != 1:
         acc = rescale_message(s, msg, acc)
     store.q[(vi, fi)] = msg
     store.q_scale[(vi, fi)] = acc
@@ -114,7 +116,7 @@ def _send_f2v(store: MessageStore, fi: int, vi: int):
     q = store.q
     q_scale = store.q_scale
     incoming = []
-    acc = 0.0
+    acc = 0
     tpos = -1
     for pos, v2 in enumerate(g.factor_vars[fi]):
         if v2 == vi:
@@ -127,13 +129,13 @@ def _send_f2v(store: MessageStore, fi: int, vi: int):
                 f"message {g.variables[v2].id!r} -> {g.factors[fi].id!r} not computed yet"
             )
         incoming.append((pos, m))
-        acc += q_scale.get(key, 0.0)
+        acc += q_scale.get(key, 0)
     if tpos < 0:
         raise MissingDependency(
             f"variable {g.variables[vi].id!r} is not in the scope of factor {g.factors[fi].id!r}"
         )
     msg = s.contract(store.tables[fi], g.factor_cards[fi], incoming, tpos)
-    if store.rescale and s.supports_rescaling:
+    if store.rescale:
         acc = rescale_message(s, msg, acc)
     store.r[(fi, vi)] = msg
     store.r_scale[(fi, vi)] = acc
@@ -187,12 +189,14 @@ def _factor_position(g: FactorGraph, factor_id: str) -> int:
 
 @dataclass
 class MarginalResult:
-    """An unnormalized marginal vector plus its accumulated log scale."""
+    """An unnormalized marginal: ``msg`` times 2^``exponent``, with
+    ``log_scale`` = ``exponent`` ln 2."""
 
     variable: str
     msg: object
     log_scale: float
     semiring: Semiring = field(repr=False)
+    exponent: int = 0
 
     def scores(self) -> list:
         """Score components, one per domain value (the raw vector for
@@ -220,7 +224,7 @@ def marginal_at(store: MessageStore, var_id: str) -> MarginalResult:
     s = store.semiring
     vi = g.variable_position(var_id)
     msgs = []
-    acc = 0.0
+    acc = 0
     for fi in g.var_factors[vi]:
         key = (fi, vi)
         m = store.r.get(key)
@@ -230,9 +234,10 @@ def marginal_at(store: MessageStore, var_id: str) -> MarginalResult:
                 " run with two_pass=True for non-root variables"
             )
         msgs.append(m)
-        acc += store.r_scale.get(key, 0.0)
+        acc += store.r_scale.get(key, 0)
     msg = s.combine(msgs, g.variables[vi].cardinality)
-    return MarginalResult(variable=var_id, msg=msg, log_scale=acc, semiring=s)
+    return MarginalResult(variable=var_id, msg=msg, log_scale=acc * _LN2, semiring=s,
+                          exponent=acc)
 
 
 def run(g: FactorGraph, s: Semiring, root: str | None = None, two_pass: bool = False,

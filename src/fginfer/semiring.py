@@ -26,7 +26,6 @@ sum-product run bit for bit in its first components.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -56,14 +55,12 @@ class Semiring:
 
     Subclasses fix the carrier and implement both layers. Scalar weights are
     floats except for the entropy semiring, whose weights are (score, aux)
-    pairs. ``supports_rescaling`` says whether uniform scaling of a message
-    is meaningful for the carrier (it is not for the Boolean semiring).
+    pairs.
     """
 
     name = "abstract"
     zero: object = None
     one: object = None
-    supports_rescaling = True
 
     # scalar layer
     def add(self, a, b):
@@ -251,7 +248,6 @@ class BooleanSemiring(_RealSemiring):
     name = "boolean"
     zero = 0.0
     one = 1.0
-    supports_rescaling = False
 
     def add(self, a, b):
         return a if a >= b else b

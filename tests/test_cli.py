@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -26,6 +27,22 @@ def star_doc():
             {"id": "E", "scope": ["x2", "x5"], "values": [1.0] * 4},
         ],
     }
+
+
+def big_tree_doc(n=1200):
+    """A binary-heap tree of n binary variables, every pairwise table 1.5:
+    Z = 2^n * 1.5^(n - 1), log2 Z = 1901.4 at n = 1200, past float range,
+    and every assignment equally likely, so the entropy is n bits."""
+    return {
+        "variables": [{"id": f"x{i}", "cardinality": 2} for i in range(n)],
+        "factors": [
+            {"id": f"f{i}", "scope": [f"x{(i - 1) // 2}", f"x{i}"], "values": [1.5] * 4}
+            for i in range(1, n)
+        ],
+    }
+
+
+BIG_TREE_LOG2_Z = 1200 + 1199 * math.log2(1.5)
 
 
 def em_doc(v=(1.0, 1.0)):
@@ -122,11 +139,18 @@ class TestPartition:
         assert (code, out["Z"]) == (0, 1.0)
 
     def test_rescaled_total_reconstructs(self, cli, write):
-        import math
-
-        code, out, _ = cli("partition", write(star_doc()), "--rescale")
+        # always rescaled: in float range 2^E is folded back exactly
+        code, out, _ = cli("partition", write(star_doc()))
+        assert (code, out) == (0, {"Z": 32.0, "log_scale": 0.0})
+        code, out, _ = cli("partition", write(big_tree_doc()))
         assert code == 0
-        assert out["Z"] * math.exp(out["log_scale"]) == pytest.approx(32.0)
+        assert 1.0 <= out["Z"] < 2.0
+        log2_z = math.log2(out["Z"]) + out["log_scale"] / math.log(2.0)
+        assert log2_z == pytest.approx(BIG_TREE_LOG2_Z, rel=1e-12)
+        code, out, _ = cli("partition", write(big_tree_doc()), "--semiring", "max-product")
+        assert code == 0
+        log2_max = math.log2(out["Z"]) + out["log_scale"] / math.log(2.0)
+        assert log2_max == pytest.approx(1199 * math.log2(1.5), rel=1e-12)
 
     def test_bad_root(self, cli, write):
         code, out, _ = cli("partition", write(star_doc()), "--root", "zz")
@@ -139,6 +163,17 @@ class TestMarginal:
         code, out, _ = cli("marginal", write(unary_doc()), "--var", "x")
         assert code == 0
         assert out["marginals"] == {"x": [0.5, 0.5]}
+
+    def test_past_float_range(self, cli, write):
+        # folded back exactly where the true values are normal floats
+        code, out, _ = cli("marginal", write(unary_doc()), "--var", "x")
+        assert out == {"marginals": {"x": [0.5, 0.5]}, "log_scale": {"x": 0.0}}
+        code, out, _ = cli("marginal", write(big_tree_doc()), "--var", "x7")
+        assert code == 0
+        m = out["marginals"]["x7"]
+        assert m[0] == m[1]
+        log2_m = math.log2(m[0]) + out["log_scale"]["x7"] / math.log(2.0)
+        assert log2_m == pytest.approx(BIG_TREE_LOG2_Z - 1.0, rel=1e-12)
 
     def test_all_variables(self, cli, write):
         code, out, _ = cli("marginal", write(star_doc()), "--all")
@@ -222,12 +257,23 @@ class TestEntropy:
         assert abs(out["entropy"] - 5.0) <= 1e-9
 
     def test_hmm_long_chain_auto_rescale(self, cli, write):
-        path = write(hmm_doc(1500))
-        code, out, _ = cli("entropy", "--hmm", path)
+        # Z = 2^-1500 is below every normal float, so Z and H stay
+        # mantissas; at T = 5 they are folded back
+        code, out, _ = cli("entropy", "--hmm", write(hmm_doc(1500)))
         assert code == 0
         assert out["entropy"] == pytest.approx(1500.0)
-        code, out, _ = cli("entropy", "--hmm", path, "--no-rescale")
-        assert (code, out["error"]["kind"]) == (2, "ZeroEvidence")
+        log2_z = math.log2(out["Z"]) + out["log_scale"] / math.log(2.0)
+        assert log2_z == pytest.approx(-1500.0, rel=1e-14)
+        code, out, _ = cli("entropy", "--hmm", write(hmm_doc(5)))
+        assert (code, out["Z"], out["H"], out["log_scale"]) == (0, 2.0 ** -5, -10 * 2.0 ** -5, 0.0)
+
+    def test_graph_past_float_range(self, cli, write):
+        code, out, _ = cli("entropy", write(big_tree_doc()), "--derive-g")
+        assert code == 0
+        assert out["entropy"] == pytest.approx(1200.0, rel=1e-12)
+        assert out["log_scale"] > 0.0
+        log2_z = math.log2(out["Z"]) + out["log_scale"] / math.log(2.0)
+        assert log2_z == pytest.approx(BIG_TREE_LOG2_Z, rel=1e-12)
 
 
 class TestEmStep:
@@ -344,6 +390,17 @@ class TestUsage:
 
     def test_no_command(self, cli):
         code, out, _ = cli()
+        assert (code, out["error"]["kind"]) == (1, "UsageError")
+
+    @pytest.mark.parametrize("argv", [
+        ("partition", "--rescale"),
+        ("marginal", "--all", "--rescale"),
+        ("entropy", "--rescale"),
+        ("entropy", "--no-rescale"),
+    ])
+    def test_no_rescale_flags(self, cli, write, argv):
+        # rescaling is always on, and exact, so there is nothing to choose
+        code, out, _ = cli(argv[0], write(unary_doc()), *argv[1:])
         assert (code, out["error"]["kind"]) == (1, "UsageError")
 
 

@@ -6,6 +6,7 @@ import pytest
 from fginfer import (
     FactorGraph,
     FactorTable,
+    HmmSpec,
     OutOfDomain,
     VariableDecl,
     WeightedFactor,
@@ -14,6 +15,7 @@ from fginfer import (
     compute_zh,
     derive_log2_companions,
     entropy_in_base,
+    hmm_to_weighted_graph,
     lift_graph,
     posterior_entropy,
 )
@@ -205,6 +207,16 @@ class TestPosteriorEntropy:
             plain = posterior_entropy(wg)
             scaled = posterior_entropy(wg, rescale=True)
             assert_close(scaled.entropy_bits, plain.entropy_bits, what="bits")
+
+    def test_subnormal_message_maximum(self):
+        # only state 1 can emit symbol 2, and the backward message carries it
+        # 2^-1030 below state 0, so its largest entry is subnormal there;
+        # dividing by that maximum used to give NaN
+        h = HmmSpec([0.5, 0.5], np.eye(2), [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]],
+                    [0] * 10 + [2] + [0] * 1030)
+        res = posterior_entropy(hmm_to_weighted_graph(h), rescale=True)
+        assert res.entropy_bits == 0.0
+        assert res.log2_z() == -2082.0
 
 
 class TestBaseConversion:

@@ -65,6 +65,12 @@ class TestHmmSpec:
         with pytest.raises(OutOfDomain, match="position 1"):
             HmmSpec([0.5, 0.5], np.full((2, 2), 0.5), np.full((2, 2), 0.5), [0, 2])
 
+    @pytest.mark.parametrize("observations", [[0, 1.7, 0.2], [0, 1, math.nan]])
+    def test_non_integral_observation(self, observations):
+        # used to run truncated, as [0, 1, 0]
+        with pytest.raises(ValueError, match="position 1 is 1.7|position 2 is nan"):
+            HmmSpec([0.5, 0.5], np.full((2, 2), 0.5), np.full((2, 2), 0.5), observations)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["pi", "transition", "emission"])
     def test_non_finite_probability(self, name, bad):

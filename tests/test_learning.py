@@ -117,6 +117,17 @@ class TestParametricFactorSet:
         with pytest.raises(ValueError, match=">= 1"):
             ParametricFactorSet([("x", 2)], [("x",)], 0)
 
+    @pytest.mark.parametrize("which", ["u", "v", "lam"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_linear_form(self, which, bad):
+        # em_linear_step used to return theta_new = [nan] for u = [nan, 1]
+        args = {"u": [[2.0, 4.0]], "v": [[1.0, 1.0]], "lam": [1.0]}
+        args[which] = [bad] if which == "lam" else [[bad, 1.0]]
+        with pytest.raises(ValueError, match="finite"):
+            ParametricFactorSet.linear_form(
+                [("x", 2)], [("x",)], [[0.5, 0.5]], args["u"], args["v"], args["lam"]
+            )
+
 
 class TestGradientAt:
     def test_constant_total_has_zero_gradient(self):

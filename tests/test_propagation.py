@@ -14,6 +14,8 @@ from fginfer import (
     MessageStore,
     MissingDependency,
     VariableDecl,
+    WeightedGraph,
+    compute_zh,
     factor_to_variable,
     init_leaf_messages,
     make_schedule,
@@ -283,7 +285,46 @@ class TestTotalSum:
         assert total_sum(marginals["x"]) == 0.7
 
 
+def random_forest(rng, max_trees=3):
+    """The disjoint union of one to max_trees random trees, with their
+    companion tables."""
+    variables, factors, companions = [], [], []
+    for k in range(int(rng.integers(1, max_trees + 1))):
+        g, comp = random_tree(rng, max_vars=12)
+        variables += [VariableDecl(f"t{k}{v.id}", v.cardinality) for v in g.variables]
+        factors += [
+            FactorTable(f"t{k}{f.id}", tuple(f"t{k}{n}" for n in f.scope), f.values)
+            for f in g.factors
+        ]
+        companions += comp
+    return FactorGraph(variables, factors), companions
+
+
 class TestInvariants:
+    def test_power_of_two_rescaling_is_exact(self, rng):
+        # every rescaled marginal, and compute_zh's (Z, H), times 2^E is the
+        # plain run's bit for bit
+        def parts(s, msg):
+            return [list(p) for p in (msg if s is ENTROPY else (msg,))]
+
+        scaled_any = False
+        for _ in range(60):
+            g, companions = random_forest(rng)
+            for s in (SUM_PRODUCT, MAX_PRODUCT, BOOLEAN, ENTROPY):
+                plain, _ = run(g, s, two_pass=True, companions=companions)
+                scaled, _ = run(g, s, two_pass=True, companions=companions, rescale=True)
+                for vid, m in scaled.items():
+                    shifted = [[math.ldexp(x, m.exponent) for x in p] for p in parts(s, m.msg)]
+                    assert shifted == parts(s, plain[vid].msg)
+                    assert m.log_scale == m.exponent * math.log(2.0)
+                    assert s is not BOOLEAN or m.exponent == 0
+                    scaled_any |= m.exponent != 0
+            wg = WeightedGraph(g, companions)
+            plain, scaled = compute_zh(wg), compute_zh(wg, rescale=True)
+            assert math.ldexp(scaled.Z, scaled.exponent) == plain.Z
+            assert math.ldexp(scaled.H, scaled.exponent) == plain.H
+        assert scaled_any
+
     def test_root_independence(self, rng):
         for _ in range(10):
             g, companions = random_tree(rng, max_vars=8)
