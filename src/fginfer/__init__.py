@@ -22,6 +22,7 @@ from .errors import (
     DegenerateMStep,
     FactorGraphError,
     MissingDependency,
+    NonFiniteTotal,
     OutOfDomain,
     ParseError,
     ScopeMismatch,
@@ -93,6 +94,7 @@ __all__ = [
     "MarginalResult",
     "MessageStore",
     "MissingDependency",
+    "NonFiniteTotal",
     "OutOfDomain",
     "ParametricFactorSet",
     "ParseError",

@@ -3,7 +3,8 @@
 Subcommands: validate, partition, marginal, entropy, em-step, grad, check.
 Every command reads JSON documents, writes one line of JSON to stdout, and
 exits 0 on success, 1 on parse or validation failures, 2 on runtime
-failures (zero evidence, degenerate M-step, undefined gradient quotient).
+failures (zero evidence, a non-finite total, degenerate M-step, undefined
+gradient quotient).
 Errors additionally print one human-readable line to stderr. The FG_SEED
 environment variable fixes the random seed used by `check`.
 """
@@ -33,7 +34,7 @@ from .oracle import (
     enumerate_marginal,
     enumerate_z,
 )
-from .propagation import run, scale_exponent, total_sum
+from .propagation import fold_exponent, run, scale_exponent, total_sum
 from .semiring import SUM_PRODUCT, get_semiring
 
 _CHECK_TOL = 1e-9
@@ -135,10 +136,8 @@ def cmd_validate(args):
 def _folded(mantissas: list, exponent: int) -> tuple[list, float]:
     """(mantissas * 2^exponent, log scale 0) if those are all finite normal
     floats or 0, else (mantissas, exponent * ln 2)."""
-    # x * 2^E is normal iff its frexp exponent k + E is in [-1021, 1024]
-    if all(x == 0.0 or -1021 <= math.frexp(x)[1] + exponent <= 1024 for x in mantissas):
-        return [math.ldexp(x, exponent) for x in mantissas], 0.0
-    return mantissas, exponent * _LN2
+    values, exponent = fold_exponent(mantissas, exponent)
+    return values, exponent * _LN2
 
 
 def cmd_partition(args):
@@ -212,6 +211,7 @@ def cmd_em_step(args):
         "H_b": step.h_b,
         "theta_new": [float(x) for x in step.theta_new],
         "residual": step.residual,
+        "log_scale": step.exponent * _LN2,
     }
 
 

@@ -16,6 +16,10 @@ which is exactly the posterior entropy of a model conditioned on observed
 evidence once the evidence has been folded into the tables. Rescaled
 runs report (Z, H) as mantissas times 2^E: H/Z ignores the factor and
 log2(Z) adds E, so the formula stays finite far past float range.
+
+Companions of shape (k, n) give k totals H_1 ... H_k from the same single
+pass, H_c with g = the c-th row; :mod:`fginfer.learning` stacks its
+gradient and EM companions this way.
 """
 
 import math
@@ -23,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomain, ZeroEvidence
+from .errors import NonFiniteTotal, OutOfDomain, ZeroEvidence
 from .graph import FactorGraph, FactorTable, validate
-from .propagation import run, scale_exponent
+from .propagation import lift_tables, run, scale_exponent
 from .semiring import ENTROPY, Semiring
 
 _LN2 = math.log(2.0)
@@ -51,12 +55,13 @@ class EntropyResult:
 
     When rescaling was on, ``Z`` and ``H`` are mantissas: the true totals
     are Z * 2^exponent and H * 2^exponent, and ``log_scale`` is
-    exponent * ln 2. ``entropy_bits`` is filled in by
+    exponent * ln 2. ``H`` is a float, or a length-k array when the
+    companions had k columns. ``entropy_bits`` is filled in by
     :func:`entropy_from_zh` and is None otherwise.
     """
 
     Z: float
-    H: float
+    H: float | np.ndarray
     log_scale: float = 0.0
     entropy_bits: float | None = None
     exponent: int = 0
@@ -73,11 +78,14 @@ class EntropyResult:
 class WeightedGraph:
     """A validated factor graph plus per-factor companion tables.
 
-    Lifted carrier tables are cached per semiring so repeated runs skip the
-    lift loop.
+    A companion is a table of the factor's length (any shape of that size
+    is flattened), or a (k, n) array of k companion columns for a length-n
+    table; every (k, n) companion of one graph has the same k. Lifted
+    carrier tables are cached per semiring so repeated runs skip the lift
+    loop.
     """
 
-    def __init__(self, graph: FactorGraph, companions=None, _trusted: bool = False):
+    def __init__(self, graph: FactorGraph, companions=None):
         self.graph = validate(graph)
         if companions is None:
             companions = [None] * len(graph.factors)
@@ -85,34 +93,44 @@ class WeightedGraph:
             raise ValueError(
                 f"{len(companions)} companion tables for {len(graph.factors)} factors"
             )
-        if _trusted:
-            # bulk builders construct finite, length-matched companions
-            self.companions = list(companions)
-        else:
-            self.companions = [
-                None if c is None else _check_companion(graph.factors[i], c)
-                for i, c in enumerate(companions)
-            ]
+        self.companions = _check_companions(graph.factors, companions)
         self._table_cache: dict[str, list] = {}
 
     def carrier_tables(self, s: Semiring) -> list:
         cached = self._table_cache.get(s.name)
         if cached is None:
-            cached = [
-                s.lift_table(f.values, self.companions[fi])
-                for fi, f in enumerate(self.graph.factors)
-            ]
+            cached = lift_tables(s, self.graph.factors, self.companions)
             self._table_cache[s.name] = cached
         return cached
 
 
-def _check_companion(factor: FactorTable, companion) -> np.ndarray:
-    companion = np.asarray(companion, dtype=float).ravel()
-    if companion.shape != factor.values.shape:
-        raise ValueError(
-            f"factor {factor.id!r}: companion length {companion.size} != table length"
-            f" {factor.values.size}"
-        )
+def _check_companions(factors, companions) -> list:
+    """Companions as float arrays, shapes checked per factor and finiteness
+    checked once over all of them."""
+    out = []
+    widths = set()
+    for f, c in zip(factors, companions):
+        if c is not None:
+            c = np.asarray(c, dtype=float)
+            n = f.values.size
+            if c.ndim == 2 and c.shape[1] == n:
+                widths.add(c.shape[0])
+            elif c.size == n:
+                c = c.ravel()
+            else:
+                raise ValueError(
+                    f"factor {f.id!r}: companion length {c.size} != table length {n}"
+                )
+        out.append(c)
+    if len(widths) > 1:
+        raise ValueError(f"companions disagree on their column count: {sorted(widths)}")
+    present = [c.ravel() for c in out if c is not None]
+    if present and not np.isfinite(np.concatenate(present)).all():
+        out = [c if c is None else _check_companion(f, c) for f, c in zip(factors, out)]
+    return out
+
+
+def _check_companion(factor: FactorTable, companion: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(companion) & (factor.values != 0.0)
     if bad.any():
         raise ValueError(
@@ -154,7 +172,8 @@ def compute_zh(wg, root: str | None = None, rescale: bool = False) -> EntropyRes
 
     On forests the per-component pairs are combined with the semiring
     product (scores multiply; aux terms follow the product rule), which is
-    the joint (Z, H) of the independent components.
+    the joint (Z, H) of the independent components. With (k, n)
+    companions ``H`` holds the k totals, from the same one pass.
     """
     wg = _as_weighted(wg)
     marginals, store = run(
@@ -164,9 +183,12 @@ def compute_zh(wg, root: str | None = None, rescale: bool = False) -> EntropyRes
     z, h, exponent = 1.0, 0.0, 0
     for marg in marginals.values():
         w = ENTROPY.reduce_msg(marg.msg)
+        z, h = z * w.score, z * w.aux + w.score * h
         # rescaled, so that many components cannot overflow the product
-        e = scale_exponent(z * w.score) if rescale else 0
-        z, h = math.ldexp(z * w.score, -e), math.ldexp(z * w.aux + w.score * h, -e)
+        e = scale_exponent(z) if rescale else 0
+        if e:
+            z = math.ldexp(z, -e)
+            h = math.ldexp(h, -e) if type(h) is float else np.ldexp(h, -e)
         exponent += marg.exponent + e
     return EntropyResult(Z=z, H=h, log_scale=exponent * _LN2, exponent=exponent)
 
@@ -180,8 +202,10 @@ def posterior_entropy(wg, root: str | None = None, rescale: bool = False) -> Ent
     Raises ZeroEvidence when the weight the run holds is numerically zero
     (below 1e-300): without rescaling that is the full total, with rescaling
     it is the order-one mantissa, so long chains whose true evidence only
-    underflows in the unscaled representation still get an entropy. Tiny
-    negative outcomes from roundoff (>= -1e-9) are clamped to exactly 0.
+    underflows in the unscaled representation still get an entropy.
+    Raises NonFiniteTotal when Z or H left float range, which only an
+    unrescaled run can do. Tiny negative outcomes from roundoff (>= -1e-9)
+    are clamped to exactly 0.
     """
     res = compute_zh(wg, root=root, rescale=rescale)
     return entropy_from_zh(res.Z, res.H, res.exponent)
@@ -191,13 +215,18 @@ def entropy_from_zh(z: float, h: float, exponent: int) -> EntropyResult:
     """The entropy result of a run's (Z, H) mantissas and exponent E.
 
     Applies the rules :func:`posterior_entropy` documents: ZeroEvidence for
-    Z <= 0 or Z < 1e-300, bits = -H/Z + log2(Z) + E, and roundoff negatives
-    down to -1e-9 clamped to 0.
+    Z <= 0 or Z < 1e-300, NonFiniteTotal for a Z or H that left float
+    range, bits = -H/Z + log2(Z) + E, and roundoff negatives down to -1e-9
+    clamped to 0.
     """
     if z <= 0.0:
         raise ZeroEvidence(f"total weight Z = {z}; no assignment has positive weight")
     if z < _Z_FLOOR:
         raise ZeroEvidence(f"total weight {z} is below 1e-300")
+    if not (math.isfinite(z) and math.isfinite(h)):
+        raise NonFiniteTotal(
+            f"totals Z = {z}, H = {h} left float range; run with rescale=True"
+        )
     bits = -h / z + (math.log(z) + exponent * _LN2) / _LN2
     if -1e-9 <= bits < 0.0:
         bits = 0.0

@@ -72,6 +72,13 @@ class ZeroEvidence(FactorGraphError):
     exit_code = 2
 
 
+class NonFiniteTotal(FactorGraphError):
+    """A total left float range (inf or NaN) in a run without rescaling."""
+
+    kind = "NonFiniteTotal"
+    exit_code = 2
+
+
 class DegenerateMStep(FactorGraphError):
     """The closed-form M-step denominator vanishes relative to the numerator."""
 

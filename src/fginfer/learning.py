@@ -2,7 +2,10 @@
 
 Both tools ride on the same identity: running the engine with score tables
 f and companion tables g returns H = sum_x prod_k f_k(x_k) * sum_k g_k(x_k),
-so picking g to be a per-component score turns one pass into one expectation.
+so picking g to be a per-component score turns the pass into an
+expectation. Companions with several columns, one (dim, n_k) array per
+factor, give every column's H from one pass (the expectation semiring, see
+:mod:`fginfer.semiring`), so each call below runs exactly one pass.
 
 Gradient of the total weight p(theta) = sum_x prod_k p_k(x_k, theta):
 component j is the H-value with f at theta and g_k = (d p_k / d theta_j) / p_k,
@@ -16,8 +19,10 @@ surrogate collapses to a scalar equation with solution
     theta_new = -(H_a / H_b) * lam
 
 where H_a is the H-value with g_k = u_k and H_b the one with g_k = v_k,
-both with f at the previous parameter point. The reported residual
-substitutes theta_new back into that scalar equation.
+both with f at the previous parameter point; one pass with the two
+columns [u_k; v_k] gives both. The reported residual substitutes
+theta_new back into that scalar equation. The EM pass is rescaled, so
+H_a / H_b stays exact when the totals themselves leave float range.
 """
 
 from dataclasses import dataclass
@@ -27,6 +32,7 @@ import numpy as np
 from .entropy import WeightedGraph, compute_zh
 from .errors import DegenerateMStep, UndefinedQuotient
 from .graph import FactorGraph, FactorTable, VariableDecl
+from .propagation import fold_exponent
 
 
 class ParametricFactorSet:
@@ -151,49 +157,55 @@ class ParametricFactorSet:
 
 @dataclass
 class EmStepResult:
+    """A closed-form M-step. ``h_a``, ``h_b`` and ``residual`` are
+    mantissas of the totals times 2^``exponent``; ``exponent`` is 0
+    whenever the totals themselves are finite normal floats."""
+
     theta_new: np.ndarray
     h_a: float
     h_b: float
     residual: float
+    exponent: int = 0
 
 
-def _quotient_companions(values: list, grads: list, dim: int, what: str) -> list:
-    """Per-component g tables grad/value, checking the 0-denominator rule."""
-    out = [[] for _ in range(dim)]
-    for k, f in enumerate(values):
-        gt = grads[k]
-        zero = f == 0.0
-        if zero.any() and (gt[:, zero] != 0.0).any():
-            raise UndefinedQuotient(
-                f"factor {k} has a zero {what} value with a nonzero gradient entry"
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(zero[None, :], 0.0, gt / np.where(zero, 1.0, f)[None, :])
-        for j in range(dim):
-            out[j].append(q[j])
-    return out
+def _split(flat: np.ndarray, sizes: list) -> list:
+    """Consecutive column blocks of ``flat``, one per size."""
+    ends = np.cumsum(sizes).tolist()
+    return [flat[:, a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _quotient_companions(values: list, grads: list, what: str) -> list:
+    """Stacked g tables grad/value, one (dim, n_k) array per factor,
+    checking the 0-denominator rule."""
+    f = np.concatenate(values)
+    gt = np.concatenate(grads, axis=1)
+    zero = f == 0.0
+    bad = zero & (gt != 0.0).any(axis=0)
+    if bad.any():
+        k = int(np.searchsorted(np.cumsum([v.size for v in values]), bad.argmax(), "right"))
+        raise UndefinedQuotient(
+            f"factor {k} has a zero {what} value with a nonzero gradient entry"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(zero, 0.0, gt / np.where(zero, 1.0, f))
+    return _split(q, [v.size for v in values])
 
 
 def gradient_at(pf: ParametricFactorSet, theta, rescale: bool = False) -> np.ndarray:
-    """Exact gradient of the total weight p(theta), one engine pass per
-    component.
+    """Exact gradient of the total weight p(theta), every component from one
+    engine pass.
 
-    Component j is the H-value of the run with f = tables at theta and
-    g_k = (d p_k / d theta_j) / p_k. Raises UndefinedQuotient where a zero
-    table value carries a nonzero gradient.
+    Component j is the H-value with f = tables at theta and companion
+    column g_k = (d p_k / d theta_j) / p_k. Raises UndefinedQuotient where a
+    zero table value carries a nonzero gradient.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.size != pf.dim:
         raise ValueError(f"theta has {theta.size} components, model has {pf.dim}")
     values = pf.tables_at(theta)
-    grads = pf.grads_at(theta)
-    per_component = _quotient_companions(values, grads, pf.dim, "table")
-    graph = pf.graph_with(values)
-    out = np.zeros(pf.dim)
-    for j in range(pf.dim):
-        wg = WeightedGraph(graph, per_component[j], _trusted=True)
-        out[j] = compute_zh(wg, rescale=rescale).scaled_h()
-    return out
+    companions = _quotient_companions(values, pf.grads_at(theta), "table")
+    wg = WeightedGraph(pf.graph_with(values), companions)
+    return compute_zh(wg, rescale=rescale).scaled_h()
 
 
 def grad_ascent_step(pf: ParametricFactorSet, theta, step: float = 1.0) -> np.ndarray:
@@ -207,9 +219,12 @@ def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
 
     Uses the tables at the previous point (``base_tables``, or evaluated at
     ``theta_old`` when callables are available), computes H_a with g = u
-    and H_b with g = v, and returns theta_new = -(H_a / H_b) * lam. Raises
-    DegenerateMStep when the denominator vanishes relative to the
-    numerator, or both totals are numerically zero.
+    and H_b with g = v in one rescaled pass, and returns
+    theta_new = -(H_a / H_b) * lam from the ratio of the mantissas, in
+    which 2^E cancels exactly. Totals past float range are reported as
+    mantissas with their ``exponent``. Raises DegenerateMStep when the
+    denominator vanishes relative to the numerator, or both reported
+    totals are numerically zero.
     """
     if pf.u is None or pf.v is None or pf.lam is None:
         raise ValueError("em_linear_step needs the linear-form tables u, v, and lam")
@@ -222,9 +237,10 @@ def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
     for k, t in enumerate(tables):
         if pf.u[k].size != t.size or pf.v[k].size != t.size:
             raise ValueError(f"factor {pf.factor_ids[k]!r}: u/v length differs from table")
-    graph = pf.graph_with(tables)
-    h_a = compute_zh(WeightedGraph(graph, pf.u, _trusted=True)).H
-    h_b = compute_zh(WeightedGraph(graph, pf.v, _trusted=True)).H
+    uv = np.vstack((np.concatenate(pf.u), np.concatenate(pf.v)))
+    wg = WeightedGraph(pf.graph_with(tables), _split(uv, [t.size for t in tables]))
+    res = compute_zh(wg, rescale=True)
+    (h_a, h_b), exponent = fold_exponent(res.H.tolist(), res.exponent)
     if (abs(h_a) < 1e-300 and abs(h_b) < 1e-300) or abs(h_b) < 1e-12 * abs(h_a):
         raise DegenerateMStep(
             f"denominator H_b = {h_b!r} vanishes against H_a = {h_a!r};"
@@ -233,23 +249,22 @@ def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
     ratio = h_a / h_b
     theta_new = -ratio * pf.lam
     residual = abs(h_a + h_b * -ratio)
-    return EmStepResult(theta_new=theta_new, h_a=h_a, h_b=h_b, residual=residual)
+    return EmStepResult(theta_new=theta_new, h_a=h_a, h_b=h_b, residual=residual,
+                        exponent=exponent)
 
 
 def em_q_gradient(pf: ParametricFactorSet, theta_old, theta_i) -> np.ndarray:
     """Gradient of the EM surrogate: expectations under the old point.
 
-    f is evaluated at theta_old, the per-component companions
-    (d p_k / d theta_j) / p_k at theta_i. At a theta_new returned by
-    :func:`em_linear_step` for a genuinely linear family this vanishes.
+    f is evaluated at theta_old, the companion columns
+    (d p_k / d theta_j) / p_k at theta_i, all in one rescaled pass whose
+    exponent is folded back exactly; a component past float range reads
+    +-inf. At a theta_new returned by :func:`em_linear_step` for a
+    genuinely linear family this vanishes.
     """
-    f_old = pf.tables_at(theta_old)
     f_i = pf.tables_at(theta_i)
-    g_i = pf.grads_at(theta_i)
-    per_component = _quotient_companions(f_i, g_i, pf.dim, "evaluation-point")
-    graph = pf.graph_with(f_old)
-    out = np.zeros(pf.dim)
-    for j in range(pf.dim):
-        wg = WeightedGraph(graph, per_component[j], _trusted=True)
-        out[j] = compute_zh(wg).H
-    return out
+    companions = _quotient_companions(f_i, pf.grads_at(theta_i), "evaluation-point")
+    res = compute_zh(WeightedGraph(pf.graph_with(pf.tables_at(theta_old)), companions),
+                     rescale=True)
+    with np.errstate(over="ignore"):
+        return np.ldexp(res.H, res.exponent)

@@ -27,6 +27,8 @@ threads while messages are still being written.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import MissingDependency
 from .graph import FactorGraph, Schedule, make_schedule
 from .semiring import Semiring
@@ -52,12 +54,7 @@ class MessageStore:
         self.semiring = semiring
         self.rescale = bool(rescale)
         if tables is None:
-            if companions is None:
-                companions = [None] * len(graph.factors)
-            tables = [
-                semiring.lift_table(f.values, companions[fi])
-                for fi, f in enumerate(graph.factors)
-            ]
+            tables = lift_tables(semiring, graph.factors, companions)
         self.tables = tables
         self.q: dict = {}
         self.r: dict = {}
@@ -68,9 +65,51 @@ class MessageStore:
         return len(self.q) + len(self.r)
 
 
+def lift_tables(s: Semiring, factors, companions=None) -> list:
+    """Every factor's carrier table, from one ``lift_table`` call over the
+    concatenated tables.
+
+    Companions are None or one per factor (None, a table of the factor's
+    length, or a (k, n) array). When any has k columns, the others are
+    widened to k equal columns, which is what a width-1 aux means in a
+    width-k product anyway.
+    """
+    if not factors:
+        return []
+    sizes = [f.values.size for f in factors]
+    values = np.concatenate([f.values for f in factors])
+    if companions is None or all(c is None for c in companions):
+        lifted = s.lift_table(values)
+    else:
+        comps = []
+        for c, n in zip(companions, sizes):
+            c = np.zeros(n) if c is None else np.asarray(c, dtype=float)
+            comps.append(c if c.ndim == 2 and c.shape[1] == n else c.reshape(n))
+        k = max((len(c) for c in comps if c.ndim == 2), default=0)
+        if k:
+            comps = [c if c.ndim == 2 else np.broadcast_to(c, (k, c.size)) for c in comps]
+        lifted = s.lift_table(values, np.concatenate(comps, axis=-1))
+    ends = np.cumsum(sizes).tolist()
+    spans = list(zip([0] + ends, ends))
+    if isinstance(lifted, np.ndarray):
+        return [lifted[:, a:b] for a, b in spans]
+    if isinstance(lifted, tuple):
+        return [(lifted[0][a:b], lifted[1][a:b]) for a, b in spans]
+    return [lifted[a:b] for a, b in spans]
+
+
 def scale_exponent(x: float) -> int:
     """The e with |x| 2^-e in [1, 2), 0 for x = 0; at least -1021, so 2^-e is finite."""
     return max(math.frexp(x)[1] - 1, -1021) if x else 0
+
+
+def fold_exponent(mantissas, exponent: int) -> tuple[list, int]:
+    """(mantissas * 2^exponent, 0) if those products are all finite
+    normal floats or 0, else (mantissas, exponent) unchanged."""
+    # x * 2^E is normal iff its frexp exponent k + E is in [-1021, 1024]
+    if all(x == 0.0 or -1021 <= math.frexp(x)[1] + exponent <= 1024 for x in mantissas):
+        return [math.ldexp(x, exponent) for x in mantissas], 0
+    return list(mantissas), exponent
 
 
 def rescale_message(s: Semiring, msg, exponent: int) -> int:
@@ -268,12 +307,22 @@ def run(g: FactorGraph, s: Semiring, root: str | None = None, two_pass: bool = F
 def total_sum(marginal: MarginalResult, s: Semiring | None = None, apply_scale: bool = True):
     """Semiring sum of a marginal vector: the per-component total weight.
 
-    With ``apply_scale`` the accumulated log scale is folded back in by
-    multiplying with exp(log_scale); that can overflow for very long
-    chains, in which case keep the scale separate.
+    With ``apply_scale`` the exponent is folded back in exactly, as
+    ldexp(total, exponent), so a rescaled run's total equals the
+    unrescaled run's bit for bit; a total past float range reads inf.
+    Without it the total is the mantissa, to be kept with ``exponent``.
     """
     s = s or marginal.semiring
     w = s.reduce_msg(marginal.msg)
-    if apply_scale and marginal.log_scale != 0.0:
-        w = s.scale_weight(w, math.exp(marginal.log_scale))
+    if apply_scale and marginal.exponent:
+        with np.errstate(over="ignore"):
+            if isinstance(w, tuple):
+                w = type(w)(*(_ldexp(x, marginal.exponent) for x in w))
+            else:
+                w = _ldexp(w, marginal.exponent)
     return w
+
+
+def _ldexp(x, exponent: int):
+    y = np.ldexp(x, exponent)
+    return float(y) if np.ndim(y) == 0 else y

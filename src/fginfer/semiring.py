@@ -16,13 +16,28 @@ which is the arithmetic of first-order dual numbers. Lifting a nonnegative
 score f with a companion value g yields the pair (f, f*g), with the 0*log(0)
 convention hard-wired: f = 0 lifts to (0, 0) no matter what g is.
 
+The aux may also be a vector of width k, one column per companion: the
+expectation semiring of Eisner (ACL 2002). A (k, n) companion lifts a table
+to (f, f*g_1, ..., f*g_k), and every column follows the product rule above
+against the one shared score, so a single pass computes k totals
+H_1 ... H_k next to Z. Width is a property of the data, not of the
+semiring: the one ``ENTROPY`` instance serves every width.
+
 Message vectors exchanged with the engine are plain Python lists of floats
-(real semirings) or a pair of such lists (entropy semiring). The kernels are
-hand-written loops: the engine pushes hundreds of thousands of tiny messages
-on long chains, where per-call array overhead would dominate actual work.
-The entropy kernels mirror the sum-product kernels operation for operation
-on the score component, so a run over the entropy semiring reproduces the
-sum-product run bit for bit in its first components.
+(real semirings), a pair of such lists (scores, auxes) for width-1 entropy
+messages, and one float array of shape (k + 1, card) for width-k entropy
+messages: row 0 holds the scores, row c the aux of column c. All tables
+of one pass share one width (:func:`fginfer.propagation.lift_tables`
+widens the others); the only width-1 pair in a width-k pass is a leaf's
+all-ones message, which counts as the same aux in every column. The real and
+width-1 kernels are hand-written loops: the engine pushes hundreds of
+thousands of tiny messages on long chains, where per-call array overhead
+would dominate actual work. The width-k kernels are array expressions
+whose sums run sequentially in table order. Every entropy kernel mirrors
+the sum-product kernel operation for operation on the score component, so
+a run over the entropy semiring reproduces the sum-product run bit for bit
+in its first components, and each aux column of a width-k run reproduces
+the width-1 run with that column's companion bit for bit.
 """
 
 import itertools
@@ -33,10 +48,13 @@ import numpy as np
 
 
 class EntropyWeight(NamedTuple):
-    """A pair (score, aux): score multiplies, aux follows the product rule."""
+    """A pair (score, aux): score multiplies, aux follows the product rule.
+
+    ``aux`` is a float, or a length-k array for a width-k total.
+    """
 
     score: float
-    aux: float
+    aux: float | np.ndarray
 
 
 def lift(f: float, g: float | None = None) -> EntropyWeight:
@@ -113,10 +131,6 @@ class Semiring:
 
     def scores(self, msg) -> list:
         """First (score) components of a message vector, as a list."""
-        raise NotImplementedError
-
-    def scale_weight(self, w, factor: float):
-        """Uniform scalar multiple of a weight (both components for pairs)."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -203,9 +217,6 @@ class _RealSemiring(Semiring):
     def scores(self, msg):
         return list(msg)
 
-    def scale_weight(self, w, factor):
-        return w * factor
-
 
 class SumProductSemiring(_RealSemiring):
     """Ordinary (+, *) over the reals: partition functions and marginals."""
@@ -262,9 +273,11 @@ class BooleanSemiring(_RealSemiring):
 class EntropySemiring(Semiring):
     """Pairs (score, aux) with bilinear product; computes (Z, H) jointly.
 
-    Message vectors are a pair of parallel float lists (scores, auxes).
-    Every score-component operation below matches the sum-product kernel
-    line for line, which is what makes first-component shadowing exact.
+    Width-1 message vectors are a pair of parallel float lists (scores,
+    auxes); width-k ones a (k + 1, card) array, scores in row 0 (see the
+    module docstring). Every score-component operation below matches the
+    sum-product kernel line for line, which is what makes first-component
+    shadowing exact.
     """
 
     name = "entropy"
@@ -285,7 +298,8 @@ class EntropySemiring(Semiring):
         Entries lift as in :func:`lift`, so zero values give (0, 0) whatever
         the companion holds. A 2-D input (one table per row, with a companion
         of the same shape) is lifted row by row: both components come back as
-        lists of per-row lists.
+        lists of per-row lists. A (k, n) companion of a length-n table holds
+        k columns and lifts to one width-k (k + 1, n) array.
         """
         values = np.asarray(values, dtype=float)
         if companion is None:
@@ -294,6 +308,8 @@ class EntropySemiring(Semiring):
             companion = np.asarray(companion, dtype=float)
             with np.errstate(invalid="ignore"):
                 aux = np.where(values == 0.0, 0.0, values * companion)
+            if aux.ndim > values.ndim:
+                return np.vstack((values, aux))
         return (values.tolist(), aux.tolist())
 
     def ones_msg(self, card):
@@ -304,6 +320,11 @@ class EntropySemiring(Semiring):
             return self.ones_msg(card)
         if len(msgs) == 1:
             return msgs[0]
+        if type(msgs[0]) is not tuple:
+            out = msgs[0]
+            for q in msgs[1:]:
+                out = _mul_rows(out, q)
+            return out
         rf = list(msgs[0][0])
         ra = list(msgs[0][1])
         for qf, qa in msgs[1:]:
@@ -316,6 +337,8 @@ class EntropySemiring(Semiring):
         return (rf, ra)
 
     def contract(self, table, cards, incoming, target_pos):
+        if type(table) is not tuple:
+            return _contract_rows(table, cards, incoming, target_pos)
         tf, ta = table
         if len(cards) == 2 and len(incoming) == 1:
             # pairwise fast path; the score lines mirror the sum-product path
@@ -368,6 +391,9 @@ class EntropySemiring(Semiring):
         return (of, oa)
 
     def reduce_msg(self, msg):
+        if type(msg) is not tuple:
+            total = _sum_last(msg)
+            return EntropyWeight(float(total[0]), total[1:])
         mf, ma = msg
         sf = 0.0
         sa = 0.0
@@ -378,7 +404,7 @@ class EntropySemiring(Semiring):
 
     def max_abs_score(self, msg):
         mx = 0.0
-        for v in msg[0]:
+        for v in (msg[0] if type(msg) is tuple else msg[0].tolist()):
             if v < 0.0:
                 v = -v
             if v > mx:
@@ -386,16 +412,62 @@ class EntropySemiring(Semiring):
         return mx
 
     def scale_msg_inplace(self, msg, factor):
+        if type(msg) is not tuple:
+            msg *= factor
+            return
         mf, ma = msg
         for i in range(len(mf)):
             mf[i] *= factor
             ma[i] *= factor
 
     def scores(self, msg):
+        if type(msg) is not tuple:
+            return msg[0].tolist()
         return list(msg[0])
 
-    def scale_weight(self, w, factor):
-        return EntropyWeight(w[0] * factor, w[1] * factor)
+
+def _rows(msg) -> np.ndarray:
+    """A message as rows: a width-1 pair (a leaf's all-ones message)
+    becomes a 2-row array."""
+    return msg if type(msg) is not tuple else np.array(msg)
+
+
+def _mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise product of two row-stacked carriers (broadcasting).
+
+    Row 0: a0 b0; row c: ac b0 + a0 bc, the width-1 product rule per
+    column. A single aux row of b broadcasts against the k of a.
+    """
+    out = a * b[0]
+    out[1:] += a[0] * b[1:]
+    return out
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """Sum along the last axis from 0.0, left to right as the loops add
+    (``np.sum`` adds pairwise, in another order)."""
+    out = x[..., 0] + 0.0
+    for i in range(1, x.shape[-1]):
+        out += x[..., i]
+    return out
+
+
+def _contract_rows(table, cards, incoming, target_pos) -> np.ndarray:
+    """Width-k contraction: the generic path of the width-1 kernel, with
+    every table entry's product chain computed at once.
+
+    Products run over the incoming messages in their order, as in the
+    loops; each target entry then sums its table entries in table order.
+    """
+    nd = len(cards)
+    t = table.reshape((-1, *cards))
+    for pos, q in incoming:
+        shape = [1] * (nd + 1)
+        shape[0] = -1
+        shape[pos + 1] = cards[pos]
+        t = _mul_rows(t, _rows(q).reshape(shape))
+    axes = [0, target_pos + 1] + [p + 1 for p in range(nd) if p != target_pos]
+    return _sum_last(t.transpose(axes).reshape(len(t), cards[target_pos], -1))
 
 
 def _strides(cards: Sequence[int]) -> list[int]:

@@ -24,6 +24,23 @@ def ulps_apart(a: float, b: float) -> float:
     return abs(a - b) / math.ulp(max(abs(a), abs(b)))
 
 
+def bits(x) -> list:
+    """IEEE bit patterns of floats, so that comparing them is bit for bit
+    (0.0 and -0.0 differ, NaN equals itself)."""
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+def heap_tree(n=1200, value=1.5):
+    """A binary-heap tree of n binary variables, every pairwise table
+    constant: Z = 2^n * value^(n - 1), past float range at n = 1200."""
+    variables = [VariableDecl(f"x{i}", 2) for i in range(n)]
+    factors = [
+        FactorTable(f"f{i}", (f"x{(i - 1) // 2}", f"x{i}"), np.full(4, value))
+        for i in range(1, n)
+    ]
+    return FactorGraph(variables, factors)
+
+
 def random_tree(rng, max_vars=10, max_card=4, max_scope=3, min_value=0.05,
                 max_value=2.0):
     """A random acyclic factor graph covering every variable.

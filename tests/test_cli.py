@@ -285,6 +285,24 @@ class TestEmStep:
         assert out["theta_new"] == pytest.approx([-3.0])
         assert out["residual"] <= 1e-12
 
+    def test_folded_totals_have_log_scale_zero(self, cli, write):
+        code, out, _ = cli("em-step", write(em_doc()))
+        assert (code, out["log_scale"]) == (0, 0.0)
+
+    def test_past_float_range(self, cli, write):
+        # u = 2, v = 1 on every factor: H_a = 2 H_b, and theta_new = -2
+        # exactly, although both totals are about 2^1912
+        d = big_tree_doc()
+        n = len(d["factors"])
+        d["parametric"] = {"dim": 1, "u": [[2.0] * 4] * n, "v": [[1.0] * 4] * n,
+                           "lambda": [1.0]}
+        code, out, _ = cli("em-step", write(d))
+        assert code == 0
+        assert out["theta_new"] == [-2.0]
+        assert out["H_a"] == 2.0 * out["H_b"]
+        log2_h_b = math.log2(out["H_b"]) + out["log_scale"] / math.log(2.0)
+        assert log2_h_b == pytest.approx(math.log2(n) + BIG_TREE_LOG2_Z, rel=1e-12)
+
     def test_degenerate_exit_code(self, cli, write):
         code, out, _ = cli("em-step", write(em_doc(v=(0.0, 0.0))))
         assert code == 2
@@ -331,6 +349,20 @@ class TestGrad:
     def test_iters_must_be_positive(self, cli, write):
         code, out, _ = cli("grad", write(grad_doc()), "--theta", "1", "--iters", "0")
         assert (code, out["error"]["kind"]) == (1, "UsageError")
+
+    def test_matches_width_one_pass(self, cli, write):
+        # dim = 1: the one-column pass gives the width-1 pass's H to the bit
+        from fginfer import FactorGraph, FactorTable, VariableDecl, WeightedGraph, compute_zh
+
+        base, coeff, theta = (0.3, 1.7, 0.9), (0.25, -1.5, 0.5), 0.4
+        d = grad_doc(base=base, coeff=coeff)
+        d["variables"][0]["cardinality"] = 3
+        code, out, _ = cli("grad", write(d), "--theta", str(theta))
+        values = [b + theta * c for b, c in zip(base, coeff)]
+        g = FactorGraph([VariableDecl("x", 3)], [FactorTable("f", ("x",), values)])
+        h = compute_zh(WeightedGraph(g, [[c / v for c, v in zip(coeff, values)]])).H
+        assert code == 0
+        assert out["gradient"] == [h]
 
     def test_undefined_quotient_exit_code(self, cli, write):
         d = grad_doc(base=(0.0, 1.0), coeff=(1.0, 0.0))

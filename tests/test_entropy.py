@@ -7,6 +7,7 @@ from fginfer import (
     FactorGraph,
     FactorTable,
     HmmSpec,
+    NonFiniteTotal,
     OutOfDomain,
     VariableDecl,
     WeightedFactor,
@@ -21,7 +22,7 @@ from fginfer import (
 )
 from fginfer.oracle import enumerate_entropy, enumerate_h, enumerate_z
 
-from conftest import assert_close, random_tree
+from conftest import assert_close, heap_tree, random_tree
 
 
 def unary_weighted(values, companions):
@@ -87,6 +88,16 @@ class TestLiftGraph:
     def test_nonfinite_companion_under_nonzero_value(self):
         with pytest.raises(ValueError):
             unary_weighted([0.5, 0.5], [math.nan, 0.0])
+
+    def test_column_companions_checked_like_one_column(self):
+        # undefined entries under a zero value are zeroed in every column
+        wg = unary_weighted([0.0, 0.5], [[math.nan, 1.0], [-math.inf, 2.0]])
+        assert wg.companions[0].tolist() == [[0.0, 1.0], [0.0, 2.0]]
+        assert compute_zh(wg).H.tolist() == [0.5, 1.0]
+        with pytest.raises(ValueError, match="finite"):
+            unary_weighted([0.5, 0.5], [[1.0, 1.0], [math.nan, 0.0]])
+        with pytest.raises(ValueError, match="length"):
+            unary_weighted([0.5, 0.5], [[1.0, 1.0, 1.0]] * 2)
 
 
 class TestComputeZH:
@@ -217,6 +228,14 @@ class TestPosteriorEntropy:
         res = posterior_entropy(hmm_to_weighted_graph(h), rescale=True)
         assert res.entropy_bits == 0.0
         assert res.log2_z() == -2082.0
+
+    def test_past_float_range_without_rescaling(self):
+        # Z overflows to inf and H to NaN; that used to come back as NaN bits
+        wg = WeightedGraph(heap_tree(), derive_log2_companions(heap_tree()))
+        with pytest.raises(NonFiniteTotal, match="rescale=True"):
+            posterior_entropy(wg)
+        assert NonFiniteTotal.exit_code == ZeroEvidence.exit_code == 2
+        assert posterior_entropy(wg, rescale=True).entropy_bits == pytest.approx(1200.0)
 
 
 class TestBaseConversion:

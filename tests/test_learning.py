@@ -4,6 +4,8 @@ import pytest
 from fginfer import (
     DegenerateMStep,
     ParametricFactorSet,
+    WeightedGraph,
+    compute_zh,
     UndefinedQuotient,
     em_linear_step,
     em_q_gradient,
@@ -12,7 +14,7 @@ from fginfer import (
 )
 from fginfer.oracle import enumerate_h, fd_gradient
 
-from conftest import assert_close, random_tree
+from conftest import assert_close, bits, heap_tree, random_tree
 
 
 def mixture_factor_set():
@@ -317,3 +319,105 @@ class TestEmQGradient:
                 for k in (0, 1):
                     expected += w * g_i[k][:, idx[k]] / f_i[k][idx[k]]
         assert np.allclose(em_q_gradient(pf, theta_old, theta_i), expected)
+
+
+def quotients(values, grads, j):
+    """Column j of the g tables grad/value, 0 where the value is 0."""
+    return [np.where(f == 0.0, 0.0, g[j] / np.where(f == 0.0, 1.0, f))
+            for f, g in zip(values, grads)]
+
+
+def linear_form_of(pf, tables, u, v, lam):
+    return ParametricFactorSet.linear_form(
+        pf.variables, pf.scopes, tables, u, v, lam, factor_ids=pf.factor_ids
+    )
+
+
+class TestOnePassEqualsPerComponentLoop:
+    """The one width-k pass per call against the loop of width-1 passes it
+    replaced, one per component (or per EM total), bit for bit."""
+
+    def test_gradient(self, rng):
+        for trial in range(12):
+            dim = 1 + trial % 4
+            pf = random_affine_tree(rng, dim)
+            theta = rng.uniform(-0.5, 0.5, dim)
+            values, grads = pf.tables_at(theta), pf.grads_at(theta)
+            graph = pf.graph_with(values)
+            for rescale in (False, True):
+                loop = [compute_zh(WeightedGraph(graph, quotients(values, grads, j)),
+                                   rescale=rescale).scaled_h() for j in range(dim)]
+                assert bits(gradient_at(pf, theta, rescale=rescale)) == bits(loop)
+
+    def test_em_linear_step(self, rng):
+        for _ in range(12):
+            pf = random_affine_tree(rng, int(rng.integers(1, 4)))
+            tables = pf.tables_at(rng.uniform(-0.5, 0.5, pf.dim))
+            u = [rng.uniform(-0.5, 1.5, t.size) for t in tables]
+            v = [rng.uniform(0.5, 1.5, t.size) for t in tables]
+            form = linear_form_of(pf, tables, u, v, rng.normal(size=pf.dim))
+            graph = form.graph_with(tables)
+            h_a = compute_zh(WeightedGraph(graph, u)).H
+            h_b = compute_zh(WeightedGraph(graph, v)).H
+            res = em_linear_step(form)
+            assert bits([res.h_a, res.h_b]) == bits([h_a, h_b])
+            assert bits(res.theta_new) == bits(-(h_a / h_b) * form.lam)
+            assert bits(res.residual) == bits(abs(h_a + h_b * -(h_a / h_b)))
+            assert res.exponent == 0
+
+    def test_em_q_gradient(self, rng):
+        for trial in range(12):
+            dim = 1 + trial % 4
+            pf = random_affine_tree(rng, dim)
+            theta_old, theta_i = rng.uniform(-0.5, 0.5, (2, dim))
+            graph = pf.graph_with(pf.tables_at(theta_old))
+            f_i, g_i = pf.tables_at(theta_i), pf.grads_at(theta_i)
+            loop = [compute_zh(WeightedGraph(graph, quotients(f_i, g_i, j))).H
+                    for j in range(dim)]
+            assert bits(em_q_gradient(pf, theta_old, theta_i)) == bits(loop)
+
+
+class TestPastFloatRange:
+    """The 1200-variable heap tree: log2 Z = 1200 + 1199 log2 1.5 = 1901.4,
+    past float range, so unrescaled totals are inf and their ratios NaN."""
+
+    n = 1200
+    log2_z = 1200 + 1199 * np.log2(1.5)
+
+    def tree_set(self, **kw):
+        g = heap_tree(self.n)
+        return g, dict(variables=[(v.id, v.cardinality) for v in g.variables],
+                       scopes=[f.scope for f in g.factors],
+                       factor_ids=[f.id for f in g.factors], **kw)
+
+    def test_em_linear_step(self):
+        # u = 2 and v = 1 everywhere: H_a = 2 H_b exactly, theta_new = -2
+        g, kw = self.tree_set()
+        pf = ParametricFactorSet.linear_form(
+            tables=[f.values for f in g.factors],
+            u=[np.full(4, 2.0)] * len(g.factors),
+            v=[np.ones(4)] * len(g.factors),
+            lam=[1.0], **kw,
+        )
+        res = em_linear_step(pf)
+        assert res.theta_new.tolist() == [-2.0]
+        assert res.h_a == 2.0 * res.h_b
+        assert res.exponent > 1024
+        # H_b = (n - 1) Z: every assignment scores n - 1
+        log2_h_b = np.log2(res.h_b) + res.exponent
+        assert_close(log2_h_b, np.log2(self.n - 1) + self.log2_z, tol=1e-14)
+        assert res.residual == 0.0
+
+    def test_em_q_gradient(self):
+        # tables 1.5 (1 + eps theta): every quotient is eps at theta = 0, so
+        # the surrogate gradient is (n - 1) eps Z, back in float range
+        eps = 1e-300
+        g, kw = self.tree_set()
+        pf = ParametricFactorSet.affine(
+            base_tables=[f.values for f in g.factors],
+            coeff_tables=[eps * f.values[None, :] for f in g.factors], **kw,
+        )
+        q = em_q_gradient(pf, [0.0], [0.0])
+        expected = np.log2(self.n - 1) + np.log2(eps) + self.log2_z
+        assert np.isfinite(q).all()
+        assert_close(np.log2(q[0]), expected, tol=1e-14)

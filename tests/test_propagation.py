@@ -27,7 +27,7 @@ from fginfer import (
 from fginfer.entropy import first_component_scores
 from fginfer.oracle import enumerate_marginal, enumerate_z
 
-from conftest import assert_close, random_tree, ulps_apart
+from conftest import assert_close, bits, heap_tree, random_tree, ulps_apart
 
 
 def graph_of(variables, factors):
@@ -284,6 +284,26 @@ class TestTotalSum:
         marginals, _ = run(g, MAX_PRODUCT, root="x")
         assert total_sum(marginals["x"]) == 0.7
 
+    def test_rescaled_total_is_plain_total(self, rng):
+        # total_sum folds 2^E back with ldexp, so a rescaled run's total is
+        # the plain run's, bit for bit
+        scaled_any = False
+        for _ in range(100):
+            g, companions = random_forest(rng)
+            for s in (SUM_PRODUCT, MAX_PRODUCT, ENTROPY):
+                plain, _ = run(g, s, companions=companions)
+                scaled, _ = run(g, s, companions=companions, rescale=True)
+                for vid, m in scaled.items():
+                    assert bits(total_sum(m)) == bits(total_sum(plain[vid]))
+                    scaled_any |= m.exponent != 0
+        assert scaled_any
+
+    def test_past_float_range_is_inf(self):
+        marginals, _ = run(heap_tree(), SUM_PRODUCT, root="x0", rescale=True)
+        m = marginals["x0"]
+        assert math.isfinite(total_sum(m, apply_scale=False))
+        assert total_sum(m) == math.inf
+
 
 def random_forest(rng, max_trees=3):
     """The disjoint union of one to max_trees random trees, with their
@@ -389,3 +409,92 @@ class TestInvariants:
                     shadow = first_component_scores(en, "r", key)
                     for a, b in zip(msg, shadow):
                         assert ulps_apart(a, b) <= 1.0
+
+
+def with_zeros(rng, g):
+    """The same graph with about one table entry in five set to zero."""
+    factors = [
+        FactorTable(f.id, f.scope, np.where(rng.random(f.values.size) < 0.2, 0.0, f.values))
+        for f in g.factors
+    ]
+    return FactorGraph(g.variables, factors)
+
+
+def aux_row(msg, c: int) -> list:
+    """Column c's aux of an entropy message of any width; a width-1 pair
+    (a leaf's all-ones message) holds the same aux for every column."""
+    rows = np.array(msg, dtype=float) if isinstance(msg, tuple) else msg
+    return bits(rows[min(1 + c, len(rows) - 1)])
+
+
+class TestWidthK:
+    """(k, n) companions: k aux columns in one pass."""
+
+    def test_columns_equal_width_one_passes(self, rng):
+        # every message, marginal and (Z, H) of the width-k pass equals, in
+        # column c, the width-1 pass with column c's companions, bit for bit
+        for trial in range(40):
+            g = with_zeros(rng, random_forest(rng)[0])
+            k = 1 + trial % 5
+            cols = [[rng.uniform(-3.0, 3.0, f.values.size) for f in g.factors]
+                    for _ in range(k)]
+            # a factor without companion is zero in every column
+            plain = [fi for fi in range(len(g.factors)) if rng.random() < 0.2]
+            for c in range(k):
+                for fi in plain:
+                    cols[c][fi] = None
+            stacked = [None if fi in plain else np.vstack([cols[c][fi] for c in range(k)])
+                       for fi in range(len(g.factors))]
+            for rescale in (False, True):
+                wide, wide_store = run(g, ENTROPY, two_pass=True, rescale=rescale,
+                                       companions=stacked)
+                wide_zh = compute_zh(WeightedGraph(g, stacked), rescale=rescale)
+                assert wide_zh.H.shape == (k,)
+                for c in range(k):
+                    one, one_store = run(g, ENTROPY, two_pass=True, rescale=rescale,
+                                         companions=cols[c])
+                    for kind in ("q", "r"):
+                        msgs = getattr(one_store, kind)
+                        assert set(msgs) == set(getattr(wide_store, kind))
+                        for key, m in msgs.items():
+                            w = getattr(wide_store, kind)[key]
+                            assert bits(ENTROPY.scores(w)) == bits(m[0])
+                            assert aux_row(w, c) == bits(m[1])
+                    for vid, m in one.items():
+                        assert wide[vid].exponent == m.exponent
+                        assert aux_row(wide[vid].msg, c) == bits(m.msg[1])
+                    zh = compute_zh(WeightedGraph(g, cols[c]), rescale=rescale)
+                    assert bits([wide_zh.Z, wide_zh.H[c]]) == bits([zh.Z, zh.H])
+                    assert wide_zh.exponent == zh.exponent
+
+    def test_scores_shadow_sum_product(self, rng):
+        # criterion 05 for k > 1: the score rows are the sum-product messages
+        for trial in range(20):
+            g, _ = random_forest(rng)
+            k = 2 + trial % 4
+            stacked = [rng.uniform(-3.0, 3.0, (k, f.values.size)) for f in g.factors]
+            _, plain = run(g, SUM_PRODUCT, two_pass=True)
+            _, lifted = run(g, ENTROPY, two_pass=True,
+                            tables=WeightedGraph(g, stacked).carrier_tables(ENTROPY))
+            for kind in ("q", "r"):
+                for key, msg in getattr(plain, kind).items():
+                    scores = first_component_scores(lifted, kind, key)
+                    for a, b in zip(msg, scores):
+                        assert ulps_apart(a, b) <= 1.0
+
+    def test_aux_columns_match_enumeration(self, rng):
+        # H_c = sum_x prod_m f_m(x_m) * sum_m g_cm(x_m), against the oracle
+        from fginfer.oracle import enumerate_h
+
+        for _ in range(10):
+            g, _ = random_tree(rng, max_vars=6)
+            stacked = [rng.uniform(-3.0, 3.0, (3, f.values.size)) for f in g.factors]
+            res = compute_zh(WeightedGraph(g, stacked))
+            for c in range(3):
+                assert_close(res.H[c], enumerate_h(g, [t[c] for t in stacked]), what="H_c")
+
+    def test_widths_must_agree(self):
+        g = chain3()
+        with pytest.raises(ValueError, match="column count"):
+            WeightedGraph(g, [np.zeros((2, 4)), np.zeros((3, 4))])
+

@@ -188,3 +188,16 @@ def test_lift_table_vectorized_matches_scalar_lift():
     assert (len(row_scores), len(row_aux)) == (4, 4)
     for r in range(4):
         assert (row_scores[r], row_aux[r]) == (scores[4 * r:4 * r + 4], aux[4 * r:4 * r + 4])
+
+
+def test_lift_table_columns():
+    # a (k, n) companion lifts to one (k + 1, n) array: the scores on top,
+    # then f * g_c for each column c, 0 under zero scores
+    values = np.array([0.0, 0.5, 2.0])
+    companion = np.array([[math.inf, 1.0, -1.0], [math.nan, 4.0, 0.25]])
+    rows = ENTROPY.lift_table(values, companion)
+    assert isinstance(rows, np.ndarray)
+    assert rows.tolist() == [[0.0, 0.5, 2.0], [0.0, 0.5, -2.0], [0.0, 2.0, 0.5]]
+    for c in range(2):
+        scores, aux = ENTROPY.lift_table(values, companion[c])
+        assert rows[0].tolist() == scores and rows[1 + c].tolist() == aux
