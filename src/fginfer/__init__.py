@@ -71,7 +71,6 @@ from .semiring import (
     entropy_product_closed_form,
     get_semiring,
     lift,
-    nary_product,
     verify_axioms,
 )
 
@@ -128,7 +127,6 @@ __all__ = [
     "lift_graph",
     "make_schedule",
     "marginal_at",
-    "nary_product",
     "posterior_entropy",
     "run",
     "total_sum",

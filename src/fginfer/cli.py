@@ -34,7 +34,7 @@ from .oracle import (
     enumerate_marginal,
     enumerate_z,
 )
-from .propagation import fold_exponent, run, scale_exponent, total_sum
+from .propagation import fold_exponent, run, scale_exponents, total_sum
 from .semiring import SUM_PRODUCT, get_semiring
 
 _CHECK_TOL = 1e-9
@@ -148,7 +148,7 @@ def cmd_partition(args):
     for marg in marginals.values():
         # rescaled, so that many components cannot overflow the product
         z = s.mul(z, s.reduce_msg(marg.msg))
-        e = scale_exponent(z)
+        e = int(scale_exponents(z))
         z, exponent = math.ldexp(z, -e), exponent + marg.exponent + e
     (z,), log_scale = _folded([z], exponent)
     return 0, {"Z": z, "log_scale": log_scale}

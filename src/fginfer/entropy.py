@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NonFiniteTotal, OutOfDomain, ZeroEvidence
 from .graph import FactorGraph, FactorTable, validate
-from .propagation import lift_tables, run, scale_exponent
+from .propagation import lift_tables, run, scale_exponents
 from .semiring import ENTROPY, Semiring
 
 _LN2 = math.log(2.0)
@@ -81,8 +81,10 @@ class WeightedGraph:
     A companion is a table of the factor's length (any shape of that size
     is flattened), or a (k, n) array of k companion columns for a length-n
     table; every (k, n) companion of one graph has the same k. Lifted
-    carrier tables are cached per semiring so repeated runs skip the lift
-    loop.
+    carrier tables (:func:`fginfer.propagation.lift_tables`) are cached per
+    semiring so repeated runs skip the lift. ``stacked`` tells whether the
+    companions came as (k, n) columns, for which H is an array even when
+    k = 1.
     """
 
     def __init__(self, graph: FactorGraph, companions=None):
@@ -94,9 +96,10 @@ class WeightedGraph:
                 f"{len(companions)} companion tables for {len(graph.factors)} factors"
             )
         self.companions = _check_companions(graph.factors, companions)
-        self._table_cache: dict[str, list] = {}
+        self.stacked = any(c is not None and c.ndim == 2 for c in self.companions)
+        self._table_cache: dict[str, np.ndarray] = {}
 
-    def carrier_tables(self, s: Semiring) -> list:
+    def carrier_tables(self, s: Semiring) -> np.ndarray:
         cached = self._table_cache.get(s.name)
         if cached is None:
             cached = lift_tables(s, self.graph.factors, self.companions)
@@ -185,11 +188,13 @@ def compute_zh(wg, root: str | None = None, rescale: bool = False) -> EntropyRes
         w = ENTROPY.reduce_msg(marg.msg)
         z, h = z * w.score, z * w.aux + w.score * h
         # rescaled, so that many components cannot overflow the product
-        e = scale_exponent(z) if rescale else 0
+        e = int(scale_exponents(z)) if rescale else 0
         if e:
             z = math.ldexp(z, -e)
             h = math.ldexp(h, -e) if type(h) is float else np.ldexp(h, -e)
         exponent += marg.exponent + e
+    if wg.stacked:
+        h = np.atleast_1d(h)
     return EntropyResult(Z=z, H=h, log_scale=exponent * _LN2, exponent=exponent)
 
 
@@ -262,12 +267,3 @@ def log2_or_zero(values: np.ndarray) -> np.ndarray:
     """Elementwise base-2 log of nonnegative values, 0 where a value is 0."""
     with np.errstate(divide="ignore"):
         return np.where(values > 0.0, np.log2(np.where(values > 0.0, values, 1.0)), 0.0)
-
-
-def first_component_scores(store, kind: str, key) -> list:
-    """Score components of a stored message, for shadowing comparisons.
-
-    ``kind`` is "q" or "r"; ``key`` the store's (index, index) key.
-    """
-    msg = (store.q if kind == "q" else store.r)[key]
-    return store.semiring.scores(msg)

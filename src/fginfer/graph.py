@@ -65,8 +65,10 @@ class FactorGraph:
     - ``factor_cards[f]``: matching cardinalities
     - ``var_factors[v]``: indices of factors touching variable v
 
-    Instances are not thread safe during validation; afterwards they are
-    read only and safe to share.
+    ``plans`` caches the engine's level plans by root and pass count (see
+    :func:`fginfer.propagation.level_plan`), which depend on the structure
+    only. Instances are not thread safe during validation or while a plan
+    is compiled; afterwards they are read only and safe to share.
     """
 
     def __init__(self, variables, factors):
@@ -87,6 +89,7 @@ class FactorGraph:
         self.factor_cards: list[list[int]] = []
         self.var_factors: list[list[int]] = []
         self.n_edges = 0
+        self.plans: dict = {}
 
     def cardinality(self, var_id: str) -> int:
         try:

@@ -25,12 +25,13 @@ theta_new back into that scalar equation. The EM pass is rescaled, so
 H_a / H_b stays exact when the totals themselves leave float range.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import WeightedGraph, compute_zh
-from .errors import DegenerateMStep, UndefinedQuotient
+from .errors import DegenerateMStep, ScopeMismatch, UndefinedQuotient
 from .graph import FactorGraph, FactorTable, VariableDecl
 from .propagation import fold_exponent
 
@@ -148,11 +149,23 @@ class ParametricFactorSet:
         return self._structure
 
     def graph_with(self, tables) -> FactorGraph:
-        factors = [
-            FactorTable(self.factor_ids[k], self.scopes[k], tables[k])
-            for k in range(len(self.scopes))
-        ]
-        return FactorGraph(self.variables, factors).ensure_checked()
+        """The structure graph with these tables. It shares the validated
+        adjacency and the cached level plans of :meth:`structure_graph`;
+        only the table lengths are checked."""
+        structure = self.structure_graph()
+        if len(tables) != len(structure.factors):
+            raise ScopeMismatch(f"{len(tables)} tables for {len(structure.factors)} factors")
+        factors = []
+        for f, t in zip(structure.factors, tables):
+            t = np.asarray(t, dtype=float).ravel()
+            if t.size != f.values.size:
+                raise ScopeMismatch(
+                    f"factor {f.id!r}: table has {t.size} values, scope needs {f.values.size}"
+                )
+            factors.append(FactorTable(f.id, f.scope, t))
+        graph = copy.copy(structure)
+        graph.factors = factors
+        return graph
 
 
 @dataclass

@@ -3,7 +3,7 @@
 A semiring here is a value algebra with two operations: ``add`` combines
 alternatives, ``mul`` combines co-occurring parts, with identities ``zero``
 and ``one``. The engine in :mod:`fginfer.propagation` is written against the
-vector kernels defined on each semiring class, so swapping the algebra swaps
+array kernels defined on the base class, so swapping the algebra swaps
 the quantity computed (partition function, max score, satisfiability, or the
 partition/entropy pair) without touching the engine.
 
@@ -23,21 +23,21 @@ against the one shared score, so a single pass computes k totals
 H_1 ... H_k next to Z. Width is a property of the data, not of the
 semiring: the one ``ENTROPY`` instance serves every width.
 
-Message vectors exchanged with the engine are plain Python lists of floats
-(real semirings), a pair of such lists (scores, auxes) for width-1 entropy
-messages, and one float array of shape (k + 1, card) for width-k entropy
-messages: row 0 holds the scores, row c the aux of column c. All tables
-of one pass share one width (:func:`fginfer.propagation.lift_tables`
-widens the others); the only width-1 pair in a width-k pass is a leaf's
-all-ones message, which counts as the same aux in every column. The real and
-width-1 kernels are hand-written loops: the engine pushes hundreds of
-thousands of tiny messages on long chains, where per-call array overhead
-would dominate actual work. The width-k kernels are array expressions
-whose sums run sequentially in table order. Every entropy kernel mirrors
-the sum-product kernel operation for operation on the score component, so
-a run over the entropy semiring reproduces the sum-product run bit for bit
-in its first components, and each aux column of a width-k run reproduces
-the width-1 run with that column's companion bit for bit.
+Every message and every lifted table of every semiring is one float array
+of shape (k + 1, n): row 0 holds the scores, row c the aux of column c.
+Real semirings have k = 0, and an entropy pass with 1-D companions has
+k = 1. The kernels take batches, many messages side by side along the
+last axis, so the level plan of :mod:`fginfer.propagation` runs a whole
+group of messages with one call of each kernel and the per-edge step API
+runs one message with the same calls. The four semirings share the
+kernels and differ in two places only: the reduction (a sequential sum
+for sum-product and entropy, a sequential max for max-product and
+Boolean, whose 0/1 lift makes the product a min) and entropy's product
+rule on the aux rows. Reductions run left to right in table order from
+the semiring zero, never pairwise, so a message does not depend on the
+batch it was computed in; the score row of an entropy pass is the
+sum-product pass bit for bit, and each aux column of a width-k pass is
+the width-1 pass with that column's companion bit for bit.
 """
 
 import itertools
@@ -69,23 +69,26 @@ def lift(f: float, g: float | None = None) -> EntropyWeight:
 
 
 class Semiring:
-    """Base class: scalar operations plus vector kernels used by the engine.
+    """Base class: the scalar operations and array kernels of a semiring.
 
-    Subclasses fix the carrier and implement both layers. Scalar weights are
-    floats except for the entropy semiring, whose weights are (score, aux)
-    pairs.
+    The base is the arithmetic of the real semirings, which differ only in
+    ``fold``, the ufunc of their sum: np.add for sum-product, np.maximum
+    for max-product and Boolean, whose 0/1 lift makes the product a min.
+    The entropy semiring changes the carrier and the product rule
+    ``mul_entries``.
     """
 
     name = "abstract"
-    zero: object = None
-    one: object = None
+    zero: object = 0.0
+    one: object = 1.0
+    fold = np.add
 
     # scalar layer
     def add(self, a, b):
-        raise NotImplementedError
+        return float(self.fold(a, b))
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def product(self, items):
         """Left fold of mul over items, starting from the identity."""
@@ -94,190 +97,105 @@ class Semiring:
             acc = self.mul(acc, x)
         return acc
 
-    # vector layer; messages are lists (or a pair of lists) of length card
+    # array layer
     def lift_table(self, values: np.ndarray, companion: np.ndarray | None = None):
-        raise NotImplementedError
+        """A flat table as carrier rows, shape (k + 1, n); real semirings
+        ignore the companion."""
+        return np.asarray(values, dtype=float).reshape(1, -1)
 
-    def ones_msg(self, card: int):
-        raise NotImplementedError
+    def mul_entries(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Entrywise product of two carriers of equal shape, into a."""
+        a *= b
 
-    def combine(self, msgs: list, card: int):
-        """Pointwise product of message vectors; empty input gives ones.
+    def combine(self, msgs: list) -> np.ndarray:
+        """Pointwise product of two or more message batches, left to right.
 
-        A single input is returned as is (aliased), never copied.
+        ``msgs[0]`` covers every entry; a later batch may cover only a
+        prefix of the entries, which it multiplies. Returns a fresh array.
         """
-        raise NotImplementedError
+        out = msgs[0].copy()
+        for q in msgs[1:]:
+            self.mul_entries(out[:, :q.shape[-1]], q)
+        return out
 
-    def contract(self, table, cards: Sequence[int], incoming, target_pos: int):
-        """Sum the table times incoming messages onto one scope position.
+    def contract(self, table: np.ndarray, incoming: list, terms: np.ndarray) -> np.ndarray:
+        """Factor-to-variable messages of a batch of table entries.
 
-        ``incoming`` holds (pos, msg) for scope positions other than
-        ``target_pos``; positions without a message are simply absent, which
-        only happens for unary factors. Tables are flat, mixed radix with
-        the first scope position most significant. Always returns a fresh
-        vector.
+        ``table`` holds carrier entries and each array of ``incoming`` the
+        matching entries of one incoming message, in scope order, over a
+        prefix of the table entries as in :meth:`combine`; the product
+        runs table first, then the incoming messages in order. Row i of
+        ``terms`` lists the entries that output entry i sums, in table
+        order; the index -1 stands for a 0 that pads short rows. Returns
+        the (k + 1, len(terms)) outputs.
         """
-        raise NotImplementedError
+        prod = np.zeros((len(table), table.shape[1] + 1))
+        prod[:, :-1] = table
+        for q in incoming:
+            self.mul_entries(prod[:, :q.shape[-1]], q)
+        return self.reduce_terms(prod, terms)
 
-    def reduce_msg(self, msg):
-        """Semiring sum over the entries of a message vector."""
-        raise NotImplementedError
+    def reduce_terms(self, x: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """Column i of the result reduces the entries ``terms[i]`` of x, left
+        to right from zero (``np.sum`` adds pairwise, in another order)."""
+        fold = self.fold
+        out = fold(x[:, terms[:, 0]], 0.0)
+        for j in range(1, terms.shape[1]):
+            fold(out, x[:, terms[:, j]], out=out)
+        return out
 
-    def max_abs_score(self, msg) -> float:
-        raise NotImplementedError
+    def max_abs_score(self, msgs: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Largest score magnitude of each message of a batch; message i
+        starts at entry ``starts[i]``."""
+        return np.maximum.reduceat(np.abs(msgs[0]), starts)
 
-    def scale_msg_inplace(self, msg, factor: float) -> None:
-        raise NotImplementedError
+    def scale_msg_inplace(self, msgs: np.ndarray, factors) -> None:
+        """Multiply every entry by its factor (a scalar, or one per entry)."""
+        msgs *= factors
 
-    def scores(self, msg) -> list:
-        """First (score) components of a message vector, as a list."""
-        raise NotImplementedError
+    def reduce_msg(self, msg: np.ndarray):
+        """Semiring sum over the entries of one message, as a weight."""
+        return float(self._total(msg)[0])
+
+    def _total(self, msg: np.ndarray) -> np.ndarray:
+        return self.reduce_terms(msg, np.arange(msg.shape[1])[None, :])[:, 0]
+
+    def scores(self, msg: np.ndarray) -> list:
+        """Score row of a message, as a list of floats."""
+        return msg[0].tolist()
 
     def __repr__(self):
         return f"<semiring {self.name}>"
 
 
-class _RealSemiring(Semiring):
-    """Shared vector kernels for semirings whose carrier is a float."""
-
-    def ones_msg(self, card):
-        return [self.one] * card
-
-    def combine(self, msgs, card):
-        if not msgs:
-            return self.ones_msg(card)
-        if len(msgs) == 1:
-            return msgs[0]
-        mul = self.mul
-        out = list(msgs[0])
-        for q in msgs[1:]:
-            for i in range(card):
-                out[i] = mul(out[i], q[i])
-        return out
-
-    def contract(self, table, cards, incoming, target_pos):
-        add = self.add
-        mul = self.mul
-        if len(cards) == 2 and len(incoming) == 1 and type(self) is SumProductSemiring:
-            # pairwise fast path, plain arithmetic; mirrored in the entropy class
-            q = incoming[0][1]
-            c0, c1 = cards
-            if target_pos == 0:
-                out = []
-                for i in range(c0):
-                    base = i * c1
-                    s = 0.0
-                    for j in range(c1):
-                        s += table[base + j] * q[j]
-                    out.append(s)
-                return out
-            out = []
-            for j in range(c1):
-                s = 0.0
-                idx = j
-                for i in range(c0):
-                    s += table[idx] * q[i]
-                    idx += c1
-                out.append(s)
-            return out
-        # general path: walk the table once in linear order
-        strides = _strides(cards)
-        resolved = [(strides[p], cards[p], q) for p, q in incoming]
-        tstride = strides[target_pos]
-        tcard = cards[target_pos]
-        out = [self.zero] * tcard
-        for i in range(len(table)):
-            s = table[i]
-            for stride, card, q in resolved:
-                s = mul(s, q[(i // stride) % card])
-            t = (i // tstride) % tcard
-            out[t] = add(out[t], s)
-        return out
-
-    def reduce_msg(self, msg):
-        add = self.add
-        acc = self.zero
-        for v in msg:
-            acc = add(acc, v)
-        return acc
-
-    def max_abs_score(self, msg):
-        mx = 0.0
-        for v in msg:
-            if v < 0.0:
-                v = -v
-            if v > mx:
-                mx = v
-        return mx
-
-    def scale_msg_inplace(self, msg, factor):
-        for i in range(len(msg)):
-            msg[i] *= factor
-
-    def scores(self, msg):
-        return list(msg)
-
-
-class SumProductSemiring(_RealSemiring):
+class SumProductSemiring(Semiring):
     """Ordinary (+, *) over the reals: partition functions and marginals."""
 
     name = "sum-product"
-    zero = 0.0
-    one = 1.0
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def lift_table(self, values, companion=None):
-        # companions carry no meaning here and are ignored
-        return np.asarray(values, dtype=float).tolist()
 
 
-class MaxProductSemiring(_RealSemiring):
+class MaxProductSemiring(Semiring):
     """(max, *) over the nonnegative reals: best single-assignment score."""
 
     name = "max-product"
-    zero = 0.0
-    one = 1.0
-
-    def add(self, a, b):
-        return a if a >= b else b
-
-    def mul(self, a, b):
-        return a * b
-
-    def lift_table(self, values, companion=None):
-        return np.asarray(values, dtype=float).tolist()
+    fold = np.maximum
 
 
-class BooleanSemiring(_RealSemiring):
+class BooleanSemiring(Semiring):
     """(or, and) over {0, 1}: satisfiability of the support."""
 
     name = "boolean"
-    zero = 0.0
-    one = 1.0
-
-    def add(self, a, b):
-        return a if a >= b else b
-
-    def mul(self, a, b):
-        return a if a <= b else b
+    fold = np.maximum
 
     def lift_table(self, values, companion=None):
-        return [1.0 if v != 0.0 else 0.0 for v in np.asarray(values, dtype=float).ravel()]
+        return (np.asarray(values, dtype=float).reshape(1, -1) != 0.0).astype(float)
 
 
 class EntropySemiring(Semiring):
     """Pairs (score, aux) with bilinear product; computes (Z, H) jointly.
 
-    Width-1 message vectors are a pair of parallel float lists (scores,
-    auxes); width-k ones a (k + 1, card) array, scores in row 0 (see the
-    module docstring). Every score-component operation below matches the
-    sum-product kernel line for line, which is what makes first-component
-    shadowing exact.
+    Row 0 of a carrier holds the scores and follows the sum-product
+    arithmetic exactly; rows 1..k follow the product rule against it.
     """
 
     name = "entropy"
@@ -293,189 +211,29 @@ class EntropySemiring(Semiring):
         return EntropyWeight(x1 * x2, x1 * y2 + x2 * y1)
 
     def lift_table(self, values, companion=None):
-        """Lift a table and its companion to the carrier pair (scores, auxes).
+        """Lift a length-n table and its companion to (k + 1, n) rows.
 
         Entries lift as in :func:`lift`, so zero values give (0, 0) whatever
-        the companion holds. A 2-D input (one table per row, with a companion
-        of the same shape) is lifted row by row: both components come back as
-        lists of per-row lists. A (k, n) companion of a length-n table holds
-        k columns and lifts to one width-k (k + 1, n) array.
+        the companion holds. No companion or a length-n one gives k = 1; a
+        (k, n) companion holds k columns.
         """
         values = np.asarray(values, dtype=float)
         if companion is None:
-            aux = np.zeros_like(values)
-        else:
-            companion = np.asarray(companion, dtype=float)
-            with np.errstate(invalid="ignore"):
-                aux = np.where(values == 0.0, 0.0, values * companion)
-            if aux.ndim > values.ndim:
-                return np.vstack((values, aux))
-        return (values.tolist(), aux.tolist())
+            return np.vstack((values, np.zeros_like(values)))
+        with np.errstate(invalid="ignore"):
+            aux = np.where(values == 0.0, 0.0, values * np.asarray(companion, dtype=float))
+        return np.vstack((values, aux))
 
-    def ones_msg(self, card):
-        return ([1.0] * card, [0.0] * card)
-
-    def combine(self, msgs, card):
-        if not msgs:
-            return self.ones_msg(card)
-        if len(msgs) == 1:
-            return msgs[0]
-        if type(msgs[0]) is not tuple:
-            out = msgs[0]
-            for q in msgs[1:]:
-                out = _mul_rows(out, q)
-            return out
-        rf = list(msgs[0][0])
-        ra = list(msgs[0][1])
-        for qf, qa in msgs[1:]:
-            for i in range(card):
-                f = rf[i]
-                a = ra[i]
-                mf = qf[i]
-                rf[i] = f * mf
-                ra[i] = f * qa[i] + a * mf
-        return (rf, ra)
-
-    def contract(self, table, cards, incoming, target_pos):
-        if type(table) is not tuple:
-            return _contract_rows(table, cards, incoming, target_pos)
-        tf, ta = table
-        if len(cards) == 2 and len(incoming) == 1:
-            # pairwise fast path; the score lines mirror the sum-product path
-            qf, qa = incoming[0][1]
-            c0, c1 = cards
-            if target_pos == 0:
-                of = []
-                oa = []
-                for i in range(c0):
-                    base = i * c1
-                    sf = 0.0
-                    sa = 0.0
-                    for j in range(c1):
-                        f = tf[base + j]
-                        sf += f * qf[j]
-                        sa += f * qa[j] + ta[base + j] * qf[j]
-                    of.append(sf)
-                    oa.append(sa)
-                return (of, oa)
-            of = []
-            oa = []
-            for j in range(c1):
-                sf = 0.0
-                sa = 0.0
-                idx = j
-                for i in range(c0):
-                    f = tf[idx]
-                    sf += f * qf[i]
-                    sa += f * qa[i] + ta[idx] * qf[i]
-                    idx += c1
-                of.append(sf)
-                oa.append(sa)
-            return (of, oa)
-        strides = _strides(cards)
-        resolved = [(strides[p], cards[p], q[0], q[1]) for p, q in incoming]
-        tstride = strides[target_pos]
-        tcard = cards[target_pos]
-        of = [0.0] * tcard
-        oa = [0.0] * tcard
-        for i in range(len(tf)):
-            sf = tf[i]
-            sa = ta[i]
-            for stride, card, qf, qa in resolved:
-                j = (i // stride) % card
-                mf = qf[j]
-                sf, sa = sf * mf, sf * qa[j] + sa * mf
-            t = (i // tstride) % tcard
-            of[t] += sf
-            oa[t] += sa
-        return (of, oa)
+    def mul_entries(self, a, b):
+        # row 0: a0 b0; row c: ac b0 + a0 bc, the pair product per column
+        aux = a[0] * b[1:]
+        a *= b[0]
+        a[1:] += aux
 
     def reduce_msg(self, msg):
-        if type(msg) is not tuple:
-            total = _sum_last(msg)
-            return EntropyWeight(float(total[0]), total[1:])
-        mf, ma = msg
-        sf = 0.0
-        sa = 0.0
-        for i in range(len(mf)):
-            sf += mf[i]
-            sa += ma[i]
-        return EntropyWeight(sf, sa)
-
-    def max_abs_score(self, msg):
-        mx = 0.0
-        for v in (msg[0] if type(msg) is tuple else msg[0].tolist()):
-            if v < 0.0:
-                v = -v
-            if v > mx:
-                mx = v
-        return mx
-
-    def scale_msg_inplace(self, msg, factor):
-        if type(msg) is not tuple:
-            msg *= factor
-            return
-        mf, ma = msg
-        for i in range(len(mf)):
-            mf[i] *= factor
-            ma[i] *= factor
-
-    def scores(self, msg):
-        if type(msg) is not tuple:
-            return msg[0].tolist()
-        return list(msg[0])
-
-
-def _rows(msg) -> np.ndarray:
-    """A message as rows: a width-1 pair (a leaf's all-ones message)
-    becomes a 2-row array."""
-    return msg if type(msg) is not tuple else np.array(msg)
-
-
-def _mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product of two row-stacked carriers (broadcasting).
-
-    Row 0: a0 b0; row c: ac b0 + a0 bc, the width-1 product rule per
-    column. A single aux row of b broadcasts against the k of a.
-    """
-    out = a * b[0]
-    out[1:] += a[0] * b[1:]
-    return out
-
-
-def _sum_last(x: np.ndarray) -> np.ndarray:
-    """Sum along the last axis from 0.0, left to right as the loops add
-    (``np.sum`` adds pairwise, in another order)."""
-    out = x[..., 0] + 0.0
-    for i in range(1, x.shape[-1]):
-        out += x[..., i]
-    return out
-
-
-def _contract_rows(table, cards, incoming, target_pos) -> np.ndarray:
-    """Width-k contraction: the generic path of the width-1 kernel, with
-    every table entry's product chain computed at once.
-
-    Products run over the incoming messages in their order, as in the
-    loops; each target entry then sums its table entries in table order.
-    """
-    nd = len(cards)
-    t = table.reshape((-1, *cards))
-    for pos, q in incoming:
-        shape = [1] * (nd + 1)
-        shape[0] = -1
-        shape[pos + 1] = cards[pos]
-        t = _mul_rows(t, _rows(q).reshape(shape))
-    axes = [0, target_pos + 1] + [p + 1 for p in range(nd) if p != target_pos]
-    return _sum_last(t.transpose(axes).reshape(len(t), cards[target_pos], -1))
-
-
-def _strides(cards: Sequence[int]) -> list[int]:
-    # first position most significant
-    out = [1] * len(cards)
-    for p in range(len(cards) - 2, -1, -1):
-        out[p] = out[p + 1] * cards[p + 1]
-    return out
+        """(score, aux) totals; the aux is a float for a width-1 message."""
+        total = self._total(msg)
+        return EntropyWeight(float(total[0]), float(total[1]) if len(total) == 2 else total[1:])
 
 
 SUM_PRODUCT = SumProductSemiring()
@@ -496,11 +254,6 @@ def get_semiring(name: str) -> Semiring:
         return SEMIRINGS[name]
     except KeyError:
         raise KeyError(f"unknown semiring {name!r}; known: {sorted(SEMIRINGS)}") from None
-
-
-def nary_product(s: Semiring, items) -> object:
-    """Product of many weights: the left fold of mul from the identity."""
-    return s.product(items)
 
 
 def entropy_product_closed_form(pairs: Sequence) -> EntropyWeight:

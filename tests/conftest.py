@@ -30,12 +30,15 @@ def bits(x) -> list:
     return np.asarray(x, dtype=float).view(np.int64).tolist()
 
 
-def heap_tree(n=1200, value=1.5):
-    """A binary-heap tree of n binary variables, every pairwise table
-    constant: Z = 2^n * value^(n - 1), past float range at n = 1200."""
-    variables = [VariableDecl(f"x{i}", 2) for i in range(n)]
+def heap_tree(n=1200, value=1.5, cards=(2,)):
+    """A binary-heap tree of n variables, variable i of cardinality
+    cards[i % len(cards)], every pairwise table constant: Z = prod of the
+    cardinalities * value^(n - 1), past float range at n = 1200."""
+    card = [cards[i % len(cards)] for i in range(n)]
+    variables = [VariableDecl(f"x{i}", card[i]) for i in range(n)]
     factors = [
-        FactorTable(f"f{i}", (f"x{(i - 1) // 2}", f"x{i}"), np.full(4, value))
+        FactorTable(f"f{i}", (f"x{(i - 1) // 2}", f"x{i}"),
+                    np.full(card[(i - 1) // 2] * card[i], value))
         for i in range(1, n)
     ]
     return FactorGraph(variables, factors)

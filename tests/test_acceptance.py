@@ -35,13 +35,11 @@ from fginfer import (
     gradient_at,
     hmm_entropy,
     hmm_to_weighted_graph,
-    nary_product,
     posterior_entropy,
     run,
     verify_axioms,
 )
 from fginfer.cli import main as cli_main
-from fginfer.entropy import first_component_scores
 from fginfer.semiring import random_weights
 from fginfer.io import dumps, serialize_graph
 from fginfer.io import ParsedGraph
@@ -94,7 +92,7 @@ def test_criterion_02_closed_form():
     for _ in range(500):
         n = int(rng.integers(2, 13))
         pairs = random_weights(ENTROPY, n, rng)
-        folded = nary_product(ENTROPY, pairs)
+        folded = ENTROPY.product(pairs)
         closed = entropy_product_closed_form(pairs)
         assert rel_err(folded.score, closed.score) <= 1e-9
         assert rel_err(folded.aux, closed.aux) <= 1e-9
@@ -148,8 +146,7 @@ def test_criterion_05_first_component_shadowing():
         assert set(plain.r) == set(lifted.r)
         for kind, store_a, store_b in (("q", plain.q, lifted.q), ("r", plain.r, lifted.r)):
             for key in store_a:
-                scores = first_component_scores(lifted, kind, key)
-                for a, b in zip(store_a[key], scores):
+                for a, b in zip(store_a[key][0], store_b[key][0]):
                     assert ulps_apart(a, b) <= 1.0
 
 

@@ -46,7 +46,7 @@ class TestLiftGraph:
         )
         from fginfer import ENTROPY
 
-        scores, aux = wg.carrier_tables(ENTROPY)[0]
+        scores, aux = wg.carrier_tables(ENTROPY).tolist()
         assert scores == [0.5, 0.5]
         assert aux == [-0.5, -0.5]
 
@@ -62,7 +62,7 @@ class TestLiftGraph:
         )
         from fginfer import ENTROPY
 
-        scores, aux = wg.carrier_tables(ENTROPY)[0]
+        scores, aux = wg.carrier_tables(ENTROPY).tolist()
         assert (scores[0], aux[0]) == (0.0, 0.0)
         assert (scores[1], aux[1]) == (1.0, 0.0)
 

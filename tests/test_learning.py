@@ -3,6 +3,7 @@ import pytest
 
 from fginfer import (
     DegenerateMStep,
+    ScopeMismatch,
     ParametricFactorSet,
     WeightedGraph,
     compute_zh,
@@ -114,6 +115,22 @@ class TestParametricFactorSet:
     def test_structure_graph_is_validated_once(self):
         pf = mixture_factor_set()
         assert pf.structure_graph() is pf.structure_graph()
+
+    def test_graph_with_shares_the_structure(self, rng):
+        pf = random_affine_tree(rng, 2)
+        structure = pf.structure_graph()
+        g = pf.graph_with(pf.tables_at(np.zeros(2)))
+        assert g.checked and g.factor_vars is structure.factor_vars
+        assert g.plans is structure.plans
+        gradient_at(pf, np.zeros(2))
+        gradient_at(pf, np.ones(2))
+        assert len(structure.plans) == 1
+        bad = pf.tables_at(np.zeros(2))
+        bad[-1] = bad[-1][:-1]
+        with pytest.raises(ScopeMismatch, match="scope needs"):
+            pf.graph_with(bad)
+        with pytest.raises(ScopeMismatch, match="tables for"):
+            pf.graph_with(bad[:-1])
 
     def test_bad_dim(self):
         with pytest.raises(ValueError, match=">= 1"):

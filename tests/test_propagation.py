@@ -24,7 +24,6 @@ from fginfer import (
     total_sum,
     variable_to_factor,
 )
-from fginfer.entropy import first_component_scores
 from fginfer.oracle import enumerate_marginal, enumerate_z
 
 from conftest import assert_close, bits, heap_tree, random_tree, ulps_apart
@@ -32,6 +31,11 @@ from conftest import assert_close, bits, heap_tree, random_tree, ulps_apart
 
 def graph_of(variables, factors):
     return FactorGraph(variables, factors)
+
+
+def carriers(g, s, companions):
+    """The lifted carrier tables of g with companions, for ``tables=``."""
+    return WeightedGraph(g, companions).carrier_tables(s)
 
 
 def chain3():
@@ -71,7 +75,7 @@ class TestLeafInit:
             ],
         )
         store = init_leaf_messages(MessageStore(g, SUM_PRODUCT))
-        assert store.r[(0, 0)] == [0.3, 0.7]
+        assert store.r[(0, 0)].tolist() == [[0.3, 0.7]]
 
     def test_leaf_variable_sends_ones(self):
         g = graph_of(
@@ -79,8 +83,8 @@ class TestLeafInit:
             [FactorTable("f", ("x", "y"), np.ones(9))],
         )
         store = init_leaf_messages(MessageStore(g, SUM_PRODUCT))
-        assert store.q[(0, 0)] == [1.0, 1.0, 1.0]
-        assert store.q[(1, 0)] == [1.0, 1.0, 1.0]
+        assert store.q[(0, 0)].tolist() == [[1.0, 1.0, 1.0]]
+        assert store.q[(1, 0)].tolist() == [[1.0, 1.0, 1.0]]
 
     def test_entropy_leaf_factor_is_lifted(self):
         g = graph_of(
@@ -91,9 +95,9 @@ class TestLeafInit:
             ],
         )
         store = init_leaf_messages(
-            MessageStore(g, ENTROPY, companions=[np.array([-1.0, -1.0]), None])
+            MessageStore(g, ENTROPY, tables=carriers(g, ENTROPY, [np.array([-1.0, -1.0]), None]))
         )
-        scores, aux = store.r[(0, 0)]
+        scores, aux = store.r[(0, 0)].tolist()
         assert scores == [0.5, 0.5]
         assert aux == [-0.5, -0.5]
 
@@ -111,7 +115,7 @@ class TestMessageKernels:
         )
         store = init_leaf_messages(MessageStore(g, SUM_PRODUCT))
         q = variable_to_factor(store, "x", "c")
-        assert q == [8.0, 15.0]
+        assert q.tolist() == [[8.0, 15.0]]
 
     def test_variable_to_factor_empty_product_is_ones(self):
         g = graph_of(
@@ -119,7 +123,7 @@ class TestMessageKernels:
             [FactorTable("f", ("x", "y"), np.ones(4))],
         )
         store = MessageStore(g, SUM_PRODUCT)
-        assert variable_to_factor(store, "x", "f") == [1.0, 1.0]
+        assert variable_to_factor(store, "x", "f").tolist() == [[1.0, 1.0]]
 
     def test_variable_to_factor_entropy_pairs(self):
         g = graph_of(
@@ -131,8 +135,8 @@ class TestMessageKernels:
             ],
         )
         store = MessageStore(g, ENTROPY)
-        store.r[(0, 0)] = ([1.0], [1.0])
-        store.r[(1, 0)] = ([2.0], [0.0])
+        store.r[(0, 0)] = np.array([[1.0], [1.0]])
+        store.r[(1, 0)] = np.array([[2.0], [0.0]])
         scores, aux = variable_to_factor(store, "x", "c")
         assert (scores[0], aux[0]) == (2.0, 2.0)
 
@@ -142,9 +146,9 @@ class TestMessageKernels:
             [FactorTable("f", ("x1", "x2"), np.array([1.0, 2.0, 3.0, 4.0]))],
         )
         store = MessageStore(g, SUM_PRODUCT)
-        store.q[(1, 0)] = [1.0, 1.0]
+        store.q[(1, 0)] = np.array([[1.0, 1.0]])
         r = factor_to_variable(store, "f", "x1")
-        assert r == [3.0, 7.0]
+        assert r.tolist() == [[3.0, 7.0]]
 
     def test_factor_to_variable_boolean_or(self):
         g = graph_of(
@@ -152,8 +156,8 @@ class TestMessageKernels:
             [FactorTable("f", ("x1", "x2"), np.array([0.0, 1.0, 1.0, 1.0]))],
         )
         store = MessageStore(g, BOOLEAN)
-        store.q[(1, 0)] = [1.0, 1.0]
-        assert factor_to_variable(store, "f", "x1") == [1.0, 1.0]
+        store.q[(1, 0)] = np.array([[1.0, 1.0]])
+        assert factor_to_variable(store, "f", "x1").tolist() == [[1.0, 1.0]]
 
     def test_unary_factor_message_is_lifted_table(self):
         g = graph_of(
@@ -161,7 +165,7 @@ class TestMessageKernels:
             [FactorTable("f", ("x",), np.array([0.25, 0.75]))],
         )
         store = MessageStore(g, SUM_PRODUCT)
-        assert factor_to_variable(store, "f", "x") == [0.25, 0.75]
+        assert factor_to_variable(store, "f", "x").tolist() == [[0.25, 0.75]]
 
     def test_missing_dependency(self):
         g = chain3()
@@ -272,7 +276,7 @@ class TestTotalSum:
             [VariableDecl("x", 2)], [FactorTable("f", ("x",), np.array([0.5, 0.5]))]
         )
         marginals, _ = run(
-            g, ENTROPY, root="x", companions=[np.array([-1.0, -1.0])]
+            g, ENTROPY, root="x", tables=carriers(g, ENTROPY, [np.array([-1.0, -1.0])])
         )
         w = total_sum(marginals["x"])
         assert w == EntropyWeight(1.0, -1.0)
@@ -291,8 +295,9 @@ class TestTotalSum:
         for _ in range(100):
             g, companions = random_forest(rng)
             for s in (SUM_PRODUCT, MAX_PRODUCT, ENTROPY):
-                plain, _ = run(g, s, companions=companions)
-                scaled, _ = run(g, s, companions=companions, rescale=True)
+                tables = carriers(g, s, companions)
+                plain, _ = run(g, s, tables=tables)
+                scaled, _ = run(g, s, tables=tables, rescale=True)
                 for vid, m in scaled.items():
                     assert bits(total_sum(m)) == bits(total_sum(plain[vid]))
                     scaled_any |= m.exponent != 0
@@ -303,6 +308,18 @@ class TestTotalSum:
         m = marginals["x0"]
         assert math.isfinite(total_sum(m, apply_scale=False))
         assert total_sum(m) == math.inf
+
+    def test_unrescaled_overflow_stays_inf(self):
+        # log2 Z = 600 + 600 log2 3 + 1199 log2 1.5, about 2252.4; a zero
+        # that pads a contraction must never meet an infinite message
+        g = heap_tree(cards=(2, 3))
+        marginals, store = run(g, SUM_PRODUCT, two_pass=True)
+        assert marginals["x0"].scores() == [math.inf, math.inf]
+        assert total_sum(marginals["x0"]) == math.inf
+        for msgs in (store.q, store.r):
+            assert not any(np.isnan(m).any() for m in msgs.values())
+        scaled, _ = run(g, SUM_PRODUCT, two_pass=True, rescale=True)
+        assert scaled["x0"].exponent == 2251
 
 
 def random_forest(rng, max_trees=3):
@@ -322,20 +339,22 @@ def random_forest(rng, max_trees=3):
 
 class TestInvariants:
     def test_power_of_two_rescaling_is_exact(self, rng):
-        # every rescaled marginal, and compute_zh's (Z, H), times 2^E is the
-        # plain run's bit for bit
-        def parts(s, msg):
-            return [list(p) for p in (msg if s is ENTROPY else (msg,))]
-
+        # every rescaled message and marginal, and compute_zh's (Z, H), times
+        # 2^E is the plain run's bit for bit
         scaled_any = False
         for _ in range(60):
             g, companions = random_forest(rng)
             for s in (SUM_PRODUCT, MAX_PRODUCT, BOOLEAN, ENTROPY):
-                plain, _ = run(g, s, two_pass=True, companions=companions)
-                scaled, _ = run(g, s, two_pass=True, companions=companions, rescale=True)
+                tables = carriers(g, s, companions)
+                plain, plain_store = run(g, s, two_pass=True, tables=tables)
+                scaled, store = run(g, s, two_pass=True, tables=tables, rescale=True)
+                for kind in ("q", "r"):
+                    scales = getattr(store, kind + "_scale")
+                    for key, msg in getattr(store, kind).items():
+                        shifted = np.ldexp(msg, scales[key])
+                        assert bits(shifted) == bits(getattr(plain_store, kind)[key])
                 for vid, m in scaled.items():
-                    shifted = [[math.ldexp(x, m.exponent) for x in p] for p in parts(s, m.msg)]
-                    assert shifted == parts(s, plain[vid].msg)
+                    assert bits(np.ldexp(m.msg, m.exponent)) == bits(plain[vid].msg)
                     assert m.log_scale == m.exponent * math.log(2.0)
                     assert s is not BOOLEAN or m.exponent == 0
                     scaled_any |= m.exponent != 0
@@ -350,7 +369,8 @@ class TestInvariants:
             g, companions = random_tree(rng, max_vars=8)
             z_ref = h_ref = None
             for v in g.variables:
-                marginals, _ = run(g, ENTROPY, root=v.id, companions=companions)
+                marginals, _ = run(g, ENTROPY, root=v.id,
+                                   tables=carriers(g, ENTROPY, companions))
                 w = total_sum(marginals[v.id])
                 # forests: fold the other components in
                 for other, marg in marginals.items():
@@ -374,8 +394,9 @@ class TestInvariants:
     def test_rescaling_invariance(self, rng):
         for _ in range(10):
             g, companions = random_tree(rng, max_vars=8)
-            plain, _ = run(g, ENTROPY, companions=companions)
-            scaled, _ = run(g, ENTROPY, companions=companions, rescale=True)
+            tables = carriers(g, ENTROPY, companions)
+            plain, _ = run(g, ENTROPY, tables=tables)
+            scaled, _ = run(g, ENTROPY, tables=tables, rescale=True)
             z_plain, h_plain = 1.0, 0.0
             for marg in plain.values():
                 w = total_sum(marg)
@@ -399,15 +420,13 @@ class TestInvariants:
             for rescale in (False, True):
                 _, sp = run(g, SUM_PRODUCT, two_pass=True, rescale=rescale)
                 _, en = run(g, ENTROPY, two_pass=True, rescale=rescale,
-                            companions=companions)
+                            tables=carriers(g, ENTROPY, companions))
                 assert set(sp.q) == set(en.q) and set(sp.r) == set(en.r)
                 for key, msg in sp.q.items():
-                    shadow = first_component_scores(en, "q", key)
-                    for a, b in zip(msg, shadow):
+                    for a, b in zip(msg[0], en.q[key][0]):
                         assert ulps_apart(a, b) <= 1.0
                 for key, msg in sp.r.items():
-                    shadow = first_component_scores(en, "r", key)
-                    for a, b in zip(msg, shadow):
+                    for a, b in zip(msg[0], en.r[key][0]):
                         assert ulps_apart(a, b) <= 1.0
 
 
@@ -421,10 +440,8 @@ def with_zeros(rng, g):
 
 
 def aux_row(msg, c: int) -> list:
-    """Column c's aux of an entropy message of any width; a width-1 pair
-    (a leaf's all-ones message) holds the same aux for every column."""
-    rows = np.array(msg, dtype=float) if isinstance(msg, tuple) else msg
-    return bits(rows[min(1 + c, len(rows) - 1)])
+    """Column c's aux of an entropy message, as bit patterns."""
+    return bits(msg[1 + c])
 
 
 class TestWidthK:
@@ -447,12 +464,12 @@ class TestWidthK:
                        for fi in range(len(g.factors))]
             for rescale in (False, True):
                 wide, wide_store = run(g, ENTROPY, two_pass=True, rescale=rescale,
-                                       companions=stacked)
+                                       tables=carriers(g, ENTROPY, stacked))
                 wide_zh = compute_zh(WeightedGraph(g, stacked), rescale=rescale)
                 assert wide_zh.H.shape == (k,)
                 for c in range(k):
                     one, one_store = run(g, ENTROPY, two_pass=True, rescale=rescale,
-                                         companions=cols[c])
+                                         tables=carriers(g, ENTROPY, cols[c]))
                     for kind in ("q", "r"):
                         msgs = getattr(one_store, kind)
                         assert set(msgs) == set(getattr(wide_store, kind))
@@ -478,8 +495,8 @@ class TestWidthK:
                             tables=WeightedGraph(g, stacked).carrier_tables(ENTROPY))
             for kind in ("q", "r"):
                 for key, msg in getattr(plain, kind).items():
-                    scores = first_component_scores(lifted, kind, key)
-                    for a, b in zip(msg, scores):
+                    scores = getattr(lifted, kind)[key][0]
+                    for a, b in zip(msg[0], scores):
                         assert ulps_apart(a, b) <= 1.0
 
     def test_aux_columns_match_enumeration(self, rng):
@@ -498,3 +515,72 @@ class TestWidthK:
         with pytest.raises(ValueError, match="column count"):
             WeightedGraph(g, [np.zeros((2, 4)), np.zeros((3, 4))])
 
+
+
+def step_reference(g, s, root, two_pass, rescale, tables):
+    """The store of the per-edge step API driven along make_schedule."""
+    store = MessageStore(g, s, rescale=rescale, tables=tables)
+    for to_factor, vi, fi in make_schedule(g, root=root, two_pass=two_pass).edges:
+        v, f = g.variables[vi].id, g.factors[fi].id
+        if to_factor:
+            variable_to_factor(store, v, f)
+        else:
+            factor_to_variable(store, f, v)
+    return store
+
+
+def assert_run_matches_steps(g, s, root, two_pass, rescale, tables):
+    marginals, store = run(g, s, root=root, two_pass=two_pass, rescale=rescale, tables=tables)
+    ref = step_reference(g, s, root, two_pass, rescale, tables)
+    for kind in ("q", "r"):
+        msgs, want = getattr(store, kind), getattr(ref, kind)
+        assert set(msgs) == set(want)
+        for key, msg in msgs.items():
+            assert msg.shape == want[key].shape
+            assert bits(msg) == bits(want[key])
+        assert getattr(store, kind + "_scale") == getattr(ref, kind + "_scale")
+    for vid, m in marginals.items():
+        expect = marginal_at(ref, vid)
+        assert bits(m.msg) == bits(expect.msg) and m.exponent == expect.exponent
+
+
+class TestLevelPlan:
+    """run compiles a level plan; every message it computes equals the
+    per-edge step API's, bit for bit."""
+
+    def test_plan_matches_step_api(self, rng):
+        for trial in range(30):
+            g, _ = random_forest(rng)
+            g = with_zeros(rng, g)
+            root = None if trial % 2 else g.variables[int(rng.integers(len(g.variables)))].id
+            cases = [(s, None) for s in (SUM_PRODUCT, MAX_PRODUCT, BOOLEAN, ENTROPY)]
+            for k in (1, 2, 3):
+                comps = [rng.uniform(-3.0, 3.0, (k, f.values.size)) for f in g.factors]
+                cases.append((ENTROPY, comps if k > 1 else [c[0] for c in comps]))
+            for s, comps in cases:
+                tables = carriers(g, s, comps)
+                for two_pass in (False, True):
+                    for rescale in (False, True):
+                        assert_run_matches_steps(g, s, root, two_pass, rescale, tables)
+
+    def test_deepest_plan_matches_step_api(self, rng):
+        # a chain: one message per level, 3000 levels per pass
+        n = 3000
+        variables = [VariableDecl(f"x{i}", 2) for i in range(n)]
+        factors = [FactorTable("u", ("x0",), rng.uniform(0.05, 2.0, 2))] + [
+            FactorTable(f"f{i}", (f"x{i - 1}", f"x{i}"), rng.uniform(0.05, 2.0, 4))
+            for i in range(1, n)
+        ]
+        g = FactorGraph(variables, factors)
+        comps = [rng.uniform(-3.0, 3.0, f.values.size) for f in factors]
+        assert_run_matches_steps(g, ENTROPY, "x1500", True, True, carriers(g, ENTROPY, comps))
+
+    def test_plan_is_cached_with_the_graph(self):
+        g = star_tree()
+        run(g, SUM_PRODUCT, two_pass=True)
+        plans = dict(g.plans)
+        run(g, ENTROPY)
+        run(g, MAX_PRODUCT, root="x1", rescale=True)
+        assert g.plans == plans
+        run(g, SUM_PRODUCT, root="x3")
+        assert len(g.plans) == 2
