@@ -34,7 +34,7 @@ from .oracle import (
     enumerate_marginal,
     enumerate_z,
 )
-from .propagation import fold_exponent, run, scale_exponents, total_sum
+from .propagation import fold_exponent, product_of_totals, run, total_sum
 from .semiring import SUM_PRODUCT, get_semiring
 
 _CHECK_TOL = 1e-9
@@ -143,14 +143,8 @@ def _folded(mantissas: list, exponent: int) -> tuple[list, float]:
 def cmd_partition(args):
     pg = fgio.load_graph(args.graph)
     s = get_semiring(args.semiring)
-    marginals, _ = run(pg.graph, s, root=args.root, rescale=True)
-    z, exponent = s.one, 0
-    for marg in marginals.values():
-        # rescaled, so that many components cannot overflow the product
-        z = s.mul(z, s.reduce_msg(marg.msg))
-        e = int(scale_exponents(z))
-        z, exponent = math.ldexp(z, -e), exponent + marg.exponent + e
-    (z,), log_scale = _folded([z], exponent)
+    marginals, _ = run(pg.graph, s, root=args.root)
+    (z,), log_scale = _folded(*product_of_totals(s, marginals))
     return 0, {"Z": z, "log_scale": log_scale}
 
 
@@ -158,10 +152,10 @@ def cmd_marginal(args):
     pg = fgio.load_graph(args.graph)
     s = get_semiring(args.semiring)
     if args.var is not None:
-        marginals, _ = run(pg.graph, s, root=args.var, rescale=True)
+        marginals, _ = run(pg.graph, s, root=args.var)
         marginals = {args.var: marginals[args.var]}
     else:
-        marginals, _ = run(pg.graph, s, two_pass=True, rescale=True)
+        marginals, _ = run(pg.graph, s, two_pass=True)
     out, log_scale = {}, {}
     for vid, marg in marginals.items():
         out[vid], log_scale[vid] = _folded([float(x) for x in marg.scores()], marg.exponent)
@@ -186,7 +180,7 @@ def cmd_entropy(args):
                 " document or pass --derive-g"
             )
         wg = WeightedGraph(pg.graph, companions)
-        res = posterior_entropy(wg, root=args.root, rescale=True)
+        res = posterior_entropy(wg, root=args.root)
     (z, h), log_scale = _folded([res.Z, res.H], res.exponent)
     return 0, {
         "Z": z,
@@ -253,7 +247,7 @@ def _rel_err(a: float, b: float) -> float:
 def _check_graph(graph: FactorGraph, companions) -> float:
     """Worst relative disagreement between the engine and enumeration."""
     worst = 0.0
-    marginals, _ = run(graph, SUM_PRODUCT, two_pass=True, rescale=True)
+    marginals, _ = run(graph, SUM_PRODUCT, two_pass=True)
     for vid, marg in marginals.items():
         oracle_m = enumerate_marginal(graph, vid)
         for a, b in zip(marg.scores(), oracle_m):
@@ -265,15 +259,13 @@ def _check_graph(graph: FactorGraph, companions) -> float:
 
     if companions is not None:
         wg = WeightedGraph(graph, companions)
-        res = compute_zh(wg, rescale=True)
+        res = compute_zh(wg)
         worst = max(worst, _rel_err(math.ldexp(res.Z, res.exponent), enumerate_z(graph)),
                     _rel_err(math.ldexp(res.H, res.exponent), enumerate_h(graph, companions)))
     # the posterior-entropy leg only makes sense for nonnegative tables
     # with usable evidence; sum-product legs above cover the rest
     if all(np.all(f.values >= 0.0) for f in graph.factors) and z_engine > 1e-300:
-        post = posterior_entropy(
-            WeightedGraph(graph, derive_log2_companions(graph)), rescale=True
-        )
+        post = posterior_entropy(WeightedGraph(graph, derive_log2_companions(graph)))
         worst = max(worst, _rel_err(post.entropy_bits, enumerate_entropy(graph)))
     return worst
 

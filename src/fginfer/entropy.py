@@ -13,9 +13,11 @@ give the entropy of the distribution the graph defines:
     H(X) = -H/Z + log2(Z)   [bits]
 
 which is exactly the posterior entropy of a model conditioned on observed
-evidence once the evidence has been folded into the tables. Rescaled
-runs report (Z, H) as mantissas times 2^E: H/Z ignores the factor and
-log2(Z) adds E, so the formula stays finite far past float range.
+evidence once the evidence has been folded into the tables. Every run is
+rescaled and carries (Z, H) as mantissas times 2^E: H/Z ignores the
+factor and log2(Z) adds E, so the formula stays finite far past float
+range. Results fold 2^E back in (:func:`fginfer.propagation.fold_exponent`)
+whenever Z and H are finite normal floats.
 
 Companions of shape (k, n) give k totals H_1 ... H_k from the same single
 pass, H_c with g = the c-th row; :mod:`fginfer.learning` stacks its
@@ -23,13 +25,13 @@ gradient and EM companions this way.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NonFiniteTotal, OutOfDomain, ZeroEvidence
 from .graph import FactorGraph, FactorTable, validate
-from .propagation import lift_tables, run, scale_exponents
+from .propagation import fold_exponent, lift_tables, product_of_totals, run, scale_exponents
 from .semiring import ENTROPY, Semiring
 
 _LN2 = math.log(2.0)
@@ -53,18 +55,20 @@ class WeightedFactor:
 class EntropyResult:
     """The (Z, H) pair of a run, with its scale and derived entropy.
 
-    When rescaling was on, ``Z`` and ``H`` are mantissas: the true totals
-    are Z * 2^exponent and H * 2^exponent, and ``log_scale`` is
-    exponent * ln 2. ``H`` is a float, or a length-k array when the
-    companions had k columns. ``entropy_bits`` is filled in by
-    :func:`entropy_from_zh` and is None otherwise.
+    The true totals are Z * 2^exponent and H * 2^exponent, and
+    ``log_scale`` is exponent * ln 2. ``H`` is a float, or a length-k
+    array when the companions had k columns. ``entropy_bits`` is filled in
+    by :func:`entropy_from_zh` and is None otherwise.
     """
 
     Z: float
     H: float | np.ndarray
-    log_scale: float = 0.0
     entropy_bits: float | None = None
     exponent: int = 0
+
+    @property
+    def log_scale(self) -> float:
+        return self.exponent * _LN2
 
     def scaled_h(self) -> float:
         return self.H * math.exp(self.log_scale)
@@ -170,58 +174,48 @@ def _as_weighted(g) -> WeightedGraph:
     return WeightedGraph(g)
 
 
-def compute_zh(wg, root: str | None = None, rescale: bool = False) -> EntropyResult:
+def compute_zh(wg, root: str | None = None) -> EntropyResult:
     """Z and H of a weighted graph in a single entropy-semiring pass.
 
     On forests the per-component pairs are combined with the semiring
     product (scores multiply; aux terms follow the product rule), which is
     the joint (Z, H) of the independent components. With (k, n)
-    companions ``H`` holds the k totals, from the same one pass.
+    companions ``H`` holds the k totals, from the same one pass. Z and H
+    are the totals, with ``exponent`` 0, if all are finite normal floats,
+    else mantissas (:func:`fginfer.propagation.fold_exponent`).
     """
     wg = _as_weighted(wg)
-    marginals, store = run(
-        wg.graph, ENTROPY, root=root, two_pass=False, rescale=rescale,
-        tables=wg.carrier_tables(ENTROPY),
-    )
-    z, h, exponent = 1.0, 0.0, 0
-    for marg in marginals.values():
-        w = ENTROPY.reduce_msg(marg.msg)
-        z, h = z * w.score, z * w.aux + w.score * h
-        # rescaled, so that many components cannot overflow the product
-        e = int(scale_exponents(z)) if rescale else 0
-        if e:
-            z = math.ldexp(z, -e)
-            h = math.ldexp(h, -e) if type(h) is float else np.ldexp(h, -e)
-        exponent += marg.exponent + e
-    if wg.stacked:
-        h = np.atleast_1d(h)
-    return EntropyResult(Z=z, H=h, log_scale=exponent * _LN2, exponent=exponent)
+    marginals, _ = run(wg.graph, ENTROPY, root=root, tables=wg.carrier_tables(ENTROPY))
+    (z, *h), exponent = fold_exponent(*product_of_totals(ENTROPY, marginals))
+    return EntropyResult(Z=z, H=np.array(h) if wg.stacked else h[0], exponent=exponent)
 
 
-def posterior_entropy(wg, root: str | None = None, rescale: bool = False) -> EntropyResult:
+def posterior_entropy(wg, root: str | None = None, rescale: bool = True) -> EntropyResult:
     """Entropy in bits of the distribution defined by a weighted graph.
 
     Requires nonnegative tables whose companions are the base-2 logs of the
-    values (undefined at zeros). The result combines the run's pair as
-    -H/Z + log2(Z), reconstructing log2(Z) from the exponent.
-    Raises ZeroEvidence when the weight the run holds is numerically zero
-    (below 1e-300): without rescaling that is the full total, with rescaling
-    it is the order-one mantissa, so long chains whose true evidence only
-    underflows in the unscaled representation still get an entropy.
-    Raises NonFiniteTotal when Z or H left float range, which only an
-    unrescaled run can do. Tiny negative outcomes from roundoff (>= -1e-9)
-    are clamped to exactly 0.
+    values (undefined at zeros). Z and H are reported as by
+    :func:`compute_zh`; the bits, -H/Z + log2(Z) + E, come from the
+    mantissas, Z in [1, 2), so ZeroEvidence means no assignment has
+    weight, never that Z underflows. Raises NonFiniteTotal when table
+    entries near the float maximum overflow one factor's sum. Tiny
+    negative outcomes from roundoff (>= -1e-9) are clamped to exactly 0.
+    ``rescale`` has no effect: the benchmark still passes it, and ROADMAP
+    item 1 removes it.
     """
-    res = compute_zh(wg, root=root, rescale=rescale)
-    return entropy_from_zh(res.Z, res.H, res.exponent)
+    res = compute_zh(wg, root=root)
+    # undo the fold: back to the pass's mantissas, Z in [1, 2)
+    e = int(scale_exponents(res.Z))
+    z, h = math.ldexp(res.Z, -e), math.ldexp(res.H, -e)
+    return replace(res, entropy_bits=entropy_from_zh(z, h, res.exponent + e).entropy_bits)
 
 
 def entropy_from_zh(z: float, h: float, exponent: int) -> EntropyResult:
     """The entropy result of a run's (Z, H) mantissas and exponent E.
 
     Applies the rules :func:`posterior_entropy` documents: ZeroEvidence for
-    Z <= 0 or Z < 1e-300, NonFiniteTotal for a Z or H that left float
-    range, bits = -H/Z + log2(Z) + E, and roundoff negatives down to -1e-9
+    Z <= 0 or Z < 1e-300, NonFiniteTotal for a Z or H that is not finite,
+    bits = -H/Z + log2(Z) + E, and roundoff negatives down to -1e-9
     clamped to 0.
     """
     if z <= 0.0:
@@ -229,13 +223,12 @@ def entropy_from_zh(z: float, h: float, exponent: int) -> EntropyResult:
     if z < _Z_FLOOR:
         raise ZeroEvidence(f"total weight {z} is below 1e-300")
     if not (math.isfinite(z) and math.isfinite(h)):
-        raise NonFiniteTotal(
-            f"totals Z = {z}, H = {h} left float range; run with rescale=True"
-        )
-    bits = -h / z + (math.log(z) + exponent * _LN2) / _LN2
+        raise NonFiniteTotal(f"totals Z = {z}, H = {h}: table entries are too large for"
+                             " a factor's sum to stay in float range; scale them down")
+    bits = -h / z + math.log2(z) + exponent
     if -1e-9 <= bits < 0.0:
         bits = 0.0
-    return EntropyResult(z, h, exponent * _LN2, bits, exponent)
+    return EntropyResult(z, h, bits, exponent)
 
 
 def entropy_in_base(bits: float, base: str) -> float:

@@ -73,7 +73,8 @@ class ZeroEvidence(FactorGraphError):
 
 
 class NonFiniteTotal(FactorGraphError):
-    """A total left float range (inf or NaN) in a run without rescaling."""
+    """A total is inf or NaN: table entries so large that one factor's sum
+    overflows before the pass can rescale it."""
 
     kind = "NonFiniteTotal"
     exit_code = 2

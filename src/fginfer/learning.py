@@ -21,8 +21,9 @@ surrogate collapses to a scalar equation with solution
 where H_a is the H-value with g_k = u_k and H_b the one with g_k = v_k,
 both with f at the previous parameter point; one pass with the two
 columns [u_k; v_k] gives both. The reported residual substitutes
-theta_new back into that scalar equation. The EM pass is rescaled, so
-H_a / H_b stays exact when the totals themselves leave float range.
+theta_new back into that scalar equation. Every pass is rescaled (see
+:mod:`fginfer.propagation`), so H_a / H_b stays exact when the totals
+themselves leave float range.
 """
 
 import copy
@@ -204,13 +205,15 @@ def _quotient_companions(values: list, grads: list, what: str) -> list:
     return _split(q, [v.size for v in values])
 
 
-def gradient_at(pf: ParametricFactorSet, theta, rescale: bool = False) -> np.ndarray:
+def gradient_at(pf: ParametricFactorSet, theta, rescale: bool = True) -> np.ndarray:
     """Exact gradient of the total weight p(theta), every component from one
     engine pass.
 
     Component j is the H-value with f = tables at theta and companion
     column g_k = (d p_k / d theta_j) / p_k. Raises UndefinedQuotient where a
-    zero table value carries a nonzero gradient.
+    zero table value carries a nonzero gradient, and OverflowError once
+    the totals overflow (ROADMAP item 1 makes that exact). ``rescale`` has
+    no effect: the benchmark still passes it, and item 1 removes it.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.size != pf.dim:
@@ -218,7 +221,7 @@ def gradient_at(pf: ParametricFactorSet, theta, rescale: bool = False) -> np.nda
     values = pf.tables_at(theta)
     companions = _quotient_companions(values, pf.grads_at(theta), "table")
     wg = WeightedGraph(pf.graph_with(values), companions)
-    return compute_zh(wg, rescale=rescale).scaled_h()
+    return compute_zh(wg).scaled_h()
 
 
 def grad_ascent_step(pf: ParametricFactorSet, theta, step: float = 1.0) -> np.ndarray:
@@ -232,7 +235,7 @@ def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
 
     Uses the tables at the previous point (``base_tables``, or evaluated at
     ``theta_old`` when callables are available), computes H_a with g = u
-    and H_b with g = v in one rescaled pass, and returns
+    and H_b with g = v in one pass, and returns
     theta_new = -(H_a / H_b) * lam from the ratio of the mantissas, in
     which 2^E cancels exactly. Totals past float range are reported as
     mantissas with their ``exponent``. Raises DegenerateMStep when the
@@ -252,7 +255,7 @@ def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
             raise ValueError(f"factor {pf.factor_ids[k]!r}: u/v length differs from table")
     uv = np.vstack((np.concatenate(pf.u), np.concatenate(pf.v)))
     wg = WeightedGraph(pf.graph_with(tables), _split(uv, [t.size for t in tables]))
-    res = compute_zh(wg, rescale=True)
+    res = compute_zh(wg)
     (h_a, h_b), exponent = fold_exponent(res.H.tolist(), res.exponent)
     if (abs(h_a) < 1e-300 and abs(h_b) < 1e-300) or abs(h_b) < 1e-12 * abs(h_a):
         raise DegenerateMStep(
@@ -270,14 +273,13 @@ def em_q_gradient(pf: ParametricFactorSet, theta_old, theta_i) -> np.ndarray:
     """Gradient of the EM surrogate: expectations under the old point.
 
     f is evaluated at theta_old, the companion columns
-    (d p_k / d theta_j) / p_k at theta_i, all in one rescaled pass whose
-    exponent is folded back exactly; a component past float range reads
+    (d p_k / d theta_j) / p_k at theta_i, all in one pass whose exponent
+    is folded back exactly; a component past float range reads
     +-inf. At a theta_new returned by :func:`em_linear_step` for a
     genuinely linear family this vanishes.
     """
     f_i = pf.tables_at(theta_i)
     companions = _quotient_companions(f_i, pf.grads_at(theta_i), "evaluation-point")
-    res = compute_zh(WeightedGraph(pf.graph_with(pf.tables_at(theta_old)), companions),
-                     rescale=True)
+    res = compute_zh(WeightedGraph(pf.graph_with(pf.tables_at(theta_old)), companions))
     with np.errstate(over="ignore"):
         return np.ldexp(res.H, res.exponent)

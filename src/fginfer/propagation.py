@@ -30,12 +30,12 @@ the semiring at call time. The per-edge step API (:class:`MessageStore`,
 call with the same kernels and is the plan's reference in the tests:
 every message of a run equals its message bit for bit.
 
-Optional per-message rescaling multiplies a fresh message by 2^-e, which
-puts its largest score magnitude in [1, 2), and adds the integer e to a
-per-edge total E, so long chains neither underflow nor overflow. Powers
-of two are exact away from subnormals: a rescaled message times 2^E is
-the unrescaled one bit for bit. Boolean messages never scale. Quantities
-that are ratios of message components do not feel the scaling at all.
+Every fresh message is multiplied by 2^-e, which puts its largest score
+magnitude in [1, 2), and e is added to its integer exponent E, so long
+chains neither underflow nor overflow. Powers of two are exact away from
+subnormals: tables times 2^j leave every mantissa as it was, bit for
+bit, and add the j to E. Boolean messages never scale. Quantities that
+are ratios of message components do not feel the scaling at all.
 
 Everything here is single threaded; stores must not be shared across
 threads while messages are still being written.
@@ -62,19 +62,17 @@ class MessageStore:
     ``q`` maps (variable index, factor index) to variable-to-factor
     messages; ``r`` maps (factor index, variable index) to factor-to-
     variable messages. The parallel ``q_scale`` / ``r_scale`` dicts carry
-    the integer exponent E of each message, its scale 2^E (all zero when
-    rescaling is off). ``tables`` holds every factor's carrier table side
-    by side in factor order, as :func:`lift_tables` returns them; by
-    default the graph's own tables, lifted. Message vectors are owned by
-    the store and must be treated as immutable by callers.
+    the integer exponent E of each message, its scale 2^E. ``tables``
+    holds every factor's carrier table side by side in factor order, as
+    :func:`lift_tables` returns them; by default the graph's own tables,
+    lifted. Message vectors are owned by the store and must be treated as
+    immutable by callers.
     """
 
-    def __init__(self, graph: FactorGraph, semiring: Semiring, rescale: bool = False,
-                 tables=None):
+    def __init__(self, graph: FactorGraph, semiring: Semiring, tables=None):
         graph.ensure_checked()
         self.graph = graph
         self.semiring = semiring
-        self.rescale = bool(rescale)
         self.tables = lift_tables(semiring, graph.factors) if tables is None else tables
         # set by a level plan's run to build the four dicts on first use
         self.spread = None
@@ -212,8 +210,7 @@ def _send_v2f(store: MessageStore, vi: int, fi: int):
         msg = msgs[0]
     else:
         msg = s.combine(msgs)
-        if store.rescale:
-            acc += int(_rescale(s, msg, [0], 0)[0])
+        acc += int(_rescale(s, msg, [0], 0)[0])
     store.q[(vi, fi)] = msg
     store.q_scale[(vi, fi)] = acc
     return msg
@@ -244,8 +241,7 @@ def _send_f2v(store: MessageStore, fi: int, vi: int):
     _, digits, table, terms = _contraction_index(store.shapes, np.array([fi]), np.array([tpos]))
     msg = s.contract(store.tables[:, table], [m[:, d] for m, d in zip(incoming, digits)],
                      terms)
-    if store.rescale:
-        acc += int(_rescale(s, msg, [0], 0)[0])
+    acc += int(_rescale(s, msg, [0], 0)[0])
     store.r[(fi, vi)] = msg
     store.r_scale[(fi, vi)] = acc
     return msg
@@ -332,7 +328,11 @@ def marginal_at(store: MessageStore, var_id: str) -> MarginalResult:
             )
         msgs.append(m)
         acc += store.r_scale.get(key, 0)
-    msg = msgs[0] if len(msgs) == 1 else store.semiring.combine(msgs)
+    if len(msgs) == 1:
+        msg = msgs[0]
+    else:
+        msg = store.semiring.combine(msgs)
+        acc += int(_rescale(store.semiring, msg, [0], 0)[0])
     return MarginalResult(variable=var_id, msg=msg, log_scale=acc * _LN2,
                           semiring=store.semiring, exponent=acc)
 
@@ -358,7 +358,6 @@ class _Group:
     member: np.ndarray
     table: np.ndarray | None = None
     terms: np.ndarray | None = None
-    rescaled: bool = True
 
 
 class LevelPlan:
@@ -433,16 +432,15 @@ class LevelPlan:
                 np.array([g.factor_vars[edges[m][2]].index(edges[m][1]) for m in ms]))
             return self._group(ms, inputs, slot, card, member, digits, table=table, terms=terms)
 
-        def products(ms, rescaled=True):
+        def products(ms):
             _, member, within = _entries(np.array([card[m] for m in ms], dtype=int))
-            return self._group(ms, inputs, slot, card, member, [within] * len(inputs[ms[0]]),
-                               rescaled=rescaled)
+            return self._group(ms, inputs, slot, card, member, [within] * len(inputs[ms[0]]))
 
         self.passes: tuple[list, list] = ([], [])
         for (down, _, contraction), ms in zip(keys, members):
             self.passes[down].append(contractions(ms) if contraction else products(ms))
         self.marginals = [([vid for vid, _ in ids], slot[[m for _, m in ids]].tolist(),
-                           products(ms, rescaled=False) if ms else None)
+                           products(ms) if ms else None)
                           for (ids, _), ms in zip(marginals, marginal_members)]
         # every edge's (to_factor, variable, factor, slot), by pass
         self.edges = np.column_stack((np.array(edges, dtype=int), slot[source]))
@@ -472,28 +470,23 @@ class LevelPlan:
 
     def execute(self, store: MessageStore, two_pass: bool) -> dict:
         """Run the passes into ``store``; returns the marginals."""
-        s, tables, rescale = store.semiring, store.tables, store.rescale
+        s, tables = store.semiring, store.tables
         buf = np.zeros((len(tables), self.n_entries))
         buf[0, :self.n_ones] = 1.0
         exps = np.zeros(len(self.spans), dtype=np.int64)
         ids, slots, marginal_group = self.marginals[two_pass]
         groups = self.passes[0] + self.passes[1] if two_pass else self.passes[0]
-        # an unrescaled pass past float range reads inf, as documented
-        with np.errstate(over="ignore"):
-            for group in groups + ([marginal_group] if marginal_group else []):
-                ins = [buf[:, i] for i in group.gathers]
-                if group.terms is None:
-                    out = s.combine(ins)
-                else:
-                    out = s.contract(tables[:, group.table], ins, group.terms)
-                if rescale:
-                    e = np.zeros(len(group.starts), dtype=np.int64)
-                    for x in group.exp_in:
-                        e[:len(x)] += exps[x]
-                    if group.rescaled:
-                        e += _rescale(s, out, group.starts, group.member)
-                    exps[group.slots] = e
-                buf[:, group.lo:group.hi] = out
+        for group in groups + ([marginal_group] if marginal_group else []):
+            ins = [buf[:, i] for i in group.gathers]
+            if group.terms is None:
+                out = s.combine(ins)
+            else:
+                out = s.contract(tables[:, group.table], ins, group.terms)
+            e = _rescale(s, out, group.starts, group.member).astype(np.int64)
+            for x in group.exp_in:
+                e[:len(x)] += exps[x]
+            exps[group.slots] = e
+            buf[:, group.lo:group.hi] = out
         spans = self.spans.tolist() + [self.n_entries]
         views = [buf[:, a:b] for a, b in zip(spans, spans[1:])]
         ex = exps.tolist()
@@ -526,31 +519,49 @@ def level_plan(g: FactorGraph, root: str | None = None, two_pass: bool = False) 
 
 
 def run(g: FactorGraph, s: Semiring, root: str | None = None, two_pass: bool = False,
-        rescale: bool = False, tables=None):
+        rescale: bool = True, tables=None):
     """Run message passing to completion; returns (marginals, store).
 
     One pass computes the marginal at the root (and at each extra
     component's local root on forests); ``two_pass=True`` computes the
-    marginal of every variable. ``tables`` optionally supplies the lifted
-    carrier tables, as :func:`lift_tables` or
-    :meth:`fginfer.entropy.WeightedGraph.carrier_tables` return them;
-    by default the graph's tables are lifted without companions.
+    marginal of every variable, as a mantissa times 2^``exponent``.
+    ``tables`` optionally supplies the lifted carrier tables, as
+    :func:`lift_tables` or :meth:`fginfer.entropy.WeightedGraph.carrier_tables`
+    return them; by default the graph's tables are lifted without
+    companions. ``rescale`` has no effect: the benchmark still passes it,
+    and ROADMAP item 1 removes it.
     """
-    store = MessageStore(g, s, rescale=rescale, tables=tables)
+    store = MessageStore(g, s, tables=tables)
     return level_plan(g, root, two_pass).execute(store, two_pass), store
 
 
-def total_sum(marginal: MarginalResult, s: Semiring | None = None, apply_scale: bool = True):
+def product_of_totals(s: Semiring, marginals: dict) -> tuple[list, int]:
+    """The semiring product of the totals of a run's component marginals:
+    its k + 1 mantissas, score first, and the exponent E. It is rescaled
+    after every component, so that many components cannot overflow it."""
+    acc, exponent = None, 0
+    for marg in marginals.values():
+        total = s.reduce_terms(marg.msg, np.arange(marg.msg.shape[1])[None, :])
+        if acc is None:
+            acc = total
+        else:
+            s.mul_entries(acc, total)
+        e = int(scale_exponents(acc[0, 0]))
+        acc = np.ldexp(acc, -e)
+        exponent += marg.exponent + e
+    return acc[:, 0].tolist(), exponent
+
+
+def total_sum(marginal: MarginalResult, s: Semiring | None = None):
     """Semiring sum of a marginal vector: the per-component total weight.
 
-    With ``apply_scale`` the exponent is folded back in exactly, as
-    ldexp(total, exponent), so a rescaled run's total equals the
-    unrescaled run's bit for bit; a total past float range reads inf.
-    Without it the total is the mantissa, to be kept with ``exponent``.
+    The exponent is folded back in exactly, as ldexp(total, exponent); a
+    total past float range reads inf. ``s.reduce_msg(marginal.msg)`` is
+    the mantissa, to be kept with ``exponent``.
     """
     s = s or marginal.semiring
     w = s.reduce_msg(marginal.msg)
-    if apply_scale and marginal.exponent:
+    if marginal.exponent:
         with np.errstate(over="ignore"):
             if isinstance(w, tuple):
                 w = type(w)(*(_ldexp(x, marginal.exponent) for x in w))

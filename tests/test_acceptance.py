@@ -109,7 +109,7 @@ def test_criterion_03_oracle_equivalence():
         assert rel_err(res.H, enumerate_h(g, companions)) <= 1e-9
         marginals, _ = run(g, SUM_PRODUCT, two_pass=True)
         for vid, marg in marginals.items():
-            for a, b in zip(marg.scores(), enumerate_marginal(g, vid)):
+            for a, b in zip(np.ldexp(marg.scores(), marg.exponent), enumerate_marginal(g, vid)):
                 assert rel_err(a, float(b)) <= 1e-9
         post = posterior_entropy(WeightedGraph(g, derive_log2_companions(g)))
         assert rel_err(post.entropy_bits, enumerate_entropy(g)) <= 1e-9

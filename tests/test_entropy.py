@@ -212,12 +212,18 @@ class TestPosteriorEntropy:
         assert res.entropy_bits == 0.0
 
     def test_rescaled_run_same_entropy(self, rng):
+        # tables times 2^j, often past float range, define the same
+        # distribution; rescale= has no effect
         for _ in range(10):
             g, _ = random_tree(rng)
             wg = WeightedGraph(g, derive_log2_companions(g))
-            plain = posterior_entropy(wg)
-            scaled = posterior_entropy(wg, rescale=True)
-            assert_close(scaled.entropy_bits, plain.entropy_bits, what="bits")
+            res = posterior_entropy(wg)
+            assert posterior_entropy(wg, rescale=False) == res
+            moved = FactorGraph(g.variables, [
+                FactorTable(f.id, f.scope, np.ldexp(f.values, int(j)))
+                for f, j in zip(g.factors, rng.integers(-400, 401, len(g.factors)))])
+            scaled = posterior_entropy(WeightedGraph(moved, derive_log2_companions(moved)))
+            assert_close(scaled.entropy_bits, res.entropy_bits, what="bits")
 
     def test_subnormal_message_maximum(self):
         # only state 1 can emit symbol 2, and the backward message carries it
@@ -225,17 +231,32 @@ class TestPosteriorEntropy:
         # dividing by that maximum used to give NaN
         h = HmmSpec([0.5, 0.5], np.eye(2), [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]],
                     [0] * 10 + [2] + [0] * 1030)
-        res = posterior_entropy(hmm_to_weighted_graph(h), rescale=True)
+        res = posterior_entropy(hmm_to_weighted_graph(h))
         assert res.entropy_bits == 0.0
         assert res.log2_z() == -2082.0
 
     def test_past_float_range_without_rescaling(self):
-        # Z overflows to inf and H to NaN; that used to come back as NaN bits
+        # log2 Z = 1200 + 1199 log2 1.5: the default call, with no rescale
+        # argument, reports Z and H as mantissas with their exponent
         wg = WeightedGraph(heap_tree(), derive_log2_companions(heap_tree()))
-        with pytest.raises(NonFiniteTotal, match="rescale=True"):
-            posterior_entropy(wg)
+        res = posterior_entropy(wg)
+        assert res.entropy_bits == pytest.approx(1200.0)
+        assert res.exponent > 1024 and 1.0 <= res.Z < 2.0
+        assert_close(res.log2_z(), 1200 + 1199 * math.log2(1.5), tol=1e-14)
+
+    def test_table_magnitude_overflow_is_non_finite(self):
+        # rescaling acts on whole messages: eight entries of 1.7e308 times
+        # the unary messages 1.5 overflow inside one factor's sum
+        g = FactorGraph([VariableDecl(n, 2) for n in "abc"], [
+            FactorTable("fa", ("a",), np.array([1.5, 1.5])),
+            FactorTable("fb", ("b",), np.array([1.5, 1.5])),
+            FactorTable("fabc", ("a", "b", "c"), np.full(8, 1.7e308)),
+        ])
+        wg = WeightedGraph(g, derive_log2_companions(g))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteTotal, match="table entries are too large"):
+                posterior_entropy(wg, rescale=True)
         assert NonFiniteTotal.exit_code == ZeroEvidence.exit_code == 2
-        assert posterior_entropy(wg, rescale=True).entropy_bits == pytest.approx(1200.0)
 
 
 class TestBaseConversion:

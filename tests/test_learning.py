@@ -182,11 +182,12 @@ class TestGradientAt:
         assert_close(gradient_at(pf, [0.0])[0], 1.0)
 
     def test_rescaled_run_matches(self, rng):
+        # every pass is rescaled; the rescale keyword has no effect
         pf = random_affine_tree(rng, 2)
         theta = rng.uniform(-0.5, 0.5, 2)
-        assert np.allclose(
-            gradient_at(pf, theta), gradient_at(pf, theta, rescale=True)
-        )
+        grad = gradient_at(pf, theta)
+        for rescale in (False, True):
+            assert bits(gradient_at(pf, theta, rescale=rescale)) == bits(grad)
 
 
 class TestGradAscentStep:
@@ -361,10 +362,9 @@ class TestOnePassEqualsPerComponentLoop:
             theta = rng.uniform(-0.5, 0.5, dim)
             values, grads = pf.tables_at(theta), pf.grads_at(theta)
             graph = pf.graph_with(values)
-            for rescale in (False, True):
-                loop = [compute_zh(WeightedGraph(graph, quotients(values, grads, j)),
-                                   rescale=rescale).scaled_h() for j in range(dim)]
-                assert bits(gradient_at(pf, theta, rescale=rescale)) == bits(loop)
+            loop = [compute_zh(WeightedGraph(graph, quotients(values, grads, j))).scaled_h()
+                    for j in range(dim)]
+            assert bits(gradient_at(pf, theta)) == bits(loop)
 
     def test_em_linear_step(self, rng):
         for _ in range(12):
@@ -396,7 +396,7 @@ class TestOnePassEqualsPerComponentLoop:
 
 class TestPastFloatRange:
     """The 1200-variable heap tree: log2 Z = 1200 + 1199 log2 1.5 = 1901.4,
-    past float range, so unrescaled totals are inf and their ratios NaN."""
+    past float range, so totals come back as mantissas with an exponent."""
 
     n = 1200
     log2_z = 1200 + 1199 * np.log2(1.5)
@@ -438,3 +438,14 @@ class TestPastFloatRange:
         expected = np.log2(self.n - 1) + np.log2(eps) + self.log2_z
         assert np.isfinite(q).all()
         assert_close(np.log2(q[0]), expected, tol=1e-14)
+
+    def test_gradient_overflow_is_an_error(self):
+        # the gradient (n - 1) Z is past float range too: scaled_h raises
+        # OverflowError, where an unrescaled pass returned NaN
+        g, kw = self.tree_set()
+        pf = ParametricFactorSet.affine(
+            base_tables=[f.values for f in g.factors],
+            coeff_tables=[f.values[None, :] for f in g.factors], **kw,
+        )
+        with pytest.raises(OverflowError):
+            gradient_at(pf, [0.0])

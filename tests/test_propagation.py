@@ -24,7 +24,14 @@ from fginfer import (
     total_sum,
     variable_to_factor,
 )
-from fginfer.oracle import enumerate_marginal, enumerate_z
+from fginfer.oracle import (
+    boolean_satisfiable,
+    enumerate_h,
+    enumerate_marginal,
+    enumerate_z,
+    max_product_value,
+)
+from fginfer.propagation import fold_exponent, product_of_totals
 
 from conftest import assert_close, bits, heap_tree, random_tree, ulps_apart
 
@@ -36,6 +43,11 @@ def graph_of(variables, factors):
 def carriers(g, s, companions):
     """The lifted carrier tables of g with companions, for ``tables=``."""
     return WeightedGraph(g, companions).carrier_tables(s)
+
+
+def plain(m) -> list:
+    """A marginal's scores times 2^exponent."""
+    return np.ldexp(m.scores(), m.exponent).tolist()
 
 
 def chain3():
@@ -75,7 +87,8 @@ class TestLeafInit:
             ],
         )
         store = init_leaf_messages(MessageStore(g, SUM_PRODUCT))
-        assert store.r[(0, 0)].tolist() == [[0.3, 0.7]]
+        assert (store.r[(0, 0)].tolist(), store.r_scale[(0, 0)]) == ([[0.6, 1.4]], -1)
+        assert np.ldexp(store.r[(0, 0)], -1).tolist() == [[0.3, 0.7]]
 
     def test_leaf_variable_sends_ones(self):
         g = graph_of(
@@ -98,8 +111,9 @@ class TestLeafInit:
             MessageStore(g, ENTROPY, tables=carriers(g, ENTROPY, [np.array([-1.0, -1.0]), None]))
         )
         scores, aux = store.r[(0, 0)].tolist()
-        assert scores == [0.5, 0.5]
-        assert aux == [-0.5, -0.5]
+        assert scores == [1.0, 1.0]
+        assert aux == [-1.0, -1.0]
+        assert store.r_scale[(0, 0)] == -1
 
 
 class TestMessageKernels:
@@ -115,7 +129,8 @@ class TestMessageKernels:
         )
         store = init_leaf_messages(MessageStore(g, SUM_PRODUCT))
         q = variable_to_factor(store, "x", "c")
-        assert q.tolist() == [[8.0, 15.0]]
+        # [8, 15] as a mantissa and exponent
+        assert (q.tolist(), store.q_scale[(0, 2)]) == ([[1.0, 1.875]], 3)
 
     def test_variable_to_factor_empty_product_is_ones(self):
         g = graph_of(
@@ -138,7 +153,7 @@ class TestMessageKernels:
         store.r[(0, 0)] = np.array([[1.0], [1.0]])
         store.r[(1, 0)] = np.array([[2.0], [0.0]])
         scores, aux = variable_to_factor(store, "x", "c")
-        assert (scores[0], aux[0]) == (2.0, 2.0)
+        assert (scores[0], aux[0], store.q_scale[(0, 2)]) == (1.0, 1.0, 1)
 
     def test_factor_to_variable_row_sums(self):
         g = graph_of(
@@ -148,7 +163,7 @@ class TestMessageKernels:
         store = MessageStore(g, SUM_PRODUCT)
         store.q[(1, 0)] = np.array([[1.0, 1.0]])
         r = factor_to_variable(store, "f", "x1")
-        assert r.tolist() == [[3.0, 7.0]]
+        assert (r.tolist(), store.r_scale[(0, 0)]) == ([[0.75, 1.75]], 2)
 
     def test_factor_to_variable_boolean_or(self):
         g = graph_of(
@@ -165,7 +180,8 @@ class TestMessageKernels:
             [FactorTable("f", ("x",), np.array([0.25, 0.75]))],
         )
         store = MessageStore(g, SUM_PRODUCT)
-        assert factor_to_variable(store, "f", "x").tolist() == [[0.25, 0.75]]
+        assert factor_to_variable(store, "f", "x").tolist() == [[0.5, 1.5]]
+        assert store.r_scale[(0, 0)] == -1
 
     def test_missing_dependency(self):
         g = chain3()
@@ -190,7 +206,7 @@ class TestRun:
             [VariableDecl("x", 2)], [FactorTable("f", ("x",), np.array([0.25, 0.75]))]
         )
         marginals, _ = run(g, SUM_PRODUCT, root="x")
-        assert marginals["x"].scores() == [0.25, 0.75]
+        assert plain(marginals["x"]) == [0.25, 0.75]
         assert total_sum(marginals["x"]) == 1.0
 
     def test_chain_identity_factor(self):
@@ -202,12 +218,12 @@ class TestRun:
             ],
         )
         marginals, _ = run(g, SUM_PRODUCT, root="x2")
-        assert marginals["x2"].scores() == [0.5, 0.5]
+        assert plain(marginals["x2"]) == [0.5, 0.5]
 
     def test_star_tree_all_ones_root_marginal(self):
         # 2^4 assignments of the other four variables per root value
         marginals, _ = run(star_tree(), SUM_PRODUCT, root="x3")
-        assert marginals["x3"].scores() == [16.0, 16.0]
+        assert plain(marginals["x3"]) == [16.0, 16.0]
 
     def test_two_pass_message_count(self):
         g = star_tree()
@@ -220,7 +236,7 @@ class TestRun:
             marginals, _ = run(g, SUM_PRODUCT, two_pass=True)
             for v in g.variables:
                 expect = enumerate_marginal(g, v.id)
-                got = marginals[v.id].scores()
+                got = plain(marginals[v.id])
                 for a, b in zip(got, expect):
                     assert_close(a, float(b), what=f"marginal {v.id}")
 
@@ -289,37 +305,70 @@ class TestTotalSum:
         assert total_sum(marginals["x"]) == 0.7
 
     def test_rescaled_total_is_plain_total(self, rng):
-        # total_sum folds 2^E back with ldexp, so a rescaled run's total is
-        # the plain run's, bit for bit
+        # total_sum folds 2^E back with ldexp: tables times 2^j give the
+        # same total times 2^(sum of the j), bit for bit, while in range
         scaled_any = False
         for _ in range(100):
-            g, companions = random_forest(rng)
+            g, companions = random_tree(rng, max_vars=12)
+            js = rng.integers(-30, 31, len(g.factors))
             for s in (SUM_PRODUCT, MAX_PRODUCT, ENTROPY):
-                tables = carriers(g, s, companions)
-                plain, _ = run(g, s, tables=tables)
-                scaled, _ = run(g, s, tables=tables, rescale=True)
-                for vid, m in scaled.items():
-                    assert bits(total_sum(m)) == bits(total_sum(plain[vid]))
+                base, _ = run(g, s, tables=carriers(g, s, companions))
+                moved, _ = run(shifted(g, js), s, tables=carriers(shifted(g, js), s, companions))
+                for vid, m in base.items():
+                    total = total_sum(m)
+                    assert bits(total) == bits(np.ldexp(s.reduce_msg(m.msg), m.exponent))
+                    assert bits(total_sum(moved[vid])) == bits(np.ldexp(total, js.sum()))
                     scaled_any |= m.exponent != 0
         assert scaled_any
 
     def test_past_float_range_is_inf(self):
-        marginals, _ = run(heap_tree(), SUM_PRODUCT, root="x0", rescale=True)
-        m = marginals["x0"]
-        assert math.isfinite(total_sum(m, apply_scale=False))
-        assert total_sum(m) == math.inf
-
-    def test_unrescaled_overflow_stays_inf(self):
-        # log2 Z = 600 + 600 log2 3 + 1199 log2 1.5, about 2252.4; a zero
-        # that pads a contraction must never meet an infinite message
+        # log2 Z = 600 + 600 log2 3 + 1199 log2 1.5, about 2252.4: the
+        # mantissas stay finite, and so does every message, so a zero that
+        # pads a contraction never meets an infinite one
         g = heap_tree(cards=(2, 3))
         marginals, store = run(g, SUM_PRODUCT, two_pass=True)
-        assert marginals["x0"].scores() == [math.inf, math.inf]
-        assert total_sum(marginals["x0"]) == math.inf
+        m = marginals["x0"]
+        assert m.exponent == 2251
+        assert math.isfinite(SUM_PRODUCT.reduce_msg(m.msg))
+        assert total_sum(m) == math.inf
         for msgs in (store.q, store.r):
-            assert not any(np.isnan(m).any() for m in msgs.values())
-        scaled, _ = run(g, SUM_PRODUCT, two_pass=True, rescale=True)
-        assert scaled["x0"].exponent == 2251
+            assert all(np.isfinite(m).all() for m in msgs.values())
+
+
+def shifted(g, js):
+    """g with the table of factor i times 2^js[i]."""
+    return FactorGraph(g.variables, [FactorTable(f.id, f.scope, np.ldexp(f.values, int(j)))
+                                     for f, j in zip(g.factors, js)])
+
+
+def sending_side(g, to_factor: bool, vi: int, fi: int) -> list:
+    """The factors on the sending side of the message between variable vi
+    and factor fi, found by a walk of the tree that never crosses that
+    edge; the sending factor itself is one of them."""
+    start = ("v", vi) if to_factor else ("f", fi)
+    seen, todo = {("v", vi), ("f", fi)}, [start]
+    found = [] if to_factor else [fi]
+    while todo:
+        kind, n = todo.pop()
+        nbrs = ([("f", f) for f in g.var_factors[n]] if kind == "v"
+                else [("v", v) for v in g.factor_vars[n]])
+        for nb in nbrs:
+            if nb not in seen:
+                seen.add(nb)
+                todo.append(nb)
+                if nb[0] == "f":
+                    found.append(nb[1])
+    return found
+
+
+def small_integer_tree(rng):
+    """A random tree of at most 6 variables, cardinality at most 3, whose
+    tables are integers 0..3: every sum and product of a pass and of the
+    enumeration oracle is exact in float arithmetic."""
+    g, _ = random_tree(rng, max_vars=6, max_card=3)
+    return FactorGraph(g.variables, [
+        FactorTable(f.id, f.scope, rng.integers(0, 4, f.values.size).astype(float))
+        for f in g.factors])
 
 
 def random_forest(rng, max_trees=3):
@@ -339,30 +388,65 @@ def random_forest(rng, max_trees=3):
 
 class TestInvariants:
     def test_power_of_two_rescaling_is_exact(self, rng):
-        # every rescaled message and marginal, and compute_zh's (Z, H), times
-        # 2^E is the plain run's bit for bit
-        scaled_any = False
-        for _ in range(60):
-            g, companions = random_forest(rng)
-            for s in (SUM_PRODUCT, MAX_PRODUCT, BOOLEAN, ENTROPY):
-                tables = carriers(g, s, companions)
-                plain, plain_store = run(g, s, two_pass=True, tables=tables)
-                scaled, store = run(g, s, two_pass=True, tables=tables, rescale=True)
-                for kind in ("q", "r"):
-                    scales = getattr(store, kind + "_scale")
+        # metamorphic: multiplying the table of factor i by 2^j_i leaves every
+        # message, marginal and (Z, H) mantissa unchanged bit for bit, and
+        # adds to each exponent the j of the factors behind it (Boolean
+        # messages never scale; all-zero ones carry no scale). On trees of
+        # small integers, where float arithmetic is exact, mantissa times
+        # 2^E is also the enumeration oracle's value bit for bit.
+        for trial in range(40):
+            exact = trial % 2 == 0
+            g = small_integer_tree(rng) if exact else with_zeros(rng, random_forest(rng)[0])
+            js = rng.integers(-200, 201, len(g.factors))
+            moved_g = shifted(g, js)
+            cases = [(s, None) for s in (SUM_PRODUCT, MAX_PRODUCT, BOOLEAN)]
+            for k in (1, 2, 3):
+                comps = [rng.integers(-3, 4, (k, f.values.size)).astype(float)
+                         for f in g.factors]
+                cases.append((ENTROPY, comps if k > 1 else [c[0] for c in comps]))
+            for s, comps in cases:
+                def shift(factors):
+                    return 0 if s is BOOLEAN else int(js[factors].sum())
+
+                tables = carriers(g, s, comps)
+                moved_tables = carriers(moved_g, s, comps)
+                base, store = run(g, s, two_pass=True, tables=tables)
+                moved, moved_store = run(moved_g, s, two_pass=True, tables=moved_tables)
+                for kind, to_factor in (("q", True), ("r", False)):
                     for key, msg in getattr(store, kind).items():
-                        shifted = np.ldexp(msg, scales[key])
-                        assert bits(shifted) == bits(getattr(plain_store, kind)[key])
-                for vid, m in scaled.items():
-                    assert bits(np.ldexp(m.msg, m.exponent)) == bits(plain[vid].msg)
+                        vi, fi = key if to_factor else key[::-1]
+                        assert bits(getattr(moved_store, kind)[key]) == bits(msg)
+                        e = getattr(store, kind + "_scale")[key]
+                        moved_e = getattr(moved_store, kind + "_scale")[key]
+                        if msg.any():
+                            assert moved_e - e == shift(sending_side(g, to_factor, vi, fi))
+                for vid, m in base.items():
+                    vi = g.variable_position(vid)
+                    assert bits(moved[vid].msg) == bits(m.msg)
                     assert m.log_scale == m.exponent * math.log(2.0)
-                    assert s is not BOOLEAN or m.exponent == 0
-                    scaled_any |= m.exponent != 0
-            wg = WeightedGraph(g, companions)
-            plain, scaled = compute_zh(wg), compute_zh(wg, rescale=True)
-            assert math.ldexp(scaled.Z, scaled.exponent) == plain.Z
-            assert math.ldexp(scaled.H, scaled.exponent) == plain.H
-        assert scaled_any
+                    if m.msg.any():
+                        behind = [f for fi in g.var_factors[vi]
+                                  for f in sending_side(g, False, vi, fi)]
+                        assert moved[vid].exponent - m.exponent == shift(behind)
+                    if exact and s is SUM_PRODUCT:
+                        assert bits(plain(m)) == bits(enumerate_marginal(g, vid))
+                # (Z, H): the product of the component totals of a one-pass run
+                total, e = product_of_totals(s, run(g, s, tables=tables)[0])
+                moved_total, moved_e = product_of_totals(s, run(moved_g, s, tables=moved_tables)[0])
+                assert bits(moved_total) == bits(total)
+                if total[0]:
+                    assert moved_e - e == shift(slice(None))
+                if exact and s is ENTROPY:
+                    columns = [[np.atleast_2d(c)[i] for c in comps] for i in range(len(total) - 1)]
+                    oracle = [enumerate_z(g)] + [enumerate_h(g, col) for col in columns]
+                    assert bits(np.ldexp(total, e)) == bits(oracle)
+                elif exact:
+                    oracle = {SUM_PRODUCT: enumerate_z, MAX_PRODUCT: max_product_value,
+                              BOOLEAN: boolean_satisfiable}[s](g)
+                    assert bits(np.ldexp(total, e)) == bits([oracle])
+                if s is ENTROPY:
+                    zh = compute_zh(WeightedGraph(g, comps))
+                    assert ([zh.Z, *np.atleast_1d(zh.H)], zh.exponent) == fold_exponent(total, e)
 
     def test_root_independence(self, rng):
         for _ in range(10):
@@ -394,40 +478,32 @@ class TestInvariants:
     def test_rescaling_invariance(self, rng):
         for _ in range(10):
             g, companions = random_tree(rng, max_vars=8)
-            tables = carriers(g, ENTROPY, companions)
-            plain, _ = run(g, ENTROPY, tables=tables)
-            scaled, _ = run(g, ENTROPY, tables=tables, rescale=True)
-            z_plain, h_plain = 1.0, 0.0
-            for marg in plain.values():
-                w = total_sum(marg)
-                z_plain, h_plain = z_plain * w.score, z_plain * w.aux + w.score * h_plain
-            # recombine the rescaled run via its log accumulators
+            scaled, _ = run(g, ENTROPY, tables=carriers(g, ENTROPY, companions))
+            # recombine the mantissas and their log scales
             z_scaled, h_scaled, log_scale = 1.0, 0.0, 0.0
             for marg in scaled.values():
-                w = total_sum(marg, apply_scale=False)
+                w = ENTROPY.reduce_msg(marg.msg)
                 z_scaled, h_scaled = (
                     z_scaled * w.score,
                     z_scaled * w.aux + w.score * h_scaled,
                 )
                 log_scale += marg.log_scale
-            assert_close(z_scaled * math.exp(log_scale), z_plain, tol=1e-6, what="Z")
-            if z_plain != 0.0:
-                assert_close(h_scaled / z_scaled, h_plain / z_plain, what="H/Z")
+            z, h = enumerate_z(g), enumerate_h(g, companions)
+            assert_close(z_scaled * math.exp(log_scale), z, tol=1e-6, what="Z")
+            assert_close(h_scaled / z_scaled, h / z, what="H/Z")
 
     def test_first_component_shadowing(self, rng):
         for _ in range(10):
             g, companions = random_tree(rng, max_vars=8)
-            for rescale in (False, True):
-                _, sp = run(g, SUM_PRODUCT, two_pass=True, rescale=rescale)
-                _, en = run(g, ENTROPY, two_pass=True, rescale=rescale,
-                            tables=carriers(g, ENTROPY, companions))
-                assert set(sp.q) == set(en.q) and set(sp.r) == set(en.r)
-                for key, msg in sp.q.items():
-                    for a, b in zip(msg[0], en.q[key][0]):
-                        assert ulps_apart(a, b) <= 1.0
-                for key, msg in sp.r.items():
-                    for a, b in zip(msg[0], en.r[key][0]):
-                        assert ulps_apart(a, b) <= 1.0
+            _, sp = run(g, SUM_PRODUCT, two_pass=True)
+            _, en = run(g, ENTROPY, two_pass=True, tables=carriers(g, ENTROPY, companions))
+            assert set(sp.q) == set(en.q) and set(sp.r) == set(en.r)
+            for key, msg in sp.q.items():
+                for a, b in zip(msg[0], en.q[key][0]):
+                    assert ulps_apart(a, b) <= 1.0
+            for key, msg in sp.r.items():
+                for a, b in zip(msg[0], en.r[key][0]):
+                    assert ulps_apart(a, b) <= 1.0
 
 
 def with_zeros(rng, g):
@@ -462,27 +538,28 @@ class TestWidthK:
                     cols[c][fi] = None
             stacked = [None if fi in plain else np.vstack([cols[c][fi] for c in range(k)])
                        for fi in range(len(g.factors))]
-            for rescale in (False, True):
-                wide, wide_store = run(g, ENTROPY, two_pass=True, rescale=rescale,
-                                       tables=carriers(g, ENTROPY, stacked))
-                wide_zh = compute_zh(WeightedGraph(g, stacked), rescale=rescale)
-                assert wide_zh.H.shape == (k,)
-                for c in range(k):
-                    one, one_store = run(g, ENTROPY, two_pass=True, rescale=rescale,
-                                         tables=carriers(g, ENTROPY, cols[c]))
-                    for kind in ("q", "r"):
-                        msgs = getattr(one_store, kind)
-                        assert set(msgs) == set(getattr(wide_store, kind))
-                        for key, m in msgs.items():
-                            w = getattr(wide_store, kind)[key]
-                            assert bits(ENTROPY.scores(w)) == bits(m[0])
-                            assert aux_row(w, c) == bits(m[1])
-                    for vid, m in one.items():
-                        assert wide[vid].exponent == m.exponent
-                        assert aux_row(wide[vid].msg, c) == bits(m.msg[1])
-                    zh = compute_zh(WeightedGraph(g, cols[c]), rescale=rescale)
-                    assert bits([wide_zh.Z, wide_zh.H[c]]) == bits([zh.Z, zh.H])
-                    assert wide_zh.exponent == zh.exponent
+            wide, wide_store = run(g, ENTROPY, two_pass=True, tables=carriers(g, ENTROPY, stacked))
+            wide_zh = compute_zh(WeightedGraph(g, stacked))
+            assert wide_zh.H.shape == (k,)
+            for c in range(k):
+                one, one_store = run(g, ENTROPY, two_pass=True,
+                                     tables=carriers(g, ENTROPY, cols[c]))
+                for kind in ("q", "r"):
+                    msgs = getattr(one_store, kind)
+                    assert set(msgs) == set(getattr(wide_store, kind))
+                    for key, m in msgs.items():
+                        w = getattr(wide_store, kind)[key]
+                        assert bits(ENTROPY.scores(w)) == bits(m[0])
+                        assert aux_row(w, c) == bits(m[1])
+                assert one_store.q_scale == wide_store.q_scale
+                assert one_store.r_scale == wide_store.r_scale
+                for vid, m in one.items():
+                    assert wide[vid].exponent == m.exponent
+                    assert aux_row(wide[vid].msg, c) == bits(m.msg[1])
+                # compute_zh folds 2^E back in; each column's total alone
+                zh = compute_zh(WeightedGraph(g, cols[c]))
+                assert (bits(np.ldexp([wide_zh.Z, wide_zh.H[c]], wide_zh.exponent))
+                        == bits(np.ldexp([zh.Z, zh.H], zh.exponent)))
 
     def test_scores_shadow_sum_product(self, rng):
         # criterion 05 for k > 1: the score rows are the sum-product messages
@@ -517,9 +594,9 @@ class TestWidthK:
 
 
 
-def step_reference(g, s, root, two_pass, rescale, tables):
+def step_reference(g, s, root, two_pass, tables):
     """The store of the per-edge step API driven along make_schedule."""
-    store = MessageStore(g, s, rescale=rescale, tables=tables)
+    store = MessageStore(g, s, tables=tables)
     for to_factor, vi, fi in make_schedule(g, root=root, two_pass=two_pass).edges:
         v, f = g.variables[vi].id, g.factors[fi].id
         if to_factor:
@@ -529,9 +606,9 @@ def step_reference(g, s, root, two_pass, rescale, tables):
     return store
 
 
-def assert_run_matches_steps(g, s, root, two_pass, rescale, tables):
-    marginals, store = run(g, s, root=root, two_pass=two_pass, rescale=rescale, tables=tables)
-    ref = step_reference(g, s, root, two_pass, rescale, tables)
+def assert_run_matches_steps(g, s, root, two_pass, tables):
+    marginals, store = run(g, s, root=root, two_pass=two_pass, tables=tables)
+    ref = step_reference(g, s, root, two_pass, tables)
     for kind in ("q", "r"):
         msgs, want = getattr(store, kind), getattr(ref, kind)
         assert set(msgs) == set(want)
@@ -560,8 +637,7 @@ class TestLevelPlan:
             for s, comps in cases:
                 tables = carriers(g, s, comps)
                 for two_pass in (False, True):
-                    for rescale in (False, True):
-                        assert_run_matches_steps(g, s, root, two_pass, rescale, tables)
+                    assert_run_matches_steps(g, s, root, two_pass, tables)
 
     def test_deepest_plan_matches_step_api(self, rng):
         # a chain: one message per level, 3000 levels per pass
@@ -573,14 +649,14 @@ class TestLevelPlan:
         ]
         g = FactorGraph(variables, factors)
         comps = [rng.uniform(-3.0, 3.0, f.values.size) for f in factors]
-        assert_run_matches_steps(g, ENTROPY, "x1500", True, True, carriers(g, ENTROPY, comps))
+        assert_run_matches_steps(g, ENTROPY, "x1500", True, carriers(g, ENTROPY, comps))
 
     def test_plan_is_cached_with_the_graph(self):
         g = star_tree()
         run(g, SUM_PRODUCT, two_pass=True)
         plans = dict(g.plans)
         run(g, ENTROPY)
-        run(g, MAX_PRODUCT, root="x1", rescale=True)
+        run(g, MAX_PRODUCT, root="x1")
         assert g.plans == plans
         run(g, SUM_PRODUCT, root="x3")
         assert len(g.plans) == 2
