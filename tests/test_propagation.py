@@ -322,7 +322,14 @@ class TestTotalSum:
         assert scaled_any
 
     def test_past_float_range_is_inf(self):
+        marginals, _ = run(heap_tree(), SUM_PRODUCT, root="x0")
+        m = marginals["x0"]
+        assert math.isfinite(SUM_PRODUCT.reduce_msg(m.msg))
+        assert total_sum(m) == math.inf
+
+    def test_unrescaled_overflow_stays_inf(self):
         # log2 Z = 600 + 600 log2 3 + 1199 log2 1.5, about 2252.4: the
+        # total folded back to a plain float overflows to inf, while the
         # mantissas stay finite, and so does every message, so a zero that
         # pads a contraction never meets an infinite one
         g = heap_tree(cards=(2, 3))
