@@ -9,12 +9,10 @@ updates, and gradients.
 
 from .entropy import (
     EntropyResult,
-    WeightedFactor,
     WeightedGraph,
     compute_zh,
     derive_log2_companions,
     entropy_in_base,
-    lift_graph,
     posterior_entropy,
 )
 from .errors import (
@@ -105,7 +103,6 @@ __all__ = [
     "UndefinedQuotient",
     "UnknownVariable",
     "VariableDecl",
-    "WeightedFactor",
     "WeightedGraph",
     "ZeroEvidence",
     "assignment_from_index",
@@ -124,7 +121,6 @@ __all__ = [
     "hmm_to_weighted_graph",
     "init_leaf_messages",
     "lift",
-    "lift_graph",
     "make_schedule",
     "marginal_at",
     "posterior_entropy",

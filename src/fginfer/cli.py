@@ -34,7 +34,7 @@ from .oracle import (
     enumerate_marginal,
     enumerate_z,
 )
-from .propagation import fold_exponent, product_of_totals, run, total_sum
+from .propagation import fold_exponent, product_of_totals, run
 from .semiring import SUM_PRODUCT, get_semiring
 
 _CHECK_TOL = 1e-9
@@ -198,7 +198,14 @@ def cmd_em_step(args):
         raise MissingDependency(
             "em-step needs a parametric block with u, v, and lambda tables"
         )
-    theta_old = None if args.theta is None else _parse_theta(args.theta)
+    theta_old = None
+    if args.theta is not None:
+        if not pf.has_gradients:
+            raise MissingDependency("em-step --theta needs grad tables to evaluate"
+                                    " the tables at theta")
+        theta_old = _parse_theta(args.theta)
+        if theta_old.size != pf.dim:
+            raise UsageError(f"--theta has {theta_old.size} components, model has {pf.dim}")
     step = em_linear_step(pf, theta_old=theta_old)
     return 0, {
         "H_a": step.h_a,
@@ -249,12 +256,19 @@ def _check_graph(graph: FactorGraph, companions) -> float:
     worst = 0.0
     marginals, _ = run(graph, SUM_PRODUCT, two_pass=True)
     for vid, marg in marginals.items():
+        # a marginal covers its own component only; on a forest the other
+        # components' totals, from a run rooted at vid, scale it to the
+        # whole graph's
+        roots, _ = run(graph, SUM_PRODUCT, root=vid)
+        del roots[vid]
+        (others,), e = product_of_totals(SUM_PRODUCT, roots) if roots else ((1.0,), 0)
         oracle_m = enumerate_marginal(graph, vid)
         for a, b in zip(marg.scores(), oracle_m):
-            worst = max(worst, _rel_err(math.ldexp(a, marg.exponent), float(b)))
-    # totals agree no matter which root's marginal is summed; use the first
-    first = next(iter(marginals.values()))
-    z_engine = float(total_sum(first, SUM_PRODUCT))
+            worst = max(worst, _rel_err(math.ldexp(a * others, marg.exponent + e), float(b)))
+    # Z is the product over the components, as `fg partition` reports it
+    (z,), exponent = product_of_totals(SUM_PRODUCT, run(graph, SUM_PRODUCT)[0])
+    with np.errstate(over="ignore"):
+        z_engine = float(np.ldexp(z, exponent))
     worst = max(worst, _rel_err(z_engine, enumerate_z(graph)))
 
     if companions is not None:

@@ -1,8 +1,9 @@
 """Partition/entropy runs: factor graphs whose tables carry companions.
 
-A weighted factor pairs a nonnegative table f with a companion table g of
-the same shape; running the engine over the entropy semiring on the lifted
-pairs (f, f*g) returns, in one pass, the pair
+A :class:`WeightedGraph`, the one input of this module, pairs every
+nonnegative table f of a graph with a companion table g of the same
+shape; running the engine over the entropy semiring on the lifted pairs
+(f, f*g) returns, in one pass, the pair
 
     Z = sum_x prod_m f_m(x_m)
     H = sum_x prod_m f_m(x_m) * sum_m g_m(x_m)
@@ -25,30 +26,17 @@ gradient and EM companions this way.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteTotal, OutOfDomain, ZeroEvidence
-from .graph import FactorGraph, FactorTable, validate
-from .propagation import fold_exponent, lift_tables, product_of_totals, run, scale_exponents
+from .graph import FactorGraph, validate
+from .propagation import fold_exponent, lift_tables, product_of_totals, run
 from .semiring import ENTROPY, Semiring
 
 _LN2 = math.log(2.0)
 _Z_FLOOR = 1e-300
-
-
-@dataclass
-class WeightedFactor:
-    """A factor table and an optional companion table of equal length.
-
-    Companion entries may be undefined (None or non-finite) only where the
-    paired value is zero; those entries are normalized to 0 on lifting,
-    which encodes the 0 * log(0) = 0 convention.
-    """
-
-    table: FactorTable
-    companion: np.ndarray | None = None
 
 
 @dataclass
@@ -58,7 +46,8 @@ class EntropyResult:
     The true totals are Z * 2^exponent and H * 2^exponent, and
     ``log_scale`` is exponent * ln 2. ``H`` is a float, or a length-k
     array when the companions had k columns. ``entropy_bits`` is filled in
-    by :func:`entropy_from_zh` and is None otherwise.
+    by :func:`posterior_entropy` and :func:`entropy_from_zh` and is None
+    otherwise.
     """
 
     Z: float
@@ -76,19 +65,22 @@ class EntropyResult:
     def log2_z(self) -> float:
         if self.Z <= 0.0:
             raise ZeroEvidence("total weight is zero; log2(Z) undefined")
-        return (math.log(self.Z) + self.log_scale) / _LN2
+        return math.log2(self.Z) + self.exponent
 
 
 class WeightedGraph:
-    """A validated factor graph plus per-factor companion tables.
+    """A validated factor graph plus per-factor companion tables: the one
+    input of :func:`compute_zh` and :func:`posterior_entropy`.
 
-    A companion is a table of the factor's length (any shape of that size
-    is flattened), or a (k, n) array of k companion columns for a length-n
-    table; every (k, n) companion of one graph has the same k. Lifted
-    carrier tables (:func:`fginfer.propagation.lift_tables`) are cached per
-    semiring so repeated runs skip the lift. ``stacked`` tells whether the
-    companions came as (k, n) columns, for which H is an array even when
-    k = 1.
+    A companion is None (g = 0), a table of the factor's length (any shape
+    of that size is flattened), or a (k, n) array of k companion columns
+    for a length-n table; every (k, n) companion of one graph has the same
+    k. Companion entries may be undefined (NaN or infinite) only where the
+    paired value is zero; they become 0, which encodes the
+    0 * log(0) = 0 convention. :meth:`carrier_tables` lifts the pairs
+    (:func:`fginfer.propagation.lift_tables`) on every call; nothing is
+    cached. ``stacked`` tells whether the companions came as (k, n)
+    columns, for which H is an array even when k = 1.
     """
 
     def __init__(self, graph: FactorGraph, companions=None):
@@ -101,19 +93,15 @@ class WeightedGraph:
             )
         self.companions = _check_companions(graph.factors, companions)
         self.stacked = any(c is not None and c.ndim == 2 for c in self.companions)
-        self._table_cache: dict[str, np.ndarray] = {}
 
     def carrier_tables(self, s: Semiring) -> np.ndarray:
-        cached = self._table_cache.get(s.name)
-        if cached is None:
-            cached = lift_tables(s, self.graph.factors, self.companions)
-            self._table_cache[s.name] = cached
-        return cached
+        return lift_tables(s, self.graph.factors, self.companions)
 
 
 def _check_companions(factors, companions) -> list:
-    """Companions as float arrays, shapes checked per factor and finiteness
-    checked once over all of them."""
+    """Companions as float arrays, shapes checked per factor; finiteness is
+    checked once over all of them, and undefined entries under zero values
+    are set to 0."""
     out = []
     widths = set()
     for f, c in zip(factors, companions):
@@ -131,50 +119,47 @@ def _check_companions(factors, companions) -> list:
         out.append(c)
     if len(widths) > 1:
         raise ValueError(f"companions disagree on their column count: {sorted(widths)}")
-    present = [c.ravel() for c in out if c is not None]
-    if present and not np.isfinite(np.concatenate(present)).all():
-        out = [c if c is None else _check_companion(f, c) for f, c in zip(factors, out)]
+    present = [c for c in out if c is not None]
+    if not present:
+        return out
+    flat = np.concatenate(present, axis=None)
+    undefined = np.flatnonzero(~np.isfinite(flat))
+    if not undefined.size:
+        return out
+    # each undefined entry's factor j (None companions have size 0), and
+    # the table value it pairs with
+    sizes = np.array([0 if c is None else c.size for c in out])
+    lengths = np.array([f.values.size for f in factors])
+    ends = np.cumsum(sizes)
+    j = np.searchsorted(ends, undefined, "right")
+    within = (undefined - ends[j] + sizes[j]) % lengths[j]
+    values = np.concatenate([f.values for f in factors])
+    nonzero = values[np.cumsum(lengths)[j] - lengths[j] + within] != 0.0
+    if nonzero.any():
+        raise ValueError(f"factor {factors[j[nonzero.argmax()]].id!r}: companion must be"
+                         " finite wherever the value is nonzero")
+    flat[undefined] = 0.0
+    for k in np.unique(j).tolist():
+        out[k] = flat[ends[k] - sizes[k]:ends[k]].reshape(out[k].shape)
     return out
 
 
-def _check_companion(factor: FactorTable, companion: np.ndarray) -> np.ndarray:
-    bad = ~np.isfinite(companion) & (factor.values != 0.0)
-    if bad.any():
-        raise ValueError(
-            f"factor {factor.id!r}: companion must be finite wherever the value is nonzero"
-        )
-    # normalize undefined entries under zero values to 0
-    if not np.isfinite(companion).all():
-        companion = np.where(factor.values == 0.0, 0.0, companion)
-    return companion
+def _zh_mantissas(wg: WeightedGraph, root: str | None) -> tuple[list, int]:
+    """The single entropy-semiring pass: its Z and H mantissas, Z in
+    [1, 2) or 0, and the exponent E; the true totals are the mantissas
+    times 2^E."""
+    marginals, _ = run(wg.graph, ENTROPY, root=root, tables=wg.carrier_tables(ENTROPY))
+    return product_of_totals(ENTROPY, marginals)
 
 
-def lift_graph(factors, variables) -> WeightedGraph:
-    """Assemble weighted factors and variable declarations into a graph.
-
-    Accepts an iterable of :class:`WeightedFactor` (or bare
-    :class:`FactorTable`, treated as companion-free). Validates structure
-    and companions; the actual pair lifting happens lazily per semiring.
-    """
-    tables = []
-    companions = []
-    for wf in factors:
-        if isinstance(wf, FactorTable):
-            tables.append(wf)
-            companions.append(None)
-        else:
-            tables.append(wf.table)
-            companions.append(wf.companion)
-    return WeightedGraph(FactorGraph(variables, tables), companions)
+def _folded_result(wg: WeightedGraph, mantissas: list, exponent: int,
+                   bits: float | None = None) -> EntropyResult:
+    (z, *h), exponent = fold_exponent(mantissas, exponent)
+    return EntropyResult(Z=z, H=np.array(h) if wg.stacked else h[0], entropy_bits=bits,
+                         exponent=exponent)
 
 
-def _as_weighted(g) -> WeightedGraph:
-    if isinstance(g, WeightedGraph):
-        return g
-    return WeightedGraph(g)
-
-
-def compute_zh(wg, root: str | None = None) -> EntropyResult:
+def compute_zh(wg: WeightedGraph, root: str | None = None) -> EntropyResult:
     """Z and H of a weighted graph in a single entropy-semiring pass.
 
     On forests the per-component pairs are combined with the semiring
@@ -184,30 +169,27 @@ def compute_zh(wg, root: str | None = None) -> EntropyResult:
     are the totals, with ``exponent`` 0, if all are finite normal floats,
     else mantissas (:func:`fginfer.propagation.fold_exponent`).
     """
-    wg = _as_weighted(wg)
-    marginals, _ = run(wg.graph, ENTROPY, root=root, tables=wg.carrier_tables(ENTROPY))
-    (z, *h), exponent = fold_exponent(*product_of_totals(ENTROPY, marginals))
-    return EntropyResult(Z=z, H=np.array(h) if wg.stacked else h[0], exponent=exponent)
+    return _folded_result(wg, *_zh_mantissas(wg, root))
 
 
-def posterior_entropy(wg, root: str | None = None, rescale: bool = True) -> EntropyResult:
+def posterior_entropy(wg: WeightedGraph, root: str | None = None,
+                      rescale: bool = True) -> EntropyResult:
     """Entropy in bits of the distribution defined by a weighted graph.
 
     Requires nonnegative tables whose companions are the base-2 logs of the
     values (undefined at zeros). Z and H are reported as by
-    :func:`compute_zh`; the bits, -H/Z + log2(Z) + E, come from the
+    :func:`compute_zh`; the bits, -H/Z + log2(Z) + E, come from the pass's
     mantissas, Z in [1, 2), so ZeroEvidence means no assignment has
-    weight, never that Z underflows. Raises NonFiniteTotal when table
-    entries near the float maximum overflow one factor's sum. Tiny
-    negative outcomes from roundoff (>= -1e-9) are clamped to exactly 0.
-    ``rescale`` has no effect: the benchmark still passes it, and ROADMAP
-    item 1 removes it.
+    weight, never that Z underflows. Raises NonFiniteTotal, with no
+    floating-point warning before it, when table entries near the float
+    maximum overflow one factor's sum. Tiny negative outcomes from
+    roundoff (>= -1e-9) are clamped to exactly 0. ``rescale`` has no
+    effect: the benchmark still passes it, and ROADMAP item 1 removes it.
     """
-    res = compute_zh(wg, root=root)
-    # undo the fold: back to the pass's mantissas, Z in [1, 2)
-    e = int(scale_exponents(res.Z))
-    z, h = math.ldexp(res.Z, -e), math.ldexp(res.H, -e)
-    return replace(res, entropy_bits=entropy_from_zh(z, h, res.exponent + e).entropy_bits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mantissas, exponent = _zh_mantissas(wg, root)
+    bits = entropy_from_zh(mantissas[0], mantissas[1], exponent).entropy_bits
+    return _folded_result(wg, mantissas, exponent, bits)
 
 
 def entropy_from_zh(z: float, h: float, exponent: int) -> EntropyResult:
@@ -244,16 +226,20 @@ def derive_log2_companions(graph: FactorGraph) -> list:
     """Base-2 log companions for every factor table (0 where the value is 0).
 
     The tables must be nonnegative; this is the g = log2(f) choice that
-    makes :func:`posterior_entropy` applicable to a plain graph.
+    makes :func:`posterior_entropy` applicable to a plain graph. One sign
+    check and one log run over all tables at once; the result is split
+    back into one view per factor.
     """
-    out = []
-    for f in graph.factors:
-        if (f.values < 0).any():
-            raise OutOfDomain(
-                f"factor {f.id!r}: log companions need nonnegative values"
-            )
-        out.append(log2_or_zero(f.values))
-    return out
+    values = np.concatenate([f.values for f in graph.factors])
+    ends = np.cumsum([f.values.size for f in graph.factors]).tolist()
+    negative = values < 0.0
+    if negative.any():
+        k = int(np.searchsorted(ends, negative.argmax(), "right"))
+        raise OutOfDomain(
+            f"factor {graph.factors[k].id!r}: log companions need nonnegative values"
+        )
+    logs = log2_or_zero(values)
+    return [logs[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def log2_or_zero(values: np.ndarray) -> np.ndarray:

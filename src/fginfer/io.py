@@ -226,12 +226,10 @@ def _parse_parametric(block, variables, factors) -> ParametricFactorSet:
     ids = [f.id for f in factors]
     base = [f.values for f in factors]
     if grad is not None:
-        pf = ParametricFactorSet.affine(
-            variables, scopes, base, grad, factor_ids=ids,
+        return ParametricFactorSet.affine(
+            variables, scopes, base, grad, factor_ids=ids, u=u, v=v,
+            lam=None if lam is None else np.asarray(lam),
         )
-        pf.u, pf.v = u, v
-        pf.lam = None if lam is None else np.asarray(lam)
-        return pf
     return ParametricFactorSet.linear_form(
         variables, scopes, base, u, v, np.asarray(lam), factor_ids=ids,
     )

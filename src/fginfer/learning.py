@@ -233,21 +233,25 @@ def grad_ascent_step(pf: ParametricFactorSet, theta, step: float = 1.0) -> np.nd
 def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
     """Closed-form M-step for the linear-gradient family.
 
-    Uses the tables at the previous point (``base_tables``, or evaluated at
-    ``theta_old`` when callables are available), computes H_a with g = u
+    Uses the tables at the previous point: evaluated at ``theta_old`` when
+    it is given, else ``base_tables``. Computes H_a with g = u
     and H_b with g = v in one pass, and returns
     theta_new = -(H_a / H_b) * lam from the ratio of the mantissas, in
     which 2^E cancels exactly. Totals past float range are reported as
     mantissas with their ``exponent``. Raises DegenerateMStep when the
     denominator vanishes relative to the numerator, or both reported
-    totals are numerically zero.
+    totals are numerically zero. Raises ValueError when ``theta_old`` is
+    given but the set has no table callables or theta has the wrong size.
     """
     if pf.u is None or pf.v is None or pf.lam is None:
         raise ValueError("em_linear_step needs the linear-form tables u, v, and lam")
-    if pf.base_tables is not None:
-        tables = pf.base_tables
-    elif theta_old is not None:
+    if theta_old is not None:
+        theta_old = np.asarray(theta_old, dtype=float).ravel()
+        if theta_old.size != pf.dim:
+            raise ValueError(f"theta_old has {theta_old.size} components, model has {pf.dim}")
         tables = pf.tables_at(theta_old)
+    elif pf.base_tables is not None:
+        tables = pf.base_tables
     else:
         raise ValueError("no tables at the previous point: pass theta_old or base tables")
     for k, t in enumerate(tables):

@@ -303,6 +303,25 @@ class TestEmStep:
         log2_h_b = math.log2(out["H_b"]) + out["log_scale"] / math.log(2.0)
         assert log2_h_b == pytest.approx(math.log2(n) + BIG_TREE_LOG2_Z, rel=1e-12)
 
+    def test_theta_evaluates_the_tables(self, cli, write):
+        # tables [1 + theta, 1] at theta = 5 are [6, 1]: H_a = 6 + 2 = 8,
+        # H_b = 7; without --theta the document's values [1, 1] are used
+        d = grad_doc()
+        d["parametric"].update({"u": [[1.0, 2.0]], "v": [[1.0, 1.0]], "lambda": [1.0]})
+        path = write(d)
+        code, out, _ = cli("em-step", path, "--theta", "5")
+        assert code == 0
+        assert (out["H_a"], out["H_b"]) == (8.0, 7.0)
+        assert out["theta_new"] == [-8.0 / 7.0]
+        code, out, _ = cli("em-step", path)
+        assert (code, out["theta_new"]) == (0, [-1.5])
+        code, out, _ = cli("em-step", path, "--theta", "1,2,3")
+        assert (code, out["error"]["kind"]) == (1, "UsageError")
+
+    def test_theta_needs_grad_tables(self, cli, write):
+        code, out, _ = cli("em-step", write(em_doc()), "--theta", "1")
+        assert (code, out["error"]["kind"]) == (1, "MissingDependency")
+
     def test_degenerate_exit_code(self, cli, write):
         code, out, _ = cli("em-step", write(em_doc(v=(0.0, 0.0))))
         assert code == 2
@@ -381,6 +400,20 @@ class TestCheck:
         assert code == 0
         assert out["pass"] is True
         assert out["max_rel_err"] <= 1e-9
+
+    def test_forest_total_is_the_product_of_its_components(self, cli, write):
+        # two isolated variables: Z = 3 * 3 = 9, while either marginal
+        # totals 3
+        doc = {
+            "variables": [{"id": v, "cardinality": 2} for v in ("a", "b")],
+            "factors": [{"id": f"f{v}", "scope": [v], "values": [1.0, 2.0]}
+                        for v in ("a", "b")],
+        }
+        path = write(doc)
+        for extra in ((), ("--seeds", "3")):
+            code, out, _ = cli("check", path, *extra)
+            assert (code, out["pass"]) == (0, True)
+            assert out["max_rel_err"] <= 1e-9
 
     def test_seeded_refills(self, cli, write):
         code, out, _ = cli("check", write(star_doc()), "--seeds", "5")

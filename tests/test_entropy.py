@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from fginfer import (
+    ENTROPY,
     FactorGraph,
     FactorTable,
     HmmSpec,
     NonFiniteTotal,
     OutOfDomain,
     VariableDecl,
-    WeightedFactor,
     WeightedGraph,
     ZeroEvidence,
     compute_zh,
     derive_log2_companions,
     entropy_in_base,
     hmm_to_weighted_graph,
-    lift_graph,
     posterior_entropy,
 )
 from fginfer.oracle import enumerate_entropy, enumerate_h, enumerate_z
@@ -35,33 +34,13 @@ def unary_weighted(values, companions):
 
 class TestLiftGraph:
     def test_elementwise_lift(self):
-        wg = lift_graph(
-            [
-                WeightedFactor(
-                    FactorTable("f", ("x",), np.array([0.5, 0.5])),
-                    np.array([-1.0, -1.0]),
-                )
-            ],
-            [VariableDecl("x", 2)],
-        )
-        from fginfer import ENTROPY
-
+        wg = unary_weighted([0.5, 0.5], [-1.0, -1.0])
         scores, aux = wg.carrier_tables(ENTROPY).tolist()
         assert scores == [0.5, 0.5]
         assert aux == [-0.5, -0.5]
 
     def test_zero_absorbs_undefined_companion(self):
-        wg = lift_graph(
-            [
-                WeightedFactor(
-                    FactorTable("f", ("x",), np.array([0.0, 1.0])),
-                    np.array([-math.inf, 0.0]),
-                )
-            ],
-            [VariableDecl("x", 2)],
-        )
-        from fginfer import ENTROPY
-
+        wg = unary_weighted([0.0, 1.0], [-math.inf, 0.0])
         scores, aux = wg.carrier_tables(ENTROPY).tolist()
         assert (scores[0], aux[0]) == (0.0, 0.0)
         assert (scores[1], aux[1]) == (1.0, 0.0)
@@ -98,6 +77,32 @@ class TestLiftGraph:
             unary_weighted([0.5, 0.5], [[1.0, 1.0], [math.nan, 0.0]])
         with pytest.raises(ValueError, match="length"):
             unary_weighted([0.5, 0.5], [[1.0, 1.0, 1.0]] * 2)
+
+    def test_checks_name_the_factor_past_the_first(self):
+        # the undefined entry under fa's zero is allowed; the first entry
+        # of fb, the second of three factors, is not
+        g = three_factors([0.0, 1.0])
+        nan = math.nan
+        with pytest.raises(ValueError, match="factor 'fb': companion must be finite"):
+            WeightedGraph(g, [[nan, 0.0], [nan, 1.0, 1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="factor 'fb': companion must be finite"):
+            WeightedGraph(g, [None, [[1.0] * 4, [math.inf, 1.0, 1.0, 1.0]], None])
+        # undefined entries under zeros become 0 in their own factor only
+        zeroed = three_factors([1.0, 1.0], fc=[2.0, 0.0])
+        wg = WeightedGraph(zeroed, [[1.0, 2.0], [3.0] * 4, [-1.0, nan]])
+        assert [c.tolist() for c in wg.companions] == [[1.0, 2.0], [3.0] * 4, [-1.0, 0.0]]
+
+
+def three_factors(fa, fc=(1.0, 1.0)):
+    """fa(x), fb(x, y), fc(y), with fb all ones."""
+    return FactorGraph(
+        [VariableDecl("x", 2), VariableDecl("y", 2)],
+        [
+            FactorTable("fa", ("x",), np.array(fa, dtype=float)),
+            FactorTable("fb", ("x", "y"), np.ones(4)),
+            FactorTable("fc", ("y",), np.array(fc, dtype=float)),
+        ],
+    )
 
 
 class TestComputeZH:
@@ -253,9 +258,8 @@ class TestPosteriorEntropy:
             FactorTable("fabc", ("a", "b", "c"), np.full(8, 1.7e308)),
         ])
         wg = WeightedGraph(g, derive_log2_companions(g))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteTotal, match="table entries are too large"):
-                posterior_entropy(wg, rescale=True)
+        with pytest.raises(NonFiniteTotal, match="table entries are too large"):
+            posterior_entropy(wg, rescale=True)
         assert NonFiniteTotal.exit_code == ZeroEvidence.exit_code == 2
 
 
@@ -286,3 +290,10 @@ class TestDeriveCompanions:
         )
         with pytest.raises(OutOfDomain):
             derive_log2_companions(g)
+
+    def test_negative_value_in_a_later_factor_is_named(self):
+        g = three_factors([1.0, 1.0], fc=[-1.0, 1.0])
+        with pytest.raises(OutOfDomain, match="factor 'fc'"):
+            derive_log2_companions(g)
+        comps = derive_log2_companions(three_factors([0.5, 4.0], fc=[8.0, 0.0]))
+        assert [c.tolist() for c in comps] == [[-1.0, 2.0], [0.0] * 4, [3.0, 0.0]]

@@ -275,6 +275,24 @@ class TestEmLinearStep:
         with pytest.raises(ValueError, match="theta_old"):
             em_linear_step(pf)
 
+    def test_theta_old_wins_over_base_tables(self):
+        # tables [1 + theta, 1]: base tables [1, 1], [6, 1] at theta = 5
+        pf = ParametricFactorSet.affine(
+            [("x", 2)], [("x",)], [[1.0, 1.0]], [[[1.0, 0.0]]],
+            u=[[1.0, 2.0]], v=[[1.0, 1.0]], lam=[1.0],
+        )
+        assert em_linear_step(pf).theta_new.tolist() == [-1.5]
+        assert em_linear_step(pf, theta_old=[5.0]).theta_new.tolist() == [-8.0 / 7.0]
+        with pytest.raises(ValueError, match="theta_old has 3 components"):
+            em_linear_step(pf, theta_old=[1.0, 2.0, 3.0])
+
+    def test_theta_old_needs_callables(self):
+        pf = ParametricFactorSet.linear_form(
+            [("x", 2)], [("x",)], [[0.5, 0.5]], [[2.0, 4.0]], [[1.0, 1.0]], [1.0]
+        )
+        with pytest.raises(ValueError, match="only linear-form data"):
+            em_linear_step(pf, theta_old=[1.0])
+
     def test_uv_length_mismatch(self):
         pf = ParametricFactorSet.linear_form(
             [("x", 2)], [("x",)], [[0.5, 0.5]], [[2.0]], [[1.0, 1.0]], [1.0]
