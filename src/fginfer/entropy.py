@@ -77,10 +77,13 @@ class WeightedGraph:
     for a length-n table; every (k, n) companion of one graph has the same
     k. Companion entries may be undefined (NaN or infinite) only where the
     paired value is zero; they become 0, which encodes the
-    0 * log(0) = 0 convention. :meth:`carrier_tables` lifts the pairs
-    (:func:`fginfer.propagation.lift_tables`) on every call; nothing is
-    cached. ``stacked`` tells whether the companions came as (k, n)
-    columns, for which H is an array even when k = 1.
+    0 * log(0) = 0 convention. ``companions`` keeps them all as one
+    (k, total) array, aligned with the factors' tables laid side by side
+    in factor order, a None companion as zeros and a flat one in every
+    column; it is None when every companion is. :meth:`carrier_tables`
+    lifts the pairs (:func:`fginfer.propagation.lift_tables`) on every
+    call; nothing is cached. ``stacked`` tells whether the companions came
+    as (k, n) columns, for which H is an array even when k = 1.
     """
 
     def __init__(self, graph: FactorGraph, companions=None):
@@ -91,57 +94,58 @@ class WeightedGraph:
             raise ValueError(
                 f"{len(companions)} companion tables for {len(graph.factors)} factors"
             )
-        self.companions = _check_companions(graph.factors, companions)
-        self.stacked = any(c is not None and c.ndim == 2 for c in self.companions)
+        self.companions, self.stacked = _check_companions(graph.factors, companions)
 
     def carrier_tables(self, s: Semiring) -> np.ndarray:
         return lift_tables(s, self.graph.factors, self.companions)
 
 
-def _check_companions(factors, companions) -> list:
-    """Companions as float arrays, shapes checked per factor; finiteness is
-    checked once over all of them, and undefined entries under zero values
-    are set to 0."""
-    out = []
-    widths = set()
+def _check_companions(factors, companions) -> tuple[np.ndarray | None, bool]:
+    """The companions as one (k, total) array, shapes checked per factor,
+    and whether any had columns. Finiteness is checked once over the
+    array, and undefined entries under zero values are set to 0."""
+    flat, stacked, kind, lengths = [], [], [], []
     for f, c in zip(factors, companions):
-        if c is not None:
-            c = np.asarray(c, dtype=float)
-            n = f.values.size
-            if c.ndim == 2 and c.shape[1] == n:
-                widths.add(c.shape[0])
-            elif c.size == n:
-                c = c.ravel()
-            else:
-                raise ValueError(
-                    f"factor {f.id!r}: companion length {c.size} != table length {n}"
-                )
-        out.append(c)
+        n = f.values.size
+        lengths.append(n)
+        if c is None:
+            kind.append(0)
+            continue
+        c = np.asarray(c, dtype=float)
+        if c.ndim == 2 and c.shape[1] == n:
+            stacked.append(c)
+            kind.append(2)
+        elif c.size == n:
+            flat.append(c)
+            kind.append(1)
+        else:
+            raise ValueError(f"factor {f.id!r}: companion length {c.size} != table length {n}")
+    widths = {c.shape[0] for c in stacked}
     if len(widths) > 1:
         raise ValueError(f"companions disagree on their column count: {sorted(widths)}")
-    present = [c for c in out if c is not None]
-    if not present:
-        return out
-    flat = np.concatenate(present, axis=None)
-    undefined = np.flatnonzero(~np.isfinite(flat))
-    if not undefined.size:
-        return out
-    # each undefined entry's factor j (None companions have size 0), and
-    # the table value it pairs with
-    sizes = np.array([0 if c is None else c.size for c in out])
-    lengths = np.array([f.values.size for f in factors])
-    ends = np.cumsum(sizes)
-    j = np.searchsorted(ends, undefined, "right")
-    within = (undefined - ends[j] + sizes[j]) % lengths[j]
-    values = np.concatenate([f.values for f in factors])
-    nonzero = values[np.cumsum(lengths)[j] - lengths[j] + within] != 0.0
-    if nonzero.any():
-        raise ValueError(f"factor {factors[j[nonzero.argmax()]].id!r}: companion must be"
+    if not (flat or stacked):
+        return None, False
+    if len(flat) == len(factors):
+        out = np.concatenate(flat, axis=None)[None, :]
+    else:
+        kind = np.repeat(kind, lengths)
+        out = np.zeros((max(widths, default=1), len(kind)))
+        if flat:
+            out[:, kind == 1] = np.concatenate(flat, axis=None)
+        if stacked:
+            out[:, kind == 2] = np.concatenate(stacked, axis=1)
+    undefined = ~np.isfinite(out)
+    if not undefined.any():
+        return out, bool(stacked)
+    # the table value each undefined entry pairs with must be zero
+    columns = np.flatnonzero(undefined.any(axis=0))
+    nonzero = columns[np.concatenate([f.values for f in factors])[columns] != 0.0]
+    if nonzero.size:
+        j = int(np.searchsorted(np.cumsum(lengths), nonzero[0], "right"))
+        raise ValueError(f"factor {factors[j].id!r}: companion must be"
                          " finite wherever the value is nonzero")
-    flat[undefined] = 0.0
-    for k in np.unique(j).tolist():
-        out[k] = flat[ends[k] - sizes[k]:ends[k]].reshape(out[k].shape)
-    return out
+    out[undefined] = 0.0
+    return out, bool(stacked)
 
 
 def _zh_mantissas(wg: WeightedGraph, root: str | None) -> tuple[list, int]:

@@ -11,7 +11,6 @@ incremental union-find, which enforces exactly the acyclic criterion
 |edges| = |nodes| - |components|.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,6 +182,11 @@ class Schedule:
     ``to_factor`` is true, factor-to-variable otherwise. One pass sends
     every edge toward the root once; a two-pass schedule appends the
     root-to-leaf orientations, for 2 * |edges| entries total.
+
+    ``depth`` holds every node's breadth-first distance from its
+    component's root, variable v at v and factor f at |variables| + f.
+    Every edge joins depths d and d + 1, and the first pass sends each
+    edge's message from its deeper end.
     """
 
     root: int
@@ -190,6 +194,7 @@ class Schedule:
     edges: list[tuple]
     two_pass: bool
     n_edges: int
+    depth: np.ndarray
 
 
 def make_schedule(g: FactorGraph, root: str | None = None, two_pass: bool = False) -> Schedule:
@@ -204,6 +209,7 @@ def make_schedule(g: FactorGraph, root: str | None = None, two_pass: bool = Fals
     nvar = len(g.variables)
     vvis = bytearray(nvar)
     fvis = bytearray(len(g.factors))
+    depth = [0] * (nvar + len(g.factors))
     var_factors = g.var_factors
     factor_vars = g.factor_vars
 
@@ -215,34 +221,27 @@ def make_schedule(g: FactorGraph, root: str | None = None, two_pass: bool = Fals
     while True:
         component_roots.append(seed)
         vvis[seed] = 1
-        disc = []  # (is_var, idx, parent_idx) in discovery order
-        queue = deque()
-        queue.append((True, seed))
-        while queue:
-            is_var, idx = queue.popleft()
+        # (is_var, idx, parent_idx) in discovery order, read as the queue
+        disc = [(True, seed, -1)]
+        for is_var, idx, _ in disc:
             if is_var:
+                d = depth[idx] + 1
                 for fi in var_factors[idx]:
                     if not fvis[fi]:
                         fvis[fi] = 1
+                        depth[nvar + fi] = d
                         disc.append((False, fi, idx))
-                        queue.append((False, fi))
             else:
+                d = depth[nvar + idx] + 1
                 for vi in factor_vars[idx]:
                     if not vvis[vi]:
                         vvis[vi] = 1
+                        depth[vi] = d
                         disc.append((True, vi, idx))
-                        queue.append((True, vi))
-        for is_var, idx, parent in reversed(disc):
-            if is_var:
-                up.append((True, idx, parent))
-            else:
-                up.append((False, parent, idx))
+        del disc[0]
+        up += [(True, i, p) if v else (False, p, i) for v, i, p in reversed(disc)]
         if two_pass:
-            for is_var, idx, parent in disc:
-                if is_var:
-                    down.append((False, idx, parent))
-                else:
-                    down.append((True, parent, idx))
+            down += [(False, i, p) if v else (True, p, i) for v, i, p in disc]
         while scan < nvar and vvis[scan]:
             scan += 1
         if scan == nvar:
@@ -256,6 +255,7 @@ def make_schedule(g: FactorGraph, root: str | None = None, two_pass: bool = Fals
         edges=edges,
         two_pass=two_pass,
         n_edges=g.n_edges,
+        depth=np.array(depth),
     )
 
 

@@ -16,19 +16,23 @@ yields the root marginal, a second pass yields every marginal.
 Every message is one (k + 1, card) float array (see
 :mod:`fginfer.semiring`), and a variable-to-factor message with a single
 input is that input, aliased. :func:`run` compiles the graph, once per
-root, into a level plan that it caches with the graph. A message's level
-is one more than the highest level among the messages it reads, so the
-messages of one level can be computed together: per level, one group of
-variable-to-factor products and one group of contractions, each sorted
-by input count so that each sibling rank covers a prefix of the group;
-short sums are padded by zeros, which are added, never multiplied. The
-second pass gets its own levels, after the first. The plan holds index arrays only, no table
-values, and runs each group with one call of each kernel, looked up on
-the semiring at call time. The per-edge step API (:class:`MessageStore`,
-:func:`variable_to_factor`, :func:`factor_to_variable`,
-:func:`init_leaf_messages`, :func:`marginal_at`) computes one message per
-call with the same kernels and is the plan's reference in the tests:
-every message of a run equals its message bit for bit.
+root, into a level plan that it caches with the graph. Levels come from
+the schedule's breadth-first depths: in the first pass a message's level
+is the maximum depth minus its sender's depth, in the second pass (after
+the first) its sender's depth, so every message reads messages of
+earlier levels only. Component roots are variables, so one level holds
+either variable-to-factor products or contractions; each level is one
+group, sorted by input count so that each sibling rank covers a prefix
+of the group; short sums are padded by zeros, which are added, never
+multiplied. The compile is whole-graph array operations over the flat
+edge arrays, with a Python loop once per group only. The plan holds
+index arrays only, no table values, and runs each group with one call of
+each kernel, looked up on the semiring at call time. The per-edge step
+API (:class:`MessageStore`, :func:`variable_to_factor`,
+:func:`factor_to_variable`, :func:`init_leaf_messages`,
+:func:`marginal_at`) computes one message per call with the same kernels
+and is the plan's reference in the tests: every message of a run equals
+its message bit for bit.
 
 Every fresh message is multiplied by 2^-e, which puts its largest score
 magnitude in [1, 2), and e is added to its integer exponent E, so long
@@ -43,9 +47,9 @@ threads while messages are still being written.
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,30 +90,18 @@ class MessageStore:
 
     @cached_property
     def shapes(self):
-        return _factor_shapes(self.graph)
+        return _factor_shapes(_edges(self.graph))
 
     def message_count(self) -> int:
         return len(self.q) + len(self.r)
 
 
-def lift_tables(s: Semiring, factors, companions=None) -> np.ndarray:
+def lift_tables(s: Semiring, factors, companions: np.ndarray | None = None) -> np.ndarray:
     """Every factor's carrier table, side by side in factor order, from
-    one ``lift_table`` call over the concatenated tables.
-
-    Companions are None or one per factor (None, a flat table of the
-    factor's length, or a (k, n) array). When any has k columns, the
-    others are widened to k equal columns, which is what a width-1 aux
-    means in a width-k product anyway.
-    """
-    values = np.concatenate([f.values for f in factors])
-    if companions is None or all(c is None for c in companions):
-        return s.lift_table(values)
-    comps = [np.zeros(f.values.size) if c is None else np.asarray(c, dtype=float)
-             for f, c in zip(factors, companions)]
-    k = max((len(c) for c in comps if c.ndim == 2), default=0)
-    if k:
-        comps = [c if c.ndim == 2 else np.broadcast_to(c, (k, c.size)) for c in comps]
-    return s.lift_table(values, np.concatenate(comps, axis=-1))
+    one ``lift_table`` call over the concatenated tables and, if given,
+    their (k, total) companions (see
+    :class:`fginfer.entropy.WeightedGraph`)."""
+    return s.lift_table(np.concatenate([f.values for f in factors]), companions)
 
 
 def scale_exponents(mx: np.ndarray) -> np.ndarray:
@@ -138,52 +130,108 @@ def _rescale(s: Semiring, msgs: np.ndarray, starts: np.ndarray, member: np.ndarr
 
 
 def _entries(lengths: np.ndarray):
-    """(start, member, within) of a batch of messages laid side by side:
-    each message's first entry, and each entry's message and position
-    in it."""
+    """(start, within) of a batch of messages laid side by side: each
+    message's first entry, and each entry's position in its message."""
     start = np.cumsum(lengths) - lengths
-    member = np.repeat(np.arange(len(lengths)), lengths)
-    return start, member, np.arange(len(member)) - start[member]
+    within = np.arange(int(lengths.sum()))
+    within -= np.repeat(start, lengths)
+    return start, within
 
 
-def _factor_shapes(g: FactorGraph):
+def _member(lengths: np.ndarray) -> np.ndarray:
+    """The message of each entry of a batch laid side by side."""
+    return np.repeat(np.arange(len(lengths)), lengths)
+
+
+class _Edges(NamedTuple):
+    """Every edge of a graph, factor by factor in scope order: its
+    variable, factor, scope position and cardinality; and per factor, its
+    arity and first edge."""
+
+    var: np.ndarray
+    fac: np.ndarray
+    pos: np.ndarray
+    card: np.ndarray
+    arity: np.ndarray
+    first: np.ndarray
+
+
+def _edges(g: FactorGraph) -> _Edges:
+    flat = itertools.chain.from_iterable
+    arity = np.fromiter(map(len, g.factor_vars), dtype=int, count=len(g.factor_vars))
+    first, pos = _entries(arity)
+    return _Edges(np.fromiter(flat(g.factor_vars), dtype=int, count=g.n_edges),
+                  _member(arity), pos,
+                  np.fromiter(flat(g.factor_cards), dtype=int, count=g.n_edges), arity, first)
+
+
+def _run_heads(*keys) -> np.ndarray:
+    """Where each run of equal entries of the keys, taken together, starts."""
+    change = np.zeros(len(keys[0]), dtype=bool)
+    change[:1] = True
+    for key in keys:
+        change[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(change)
+
+
+def _factor_shapes(edges: _Edges):
     """Every factor's cards and index steps, padded to the largest arity
-    with cardinality 1, whose digit is always 0; its table size and first
-    entry in the lifted tables; and per target position, the others."""
-    arity = max(len(c) for c in g.factor_cards)
-    cards = np.array([c + [1] * (arity - len(c)) for c in g.factor_cards], dtype=int)
+    with cardinality 1, whose digit is always 0; and its table size and
+    first entry in the lifted tables."""
+    cards = np.ones((len(edges.arity), edges.arity.max()), dtype=int)
+    cards[edges.fac, edges.pos] = edges.card
     steps = np.ones_like(cards)
     steps[:, :-1] = np.cumprod(cards[:, :0:-1], axis=1)[:, ::-1]
     sizes = cards.prod(axis=1)
-    others = np.array([[p for p in range(arity) if p != t] for t in range(arity)], dtype=int)
-    return cards, steps, sizes, np.cumsum(sizes) - sizes, others
+    return cards, steps, sizes, np.cumsum(sizes) - sizes
 
 
-def _contraction_index(shapes, fi: np.ndarray, tpos: np.ndarray):
+def _contraction_index(shapes, fi: np.ndarray, tpos: np.ndarray, bounds) -> tuple[list, list]:
     """Entry indices of a batch of factor-to-variable messages, from
-    factors ``fi`` to their scope positions ``tpos``.
+    factors ``fi`` to their scope positions ``tpos``, in groups: group g
+    holds messages ``bounds[g]:bounds[g + 1]``.
 
-    Returns (member, digits, table, terms): the message of each table
-    entry of the batch; ``digits[j]``, the entry of incoming message j,
-    in scope order, that each table entry multiplies; each table entry's
-    column in the lifted tables; and ``terms`` as
-    :meth:`~fginfer.semiring.Semiring.contract` takes them.
+    Returns (table, terms), one array of each per group: the column in
+    the lifted tables of each of the group's table entries, message by
+    message in table order; and ``terms`` as
+    :meth:`~fginfer.semiring.Semiring.contract` takes them, indexing the
+    group's entries and padded to the group's widest row.
     """
-    cards, steps, sizes, starts, others = shapes
-    size, tcard, tstep, other = sizes[fi], cards[fi, tpos], steps[fi, tpos], others[tpos]
-    start, member, within = _entries(size)
-    digits = [within // steps[fi, other[:, j]][member] % cards[fi, other[:, j]][member]
-              for j in range(other.shape[1])]
-    # output entry x of message i sums, in table order, the entries
-    # hi * tcard * tstep + x * tstep + lo, the n-th with hi, lo = divmod(n, tstep)
-    _, out_member, x = _entries(tcard)
-    width = (size // tcard)[out_member][:, None]
-    step = tstep[out_member][:, None]
-    n = np.arange(width.max())
-    terms = (start[out_member][:, None] + n // step * (tcard[out_member][:, None] * step)
-             + x[:, None] * step + n % step)
-    terms[n >= width] = -1
-    return member, digits, starts[fi][member] + within, terms
+    cards, steps, sizes, starts = shapes
+    size, tcard, tstep = sizes[fi], cards[fi, tpos], steps[fi, tpos]
+    bounds = np.asarray(bounds)
+    heads = bounds[:-1]
+    group = _member(np.diff(bounds))
+    width = np.maximum.reduceat(size // tcard, heads)
+    block = np.add.reduceat(tcard, heads) * width
+    # each group's terms are one (outputs, width) block; per message, the
+    # cell of its first output's first term
+    out_start = np.cumsum(tcard) - tcard
+    row0 = (np.cumsum(block) - block)[group] + (out_start - out_start[heads][group]) * width[group]
+    first, within = _entries(size)
+    terms = np.full(int(block.sum()), -1)
+    # table entry hi * tcard * tstep + x * tstep + lo is term n = hi * tstep + lo
+    # of output entry x; with q = hi * tcard + x, n = within - (q - hi) * tstep.
+    # In-place steps keep the batch's temporary entry arrays few
+    ts, tc = np.repeat(tstep, size), np.repeat(tcard, size)
+    q = within // ts
+    cell = q // tc
+    cell -= q
+    cell *= ts
+    cell += within
+    q %= tc
+    q *= np.repeat(width[group], size)
+    cell += q
+    cell += np.repeat(row0, size)
+    del ts, tc, q
+    terms[cell] = within + np.repeat(first - first[heads][group], size)
+    del cell
+    table = within
+    table += np.repeat(starts[fi], size)
+    t = np.append(first[heads], len(table)).tolist()
+    b = np.append(0, np.cumsum(block)).tolist()
+    return ([table[lo:hi] for lo, hi in zip(t, t[1:])],
+            [terms[lo:hi].reshape(-1, w) for lo, hi, w in zip(b, b[1:], width.tolist())])
 
 
 def _send_v2f(store: MessageStore, vi: int, fi: int):
@@ -238,9 +286,13 @@ def _send_f2v(store: MessageStore, fi: int, vi: int):
         raise MissingDependency(
             f"variable {g.variables[vi].id!r} is not in the scope of factor {g.factors[fi].id!r}"
         )
-    _, digits, table, terms = _contraction_index(store.shapes, np.array([fi]), np.array([tpos]))
-    msg = s.contract(store.tables[:, table], [m[:, d] for m, d in zip(incoming, digits)],
-                     terms)
+    cards, steps, sizes, _ = store.shapes
+    (table,), (terms,) = _contraction_index(store.shapes, np.array([fi]), np.array([tpos]),
+                                            [0, 1])
+    within = np.arange(sizes[fi])
+    digits = [within // steps[fi, p] % cards[fi, p]
+              for p in range(len(g.factor_vars[fi])) if p != tpos]
+    msg = s.contract(store.tables[:, table], [m[:, d] for m, d in zip(incoming, digits)], terms)
     acc += int(_rescale(s, msg, [0], 0)[0])
     store.r[(fi, vi)] = msg
     store.r_scale[(fi, vi)] = acc
@@ -367,106 +419,148 @@ class LevelPlan:
     groups of the first pass only. Messages live in one buffer, one slot of
     entries per computed or all-ones message; an aliased message shares
     its input's slot.
+
+    Message p * |edges| + e is edge e's message of pass p, in
+    :func:`_edges` order; the first pass sends it from the edge's deeper
+    end. A message's level is the maximum depth minus its sender's depth
+    in the first pass and its sender's depth in the second, so every level
+    holds one kind of message: a component root is a variable. The
+    compile runs whole-graph array operations, and a Python loop only
+    once per group.
     """
 
     def __init__(self, g: FactorGraph, root: str | None, two_pass: bool):
+        # only the depths and roots are kept, not the schedule's edge list
         schedule = make_schedule(g, root=root, two_pass=two_pass)
-        edges = schedule.edges
-        n_up = schedule.n_edges
-        ident = {e: m for m, e in enumerate(edges)}
-        cards = [v.cardinality for v in g.variables]
-        # per message (schedule edges, then marginals): its card and its
-        # inputs, each resolved to the message whose slot it uses
-        card = [cards[vi] for _, vi, _ in edges]
-        inputs, level, ones = [], [], []
-        source = list(range(len(edges)))
-        groups = defaultdict(list)
-        for m, (to_factor, vi, fi) in enumerate(edges):
-            if m == n_up:
-                # the first pass is complete before the second starts
-                level[:] = [-1] * n_up
-            if to_factor:
-                ins = [source[ident[(False, vi, f2)]] for f2 in g.var_factors[vi] if f2 != fi]
-            else:
-                ins = [source[ident[(True, v2, fi)]] for v2 in g.factor_vars[fi] if v2 != vi]
-            inputs.append(ins)
-            lv = 1 + max(map(level.__getitem__, ins), default=-1)
-            if not to_factor or len(ins) > 1:
-                groups[(m >= n_up, lv, not to_factor)].append(m)
-            elif ins:
-                source[m] = ins[0]
-            else:
-                ones.append(m)
-                lv = -1
-            level.append(lv)
-        # marginals: component roots after one pass, every variable after two
-        marginals = []
-        for both in range(1 + two_pass):
-            ids, ms = [], []
-            for vi in range(len(g.variables)) if both else schedule.component_roots:
-                ins = [source[ident[(False, vi, fi)]] for fi in g.var_factors[vi]]
-                if len(ins) > 1:
-                    ms.append(len(inputs))
-                    inputs.append(ins)
-                    card.append(cards[vi])
-                ids.append((g.variables[vi].id, ms[-1] if len(ins) > 1 else ins[0]))
-            marginals.append((ids, ms))
+        depth, component_roots = schedule.depth, schedule.component_roots
+        del schedule
+        edges = _edges(g)
+        cards, steps, sizes, _ = shapes = _factor_shapes(edges)
+        var, fac, pos = edges.var, edges.fac, edges.pos
+        n_var, n_edges = len(g.variables), len(var)
+        degree = np.bincount(var, minlength=n_var)
+        var_card = np.zeros(n_var, dtype=int)
+        var_card[var] = edges.card
+        # the edges variable by variable, in var_factors order
+        by_var = np.argsort(var, kind="stable")
+        var_first, var_rank = _entries(degree)
+        var_rank[by_var] = var_rank.copy()
+        var_depth, fac_depth = depth[var], depth[n_var + fac]
+        up_to_factor = var_depth > fac_depth
 
-        keys = sorted(groups)
-        members = [sorted(groups[k], key=lambda m: -len(inputs[m])) for k in keys]
-        marginal_members = [sorted(ms, key=lambda m: -len(inputs[m])) for _, ms in marginals]
+        # per message, the passes' edge messages first and then the
+        # marginals (the component roots', and after two passes every
+        # variable's): whether it reads factor-to-variable messages, its
+        # variable and factor, its input count, where its inputs start
+        # among the edges by variable (or by factor), its own rank there,
+        # and its pass and level
+        e = np.tile(np.arange(n_edges), 1 + two_pass)
+        down = np.arange(len(e)) >= n_edges
+        to_factor = up_to_factor[e] != down
+        roots = [np.array(component_roots)] + [np.arange(n_var)] * two_pass
+        mvar = np.concatenate(roots)
+        reads_r = np.concatenate((to_factor, np.ones(len(mvar), dtype=bool)))
+        v = np.concatenate((var[e], mvar))
+        f = np.concatenate((fac[e], np.zeros(len(mvar), dtype=int)))
+        count = np.concatenate((np.where(to_factor, degree[var[e]], edges.arity[fac[e]]) - 1,
+                                degree[mvar]))
+        base = np.concatenate((np.where(to_factor, var_first[var[e]], edges.first[fac[e]]),
+                               var_first[mvar]))
+        rank = np.concatenate((np.where(to_factor, var_rank[e], pos[e]), degree[mvar]))
+        sender_depth = np.where(to_factor, var_depth[e], fac_depth[e])
+        pass_key = np.concatenate((down, np.repeat(2 + np.arange(len(roots)),
+                                                   list(map(len, roots)))))
+        level = np.concatenate((np.where(down, sender_depth, depth.max() - sender_depth),
+                                np.zeros(len(mvar), dtype=int)))
+        card = var_card[v]
+
+        def inputs(m, j):
+            """Input j of messages m, and its scope position in m's factor."""
+            at = base[m] + j + (j >= rank[m])
+            edge = np.where(reads_r[m], by_var[at], at)
+            return edge + n_edges * (up_to_factor[edge] == reads_r[m]), pos[edge]
+
+        # a variable-to-factor message or marginal of one input is that
+        # input, a computed message; one of no input is all ones
+        source = np.arange(len(v))
+        alias = np.flatnonzero(reads_r & (count == 1))
+        source[alias] = inputs(alias, 0)[0]
+        ones = np.flatnonzero(reads_r & (count == 0))
+        computed = np.flatnonzero(~reads_r | (count > 1))
+        computed = computed[np.lexsort((-count[computed], level[computed], pass_key[computed]))]
         # slots in execution order, the all-ones messages first
-        order = ones + [m for ms in members + marginal_members for m in ms]
-        slot = np.zeros(len(inputs), dtype=int)
+        order = np.concatenate((ones, computed))
+        slot = np.zeros(len(v), dtype=int)
         slot[order] = np.arange(len(order))
-        lengths = np.array([card[m] for m in order], dtype=int)
+        lengths = card[order]
         self.spans = np.cumsum(lengths) - lengths
         self.n_entries = int(lengths.sum())
-        self.n_ones = sum(card[m] for m in ones)
+        self.n_ones = int(card[ones].sum())
 
-        shapes = _factor_shapes(g)
+        # groups: runs of one pass and level, by decreasing input count
+        heads = _run_heads(pass_key[computed], level[computed])
+        bounds = np.append(heads, len(computed))
+        group = _member(np.diff(bounds))
+        contracts = ~reads_r[computed]
+        tables, terms = _contraction_index(
+            shapes, f[computed[contracts]], rank[computed[contracts]],
+            np.append(0, np.cumsum(np.diff(bounds)[contracts[heads]])))
+        # every input of every group, ordered by group, then rank j, then
+        # message: the messages with a j-th input are a prefix of the group.
+        # Each is gathered entry by entry, by the digit that the entry's
+        # position in a product (or in the factor's table) gives it
+        member, j = _member(count[computed]), _entries(count[computed])[1]
+        m, grp = computed[member], group[member]
+        src, at = inputs(m, j)
+        src = slot[source[src]]
+        size = np.where(reads_r[m], card[m], sizes[f[m]])
+        step = np.where(reads_r[m], 1, steps[f[m], at])
+        radix = np.where(reads_r[m], card[m], cards[f[m], at])
+        by_rank = np.lexsort((j, grp))
+        src, j, grp, size, step, radix = (x[by_rank] for x in (src, j, grp, size, step, radix))
+        del member, m, at, by_rank
+        gathers = _entries(size)[1]
+        gathers //= np.repeat(step, size)
+        gathers %= np.repeat(radix, size)
+        gathers += np.repeat(self.spans[src], size)
+        ranks = _run_heads(grp, j)
+        rank_bounds = np.append(ranks, len(j)).tolist()
+        entry_bounds = np.append((np.cumsum(size) - size)[ranks], len(gathers)).tolist()
+        group_ranks = np.searchsorted(grp[ranks], np.arange(len(bounds))).tolist()
 
-        def contractions(ms):
-            member, digits, table, terms = _contraction_index(
-                shapes, np.array([edges[m][2] for m in ms]),
-                np.array([g.factor_vars[edges[m][2]].index(edges[m][1]) for m in ms]))
-            return self._group(ms, inputs, slot, card, member, digits, table=table, terms=terms)
-
-        def products(ms):
-            _, member, within = _entries(np.array([card[m] for m in ms], dtype=int))
-            return self._group(ms, inputs, slot, card, member, [within] * len(inputs[ms[0]]))
-
+        out_start = self.spans[len(ones):] - self.n_ones
+        starts = out_start - out_start[heads][group]
+        out_member = _member(card[computed])
+        out_member -= heads[group][out_member]
+        out_bounds = np.append(out_start[heads], len(out_member)).tolist()
         self.passes: tuple[list, list] = ([], [])
-        for (down, _, contraction), ms in zip(keys, members):
-            self.passes[down].append(contractions(ms) if contraction else products(ms))
-        self.marginals = [([vid for vid, _ in ids], slot[[m for _, m in ids]].tolist(),
-                           products(ms) if ms else None)
-                          for (ids, _), ms in zip(marginals, marginal_members)]
+        marginal_groups = [None, None]
+        contraction = iter(zip(tables, terms))
+        for k, (m0, m1) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
+            r0, r1 = group_ranks[k], group_ranks[k + 1]
+            o0, o1 = out_bounds[k], out_bounds[k + 1]
+            ins = zip(entry_bounds[r0:r1], entry_bounds[r0 + 1:r1 + 1])
+            exp_in = zip(rank_bounds[r0:r1], rank_bounds[r0 + 1:r1 + 1])
+            out = _Group(self.n_ones + o0, self.n_ones + o1,
+                         slice(len(ones) + m0, len(ones) + m1),
+                         [gathers[a:b] for a, b in ins], [src[a:b] for a, b in exp_in],
+                         starts[m0:m1], out_member[o0:o1],
+                         *(next(contraction) if contracts[m0] else ()))
+            key = int(pass_key[computed[m0]])
+            if key < 2:
+                self.passes[key].append(out)
+            else:
+                marginal_groups[key - 2] = out
+        names = list(g.var_index)
+        first = len(e)
+        self.marginals = []
+        for r, out in zip(roots, marginal_groups):
+            self.marginals.append((list(map(names.__getitem__, r.tolist())),
+                                   slot[source[first:first + len(r)]].tolist(), out))
+            first += len(r)
         # every edge's (to_factor, variable, factor, slot), by pass
-        self.edges = np.column_stack((np.array(edges, dtype=int), slot[source]))
-        self.n_up = n_up
-
-    def _group(self, ms, inputs, slot, card, member, digits, **kw) -> _Group:
-        """The group of messages ``ms``, which come in decreasing input
-        count. Entry e of the batch belongs to message ``member[e]`` and
-        multiplies entry ``digits[j][e]`` of that message's j-th input."""
-        rows = [inputs[m] for m in ms]
-        lens = np.array([len(r) for r in rows], dtype=int)
-        flat = slot[np.fromiter(itertools.chain.from_iterable(rows), dtype=int,
-                                count=lens.sum())]
-        firsts = np.cumsum(lens) - lens
-        gathers, exp_in = [], []
-        for j in range(lens[0]):
-            n = int(np.count_nonzero(lens > j))
-            src = flat[firsts[:n] + j]
-            end = np.searchsorted(member, n)
-            gathers.append(self.spans[src][member[:end]] + digits[j][:end])
-            exp_in.append(src)
-        s0 = int(slot[ms[0]])
-        start, out_member, _ = _entries(np.array([card[m] for m in ms], dtype=int))
-        lo = int(self.spans[s0])
-        return _Group(lo, lo + len(out_member), slice(s0, s0 + len(ms)), gathers, exp_in,
-                      start, out_member, **kw)
+        self.edges = np.column_stack((to_factor, var[e], fac[e], slot[source[:len(e)]]))
+        self.n_up = n_edges
 
     def execute(self, store: MessageStore, two_pass: bool) -> dict:
         """Run the passes into ``store``; returns the marginals."""

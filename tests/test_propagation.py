@@ -31,7 +31,7 @@ from fginfer.oracle import (
     enumerate_z,
     max_product_value,
 )
-from fginfer.propagation import fold_exponent, product_of_totals
+from fginfer.propagation import fold_exponent, level_plan, product_of_totals
 
 from conftest import assert_close, bits, heap_tree, random_tree, ulps_apart
 
@@ -667,3 +667,61 @@ class TestLevelPlan:
         assert g.plans == plans
         run(g, SUM_PRODUCT, root="x3")
         assert len(g.plans) == 2
+
+    def test_one_group_per_level(self, rng):
+        # a complete binary tree with a unary factor on every variable:
+        # each group holds the messages of one sender depth, deepest first
+        # in the first pass and shallowest first in the second, and every
+        # depth that computes a message has its group (2h per pass)
+        h = 4
+        tree = heap_tree(2 ** (h + 1) - 1)
+        unary = [FactorTable(f"u{i}", (v.id,), rng.uniform(0.05, 2.0, 2))
+                 for i, v in enumerate(tree.variables)]
+        g = FactorGraph(tree.variables, tree.factors + unary)
+        plan = level_plan(g, two_pass=True)
+        depth = make_schedule(g, two_pass=True).depth
+        n_var = len(g.variables)
+        for p, groups in enumerate(plan.passes):
+            rows = plan.edges[p * plan.n_up:(p + 1) * plan.n_up]
+            senders = []
+            for group in groups:
+                products = group.terms is None
+                to_factor, vi, fi, slot = rows[(rows[:, 0] == products)
+                                               & (rows[:, 3] >= group.slots.start)
+                                               & (rows[:, 3] < group.slots.stop)].T
+                assert len(slot) == group.slots.stop - group.slots.start
+                depths = set(depth[vi] if products else depth[n_var + fi])
+                assert len(depths) == 1
+                senders += depths
+            assert senders == sorted(set(senders), reverse=p == 0)
+            assert len(senders) == 2 * h
+        assert_run_matches_steps(g, ENTROPY, None, True, carriers(g, ENTROPY, None))
+
+    def test_hub_variable_matches_step_api(self, rng):
+        # a variable of degree 401: its messages read 400 inputs each, the
+        # ragged case random forests never reach
+        leaves = 400
+        variables = [VariableDecl("hub", 3)] + [
+            VariableDecl(f"y{i}", 2 + i % 2) for i in range(leaves)]
+        factors = [FactorTable("u", ("hub",), rng.uniform(0.05, 2.0, 3))] + [
+            FactorTable(f"f{i}", (v.id, "hub") if i % 2 else ("hub", v.id),
+                        rng.uniform(0.5, 1.5, 3 * v.cardinality))
+            for i, v in enumerate(variables[1:])
+        ]
+        g = FactorGraph(variables, factors)
+        assert_run_matches_steps(g, SUM_PRODUCT, "y7", True, carriers(g, SUM_PRODUCT, None))
+
+    def test_root_in_a_later_component(self, rng):
+        # the given root's component is reached first; the other
+        # components follow from their first declared variable
+        parts = [random_tree(rng, max_vars=8)[0] for _ in range(3)]
+        variables = [VariableDecl(f"t{k}{v.id}", v.cardinality)
+                     for k, part in enumerate(parts) for v in part.variables]
+        factors = [FactorTable(f"t{k}{f.id}", tuple(f"t{k}{n}" for n in f.scope), f.values)
+                   for k, part in enumerate(parts) for f in part.factors]
+        g = FactorGraph(variables, factors)
+        root = f"t2{parts[2].variables[-1].id}"
+        marginals, _ = run(g, SUM_PRODUCT, root=root)
+        assert list(marginals) == [root, "t0x0", "t1x0"]
+        for two_pass in (False, True):
+            assert_run_matches_steps(g, ENTROPY, root, two_pass, carriers(g, ENTROPY, None))
