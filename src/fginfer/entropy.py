@@ -125,15 +125,18 @@ def _check_companions(factors, companions) -> tuple[np.ndarray | None, bool]:
         raise ValueError(f"companions disagree on their column count: {sorted(widths)}")
     if not (flat or stacked):
         return None, False
-    if len(flat) == len(factors):
-        out = np.concatenate(flat, axis=None)[None, :]
-    else:
-        kind = np.repeat(kind, lengths)
-        out = np.zeros((max(widths, default=1), len(kind)))
-        if flat:
-            out[:, kind == 1] = np.concatenate(flat, axis=None)
-        if stacked:
-            out[:, kind == 2] = np.concatenate(stacked, axis=1)
+    # filled one row at a time: a 1-D boolean assignment is several
+    # times faster than numpy's 2-D out[:, mask] on thousands of factors
+    kind = np.repeat(kind, lengths)
+    out = np.zeros((max(widths, default=1), len(kind)))
+    if flat:
+        columns, values = kind == 1, np.concatenate(flat, axis=None)
+        for row in out:
+            row[columns] = values
+    if stacked:
+        columns = kind == 2
+        for row, values in zip(out, np.concatenate(stacked, axis=1)):
+            row[columns] = values
     undefined = ~np.isfinite(out)
     if not undefined.any():
         return out, bool(stacked)
