@@ -36,35 +36,44 @@ class ParsedGraph:
         return self.companions is not None and all(c is not None for c in self.companions)
 
 
-def _need(doc: dict, key: str, path: str):
+# A path argument is a JSON path, or a template such as "$.factors[{}].id"
+# that the indices after it fill in; it is formatted only when an error
+# names it, so well-formed documents pay for no path strings.
+
+
+def _at(path: str, where: tuple) -> str:
+    return path.format(*where) if where else path
+
+
+def _need(doc: dict, key: str, path: str, *where):
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected an object")
+        raise ParseError(f"{_at(path, where)}: expected an object")
     if key not in doc:
-        raise ParseError(f"{path}.{key}: missing")
+        raise ParseError(f"{_at(path, where)}.{key}: missing")
     return doc[key]
 
 
-def _as_int(x, path: str) -> int:
+def _as_int(x, path: str, *where) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ParseError(f"{path}: expected an integer, got {x!r}")
+        raise ParseError(f"{_at(path, where)}: expected an integer, got {x!r}")
     return x
 
 
-def _as_str(x, path: str) -> str:
+def _as_str(x, path: str, *where) -> str:
     if not isinstance(x, str):
-        raise ParseError(f"{path}: expected a string, got {x!r}")
+        raise ParseError(f"{_at(path, where)}: expected a string, got {x!r}")
     return x
 
 
-def _as_list(x, path: str) -> list:
+def _as_list(x, path: str, *where) -> list:
     if not isinstance(x, list):
-        raise ParseError(f"{path}: expected an array")
+        raise ParseError(f"{_at(path, where)}: expected an array")
     return x
 
 
-def _as_number(x, path: str) -> float:
+def _as_number(x, path: str, *where) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ParseError(f"{path}: expected a number, got {x!r}")
+        raise ParseError(f"{_at(path, where)}: expected a number, got {x!r}")
     # Python's json module decodes NaN, Infinity and 1e999 to non-finite
     # floats, and integer literals of any length to int
     try:
@@ -72,25 +81,26 @@ def _as_number(x, path: str) -> float:
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ParseError(f"{path}: expected a finite number, got {value!r}")
+        raise ParseError(f"{_at(path, where)}: expected a finite number, got {value!r}")
     return value
 
 
-def _number_list(x, path: str) -> list:
-    # only entries other than finite floats pay for formatting their path
-    return [v if type(v) is float and -math.inf < v < math.inf else _as_number(v, f"{path}[{i}]")
-            for i, v in enumerate(_as_list(x, path))]
+def _number_list(x, path: str, *where) -> list:
+    # only entries other than finite floats pay for their path template
+    return [v if type(v) is float and -math.inf < v < math.inf
+            else _as_number(v, _at(path, where) + "[{}]", i)
+            for i, v in enumerate(_as_list(x, path, *where))]
 
 
 def parse_graph_document(doc) -> ParsedGraph:
     """Build a ParsedGraph from a decoded JSON object."""
     variables = []
     for i, v in enumerate(_as_list(_need(doc, "variables", "$"), "$.variables")):
-        path = f"$.variables[{i}]"
-        vid = _as_str(_need(v, "id", path), f"{path}.id")
-        card = _as_int(_need(v, "cardinality", path), f"{path}.cardinality")
+        vid = _as_str(_need(v, "id", "$.variables[{}]", i), "$.variables[{}].id", i)
+        card = _as_int(_need(v, "cardinality", "$.variables[{}]", i),
+                       "$.variables[{}].cardinality", i)
         if card < 1:
-            raise ParseError(f"{path}.cardinality: must be >= 1, got {card}")
+            raise ParseError(f"$.variables[{i}].cardinality: must be >= 1, got {card}")
         variables.append(VariableDecl(vid, card))
     if not variables:
         raise ParseError("$.variables: must not be empty")
@@ -100,44 +110,43 @@ def parse_graph_document(doc) -> ParsedGraph:
     companions: list = []
     saw_g = False
     for i, f in enumerate(_as_list(_need(doc, "factors", "$"), "$.factors")):
-        path = f"$.factors[{i}]"
-        fid = _as_str(_need(f, "id", path), f"{path}.id")
+        fid = _as_str(_need(f, "id", "$.factors[{}]", i), "$.factors[{}].id", i)
         scope = [
-            _as_str(s, f"{path}.scope[{j}]")
-            for j, s in enumerate(_as_list(_need(f, "scope", path), f"{path}.scope"))
+            _as_str(s, "$.factors[{}].scope[{}]", i, j)
+            for j, s in enumerate(_as_list(_need(f, "scope", "$.factors[{}]", i),
+                                           "$.factors[{}].scope", i))
         ]
         for j, s in enumerate(scope):
             if s not in cards:
-                raise UnknownVariable(f"{path}.scope[{j}]: undeclared variable {s!r}")
-        values = _number_list(_need(f, "values", path), f"{path}.values")
+                raise UnknownVariable(f"$.factors[{i}].scope[{j}]: undeclared variable {s!r}")
+        values = _number_list(_need(f, "values", "$.factors[{}]", i), "$.factors[{}].values", i)
         expected = math.prod(cards[s] for s in scope)
         if scope and len(values) != expected:
             raise ScopeMismatch(
-                f"{path}.values: length {len(values)}, scope needs {expected}"
+                f"$.factors[{i}].values: length {len(values)}, scope needs {expected}"
             )
         try:
             factors.append(FactorTable(fid, tuple(scope), np.asarray(values)))
         except FactorGraphError as e:
-            raise type(e)(f"{path}: {e.detail}") from None
+            raise type(e)(f"$.factors[{i}]: {e.detail}") from None
         except ValueError as e:
-            raise ParseError(f"{path}: {e}") from None
+            raise ParseError(f"$.factors[{i}]: {e}") from None
         if "g" in f:
             saw_g = True
-            raw = _as_list(f["g"], f"{path}.g")
+            raw = _as_list(f["g"], "$.factors[{}].g", i)
             if len(raw) != len(values):
-                raise ParseError(
-                    f"{path}.g: length {len(raw)} differs from values length {len(values)}"
-                )
+                raise ParseError(f"$.factors[{i}].g: length {len(raw)} differs from"
+                                 f" values length {len(values)}")
             comp = []
             for j, entry in enumerate(raw):
                 if entry is None:
                     if values[j] != 0.0:
                         raise ParseError(
-                            f"{path}.g[{j}]: null is only allowed where the value is 0"
+                            f"$.factors[{i}].g[{j}]: null is only allowed where the value is 0"
                         )
                     comp.append(0.0)
                 else:
-                    comp.append(_as_number(entry, f"{path}.g[{j}]"))
+                    comp.append(_as_number(entry, "$.factors[{}].g[{}]", i, j))
             companions.append(np.asarray(comp))
         else:
             companions.append(None)
@@ -297,7 +306,7 @@ def parse_hmm_document(doc) -> HmmSpec:
     a = matrix("A", states)
     b = matrix("B", alphabet)
     obs = _as_list(_need(doc, "observations", "$"), "$.observations")
-    obs = [_as_int(o, f"$.observations[{i}]") for i, o in enumerate(obs)]
+    obs = [_as_int(o, "$.observations[{}]", i) for i, o in enumerate(obs)]
     if not obs:
         raise ParseError("$.observations: must not be empty")
     try:

@@ -24,9 +24,20 @@ columns [u_k; v_k] gives both. The reported residual substitutes
 theta_new back into that scalar equation. Every pass is rescaled (see
 :mod:`fginfer.propagation`), so H_a / H_b stays exact when the totals
 themselves leave float range.
+
+A set's structure (variables, scopes and factor ids) is validated once and
+shared: sets with equal structure, such as a fresh linear form built per
+request over a gradient set's variables and scopes, hold one validated
+graph from a module-level weak registry, with its cached level plans, so
+an EM step after a gradient validates, schedules and compiles nothing.
+The entry lives as long as some set holds it. Affine sets keep their base
+and coefficient tables side by side as two arrays, so evaluating the
+tables at theta is one matrix product for all factors.
 """
 
 import copy
+import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +46,12 @@ from .entropy import WeightedGraph, compute_zh
 from .errors import DegenerateMStep, ScopeMismatch, UndefinedQuotient
 from .graph import FactorGraph, FactorTable, VariableDecl
 from .propagation import fold_exponent
+
+# validated structures by content: every set with the same variables,
+# scopes and factor ids holds the same one, and an entry goes away with
+# the last set that holds it. Two threads that miss at once each build a
+# valid structure; the registry keeps the later one.
+_STRUCTURES: "weakref.WeakValueDictionary[tuple, FactorGraph]" = weakref.WeakValueDictionary()
 
 
 class ParametricFactorSet:
@@ -47,6 +64,11 @@ class ParametricFactorSet:
       built from arbitrary functions or from affine coefficient tables.
     - linear form: tables at the previous parameter point plus u, v tables
       and the direction vector lam, feeding :func:`em_linear_step`.
+
+    The structure is resolved and validated on construction (see
+    :meth:`structure_graph`), and every per-factor table given to a
+    constructor is checked there against it: one table per factor, each
+    of its factor's length. Errors name the factor.
     """
 
     def __init__(self, variables, scopes, dim, tables_fn=None, grads_fn=None,
@@ -63,18 +85,39 @@ class ParametricFactorSet:
         ]
         if len(self.factor_ids) != len(self.scopes):
             raise ValueError("factor_ids and scopes disagree in length")
+        self._structure = _shared_structure(self.variables, self.scopes, self.factor_ids)
+        self._sizes = [f.values.size for f in self._structure.factors]
+        ends = np.cumsum(self._sizes).tolist()
+        self._slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
         self._tables_fn = tables_fn
         self._grads_fn = grads_fn
-        self.u = None if u is None else [np.asarray(t, dtype=float).ravel() for t in u]
-        self.v = None if v is None else [np.asarray(t, dtype=float).ravel() for t in v]
+        self.u = None if u is None else self._per_factor(u, "u")
+        self.v = None if v is None else self._per_factor(v, "v")
         self.lam = None if lam is None else np.asarray(lam, dtype=float).ravel()
         linear = (self.u or []) + (self.v or []) + ([] if lam is None else [self.lam])
         if linear and not np.isfinite(np.concatenate(linear)).all():
             raise ValueError("u, v and lam must be finite")
-        self.base_tables = None if base_tables is None else [
-            np.asarray(t, dtype=float).ravel() for t in base_tables
-        ]
-        self._structure: FactorGraph | None = None
+        self.base_tables = None if base_tables is None else self._per_factor(
+            base_tables, "base")
+
+    def _per_factor(self, tables, what: str, rows: int | None = None) -> list:
+        """The tables, one per factor, as float arrays, each flat or of
+        shape (rows, n) when ``rows`` is given; raises ScopeMismatch,
+        naming the factor, unless there is one table per factor and each
+        has its factor's length n."""
+        if len(tables) != len(self._sizes):
+            missing = (f": factor {self.factor_ids[len(tables)]!r} has none"
+                       if len(tables) < len(self._sizes) else "")
+            raise ScopeMismatch(f"{len(tables)} {what} tables for {len(self._sizes)}"
+                                f" factors{missing}")
+        shape = (-1,) if rows is None else (rows, -1)
+        out = [np.asarray(t, dtype=float).reshape(shape) for t in tables]
+        lengths = [t.shape[-1] for t in out]
+        if lengths != self._sizes:
+            k = next(k for k, (a, b) in enumerate(zip(lengths, self._sizes)) if a != b)
+            raise ScopeMismatch(f"factor {self.factor_ids[k]!r}: {what} table length"
+                                f" {lengths[k]} differs from table length {self._sizes[k]}")
+        return out
 
     @classmethod
     def from_callables(cls, variables, scopes, dim, tables_fn, grads_fn, **kw):
@@ -84,27 +127,30 @@ class ParametricFactorSet:
     def affine(cls, variables, scopes, base_tables, coeff_tables, **kw):
         """Tables affine in theta: table_k(theta) = base_k + theta . coeffs_k.
 
-        ``coeff_tables[k]`` has shape (dim, len(base_k)); the gradient
-        tables are the constant coefficients. The base tables are the
-        theta = 0 point.
+        ``coeff_tables[k]`` has shape (dim, len(base_k)), or (len(base_k),)
+        for dim 1; the gradient tables are the constant coefficients. The
+        base tables are the theta = 0 point. Both are laid side by side
+        once, as a (total,) and a (dim, total) array, so the tables at
+        theta are one ``base + theta @ coeffs``, handed out as per-factor
+        views; the gradient tables are views of one copy of ``coeffs``.
         """
-        base = [np.asarray(t, dtype=float).ravel() for t in base_tables]
-        coeffs = [np.asarray(c, dtype=float).reshape(-1, base[k].size)
-                  for k, c in enumerate(coeff_tables)]
-        dims = {c.shape[0] for c in coeffs}
-        if len(dims) != 1:
+        coeffs = [np.asarray(c, dtype=float) for c in coeff_tables]
+        dims = {len(c) if c.ndim > 1 else 1 for c in coeffs}
+        if len(dims) > 1:
             raise ValueError(f"coefficient tables disagree on dimension: {sorted(dims)}")
-        dim = dims.pop()
+        pf = cls(variables, scopes, dims.pop() if dims else 1, base_tables=base_tables, **kw)
+        base = np.concatenate(pf.base_tables)
+        coeffs = np.concatenate(pf._per_factor(coeffs, "coefficient", pf.dim), axis=1)
+        slices = pf._slices
 
         def tables_fn(theta):
-            theta = np.asarray(theta, dtype=float).ravel()
-            return [base[k] + theta @ coeffs[k] for k in range(len(base))]
+            return _split(base + np.asarray(theta, dtype=float).ravel() @ coeffs, slices)
 
         def grads_fn(theta):
-            return [c.copy() for c in coeffs]
+            return _split(coeffs.copy(), slices)
 
-        return cls(variables, scopes, dim, tables_fn=tables_fn, grads_fn=grads_fn,
-                   base_tables=base, **kw)
+        pf._tables_fn, pf._grads_fn = tables_fn, grads_fn
+        return pf
 
     @classmethod
     def linear_form(cls, variables, scopes, tables, u, v, lam, **kw):
@@ -119,7 +165,7 @@ class ParametricFactorSet:
     def tables_at(self, theta) -> list:
         if self._tables_fn is None:
             raise ValueError("this parametric set carries only linear-form data")
-        return [np.asarray(t, dtype=float).ravel() for t in self._tables_fn(theta)]
+        return self._per_factor(self._tables_fn(theta), "table")
 
     def grads_at(self, theta) -> list:
         """Per-factor gradient tables, each of shape (dim, table length)."""
@@ -139,14 +185,15 @@ class ParametricFactorSet:
         return out
 
     def structure_graph(self) -> FactorGraph:
-        """The underlying validated tree, with placeholder zero tables."""
-        if self._structure is None:
-            cards = {v.id: v.cardinality for v in self.variables}
-            factors = []
-            for k, scope in enumerate(self.scopes):
-                size = int(np.prod([cards[n] for n in scope]))
-                factors.append(FactorTable(self.factor_ids[k], scope, np.zeros(size)))
-            self._structure = FactorGraph(self.variables, factors).ensure_checked()
+        """The underlying validated tree, with placeholder zero tables.
+
+        Sets whose variables (with their cardinalities), scopes (in order)
+        and factor ids are equal share one structure, looked up by that
+        content when the set is built, so they share its validated
+        adjacency and its cached level plans. The structure is read only
+        once validated, and like any :class:`~fginfer.graph.FactorGraph`
+        safe to share between threads, except while a plan is compiled.
+        """
         return self._structure
 
     def graph_with(self, tables) -> FactorGraph:
@@ -158,15 +205,28 @@ class ParametricFactorSet:
             raise ScopeMismatch(f"{len(tables)} tables for {len(structure.factors)} factors")
         factors = []
         for f, t in zip(structure.factors, tables):
-            t = np.asarray(t, dtype=float).ravel()
-            if t.size != f.values.size:
-                raise ScopeMismatch(
-                    f"factor {f.id!r}: table has {t.size} values, scope needs {f.values.size}"
-                )
-            factors.append(FactorTable(f.id, f.scope, t))
+            table = FactorTable(f.id, f.scope, t)
+            if table.values.size != f.values.size:
+                raise ScopeMismatch(f"factor {f.id!r}: table has {table.values.size}"
+                                    f" values, scope needs {f.values.size}")
+            factors.append(table)
         graph = copy.copy(structure)
         graph.factors = factors
         return graph
+
+
+def _shared_structure(variables, scopes, factor_ids) -> FactorGraph:
+    """The validated structure graph of this content, from the registry
+    when a live set already holds it."""
+    key = (tuple(variables), tuple(scopes), tuple(factor_ids))
+    structure = _STRUCTURES.get(key)
+    if structure is None:
+        cards = {v.id: v.cardinality for v in variables}
+        # an unknown name gets length 1 here and is reported by validation
+        factors = [FactorTable(fid, scope, np.zeros(math.prod(cards.get(n, 1) for n in scope)))
+                   for fid, scope in zip(factor_ids, scopes)]
+        structure = _STRUCTURES[key] = FactorGraph(variables, factors).ensure_checked()
+    return structure
 
 
 @dataclass
@@ -182,27 +242,28 @@ class EmStepResult:
     exponent: int = 0
 
 
-def _split(flat: np.ndarray, sizes: list) -> list:
-    """Consecutive column blocks of ``flat``, one per size."""
-    ends = np.cumsum(sizes).tolist()
-    return [flat[:, a:b] for a, b in zip([0] + ends, ends)]
+def _split(flat: np.ndarray, slices: list) -> list:
+    """Views of consecutive blocks of the last axis of ``flat``."""
+    return [flat[..., s] for s in slices]
 
 
-def _quotient_companions(values: list, grads: list, what: str) -> list:
+def _quotient_companions(pf: ParametricFactorSet, values: list, grads: list,
+                         what: str) -> list:
     """Stacked g tables grad/value, one (dim, n_k) array per factor,
-    checking the 0-denominator rule."""
+    computed side by side and checking the 0-denominator rule."""
     f = np.concatenate(values)
     gt = np.concatenate(grads, axis=1)
     zero = f == 0.0
     bad = zero & (gt != 0.0).any(axis=0)
     if bad.any():
-        k = int(np.searchsorted(np.cumsum([v.size for v in values]), bad.argmax(), "right"))
+        k = next(k for k, s in enumerate(pf._slices) if bad[s].any())
         raise UndefinedQuotient(
-            f"factor {k} has a zero {what} value with a nonzero gradient entry"
+            f"factor {pf.factor_ids[k]!r} has a zero {what} value with a nonzero"
+            " gradient entry"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(zero, 0.0, gt / np.where(zero, 1.0, f))
-    return _split(q, [v.size for v in values])
+    return _split(q, pf._slices)
 
 
 def gradient_at(pf: ParametricFactorSet, theta, rescale: bool = True) -> np.ndarray:
@@ -219,7 +280,7 @@ def gradient_at(pf: ParametricFactorSet, theta, rescale: bool = True) -> np.ndar
     if theta.size != pf.dim:
         raise ValueError(f"theta has {theta.size} components, model has {pf.dim}")
     values = pf.tables_at(theta)
-    companions = _quotient_companions(values, pf.grads_at(theta), "table")
+    companions = _quotient_companions(pf, values, pf.grads_at(theta), "table")
     wg = WeightedGraph(pf.graph_with(values), companions)
     return compute_zh(wg).scaled_h()
 
@@ -254,11 +315,8 @@ def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
         tables = pf.base_tables
     else:
         raise ValueError("no tables at the previous point: pass theta_old or base tables")
-    for k, t in enumerate(tables):
-        if pf.u[k].size != t.size or pf.v[k].size != t.size:
-            raise ValueError(f"factor {pf.factor_ids[k]!r}: u/v length differs from table")
     uv = np.vstack((np.concatenate(pf.u), np.concatenate(pf.v)))
-    wg = WeightedGraph(pf.graph_with(tables), _split(uv, [t.size for t in tables]))
+    wg = WeightedGraph(pf.graph_with(tables), _split(uv, pf._slices))
     res = compute_zh(wg)
     (h_a, h_b), exponent = fold_exponent(res.H.tolist(), res.exponent)
     if (abs(h_a) < 1e-300 and abs(h_b) < 1e-300) or abs(h_b) < 1e-12 * abs(h_a):
@@ -283,7 +341,7 @@ def em_q_gradient(pf: ParametricFactorSet, theta_old, theta_i) -> np.ndarray:
     genuinely linear family this vanishes.
     """
     f_i = pf.tables_at(theta_i)
-    companions = _quotient_companions(f_i, pf.grads_at(theta_i), "evaluation-point")
+    companions = _quotient_companions(pf, f_i, pf.grads_at(theta_i), "evaluation-point")
     res = compute_zh(WeightedGraph(pf.graph_with(pf.tables_at(theta_old)), companions))
     with np.errstate(over="ignore"):
         return np.ldexp(res.H, res.exponent)
