@@ -49,16 +49,7 @@ from .learning import (
     grad_ascent_step,
     gradient_at,
 )
-from .propagation import (
-    MarginalResult,
-    MessageStore,
-    factor_to_variable,
-    init_leaf_messages,
-    marginal_at,
-    run,
-    total_sum,
-    variable_to_factor,
-)
+from .propagation import MarginalResult, RunMessages, run, total_sum
 from .semiring import (
     BOOLEAN,
     ENTROPY,
@@ -89,12 +80,12 @@ __all__ = [
     "FactorTable",
     "HmmSpec",
     "MarginalResult",
-    "MessageStore",
     "MissingDependency",
     "NonFiniteTotal",
     "OutOfDomain",
     "ParametricFactorSet",
     "ParseError",
+    "RunMessages",
     "Schedule",
     "ScopeMismatch",
     "Semiring",
@@ -113,20 +104,16 @@ __all__ = [
     "em_q_gradient",
     "entropy_in_base",
     "entropy_product_closed_form",
-    "factor_to_variable",
     "get_semiring",
     "grad_ascent_step",
     "gradient_at",
     "hmm_entropy",
     "hmm_to_weighted_graph",
-    "init_leaf_messages",
     "lift",
     "make_schedule",
-    "marginal_at",
     "posterior_entropy",
     "run",
     "total_sum",
     "validate",
-    "variable_to_factor",
     "verify_axioms",
 ]

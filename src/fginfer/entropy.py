@@ -75,7 +75,9 @@ class WeightedGraph:
     A companion is None (g = 0), a table of the factor's length (any shape
     of that size is flattened), or a (k, n) array of k companion columns
     for a length-n table; every (k, n) companion of one graph has the same
-    k. Companion entries may be undefined (NaN or infinite) only where the
+    k. The companions may also come as one (k, total) array, the (k, n)
+    columns of every factor side by side in factor order, taken as it is.
+    Companion entries may be undefined (NaN or infinite) only where the
     paired value is zero; they become 0, which encodes the
     0 * log(0) = 0 convention. ``companions`` keeps them all as one
     (k, total) array, aligned with the factors' tables laid side by side
@@ -83,31 +85,34 @@ class WeightedGraph:
     column; it is None when every companion is. :meth:`carrier_tables`
     lifts the pairs (:func:`fginfer.propagation.lift_tables`) on every
     call; nothing is cached. ``stacked`` tells whether the companions came
-    as (k, n) columns, for which H is an array even when k = 1.
+    as (k, n) columns or as one (k, total) array, for which H is an array
+    even when k = 1.
     """
 
     def __init__(self, graph: FactorGraph, companions=None):
         self.graph = validate(graph)
-        if companions is None:
-            companions = [None] * len(graph.factors)
-        if len(companions) != len(graph.factors):
-            raise ValueError(
-                f"{len(companions)} companion tables for {len(graph.factors)} factors"
-            )
-        self.companions, self.stacked = _check_companions(graph.factors, companions)
+        sizes = [f.values.size for f in graph.factors]
+        if isinstance(companions, np.ndarray) and companions.shape[1:] == (sum(sizes),):
+            out, self.stacked = companions.astype(float, copy=False), True
+        else:
+            out, self.stacked = _stack_companions(graph.factors, sizes, companions)
+        if out is not None:
+            out = _defined_under_zeros(graph.factors, sizes, out)
+        self.companions = out
 
     def carrier_tables(self, s: Semiring) -> np.ndarray:
         return lift_tables(s, self.graph.factors, self.companions)
 
 
-def _check_companions(factors, companions) -> tuple[np.ndarray | None, bool]:
-    """The companions as one (k, total) array, shapes checked per factor,
-    and whether any had columns. Finiteness is checked once over the
-    array, and undefined entries under zero values are set to 0."""
-    flat, stacked, kind, lengths = [], [], [], []
-    for f, c in zip(factors, companions):
-        n = f.values.size
-        lengths.append(n)
+def _stack_companions(factors, sizes, companions) -> tuple[np.ndarray | None, bool]:
+    """Per-factor companions as one (k, total) array, shapes checked per
+    factor, and whether any had columns; None if every one is None."""
+    if companions is None:
+        return None, False
+    if len(companions) != len(factors):
+        raise ValueError(f"{len(companions)} companion tables for {len(factors)} factors")
+    flat, stacked, kind = [], [], []
+    for f, n, c in zip(factors, sizes, companions):
         if c is None:
             kind.append(0)
             continue
@@ -127,7 +132,7 @@ def _check_companions(factors, companions) -> tuple[np.ndarray | None, bool]:
         return None, False
     # filled one row at a time: a 1-D boolean assignment is several
     # times faster than numpy's 2-D out[:, mask] on thousands of factors
-    kind = np.repeat(kind, lengths)
+    kind = np.repeat(kind, sizes)
     out = np.zeros((max(widths, default=1), len(kind)))
     if flat:
         columns, values = kind == 1, np.concatenate(flat, axis=None)
@@ -137,18 +142,24 @@ def _check_companions(factors, companions) -> tuple[np.ndarray | None, bool]:
         columns = kind == 2
         for row, values in zip(out, np.concatenate(stacked, axis=1)):
             row[columns] = values
+    return out, bool(stacked)
+
+
+def _defined_under_zeros(factors, sizes, out: np.ndarray) -> np.ndarray:
+    """The (k, total) companions with their undefined entries set to 0,
+    in a new array if there are any; raises ValueError, naming the
+    factor, for an undefined entry under a nonzero value."""
     undefined = ~np.isfinite(out)
     if not undefined.any():
-        return out, bool(stacked)
+        return out
     # the table value each undefined entry pairs with must be zero
     columns = np.flatnonzero(undefined.any(axis=0))
     nonzero = columns[np.concatenate([f.values for f in factors])[columns] != 0.0]
     if nonzero.size:
-        j = int(np.searchsorted(np.cumsum(lengths), nonzero[0], "right"))
+        j = int(np.searchsorted(np.cumsum(sizes), nonzero[0], "right"))
         raise ValueError(f"factor {factors[j].id!r}: companion must be"
                          " finite wherever the value is nonzero")
-    out[undefined] = 0.0
-    return out, bool(stacked)
+    return np.where(undefined, 0.0, out)
 
 
 def _zh_mantissas(wg: WeightedGraph, root: str | None) -> tuple[list, int]:

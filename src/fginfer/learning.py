@@ -116,7 +116,7 @@ class ParametricFactorSet:
         if lengths != self._sizes:
             k = next(k for k, (a, b) in enumerate(zip(lengths, self._sizes)) if a != b)
             raise ScopeMismatch(f"factor {self.factor_ids[k]!r}: {what} table length"
-                                f" {lengths[k]} differs from table length {self._sizes[k]}")
+                                f" {lengths[k]}, but its scope needs {self._sizes[k]}")
         return out
 
     @classmethod
@@ -165,7 +165,7 @@ class ParametricFactorSet:
     def tables_at(self, theta) -> list:
         if self._tables_fn is None:
             raise ValueError("this parametric set carries only linear-form data")
-        return self._per_factor(self._tables_fn(theta), "table")
+        return self._per_factor(self._tables_fn(theta), "value")
 
     def grads_at(self, theta) -> list:
         """Per-factor gradient tables, each of shape (dim, table length)."""
@@ -198,17 +198,16 @@ class ParametricFactorSet:
 
     def graph_with(self, tables) -> FactorGraph:
         """The structure graph with these tables. It shares the validated
-        adjacency and the cached level plans of :meth:`structure_graph`;
-        only the table lengths are checked."""
+        adjacency and the cached level plans of :meth:`structure_graph`.
+        Only the table lengths are checked, once for all factors; the
+        scopes were validated with the structure and are not checked
+        again."""
         structure = self.structure_graph()
-        if len(tables) != len(structure.factors):
-            raise ScopeMismatch(f"{len(tables)} tables for {len(structure.factors)} factors")
+        new = object.__new__
         factors = []
-        for f, t in zip(structure.factors, tables):
-            table = FactorTable(f.id, f.scope, t)
-            if table.values.size != f.values.size:
-                raise ScopeMismatch(f"factor {f.id!r}: table has {table.values.size}"
-                                    f" values, scope needs {f.values.size}")
+        for f, values in zip(structure.factors, self._per_factor(tables, "value")):
+            table = new(FactorTable)
+            table.id, table.scope, table.values = f.id, f.scope, values
             factors.append(table)
         graph = copy.copy(structure)
         graph.factors = factors
@@ -248,9 +247,9 @@ def _split(flat: np.ndarray, slices: list) -> list:
 
 
 def _quotient_companions(pf: ParametricFactorSet, values: list, grads: list,
-                         what: str) -> list:
-    """Stacked g tables grad/value, one (dim, n_k) array per factor,
-    computed side by side and checking the 0-denominator rule."""
+                         what: str) -> np.ndarray:
+    """The g tables grad/value of every factor side by side, one
+    (dim, total) array, checking the 0-denominator rule."""
     f = np.concatenate(values)
     gt = np.concatenate(grads, axis=1)
     zero = f == 0.0
@@ -262,8 +261,7 @@ def _quotient_companions(pf: ParametricFactorSet, values: list, grads: list,
             " gradient entry"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(zero, 0.0, gt / np.where(zero, 1.0, f))
-    return _split(q, pf._slices)
+        return np.where(zero, 0.0, gt / np.where(zero, 1.0, f))
 
 
 def gradient_at(pf: ParametricFactorSet, theta, rescale: bool = True) -> np.ndarray:
@@ -316,7 +314,7 @@ def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
     else:
         raise ValueError("no tables at the previous point: pass theta_old or base tables")
     uv = np.vstack((np.concatenate(pf.u), np.concatenate(pf.v)))
-    wg = WeightedGraph(pf.graph_with(tables), _split(uv, pf._slices))
+    wg = WeightedGraph(pf.graph_with(tables), uv)
     res = compute_zh(wg)
     (h_a, h_b), exponent = fold_exponent(res.H.tolist(), res.exponent)
     if (abs(h_a) < 1e-300 and abs(h_b) < 1e-300) or abs(h_b) < 1e-12 * abs(h_a):

@@ -27,12 +27,12 @@ of the group; short sums are padded by zeros, which are added, never
 multiplied. The compile is whole-graph array operations over the flat
 edge arrays, with a Python loop once per group only. The plan holds
 index arrays only, no table values, and runs each group with one call of
-each kernel, looked up on the semiring at call time. The per-edge step
-API (:class:`MessageStore`, :func:`variable_to_factor`,
-:func:`factor_to_variable`, :func:`init_leaf_messages`,
-:func:`marginal_at`) computes one message per call with the same kernels
-and is the plan's reference in the tests: every message of a run equals
-its message bit for bit.
+each kernel, looked up on the semiring at call time. A run keeps its
+messages in one buffer: it returns views of the marginals only, and a
+:class:`RunMessages` record that reads any one message on request. The
+tests drive the same kernels one message at a time, along the schedule,
+as the plan's reference: every message of a run equals theirs bit for
+bit.
 
 Every fresh message is multiplied by 2^-e, which puts its largest score
 magnitude in [1, 2), and e is added to its integer exponent E, so long
@@ -41,14 +41,13 @@ subnormals: tables times 2^j leave every mantissa as it was, bit for
 bit, and add the j to E. Boolean messages never scale. Quantities that
 are ratios of message components do not feel the scaling at all.
 
-Everything here is single threaded; stores must not be shared across
-threads while messages are still being written.
+Everything here is single threaded. A run writes only a buffer of its
+own, and nothing writes that buffer once the run has returned.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -58,42 +57,6 @@ from .graph import FactorGraph, make_schedule
 from .semiring import Semiring
 
 _LN2 = math.log(2.0)
-
-
-class MessageStore:
-    """Holds the directed messages of one run plus their log scales.
-
-    ``q`` maps (variable index, factor index) to variable-to-factor
-    messages; ``r`` maps (factor index, variable index) to factor-to-
-    variable messages. The parallel ``q_scale`` / ``r_scale`` dicts carry
-    the integer exponent E of each message, its scale 2^E. ``tables``
-    holds every factor's carrier table side by side in factor order, as
-    :func:`lift_tables` returns them; by default the graph's own tables,
-    lifted. Message vectors are owned by the store and must be treated as
-    immutable by callers.
-    """
-
-    def __init__(self, graph: FactorGraph, semiring: Semiring, tables=None):
-        graph.ensure_checked()
-        self.graph = graph
-        self.semiring = semiring
-        self.tables = lift_tables(semiring, graph.factors) if tables is None else tables
-        # set by a level plan's run to build the four dicts on first use
-        self.spread = None
-
-    def __getattr__(self, name):
-        if name not in ("q", "r", "q_scale", "r_scale"):
-            raise AttributeError(name)
-        self.q, self.r, self.q_scale, self.r_scale = (
-            self.spread() if self.spread else ({}, {}, {}, {}))
-        return getattr(self, name)
-
-    @cached_property
-    def shapes(self):
-        return _factor_shapes(_edges(self.graph))
-
-    def message_count(self) -> int:
-        return len(self.q) + len(self.r)
 
 
 def lift_tables(s: Semiring, factors, companions: np.ndarray | None = None) -> np.ndarray:
@@ -234,116 +197,6 @@ def _contraction_index(shapes, fi: np.ndarray, tpos: np.ndarray, bounds) -> tupl
             [terms[lo:hi].reshape(-1, w) for lo, hi, w in zip(b, b[1:], width.tolist())])
 
 
-def _send_v2f(store: MessageStore, vi: int, fi: int):
-    g = store.graph
-    s = store.semiring
-    msgs = []
-    acc = 0
-    for f2 in g.var_factors[vi]:
-        if f2 != fi:
-            key = (f2, vi)
-            m = store.r.get(key)
-            if m is None:
-                raise MissingDependency(
-                    f"message {g.factors[f2].id!r} -> {g.variables[vi].id!r} not computed yet"
-                )
-            msgs.append(m)
-            acc += store.r_scale.get(key, 0)
-    card = g.variables[vi].cardinality
-    if not msgs:
-        msg = np.zeros((len(store.tables), card))
-        msg[0] = 1.0
-    elif len(msgs) == 1:
-        # aliased, already scaled by induction
-        msg = msgs[0]
-    else:
-        msg = s.combine(msgs)
-        acc += int(_rescale(s, msg, [0], 0)[0])
-    store.q[(vi, fi)] = msg
-    store.q_scale[(vi, fi)] = acc
-    return msg
-
-
-def _send_f2v(store: MessageStore, fi: int, vi: int):
-    g = store.graph
-    s = store.semiring
-    incoming = []
-    acc = 0
-    tpos = -1
-    for pos, v2 in enumerate(g.factor_vars[fi]):
-        if v2 == vi:
-            tpos = pos
-            continue
-        key = (v2, fi)
-        m = store.q.get(key)
-        if m is None:
-            raise MissingDependency(
-                f"message {g.variables[v2].id!r} -> {g.factors[fi].id!r} not computed yet"
-            )
-        incoming.append(m)
-        acc += store.q_scale.get(key, 0)
-    if tpos < 0:
-        raise MissingDependency(
-            f"variable {g.variables[vi].id!r} is not in the scope of factor {g.factors[fi].id!r}"
-        )
-    cards, steps, sizes, _ = store.shapes
-    (table,), (terms,) = _contraction_index(store.shapes, np.array([fi]), np.array([tpos]),
-                                            [0, 1])
-    within = np.arange(sizes[fi])
-    digits = [within // steps[fi, p] % cards[fi, p]
-              for p in range(len(g.factor_vars[fi])) if p != tpos]
-    msg = s.contract(store.tables[:, table], [m[:, d] for m, d in zip(incoming, digits)], terms)
-    acc += int(_rescale(s, msg, [0], 0)[0])
-    store.r[(fi, vi)] = msg
-    store.r_scale[(fi, vi)] = acc
-    return msg
-
-
-def variable_to_factor(store: MessageStore, n: str, m: str):
-    """Compute, store, and return the message from variable n to factor m."""
-    g = store.graph
-    vi = g.variable_position(n)
-    fi = _factor_position(g, m)
-    if (vi, fi) in store.q:
-        raise ValueError(f"message {n!r} -> {m!r} was already written this pass")
-    return _send_v2f(store, vi, fi)
-
-
-def factor_to_variable(store: MessageStore, m: str, n: str):
-    """Compute, store, and return the message from factor m to variable n."""
-    g = store.graph
-    vi = g.variable_position(n)
-    fi = _factor_position(g, m)
-    if (fi, vi) in store.r:
-        raise ValueError(f"message {m!r} -> {n!r} was already written this pass")
-    return _send_f2v(store, fi, vi)
-
-
-def init_leaf_messages(store: MessageStore) -> MessageStore:
-    """Populate the messages leaving every leaf node of the graph.
-
-    Leaf variables send the all-ones vector toward their only factor; unary
-    factors send their lifted table. Running the two kernels on those edges
-    produces exactly that, so this is a convenience wrapper, not a separate
-    rule.
-    """
-    g = store.graph
-    for vi, touching in enumerate(g.var_factors):
-        if len(touching) == 1 and (vi, touching[0]) not in store.q:
-            _send_v2f(store, vi, touching[0])
-    for fi, fvars in enumerate(g.factor_vars):
-        if len(fvars) == 1 and (fi, fvars[0]) not in store.r:
-            _send_f2v(store, fi, fvars[0])
-    return store
-
-
-def _factor_position(g: FactorGraph, factor_id: str) -> int:
-    for fi, f in enumerate(g.factors):
-        if f.id == factor_id:
-            return fi
-    raise KeyError(f"unknown factor {factor_id!r}")
-
-
 @dataclass
 class MarginalResult:
     """An unnormalized marginal: ``msg`` times 2^``exponent``, with
@@ -358,35 +211,6 @@ class MarginalResult:
     def scores(self) -> list:
         """Score components, one float per domain value."""
         return self.semiring.scores(self.msg)
-
-
-def marginal_at(store: MessageStore, var_id: str) -> MarginalResult:
-    """Combine all factor-to-variable messages at one variable.
-
-    Needs every incoming message, so after a one-pass run only the
-    component roots qualify.
-    """
-    g = store.graph
-    vi = g.variable_position(var_id)
-    msgs = []
-    acc = 0
-    for fi in g.var_factors[vi]:
-        key = (fi, vi)
-        m = store.r.get(key)
-        if m is None:
-            raise MissingDependency(
-                f"marginal at {var_id!r} needs message from factor {g.factors[fi].id!r};"
-                " run with two_pass=True for non-root variables"
-            )
-        msgs.append(m)
-        acc += store.r_scale.get(key, 0)
-    if len(msgs) == 1:
-        msg = msgs[0]
-    else:
-        msg = store.semiring.combine(msgs)
-        acc += int(_rescale(store.semiring, msg, [0], 0)[0])
-    return MarginalResult(variable=var_id, msg=msg, log_scale=acc * _LN2,
-                          semiring=store.semiring, exponent=acc)
 
 
 @dataclass
@@ -551,24 +375,30 @@ class LevelPlan:
                 self.passes[key].append(out)
             else:
                 marginal_groups[key - 2] = out
+        # after one pass and after two: the marginals' variables, slots,
+        # entry bounds and group
         names = list(g.var_index)
         first = len(e)
         self.marginals = []
         for r, out in zip(roots, marginal_groups):
-            self.marginals.append((list(map(names.__getitem__, r.tolist())),
-                                   slot[source[first:first + len(r)]].tolist(), out))
+            at = slot[source[first:first + len(r)]]
+            lo = self.spans[at]
+            self.marginals.append((list(map(names.__getitem__, r.tolist())), at, lo.tolist(),
+                                   (lo + var_card[r]).tolist(), out))
             first += len(r)
-        # every edge's (to_factor, variable, factor, slot), by pass
+        # every edge's (to_factor, variable, factor, slot), by pass, and
+        # each factor's first edge
         self.edges = np.column_stack((to_factor, var[e], fac[e], slot[source[:len(e)]]))
         self.n_up = n_edges
+        self.first = edges.first
 
-    def execute(self, store: MessageStore, two_pass: bool) -> dict:
-        """Run the passes into ``store``; returns the marginals."""
-        s, tables = store.semiring, store.tables
+    def execute(self, s: Semiring, tables: np.ndarray, two_pass: bool):
+        """Run the passes over the lifted ``tables``; returns the
+        marginals, the message buffer and every slot's exponent."""
         buf = np.zeros((len(tables), self.n_entries))
         buf[0, :self.n_ones] = 1.0
         exps = np.zeros(len(self.spans), dtype=np.int64)
-        ids, slots, marginal_group = self.marginals[two_pass]
+        ids, slots, lo, hi, marginal_group = self.marginals[two_pass]
         groups = self.passes[0] + self.passes[1] if two_pass else self.passes[0]
         for group in groups + ([marginal_group] if marginal_group else []):
             ins = [buf[:, i] for i in group.gathers]
@@ -581,24 +411,53 @@ class LevelPlan:
                 e[:len(x)] += exps[x]
             exps[group.slots] = e
             buf[:, group.lo:group.hi] = out
-        spans = self.spans.tolist() + [self.n_entries]
-        views = [buf[:, a:b] for a, b in zip(spans, spans[1:])]
-        ex = exps.tolist()
+        marginals = {vid: MarginalResult(variable=vid, msg=buf[:, a:b], log_scale=x * _LN2,
+                                         semiring=s, exponent=x)
+                     for vid, a, b, x in zip(ids, lo, hi, exps[slots].tolist())}
+        return marginals, buf, exps
 
-        def spread():
-            q, r, q_scale, r_scale = {}, {}, {}, {}
-            edges = self.edges[:None if two_pass else self.n_up].tolist()
-            for to_factor, vi, fi, sl in edges:
-                if to_factor:
-                    q[(vi, fi)], q_scale[(vi, fi)] = views[sl], ex[sl]
-                else:
-                    r[(fi, vi)], r_scale[(fi, vi)] = views[sl], ex[sl]
-            return q, r, q_scale, r_scale
 
-        store.spread = spread
-        return {vid: MarginalResult(variable=vid, msg=views[sl], log_scale=ex[sl] * _LN2,
-                                    semiring=s, exponent=ex[sl])
-                for vid, sl in zip(ids, slots)}
+class RunMessages:
+    """The edge messages of one run, read from the run's one buffer.
+
+    ``count`` is the number of edge messages the run computed, |edges|
+    per pass. :meth:`message` reads one of them as a view; nothing is
+    copied or collected ahead of the call.
+    """
+
+    __slots__ = ("_graph", "_plan", "_buf", "_exps", "_two_pass")
+
+    def __init__(self, graph: FactorGraph, plan: LevelPlan, buf: np.ndarray, exps: np.ndarray,
+                 two_pass: bool):
+        self._graph, self._plan, self._buf, self._exps = graph, plan, buf, exps
+        self._two_pass = two_pass
+
+    @property
+    def count(self) -> int:
+        return self._plan.n_up * (1 + self._two_pass)
+
+    def message(self, to_factor: bool, vi: int, fi: int) -> tuple[np.ndarray, int]:
+        """The message between variable ``vi`` and factor ``fi``, toward
+        the factor if ``to_factor`` and toward the variable otherwise: a
+        read-only (k + 1, card) view and its exponent E. Raises
+        MissingDependency for a message the run did not compute: after
+        one pass, those toward the leaves."""
+        g, plan = self._graph, self._plan
+        scope = g.factor_vars[fi]
+        if vi not in scope:
+            raise KeyError(f"variable {vi} is not in the scope of factor {fi}")
+        pos = scope.index(vi)
+        e = int(plan.first[fi]) + pos
+        row = e if bool(plan.edges[e, 0]) == bool(to_factor) else e + plan.n_up
+        if row >= self.count:
+            ends = (g.variables[vi].id, g.factors[fi].id)
+            raise MissingDependency("message {!r} -> {!r} was not computed; run with"
+                                    " two_pass=True".format(*(ends if to_factor else ends[::-1])))
+        slot = int(plan.edges[row, 3])
+        start = int(plan.spans[slot])
+        msg = self._buf[:, start:start + g.factor_cards[fi][pos]]
+        msg.flags.writeable = False
+        return msg, int(self._exps[slot])
 
 
 def level_plan(g: FactorGraph, root: str | None = None, two_pass: bool = False) -> LevelPlan:
@@ -614,7 +473,7 @@ def level_plan(g: FactorGraph, root: str | None = None, two_pass: bool = False) 
 
 def run(g: FactorGraph, s: Semiring, root: str | None = None, two_pass: bool = False,
         rescale: bool = True, tables=None):
-    """Run message passing to completion; returns (marginals, store).
+    """Run message passing to completion; returns (marginals, messages).
 
     One pass computes the marginal at the root (and at each extra
     component's local root on forests); ``two_pass=True`` computes the
@@ -622,11 +481,17 @@ def run(g: FactorGraph, s: Semiring, root: str | None = None, two_pass: bool = F
     ``tables`` optionally supplies the lifted carrier tables, as
     :func:`lift_tables` or :meth:`fginfer.entropy.WeightedGraph.carrier_tables`
     return them; by default the graph's tables are lifted without
-    companions. ``rescale`` has no effect: the benchmark still passes it,
-    and ROADMAP item 1 removes it.
+    companions. ``messages`` is a :class:`RunMessages` over the run's
+    one buffer, which reads any one edge message the run computed and
+    counts them. ``rescale`` has no effect: the benchmark still passes
+    it, and ROADMAP item 1 removes it.
     """
-    store = MessageStore(g, s, tables=tables)
-    return level_plan(g, root, two_pass).execute(store, two_pass), store
+    g.ensure_checked()
+    if tables is None:
+        tables = lift_tables(s, g.factors)
+    plan = level_plan(g, root, two_pass)
+    marginals, buf, exps = plan.execute(s, tables, two_pass)
+    return marginals, RunMessages(g, plan, buf, exps, two_pass)
 
 
 def product_of_totals(s: Semiring, marginals: dict) -> tuple[list, int]:

@@ -52,6 +52,7 @@ from fginfer.oracle import (
 )
 
 from conftest import random_tree, ulps_apart
+from stepwise import run_spread
 
 
 def criterion(n, label):
@@ -137,9 +138,9 @@ def test_criterion_05_first_component_shadowing():
     rng = np.random.default_rng(505)
     for _ in range(20):
         g, companions = random_tree(rng)
-        _, plain = run(g, SUM_PRODUCT, two_pass=True)
+        _, plain = run_spread(g, SUM_PRODUCT, two_pass=True)
         wg = WeightedGraph(g, companions)
-        _, lifted = run(
+        _, lifted = run_spread(
             g, ENTROPY, two_pass=True, tables=wg.carrier_tables(ENTROPY)
         )
         assert set(plain.q) == set(lifted.q)

@@ -21,7 +21,7 @@ from fginfer import (
 )
 from fginfer.oracle import enumerate_entropy, enumerate_h, enumerate_z
 
-from conftest import assert_close, heap_tree, random_tree
+from conftest import assert_close, bits, heap_tree, random_tree
 
 
 def unary_weighted(values, companions):
@@ -91,6 +91,32 @@ class TestLiftGraph:
         zeroed = three_factors([1.0, 1.0], fc=[2.0, 0.0])
         wg = WeightedGraph(zeroed, [[1.0, 2.0], [3.0] * 4, [-1.0, nan]])
         assert wg.companions.tolist() == [[1.0, 2.0] + [3.0] * 4 + [-1.0, 0.0]]
+
+    def test_one_array_equals_the_per_factor_list(self, rng):
+        # one (k, total) array, taken as it is, gives the per-factor list's
+        # companions and (Z, H) bit for bit; the same checks apply to it,
+        # and it is left as it was
+        for trial in range(20):
+            g, _ = random_tree(rng, max_vars=8)
+            k = 1 + trial % 3
+            g = FactorGraph(g.variables, [
+                FactorTable(f.id, f.scope, np.where(rng.random(f.values.size) < 0.2, 0.0,
+                                                    f.values)) for f in g.factors])
+            per_factor = [rng.uniform(-3.0, 3.0, (k, f.values.size)) for f in g.factors]
+            for f, c in zip(g.factors, per_factor):
+                c[:, f.values == 0.0] = math.nan
+            whole = np.concatenate(per_factor, axis=1)
+            kept = whole.copy()
+            listed, arrayed = WeightedGraph(g, per_factor), WeightedGraph(g, whole)
+            assert arrayed.stacked and bits(whole) == bits(kept)
+            assert bits(arrayed.companions) == bits(listed.companions)
+            a, b = compute_zh(listed), compute_zh(arrayed)
+            assert (bits([a.Z, *a.H]), a.exponent) == (bits([b.Z, *b.H]), b.exponent)
+        g = three_factors([0.0, 1.0])
+        with pytest.raises(ValueError, match="factor 'fb': companion must be finite"):
+            WeightedGraph(g, np.array([[math.nan, 0.0] + [math.nan] + [1.0] * 5]))
+        with pytest.raises(ValueError, match="companion tables for 3 factors"):
+            WeightedGraph(g, np.zeros((2, 7)))
 
 
 def three_factors(fa, fc=(1.0, 1.0)):

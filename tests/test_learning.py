@@ -131,8 +131,13 @@ class TestParametricFactorSet:
         assert len(structure.plans) == 1
         bad = pf.tables_at(np.zeros(2))
         bad[-1] = bad[-1][:-1]
-        with pytest.raises(ScopeMismatch, match="scope needs"):
+        with pytest.raises(ScopeMismatch, match=f"factor {pf.factor_ids[-1]!r}:.* scope needs"):
             pf.graph_with(bad)
+        # the factors keep the structure's validated scopes
+        assert all(f.scope is s.scope and f.id == s.id for f, s in zip(g.factors,
+                                                                        structure.factors))
+        assert [f.values.tolist() for f in g.factors] == [t.tolist() for t in
+                                                            pf.tables_at(np.zeros(2))]
         with pytest.raises(ScopeMismatch, match="tables for"):
             pf.graph_with(bad[:-1])
 

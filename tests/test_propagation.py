@@ -11,18 +11,13 @@ from fginfer import (
     EntropyWeight,
     FactorGraph,
     FactorTable,
-    MessageStore,
     MissingDependency,
     VariableDecl,
     WeightedGraph,
     compute_zh,
-    factor_to_variable,
-    init_leaf_messages,
     make_schedule,
-    marginal_at,
     run,
     total_sum,
-    variable_to_factor,
 )
 from fginfer.oracle import (
     boolean_satisfiable,
@@ -34,6 +29,16 @@ from fginfer.oracle import (
 from fginfer.propagation import fold_exponent, level_plan, product_of_totals
 
 from conftest import assert_close, bits, heap_tree, random_tree, ulps_apart
+from stepwise import (
+    MessageStore,
+    factor_to_variable,
+    init_leaf_messages,
+    marginal_at,
+    run_spread,
+    spread,
+    step_reference,
+    variable_to_factor,
+)
 
 
 def graph_of(variables, factors):
@@ -227,8 +232,9 @@ class TestRun:
 
     def test_two_pass_message_count(self):
         g = star_tree()
-        _, store = run(g, SUM_PRODUCT, two_pass=True)
-        assert store.message_count() == 2 * g.n_edges == 18
+        _, messages = run(g, SUM_PRODUCT, two_pass=True)
+        got = spread(g, messages)
+        assert messages.count == len(got.q) + len(got.r) == 2 * g.n_edges == 18
 
     def test_two_pass_marginals_all_match_oracle(self, rng):
         for _ in range(15):
@@ -273,10 +279,31 @@ class TestRun:
         assert z == 9.0
 
     def test_one_pass_missing_marginal_raises(self):
+        # x3's marginal needs f23 -> x3, a message of the second pass
         g = chain3()
-        _, store = run(g, SUM_PRODUCT, root="x1")
+        _, messages = run(g, SUM_PRODUCT, root="x1")
+        assert messages.count == g.n_edges
+        with pytest.raises(MissingDependency, match="'f23' -> 'x3'"):
+            messages.message(False, 2, 1)
+        store = MessageStore(g, SUM_PRODUCT)
+        got = spread(g, messages)
+        store.r, store.r_scale = got.r, got.r_scale
         with pytest.raises(MissingDependency):
             marginal_at(store, "x3")
+
+    def test_message_accessor_reads_the_buffer(self):
+        # a read-only view of the run's one buffer, with its exponent
+        g = chain3()
+        marginals, messages = run(g, SUM_PRODUCT, root="x1", two_pass=True)
+        msg, e = messages.message(False, 0, 0)
+        assert msg.base is marginals["x1"].msg.base
+        # f12 -> x1 sums [1, 2; 3, 4] against x2's [2, 2]: [6, 14]
+        assert (msg.tolist(), e) == ([[0.75, 1.75]], 3)
+        assert not msg.flags.writeable
+        with pytest.raises(ValueError):
+            msg[0, 0] = 0.0
+        with pytest.raises(KeyError, match="scope"):
+            messages.message(True, 2, 0)
 
 
 class TestTotalSum:
@@ -333,7 +360,7 @@ class TestTotalSum:
         # mantissas stay finite, and so does every message, so a zero that
         # pads a contraction never meets an infinite one
         g = heap_tree(cards=(2, 3))
-        marginals, store = run(g, SUM_PRODUCT, two_pass=True)
+        marginals, store = run_spread(g, SUM_PRODUCT, two_pass=True)
         m = marginals["x0"]
         assert m.exponent == 2251
         assert math.isfinite(SUM_PRODUCT.reduce_msg(m.msg))
@@ -417,8 +444,8 @@ class TestInvariants:
 
                 tables = carriers(g, s, comps)
                 moved_tables = carriers(moved_g, s, comps)
-                base, store = run(g, s, two_pass=True, tables=tables)
-                moved, moved_store = run(moved_g, s, two_pass=True, tables=moved_tables)
+                base, store = run_spread(g, s, two_pass=True, tables=tables)
+                moved, moved_store = run_spread(moved_g, s, two_pass=True, tables=moved_tables)
                 for kind, to_factor in (("q", True), ("r", False)):
                     for key, msg in getattr(store, kind).items():
                         vi, fi = key if to_factor else key[::-1]
@@ -502,8 +529,8 @@ class TestInvariants:
     def test_first_component_shadowing(self, rng):
         for _ in range(10):
             g, companions = random_tree(rng, max_vars=8)
-            _, sp = run(g, SUM_PRODUCT, two_pass=True)
-            _, en = run(g, ENTROPY, two_pass=True, tables=carriers(g, ENTROPY, companions))
+            _, sp = run_spread(g, SUM_PRODUCT, two_pass=True)
+            _, en = run_spread(g, ENTROPY, two_pass=True, tables=carriers(g, ENTROPY, companions))
             assert set(sp.q) == set(en.q) and set(sp.r) == set(en.r)
             for key, msg in sp.q.items():
                 for a, b in zip(msg[0], en.q[key][0]):
@@ -545,12 +572,13 @@ class TestWidthK:
                     cols[c][fi] = None
             stacked = [None if fi in plain else np.vstack([cols[c][fi] for c in range(k)])
                        for fi in range(len(g.factors))]
-            wide, wide_store = run(g, ENTROPY, two_pass=True, tables=carriers(g, ENTROPY, stacked))
+            wide, wide_store = run_spread(g, ENTROPY, two_pass=True,
+                                          tables=carriers(g, ENTROPY, stacked))
             wide_zh = compute_zh(WeightedGraph(g, stacked))
             assert wide_zh.H.shape == (k,)
             for c in range(k):
-                one, one_store = run(g, ENTROPY, two_pass=True,
-                                     tables=carriers(g, ENTROPY, cols[c]))
+                one, one_store = run_spread(g, ENTROPY, two_pass=True,
+                                            tables=carriers(g, ENTROPY, cols[c]))
                 for kind in ("q", "r"):
                     msgs = getattr(one_store, kind)
                     assert set(msgs) == set(getattr(wide_store, kind))
@@ -574,9 +602,9 @@ class TestWidthK:
             g, _ = random_forest(rng)
             k = 2 + trial % 4
             stacked = [rng.uniform(-3.0, 3.0, (k, f.values.size)) for f in g.factors]
-            _, plain = run(g, SUM_PRODUCT, two_pass=True)
-            _, lifted = run(g, ENTROPY, two_pass=True,
-                            tables=WeightedGraph(g, stacked).carrier_tables(ENTROPY))
+            _, plain = run_spread(g, SUM_PRODUCT, two_pass=True)
+            _, lifted = run_spread(g, ENTROPY, two_pass=True,
+                                   tables=WeightedGraph(g, stacked).carrier_tables(ENTROPY))
             for kind in ("q", "r"):
                 for key, msg in getattr(plain, kind).items():
                     scores = getattr(lifted, kind)[key][0]
@@ -600,21 +628,10 @@ class TestWidthK:
             WeightedGraph(g, [np.zeros((2, 4)), np.zeros((3, 4))])
 
 
-
-def step_reference(g, s, root, two_pass, tables):
-    """The store of the per-edge step API driven along make_schedule."""
-    store = MessageStore(g, s, tables=tables)
-    for to_factor, vi, fi in make_schedule(g, root=root, two_pass=two_pass).edges:
-        v, f = g.variables[vi].id, g.factors[fi].id
-        if to_factor:
-            variable_to_factor(store, v, f)
-        else:
-            factor_to_variable(store, f, v)
-    return store
-
-
 def assert_run_matches_steps(g, s, root, two_pass, tables):
-    marginals, store = run(g, s, root=root, two_pass=two_pass, tables=tables)
+    marginals, messages = run(g, s, root=root, two_pass=two_pass, tables=tables)
+    store = spread(g, messages)
+    assert messages.count == len(store.q) + len(store.r)
     ref = step_reference(g, s, root, two_pass, tables)
     for kind in ("q", "r"):
         msgs, want = getattr(store, kind), getattr(ref, kind)
@@ -629,8 +646,8 @@ def assert_run_matches_steps(g, s, root, two_pass, tables):
 
 
 class TestLevelPlan:
-    """run compiles a level plan; every message it computes equals the
-    per-edge step API's, bit for bit."""
+    """run compiles a level plan; every message it computes, read through
+    its accessor, equals the per-edge step API's, bit for bit."""
 
     def test_plan_matches_step_api(self, rng):
         for trial in range(30):
@@ -667,6 +684,32 @@ class TestLevelPlan:
         assert g.plans == plans
         run(g, SUM_PRODUCT, root="x3")
         assert len(g.plans) == 2
+
+    def test_one_pass_on_a_cached_two_pass_plan(self, rng):
+        # a one-pass run that a cached two-pass plan serves returns the
+        # marginals and messages of a freshly compiled one-pass plan, bit
+        # for bit
+        for trial in range(12):
+            g = with_zeros(rng, random_forest(rng)[0])
+            fresh = FactorGraph(g.variables, g.factors)
+            root = None if trial % 2 else g.variables[int(rng.integers(len(g.variables)))].id
+            key = g.variable_position(root) if root else 0
+            run(g, SUM_PRODUCT, root=root, two_pass=True)
+            comps = [rng.uniform(-3.0, 3.0, (2, f.values.size)) for f in g.factors]
+            for s, c in ((SUM_PRODUCT, None), (MAX_PRODUCT, None), (BOOLEAN, None),
+                         (ENTROPY, comps)):
+                tables = carriers(g, s, c)
+                cached, cached_msgs = run_spread(g, s, root=root, tables=tables)
+                compiled, compiled_msgs = run_spread(fresh, s, root=root, tables=tables)
+                assert list(g.plans) == [(key, True)] and list(fresh.plans) == [(key, False)]
+                assert list(cached) == list(compiled)
+                for vid, m in compiled.items():
+                    assert bits(cached[vid].msg) == bits(m.msg)
+                    assert cached[vid].exponent == m.exponent
+                for kind in cached_msgs._fields:
+                    got, want = getattr(cached_msgs, kind), getattr(compiled_msgs, kind)
+                    assert list(got) == list(want)
+                    assert all(bits(got[k]) == bits(want[k]) for k in want)
 
     def test_one_group_per_level(self, rng):
         # a complete binary tree with a unary factor on every variable:
@@ -725,3 +768,18 @@ class TestLevelPlan:
         assert list(marginals) == [root, "t0x0", "t1x0"]
         for two_pass in (False, True):
             assert_run_matches_steps(g, ENTROPY, root, two_pass, carriers(g, ENTROPY, None))
+
+
+def test_public_names_resolve():
+    # every exported name exists; the per-edge step API lives in the tests
+    import fginfer
+    import fginfer.propagation
+
+    assert len(set(fginfer.__all__)) == len(fginfer.__all__)
+    for name in fginfer.__all__:
+        assert getattr(fginfer, name) is not None
+    for name in ("MessageStore", "variable_to_factor", "factor_to_variable",
+                 "init_leaf_messages", "marginal_at", "_send_v2f", "_send_f2v",
+                 "_factor_position"):
+        assert name not in fginfer.__all__
+        assert not hasattr(fginfer, name) and not hasattr(fginfer.propagation, name)
