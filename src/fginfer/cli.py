@@ -278,7 +278,7 @@ def _check_graph(graph: FactorGraph, companions) -> float:
                     _rel_err(math.ldexp(res.H, res.exponent), enumerate_h(graph, companions)))
     # the posterior-entropy leg only makes sense for nonnegative tables
     # with usable evidence; sum-product legs above cover the rest
-    if all(np.all(f.values >= 0.0) for f in graph.factors) and z_engine > 1e-300:
+    if (graph.values >= 0.0).all() and z_engine > 1e-300:
         post = posterior_entropy(WeightedGraph(graph, derive_log2_companions(graph)))
         worst = max(worst, _rel_err(post.entropy_bits, enumerate_entropy(graph)))
     return worst

@@ -20,8 +20,9 @@ factor and log2(Z) adds E, so the formula stays finite far past float
 range. Results fold 2^E back in (:func:`fginfer.propagation.fold_exponent`)
 whenever Z and H are finite normal floats.
 
-Companions of shape (k, n) give k totals H_1 ... H_k from the same single
-pass, H_c with g = the c-th row; :mod:`fginfer.learning` stacks its
+Companions are laid out like the graph's tables, side by side in one
+array. A (k, total) array gives k totals H_1 ... H_k from the same single
+pass, H_c with g = the c-th row; :mod:`fginfer.learning` runs its
 gradient and EM companions this way.
 """
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import NonFiniteTotal, OutOfDomain, ZeroEvidence
 from .graph import FactorGraph, validate
-from .propagation import fold_exponent, lift_tables, product_of_totals, run
+from .propagation import fold_exponent, product_of_totals, run
 from .semiring import ENTROPY, Semiring
 
 _LN2 = math.log(2.0)
@@ -69,95 +70,47 @@ class EntropyResult:
 
 
 class WeightedGraph:
-    """A validated factor graph plus per-factor companion tables: the one
-    input of :func:`compute_zh` and :func:`posterior_entropy`.
+    """A validated factor graph plus companion tables: the one input of
+    :func:`compute_zh` and :func:`posterior_entropy`.
 
-    A companion is None (g = 0), a table of the factor's length (any shape
-    of that size is flattened), or a (k, n) array of k companion columns
-    for a length-n table; every (k, n) companion of one graph has the same
-    k. The companions may also come as one (k, total) array, the (k, n)
-    columns of every factor side by side in factor order, taken as it is.
-    Companion entries may be undefined (NaN or infinite) only where the
+    The companions come in the graph's layout, as one (total,) array,
+    which makes H a float, or one (k, total) array of k companion columns,
+    which makes H a length-k array, even for k = 1. A per-factor list of
+    tables, each of its factor's length or None (g = 0), is laid out by
+    :meth:`~fginfer.graph.FactorGraph.lay_out`, and a list of Nones is no
+    companions. Entries may be undefined (NaN or infinite) only where the
     paired value is zero; they become 0, which encodes the
-    0 * log(0) = 0 convention. ``companions`` keeps them all as one
-    (k, total) array, aligned with the factors' tables laid side by side
-    in factor order, a None companion as zeros and a flat one in every
-    column; it is None when every companion is. :meth:`carrier_tables`
-    lifts the pairs (:func:`fginfer.propagation.lift_tables`) on every
-    call; nothing is cached. ``stacked`` tells whether the companions came
-    as (k, n) columns or as one (k, total) array, for which H is an array
-    even when k = 1.
+    0 * log(0) = 0 convention. ``companions`` holds the result, or None;
+    :meth:`carrier_tables` lifts the graph's ``values`` with them on every
+    call.
     """
 
     def __init__(self, graph: FactorGraph, companions=None):
-        self.graph = validate(graph)
-        sizes = [f.values.size for f in graph.factors]
-        if isinstance(companions, np.ndarray) and companions.shape[1:] == (sum(sizes),):
-            out, self.stacked = companions.astype(float, copy=False), True
-        else:
-            out, self.stacked = _stack_companions(graph.factors, sizes, companions)
-        if out is not None:
-            out = _defined_under_zeros(graph.factors, sizes, out)
-        self.companions = out
+        g = self.graph = validate(graph)
+        if isinstance(companions, list | tuple) and all(c is None for c in companions):
+            companions = None
+        if companions is not None:
+            if not (isinstance(companions, np.ndarray) and companions.shape[1:] == g.values.shape):
+                companions = g.lay_out(companions, "companion")
+            companions = _defined_under_zeros(g, companions.astype(float, copy=False))
+        self.companions = companions
 
     def carrier_tables(self, s: Semiring) -> np.ndarray:
-        return lift_tables(s, self.graph.factors, self.companions)
+        return s.lift_table(self.graph.values, self.companions)
 
 
-def _stack_companions(factors, sizes, companions) -> tuple[np.ndarray | None, bool]:
-    """Per-factor companions as one (k, total) array, shapes checked per
-    factor, and whether any had columns; None if every one is None."""
-    if companions is None:
-        return None, False
-    if len(companions) != len(factors):
-        raise ValueError(f"{len(companions)} companion tables for {len(factors)} factors")
-    flat, stacked, kind = [], [], []
-    for f, n, c in zip(factors, sizes, companions):
-        if c is None:
-            kind.append(0)
-            continue
-        c = np.asarray(c, dtype=float)
-        if c.ndim == 2 and c.shape[1] == n:
-            stacked.append(c)
-            kind.append(2)
-        elif c.size == n:
-            flat.append(c)
-            kind.append(1)
-        else:
-            raise ValueError(f"factor {f.id!r}: companion length {c.size} != table length {n}")
-    widths = {c.shape[0] for c in stacked}
-    if len(widths) > 1:
-        raise ValueError(f"companions disagree on their column count: {sorted(widths)}")
-    if not (flat or stacked):
-        return None, False
-    # filled one row at a time: a 1-D boolean assignment is several
-    # times faster than numpy's 2-D out[:, mask] on thousands of factors
-    kind = np.repeat(kind, sizes)
-    out = np.zeros((max(widths, default=1), len(kind)))
-    if flat:
-        columns, values = kind == 1, np.concatenate(flat, axis=None)
-        for row in out:
-            row[columns] = values
-    if stacked:
-        columns = kind == 2
-        for row, values in zip(out, np.concatenate(stacked, axis=1)):
-            row[columns] = values
-    return out, bool(stacked)
-
-
-def _defined_under_zeros(factors, sizes, out: np.ndarray) -> np.ndarray:
-    """The (k, total) companions with their undefined entries set to 0,
-    in a new array if there are any; raises ValueError, naming the
-    factor, for an undefined entry under a nonzero value."""
+def _defined_under_zeros(g: FactorGraph, out: np.ndarray) -> np.ndarray:
+    """The companions with their undefined entries set to 0, in a new
+    array if there are any; raises ValueError, naming the factor, for an
+    undefined entry under a nonzero value."""
     undefined = ~np.isfinite(out)
     if not undefined.any():
         return out
     # the table value each undefined entry pairs with must be zero
-    columns = np.flatnonzero(undefined.any(axis=0))
-    nonzero = columns[np.concatenate([f.values for f in factors])[columns] != 0.0]
+    columns = np.flatnonzero(undefined.reshape(-1, g.values.size).any(axis=0))
+    nonzero = columns[g.values[columns] != 0.0]
     if nonzero.size:
-        j = int(np.searchsorted(np.cumsum(sizes), nonzero[0], "right"))
-        raise ValueError(f"factor {factors[j].id!r}: companion must be"
+        raise ValueError(f"factor {g.factor_at(nonzero[0]).id!r}: companion must be"
                          " finite wherever the value is nonzero")
     return np.where(undefined, 0.0, out)
 
@@ -173,7 +126,8 @@ def _zh_mantissas(wg: WeightedGraph, root: str | None) -> tuple[list, int]:
 def _folded_result(wg: WeightedGraph, mantissas: list, exponent: int,
                    bits: float | None = None) -> EntropyResult:
     (z, *h), exponent = fold_exponent(mantissas, exponent)
-    return EntropyResult(Z=z, H=np.array(h) if wg.stacked else h[0], entropy_bits=bits,
+    columns = wg.companions is not None and wg.companions.ndim == 2
+    return EntropyResult(Z=z, H=np.array(h) if columns else h[0], entropy_bits=bits,
                          exponent=exponent)
 
 
@@ -182,7 +136,7 @@ def compute_zh(wg: WeightedGraph, root: str | None = None) -> EntropyResult:
 
     On forests the per-component pairs are combined with the semiring
     product (scores multiply; aux terms follow the product rule), which is
-    the joint (Z, H) of the independent components. With (k, n)
+    the joint (Z, H) of the independent components. With (k, total)
     companions ``H`` holds the k totals, from the same one pass. Z and H
     are the totals, with ``exponent`` 0, if all are finite normal floats,
     else mantissas (:func:`fginfer.propagation.fold_exponent`).
@@ -240,24 +194,19 @@ def entropy_in_base(bits: float, base: str) -> float:
     raise ValueError(f"unsupported entropy base {base!r}; use '2' or 'e'")
 
 
-def derive_log2_companions(graph: FactorGraph) -> list:
-    """Base-2 log companions for every factor table (0 where the value is 0).
+def derive_log2_companions(graph: FactorGraph) -> np.ndarray:
+    """Base-2 log companions of the graph's tables, 0 where a value is 0,
+    as one (total,) array in the graph's layout; validates the graph.
 
     The tables must be nonnegative; this is the g = log2(f) choice that
-    makes :func:`posterior_entropy` applicable to a plain graph. One sign
-    check and one log run over all tables at once; the result is split
-    back into one view per factor.
+    makes :func:`posterior_entropy` applicable to a plain graph.
     """
-    values = np.concatenate([f.values for f in graph.factors])
-    ends = np.cumsum([f.values.size for f in graph.factors]).tolist()
+    values = validate(graph).values
     negative = values < 0.0
     if negative.any():
-        k = int(np.searchsorted(ends, negative.argmax(), "right"))
-        raise OutOfDomain(
-            f"factor {graph.factors[k].id!r}: log companions need nonnegative values"
-        )
-    logs = log2_or_zero(values)
-    return [logs[a:b] for a, b in zip([0] + ends, ends)]
+        raise OutOfDomain(f"factor {graph.factor_at(negative.argmax()).id!r}:"
+                          " log companions need nonnegative values")
+    return log2_or_zero(values)
 
 
 def log2_or_zero(values: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ A factor graph is a bipartite graph between variables with finite domains
 and factors with dense tables over ordered scopes. Tables are flat,
 row major in the mixed-radix sense: the FIRST scope variable is the MOST
 significant digit of the table index. That ordering is normative for the
-on-disk format as well (see docs/file-formats.md).
+on-disk format as well (see docs/file-formats.md). Every layer reads
+tables, companions and gradients in one layout: side by side, one array.
 
 Only trees and forests are accepted by the engine. Structural checking is
 incremental union-find, which enforces exactly the acyclic criterion
@@ -63,6 +64,8 @@ class FactorGraph:
     - ``factor_vars[f]``: variable indices of factor f's scope, in order
     - ``factor_cards[f]``: matching cardinalities
     - ``var_factors[v]``: indices of factors touching variable v
+    - ``values``: every table side by side in factor order, one array;
+      ``factors[f].values`` is its view ``values[offsets[f]:offsets[f + 1]]``
 
     ``plans`` caches the engine's level plans by root and pass count (see
     :func:`fginfer.propagation.level_plan`), which depend on the structure
@@ -88,6 +91,8 @@ class FactorGraph:
         self.factor_cards: list[list[int]] = []
         self.var_factors: list[list[int]] = []
         self.n_edges = 0
+        self.values: np.ndarray | None = None
+        self.offsets: np.ndarray | None = None
         self.plans: dict = {}
 
     def cardinality(self, var_id: str) -> int:
@@ -106,6 +111,40 @@ class FactorGraph:
         if not self.checked:
             validate(self)
         return self
+
+    def lay_out(self, tables, what: str = "value", rows: int | None = None) -> np.ndarray:
+        """Tables in this graph's layout, by the ``offsets`` that
+        :func:`validate` sets: one (total,) float array, or (rows, total)
+        with ``rows``, every factor's table side by side in factor order.
+        An array of that shape is taken as it is; otherwise ``tables``
+        holds one table per factor, of its factor's length n (shaped
+        (rows, n) with ``rows``) or None for zeros. Raises ScopeMismatch,
+        naming the factor, for a wrong count or length."""
+        total = int(self.offsets[-1])
+        shape = (total,) if rows is None else (rows, total)
+        if isinstance(tables, np.ndarray) and tables.shape == shape:
+            return tables.astype(float, copy=False)
+        factors = self.factors
+        if len(tables) != len(factors):
+            missing = (f": factor {factors[len(tables)].id!r} has none"
+                       if len(tables) < len(factors) else "")
+            raise ScopeMismatch(f"{len(tables)} {what} tables for {len(factors)}"
+                                f" factors{missing}")
+        count, sizes = rows or 1, np.diff(self.offsets).tolist()
+        out = [np.zeros((count, n)) if t is None else np.asarray(t, dtype=float)
+               for t, n in zip(tables, sizes)]
+        for f, t, n in zip(factors, out, sizes):
+            if t.size != count * n or rows and t.shape[-1:] != (n,):
+                need = n if rows is None else f"{rows} x {n}"
+                raise ScopeMismatch(f"factor {f.id!r}: {what} table length {t.size},"
+                                    f" but its scope needs {need}")
+        if rows is None:
+            return np.concatenate(out, axis=None)
+        return np.concatenate([t.reshape(rows, -1) for t in out], axis=1)
+
+    def factor_at(self, entry: int) -> FactorTable:
+        """The factor whose table holds entry ``entry`` of ``values``."""
+        return self.factors[int(np.searchsorted(self.offsets, entry, "right")) - 1]
 
 
 def validate(g: FactorGraph) -> FactorGraph:
@@ -135,6 +174,7 @@ def validate(g: FactorGraph) -> FactorGraph:
     factor_cards = []
     var_factors: list[list[int]] = [[] for _ in range(nvar)]
     n_edges = 0
+    offsets = [0]
     for fi, f in enumerate(g.factors):
         vids = []
         size = 1
@@ -144,10 +184,6 @@ def validate(g: FactorGraph) -> FactorGraph:
                 raise UnknownVariable(f"factor {f.id!r}: unknown variable {name!r}")
             vids.append(vi)
             size *= cards[vi]
-        if len(f.values) != size:
-            raise ScopeMismatch(
-                f"factor {f.id!r}: table has {len(f.values)} values, scope needs {size}"
-            )
         fnode = nvar + fi
         for vi in vids:
             rv = find(vi)
@@ -161,11 +197,16 @@ def validate(g: FactorGraph) -> FactorGraph:
         factor_vars.append(vids)
         factor_cards.append([cards[vi] for vi in vids])
         n_edges += len(vids)
+        offsets.append(offsets[-1] + size)
 
     for vi, touching in enumerate(var_factors):
         if not touching:
             raise UncoveredVariable(f"variable {g.variables[vi].id!r} appears in no factor")
 
+    g.offsets = np.array(offsets)
+    g.values = g.lay_out([f.values for f in g.factors])
+    for f, a, b in zip(g.factors, offsets, offsets[1:]):
+        f.values = g.values[a:b]
     g.factor_vars = factor_vars
     g.factor_cards = factor_cards
     g.var_factors = var_factors

@@ -267,14 +267,13 @@ def serialize_graph(pg: ParsedGraph) -> dict:
         block: dict = {"dim": pf.dim}
         if pf.lam is not None:
             block["lambda"] = [float(x) for x in pf.lam]
+        cuts = pf.structure_graph().offsets[1:-1]
         if pf.u is not None:
-            block["u"] = [[float(x) for x in t] for t in pf.u]
-            block["v"] = [[float(x) for x in t] for t in pf.v]
+            block["u"] = [t.tolist() for t in np.split(pf.u, cuts)]
+            block["v"] = [t.tolist() for t in np.split(pf.v, cuts)]
         if pf.has_gradients:
-            zeros = np.zeros(pf.dim)
-            block["grad"] = [
-                [[float(x) for x in row] for row in gt] for gt in pf.grads_at(zeros)
-            ]
+            grads = np.split(pf.grads_at(np.zeros(pf.dim)), cuts, axis=1)
+            block["grad"] = [t.tolist() for t in grads]
         doc["parametric"] = block
     return doc
 

@@ -3,9 +3,10 @@
 Both tools ride on the same identity: running the engine with score tables
 f and companion tables g returns H = sum_x prod_k f_k(x_k) * sum_k g_k(x_k),
 so picking g to be a per-component score turns the pass into an
-expectation. Companions with several columns, one (dim, n_k) array per
-factor, give every column's H from one pass (the expectation semiring, see
-:mod:`fginfer.semiring`), so each call below runs exactly one pass.
+expectation. Companions with several columns, one (dim, total) array in
+the graph's layout, give every column's H from one pass (the expectation
+semiring, see :mod:`fginfer.semiring`), so each call below runs exactly
+one pass.
 
 Gradient of the total weight p(theta) = sum_x prod_k p_k(x_k, theta):
 component j is the H-value with f at theta and g_k = (d p_k / d theta_j) / p_k,
@@ -30,9 +31,9 @@ shared: sets with equal structure, such as a fresh linear form built per
 request over a gradient set's variables and scopes, hold one validated
 graph from a module-level weak registry, with its cached level plans, so
 an EM step after a gradient validates, schedules and compiles nothing.
-The entry lives as long as some set holds it. Affine sets keep their base
-and coefficient tables side by side as two arrays, so evaluating the
-tables at theta is one matrix product for all factors.
+The entry lives as long as some set holds it. Every table a set holds or
+hands out is in the structure's layout, so the tables of an affine set at
+theta are one matrix product for all factors.
 """
 
 import copy
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import WeightedGraph, compute_zh
-from .errors import DegenerateMStep, ScopeMismatch, UndefinedQuotient
+from .errors import DegenerateMStep, UndefinedQuotient
 from .graph import FactorGraph, FactorTable, VariableDecl
 from .propagation import fold_exponent
 
@@ -66,9 +67,10 @@ class ParametricFactorSet:
       and the direction vector lam, feeding :func:`em_linear_step`.
 
     The structure is resolved and validated on construction (see
-    :meth:`structure_graph`), and every per-factor table given to a
-    constructor is checked there against it: one table per factor, each
-    of its factor's length. Errors name the factor.
+    :meth:`structure_graph`), and every table given to a constructor is
+    laid out there (:meth:`~fginfer.graph.FactorGraph.lay_out`): ``u``,
+    ``v`` and ``base_tables`` are (total,) arrays. ``lam`` must have
+    ``dim`` components.
     """
 
     def __init__(self, variables, scopes, dim, tables_fn=None, grads_fn=None,
@@ -85,39 +87,18 @@ class ParametricFactorSet:
         ]
         if len(self.factor_ids) != len(self.scopes):
             raise ValueError("factor_ids and scopes disagree in length")
-        self._structure = _shared_structure(self.variables, self.scopes, self.factor_ids)
-        self._sizes = [f.values.size for f in self._structure.factors]
-        ends = np.cumsum(self._sizes).tolist()
-        self._slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        self._structure = s = _shared_structure(self.variables, self.scopes, self.factor_ids)
         self._tables_fn = tables_fn
         self._grads_fn = grads_fn
-        self.u = None if u is None else self._per_factor(u, "u")
-        self.v = None if v is None else self._per_factor(v, "v")
+        self.u = None if u is None else s.lay_out(u, "u")
+        self.v = None if v is None else s.lay_out(v, "v")
         self.lam = None if lam is None else np.asarray(lam, dtype=float).ravel()
-        linear = (self.u or []) + (self.v or []) + ([] if lam is None else [self.lam])
+        if self.lam is not None and self.lam.size != self.dim:
+            raise ValueError(f"lam has {self.lam.size} components, model has {self.dim}")
+        linear = [x for x in (self.u, self.v, self.lam) if x is not None]
         if linear and not np.isfinite(np.concatenate(linear)).all():
             raise ValueError("u, v and lam must be finite")
-        self.base_tables = None if base_tables is None else self._per_factor(
-            base_tables, "base")
-
-    def _per_factor(self, tables, what: str, rows: int | None = None) -> list:
-        """The tables, one per factor, as float arrays, each flat or of
-        shape (rows, n) when ``rows`` is given; raises ScopeMismatch,
-        naming the factor, unless there is one table per factor and each
-        has its factor's length n."""
-        if len(tables) != len(self._sizes):
-            missing = (f": factor {self.factor_ids[len(tables)]!r} has none"
-                       if len(tables) < len(self._sizes) else "")
-            raise ScopeMismatch(f"{len(tables)} {what} tables for {len(self._sizes)}"
-                                f" factors{missing}")
-        shape = (-1,) if rows is None else (rows, -1)
-        out = [np.asarray(t, dtype=float).reshape(shape) for t in tables]
-        lengths = [t.shape[-1] for t in out]
-        if lengths != self._sizes:
-            k = next(k for k, (a, b) in enumerate(zip(lengths, self._sizes)) if a != b)
-            raise ScopeMismatch(f"factor {self.factor_ids[k]!r}: {what} table length"
-                                f" {lengths[k]}, but its scope needs {self._sizes[k]}")
-        return out
+        self.base_tables = None if base_tables is None else s.lay_out(base_tables, "base")
 
     @classmethod
     def from_callables(cls, variables, scopes, dim, tables_fn, grads_fn, **kw):
@@ -129,25 +110,24 @@ class ParametricFactorSet:
 
         ``coeff_tables[k]`` has shape (dim, len(base_k)), or (len(base_k),)
         for dim 1; the gradient tables are the constant coefficients. The
-        base tables are the theta = 0 point. Both are laid side by side
-        once, as a (total,) and a (dim, total) array, so the tables at
-        theta are one ``base + theta @ coeffs``, handed out as per-factor
-        views; the gradient tables are views of one copy of ``coeffs``.
+        base tables are the theta = 0 point. Both are laid out once, as a
+        (total,) and a (dim, total) array, so the tables at theta are one
+        ``base + theta @ coeffs`` and the gradient tables one copy of
+        ``coeffs``.
         """
         coeffs = [np.asarray(c, dtype=float) for c in coeff_tables]
         dims = {len(c) if c.ndim > 1 else 1 for c in coeffs}
         if len(dims) > 1:
             raise ValueError(f"coefficient tables disagree on dimension: {sorted(dims)}")
         pf = cls(variables, scopes, dims.pop() if dims else 1, base_tables=base_tables, **kw)
-        base = np.concatenate(pf.base_tables)
-        coeffs = np.concatenate(pf._per_factor(coeffs, "coefficient", pf.dim), axis=1)
-        slices = pf._slices
+        base = pf.base_tables
+        coeffs = pf._structure.lay_out(coeffs, "coefficient", pf.dim)
 
         def tables_fn(theta):
-            return _split(base + np.asarray(theta, dtype=float).ravel() @ coeffs, slices)
+            return base + np.asarray(theta, dtype=float).ravel() @ coeffs
 
         def grads_fn(theta):
-            return _split(coeffs.copy(), slices)
+            return coeffs.copy()
 
         pf._tables_fn, pf._grads_fn = tables_fn, grads_fn
         return pf
@@ -162,27 +142,18 @@ class ParametricFactorSet:
     def has_gradients(self) -> bool:
         return self._grads_fn is not None
 
-    def tables_at(self, theta) -> list:
+    def tables_at(self, theta) -> np.ndarray:
+        """The tables at theta, one (total,) array."""
         if self._tables_fn is None:
             raise ValueError("this parametric set carries only linear-form data")
-        return self._per_factor(self._tables_fn(theta), "value")
+        return self._structure.lay_out(self._tables_fn(theta), "value")
 
-    def grads_at(self, theta) -> list:
-        """Per-factor gradient tables, each of shape (dim, table length)."""
+    def grads_at(self, theta) -> np.ndarray:
+        """The gradient tables at theta, one (dim, total) array: row j
+        holds every table's derivative in theta_j."""
         if self._grads_fn is None:
             raise ValueError("this parametric set carries no gradient tables")
-        out = []
-        for k, gt in enumerate(self._grads_fn(theta)):
-            gt = np.asarray(gt, dtype=float)
-            if gt.ndim == 1:
-                gt = gt[None, :]
-            if gt.shape[0] != self.dim:
-                raise ValueError(
-                    f"factor {self.factor_ids[k]!r}: gradient tables have"
-                    f" {gt.shape[0]} components, expected {self.dim}"
-                )
-            out.append(gt)
-        return out
+        return self._structure.lay_out(self._grads_fn(theta), "gradient", self.dim)
 
     def structure_graph(self) -> FactorGraph:
         """The underlying validated tree, with placeholder zero tables.
@@ -197,19 +168,20 @@ class ParametricFactorSet:
         return self._structure
 
     def graph_with(self, tables) -> FactorGraph:
-        """The structure graph with these tables. It shares the validated
-        adjacency and the cached level plans of :meth:`structure_graph`.
-        Only the table lengths are checked, once for all factors; the
-        scopes were validated with the structure and are not checked
-        again."""
+        """The structure graph with these tables laid out as its
+        ``values``, and its factors' tables views of them. It shares the
+        validated adjacency and the cached level plans of
+        :meth:`structure_graph`; only the table lengths are checked."""
         structure = self.structure_graph()
+        graph = copy.copy(structure)
+        graph.values = values = structure.lay_out(tables, "value")
+        offsets = structure.offsets.tolist()
         new = object.__new__
         factors = []
-        for f, values in zip(structure.factors, self._per_factor(tables, "value")):
+        for f, a, b in zip(structure.factors, offsets, offsets[1:]):
             table = new(FactorTable)
-            table.id, table.scope, table.values = f.id, f.scope, values
+            table.id, table.scope, table.values = f.id, f.scope, values[a:b]
             factors.append(table)
-        graph = copy.copy(structure)
         graph.factors = factors
         return graph
 
@@ -241,24 +213,16 @@ class EmStepResult:
     exponent: int = 0
 
 
-def _split(flat: np.ndarray, slices: list) -> list:
-    """Views of consecutive blocks of the last axis of ``flat``."""
-    return [flat[..., s] for s in slices]
-
-
-def _quotient_companions(pf: ParametricFactorSet, values: list, grads: list,
+def _quotient_companions(pf: ParametricFactorSet, f: np.ndarray, gt: np.ndarray,
                          what: str) -> np.ndarray:
-    """The g tables grad/value of every factor side by side, one
-    (dim, total) array, checking the 0-denominator rule."""
-    f = np.concatenate(values)
-    gt = np.concatenate(grads, axis=1)
+    """The g tables grad/value, one (dim, total) array from the (total,)
+    tables and (dim, total) gradients, checking the 0-denominator rule."""
     zero = f == 0.0
     bad = zero & (gt != 0.0).any(axis=0)
     if bad.any():
-        k = next(k for k, s in enumerate(pf._slices) if bad[s].any())
         raise UndefinedQuotient(
-            f"factor {pf.factor_ids[k]!r} has a zero {what} value with a nonzero"
-            " gradient entry"
+            f"factor {pf.structure_graph().factor_at(bad.argmax()).id!r} has a zero {what}"
+            " value with a nonzero gradient entry"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(zero, 0.0, gt / np.where(zero, 1.0, f))
@@ -313,7 +277,7 @@ def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
         tables = pf.base_tables
     else:
         raise ValueError("no tables at the previous point: pass theta_old or base tables")
-    uv = np.vstack((np.concatenate(pf.u), np.concatenate(pf.v)))
+    uv = np.vstack((pf.u, pf.v))
     wg = WeightedGraph(pf.graph_with(tables), uv)
     res = compute_zh(wg)
     (h_a, h_b), exponent = fold_exponent(res.H.tolist(), res.exponent)

@@ -79,11 +79,12 @@ def _factor_indices(g, fi, digits):
     return flat
 
 
-def _joint_products(g, digits, tables=None):
+def _joint_products(g, digits, values=None):
+    """Every assignment's product of tables; ``values`` replaces g's own."""
+    tables = np.split(g.values if values is None else values, g.offsets[1:-1])
     prod = None
-    for fi, f in enumerate(g.factors):
-        values = f.values if tables is None else np.asarray(tables[fi], dtype=float).ravel()
-        term = values[_factor_indices(g, fi, digits)]
+    for fi, table in enumerate(tables):
+        term = table[_factor_indices(g, fi, digits)]
         prod = term if prod is None else prod * term
     return prod
 
@@ -145,7 +146,7 @@ def fd_gradient(pf, theta, h: float = 1e-5) -> np.ndarray:
         tables = pf.tables_at(t)
         g = pf.structure_graph()
         _, _, digits = _joint_setup(g)
-        return float(_joint_products(g, digits, tables=tables).sum())
+        return float(_joint_products(g, digits, tables).sum())
 
     grad = np.zeros(theta.size)
     for j in range(theta.size):

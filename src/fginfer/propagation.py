@@ -59,14 +59,6 @@ from .semiring import Semiring
 _LN2 = math.log(2.0)
 
 
-def lift_tables(s: Semiring, factors, companions: np.ndarray | None = None) -> np.ndarray:
-    """Every factor's carrier table, side by side in factor order, from
-    one ``lift_table`` call over the concatenated tables and, if given,
-    their (k, total) companions (see
-    :class:`fginfer.entropy.WeightedGraph`)."""
-    return s.lift_table(np.concatenate([f.values for f in factors]), companions)
-
-
 def scale_exponents(mx: np.ndarray) -> np.ndarray:
     """The e with |x| 2^-e in [1, 2) for each x of ``mx``, 0 for x = 0; at
     least -1021, so 2^-e is finite."""
@@ -441,8 +433,11 @@ class RunMessages:
         the factor if ``to_factor`` and toward the variable otherwise: a
         read-only (k + 1, card) view and its exponent E. Raises
         MissingDependency for a message the run did not compute: after
-        one pass, those toward the leaves."""
+        one pass, those toward the leaves, and KeyError for a factor
+        outside the graph or a variable outside the factor's scope."""
         g, plan = self._graph, self._plan
+        if not 0 <= fi < len(g.factors):
+            raise KeyError(f"factor {fi} is not in the graph")
         scope = g.factor_vars[fi]
         if vi not in scope:
             raise KeyError(f"variable {vi} is not in the scope of factor {fi}")
@@ -478,17 +473,17 @@ def run(g: FactorGraph, s: Semiring, root: str | None = None, two_pass: bool = F
     One pass computes the marginal at the root (and at each extra
     component's local root on forests); ``two_pass=True`` computes the
     marginal of every variable, as a mantissa times 2^``exponent``.
-    ``tables`` optionally supplies the lifted carrier tables, as
-    :func:`lift_tables` or :meth:`fginfer.entropy.WeightedGraph.carrier_tables`
-    return them; by default the graph's tables are lifted without
-    companions. ``messages`` is a :class:`RunMessages` over the run's
-    one buffer, which reads any one edge message the run computed and
-    counts them. ``rescale`` has no effect: the benchmark still passes
+    ``tables`` optionally supplies the lifted carrier tables in the
+    graph's layout, as :meth:`fginfer.entropy.WeightedGraph.carrier_tables`
+    returns them; by default the graph's ``values`` are lifted without
+    companions. ``messages`` is a :class:`RunMessages` over the run's one
+    buffer, which reads any one edge message the run computed and counts
+    them. ``rescale`` has no effect: the benchmark still passes
     it, and ROADMAP item 1 removes it.
     """
     g.ensure_checked()
     if tables is None:
-        tables = lift_tables(s, g.factors)
+        tables = s.lift_table(g.values)
     plan = level_plan(g, root, two_pass)
     marginals, buf, exps = plan.execute(s, tables, two_pass)
     return marginals, RunMessages(g, plan, buf, exps, two_pass)

@@ -90,6 +90,28 @@ def random_tree(rng, max_vars=10, max_card=4, max_scope=3, min_value=0.05,
     return graph, companions
 
 
+def random_forest(rng, max_trees=3):
+    """The disjoint union of one to max_trees random trees, with their
+    companion tables."""
+    variables, factors, companions = [], [], []
+    for k in range(int(rng.integers(1, max_trees + 1))):
+        g, comp = random_tree(rng, max_vars=12)
+        variables += [VariableDecl(f"t{k}{v.id}", v.cardinality) for v in g.variables]
+        factors += [
+            FactorTable(f"t{k}{f.id}", tuple(f"t{k}{n}" for n in f.scope), f.values)
+            for f in g.factors
+        ]
+        companions += comp
+    return FactorGraph(variables, factors), companions
+
+
+def per_factor(g, laid_out) -> list:
+    """Views of every factor's table in an array in the layout of the
+    validated graph g, along its last axis."""
+    ends = g.offsets.tolist()
+    return [laid_out[..., a:b] for a, b in zip(ends, ends[1:])]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)

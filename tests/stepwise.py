@@ -19,7 +19,6 @@ from fginfer.propagation import (
     _edges,
     _factor_shapes,
     _rescale,
-    lift_tables,
 )
 
 
@@ -32,15 +31,15 @@ class MessageStore:
     variable messages. The parallel ``q_scale`` / ``r_scale`` dicts carry
     the integer exponent E of each message, its scale 2^E. ``tables``
     holds every factor's carrier table side by side in factor order, as
-    :func:`fginfer.propagation.lift_tables` returns them; by default the
-    graph's own tables, lifted.
+    :meth:`fginfer.WeightedGraph.carrier_tables` returns them; by default
+    the graph's own ``values``, lifted.
     """
 
     def __init__(self, graph, semiring, tables=None):
         graph.ensure_checked()
         self.graph = graph
         self.semiring = semiring
-        self.tables = lift_tables(semiring, graph.factors) if tables is None else tables
+        self.tables = semiring.lift_table(graph.values) if tables is None else tables
         self.shapes = _factor_shapes(_edges(graph))
         self.q, self.r, self.q_scale, self.r_scale = {}, {}, {}, {}
 

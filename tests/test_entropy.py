@@ -10,6 +10,7 @@ from fginfer import (
     HmmSpec,
     NonFiniteTotal,
     OutOfDomain,
+    ScopeMismatch,
     VariableDecl,
     WeightedGraph,
     ZeroEvidence,
@@ -21,15 +22,18 @@ from fginfer import (
 )
 from fginfer.oracle import enumerate_entropy, enumerate_h, enumerate_z
 
-from conftest import assert_close, bits, heap_tree, random_tree
+from conftest import assert_close, bits, heap_tree, random_forest, random_tree
 
 
 def unary_weighted(values, companions):
+    """One factor over x; companions given as an array are the layout."""
     g = FactorGraph(
         [VariableDecl("x", len(values))],
         [FactorTable("f", ("x",), np.asarray(values, dtype=float))],
     )
-    return WeightedGraph(g, [None if companions is None else np.asarray(companions)])
+    if not isinstance(companions, np.ndarray):
+        companions = [None if companions is None else np.asarray(companions)]
+    return WeightedGraph(g, companions)
 
 
 class TestLiftGraph:
@@ -61,7 +65,7 @@ class TestLiftGraph:
         assert_close(res.H, 1.5)
 
     def test_companion_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScopeMismatch, match="factor 'f': companion table length 1"):
             unary_weighted([0.5, 0.5], [1.0])
 
     def test_nonfinite_companion_under_nonzero_value(self):
@@ -70,12 +74,12 @@ class TestLiftGraph:
 
     def test_column_companions_checked_like_one_column(self):
         # undefined entries under a zero value are zeroed in every column
-        wg = unary_weighted([0.0, 0.5], [[math.nan, 1.0], [-math.inf, 2.0]])
+        wg = unary_weighted([0.0, 0.5], np.array([[math.nan, 1.0], [-math.inf, 2.0]]))
         assert wg.companions.tolist() == [[0.0, 1.0], [0.0, 2.0]]
         assert compute_zh(wg).H.tolist() == [0.5, 1.0]
         with pytest.raises(ValueError, match="finite"):
-            unary_weighted([0.5, 0.5], [[1.0, 1.0], [math.nan, 0.0]])
-        with pytest.raises(ValueError, match="length"):
+            unary_weighted([0.5, 0.5], np.array([[1.0, 1.0], [math.nan, 0.0]]))
+        with pytest.raises(ScopeMismatch, match="length"):
             unary_weighted([0.5, 0.5], [[1.0, 1.0, 1.0]] * 2)
 
     def test_checks_name_the_factor_past_the_first(self):
@@ -86,36 +90,41 @@ class TestLiftGraph:
         with pytest.raises(ValueError, match="factor 'fb': companion must be finite"):
             WeightedGraph(g, [[nan, 0.0], [nan, 1.0, 1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="factor 'fb': companion must be finite"):
-            WeightedGraph(g, [None, [[1.0] * 4, [math.inf, 1.0, 1.0, 1.0]], None])
+            WeightedGraph(g, np.array([[0.0] * 2 + [1.0] * 4 + [0.0] * 2,
+                                       [0.0] * 2 + [math.inf, 1.0, 1.0, 1.0] + [0.0] * 2]))
         # undefined entries under zeros become 0 in their own factor only
         zeroed = three_factors([1.0, 1.0], fc=[2.0, 0.0])
         wg = WeightedGraph(zeroed, [[1.0, 2.0], [3.0] * 4, [-1.0, nan]])
-        assert wg.companions.tolist() == [[1.0, 2.0] + [3.0] * 4 + [-1.0, 0.0]]
+        assert wg.companions.tolist() == [1.0, 2.0] + [3.0] * 4 + [-1.0, 0.0]
 
     def test_one_array_equals_the_per_factor_list(self, rng):
-        # one (k, total) array, taken as it is, gives the per-factor list's
+        # one (total,) array, taken as it is, gives the per-factor list's
         # companions and (Z, H) bit for bit; the same checks apply to it,
         # and it is left as it was
-        for trial in range(20):
-            g, _ = random_tree(rng, max_vars=8)
-            k = 1 + trial % 3
+        for _ in range(20):
+            g, companions = random_forest(rng)
             g = FactorGraph(g.variables, [
                 FactorTable(f.id, f.scope, np.where(rng.random(f.values.size) < 0.2, 0.0,
                                                     f.values)) for f in g.factors])
-            per_factor = [rng.uniform(-3.0, 3.0, (k, f.values.size)) for f in g.factors]
-            for f, c in zip(g.factors, per_factor):
-                c[:, f.values == 0.0] = math.nan
-            whole = np.concatenate(per_factor, axis=1)
+            for f, c in zip(g.factors, companions):
+                c[f.values == 0.0] = math.nan
+            whole = np.concatenate(companions)
             kept = whole.copy()
-            listed, arrayed = WeightedGraph(g, per_factor), WeightedGraph(g, whole)
-            assert arrayed.stacked and bits(whole) == bits(kept)
+            listed, arrayed = WeightedGraph(g, companions), WeightedGraph(g, whole)
+            assert bits(whole) == bits(kept)
             assert bits(arrayed.companions) == bits(listed.companions)
             a, b = compute_zh(listed), compute_zh(arrayed)
-            assert (bits([a.Z, *a.H]), a.exponent) == (bits([b.Z, *b.H]), b.exponent)
+            assert isinstance(a.H, float) and isinstance(b.H, float)
+            assert (bits([a.Z, a.H]), a.exponent) == (bits([b.Z, b.H]), b.exponent)
+            # one column as a (1, total) array: H is a length-1 array
+            column = compute_zh(WeightedGraph(g, whole[None, :]))
+            assert column.H.shape == (1,)
+            assert (bits([column.Z, *column.H]), column.exponent) == (bits([a.Z, a.H]),
+                                                                      a.exponent)
         g = three_factors([0.0, 1.0])
         with pytest.raises(ValueError, match="factor 'fb': companion must be finite"):
             WeightedGraph(g, np.array([[math.nan, 0.0] + [math.nan] + [1.0] * 5]))
-        with pytest.raises(ValueError, match="companion tables for 3 factors"):
+        with pytest.raises(ScopeMismatch, match="2 companion tables for 3 factors"):
             WeightedGraph(g, np.zeros((2, 7)))
 
 
@@ -307,8 +316,8 @@ class TestDeriveCompanions:
             [VariableDecl("x", 2)], [FactorTable("f", ("x",), np.array([4.0, 0.0]))]
         )
         comp = derive_log2_companions(g)
-        assert comp[0][0] == 2.0
-        assert comp[0][1] == 0.0  # placeholder under a zero value
+        assert comp[0] == 2.0
+        assert comp[1] == 0.0  # placeholder under a zero value
 
     def test_negative_value_rejected(self):
         g = FactorGraph(
@@ -322,4 +331,4 @@ class TestDeriveCompanions:
         with pytest.raises(OutOfDomain, match="factor 'fc'"):
             derive_log2_companions(g)
         comps = derive_log2_companions(three_factors([0.5, 4.0], fc=[8.0, 0.0]))
-        assert [c.tolist() for c in comps] == [[-1.0, 2.0], [0.0] * 4, [3.0, 0.0]]
+        assert comps.tolist() == [-1.0, 2.0] + [0.0] * 4 + [3.0, 0.0]

@@ -8,6 +8,7 @@ from fginfer import (
     FactorGraph,
     FactorTable,
     OutOfDomain,
+    ParametricFactorSet,
     ScopeMismatch,
     UncoveredVariable,
     UnknownVariable,
@@ -18,7 +19,7 @@ from fginfer import (
     validate,
 )
 
-from conftest import random_tree
+from conftest import bits, per_factor, random_forest, random_tree
 
 
 def binary_vars(*names):
@@ -140,6 +141,47 @@ class TestValidate:
             n_components = len({find(v.id) for v in g.variables})
             n_nodes = len(g.variables) + len(g.factors)
             assert g.n_edges == n_nodes - n_components
+
+
+class TestLayout:
+    """A validated graph keeps every table side by side as one array."""
+
+    def test_factors_are_views_of_the_values(self, rng):
+        for trial in range(20):
+            g, _ = random_forest(rng)
+            validate(g)
+            if trial % 2:
+                # a parametric set's graph_with lays its tables out the same way
+                pf = ParametricFactorSet(g.variables, [f.scope for f in g.factors], 1,
+                                         factor_ids=[f.id for f in g.factors])
+                tables = rng.uniform(0.1, 2.0, g.values.size)
+                g = pf.graph_with(tables)
+                assert g.values is tables
+            assert g.offsets.tolist() == np.cumsum(
+                [0] + [f.values.size for f in g.factors]).tolist()
+            for fi, f in enumerate(g.factors):
+                assert bits(g.values[g.offsets[fi]:g.offsets[fi + 1]]) == bits(f.values)
+                assert f.values.base is g.values
+                assert g.factor_at(g.offsets[fi]) is f
+                assert g.factor_at(g.offsets[fi + 1] - 1) is f
+
+    def test_lay_out(self, rng):
+        g = validate(FactorGraph(binary_vars("x", "y"), [
+            ones_factor("fx", ["x"]), ones_factor("fxy", ["x", "y"])]))
+        flat = rng.uniform(size=6)
+        assert g.lay_out(flat) is flat
+        assert bits(g.lay_out(per_factor(g, flat))) == bits(flat)
+        assert g.lay_out([None, np.ones((2, 2))]).tolist() == [0.0, 0.0] + [1.0] * 4
+        wide = rng.uniform(size=(3, 6))
+        assert g.lay_out(wide, rows=3) is wide
+        assert bits(g.lay_out(per_factor(g, wide), rows=3)) == bits(wide)
+        with pytest.raises(ScopeMismatch, match="1 u tables for 2 factors: factor 'fxy'"):
+            g.lay_out([flat[:2]], "u")
+        with pytest.raises(ScopeMismatch, match="factor 'fxy': u table length 3"):
+            g.lay_out([flat[:2], flat[:3]], "u")
+        with pytest.raises(ScopeMismatch, match="factor 'fx': v table length 2, but its"
+                                                " scope needs 3 x 2"):
+            g.lay_out([flat[:2], wide[:, 2:]], "v", rows=3)
 
 
 class TestSchedule:

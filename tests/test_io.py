@@ -182,14 +182,14 @@ class TestParametricBlock:
         pf = parse_graph_document(self.linear_doc()).parametric
         assert pf.dim == 1
         assert not pf.has_gradients
-        assert np.allclose(pf.u[0], [2.0, 4.0])
+        assert np.allclose(pf.u, [2.0, 4.0])
         assert np.allclose(pf.lam, [1.0])
 
     def test_affine(self):
         pf = parse_graph_document(self.affine_doc()).parametric
         assert pf.has_gradients
-        assert np.allclose(pf.tables_at([0.3])[0], [0.3, 0.7])
-        assert np.allclose(pf.grads_at([0.3])[0], [[1.0, -1.0]])
+        assert np.allclose(pf.tables_at([0.3]), [0.3, 0.7])
+        assert np.allclose(pf.grads_at([0.3]), [[1.0, -1.0]])
 
     def assert_block_error(self, block, fragment, values=(0.5, 0.5)):
         d = doc_unary(list(values))

@@ -19,7 +19,7 @@ from fginfer import (
 )
 from fginfer.oracle import enumerate_h, fd_gradient
 
-from conftest import assert_close, bits, heap_tree, random_tree
+from conftest import assert_close, bits, heap_tree, per_factor, random_tree
 
 
 def mixture_factor_set():
@@ -96,8 +96,8 @@ class TestParametricFactorSet:
     def test_affine_tables_and_grads(self):
         pf = mixture_factor_set()
         assert pf.dim == 1
-        assert np.allclose(pf.tables_at([0.3])[0], [0.3, 0.7])
-        assert np.allclose(pf.grads_at([0.3])[0], [[1.0, -1.0]])
+        assert np.allclose(pf.tables_at([0.3]), [0.3, 0.7])
+        assert np.allclose(pf.grads_at([0.3]), [[1.0, -1.0]])
 
     def test_affine_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -129,15 +129,15 @@ class TestParametricFactorSet:
         gradient_at(pf, np.zeros(2))
         gradient_at(pf, np.ones(2))
         assert len(structure.plans) == 1
-        bad = pf.tables_at(np.zeros(2))
+        bad = per_factor(structure, pf.tables_at(np.zeros(2)))
         bad[-1] = bad[-1][:-1]
         with pytest.raises(ScopeMismatch, match=f"factor {pf.factor_ids[-1]!r}:.* scope needs"):
             pf.graph_with(bad)
         # the factors keep the structure's validated scopes
         assert all(f.scope is s.scope and f.id == s.id for f, s in zip(g.factors,
                                                                         structure.factors))
-        assert [f.values.tolist() for f in g.factors] == [t.tolist() for t in
-                                                            pf.tables_at(np.zeros(2))]
+        assert [f.values.tolist() for f in g.factors] == [
+            t.tolist() for t in per_factor(structure, pf.tables_at(np.zeros(2)))]
         with pytest.raises(ScopeMismatch, match="tables for"):
             pf.graph_with(bad[:-1])
 
@@ -361,9 +361,8 @@ class TestEmQGradient:
         pf = exp_family(rng, 2)
         theta_old = np.array([0.2, -0.3])
         theta_i = np.array([0.4, 0.1])
-        f_old = pf.tables_at(theta_old)
-        f_i = pf.tables_at(theta_i)
-        g_i = pf.grads_at(theta_i)
+        f_old, f_i, g_i = (per_factor(pf.structure_graph(), t) for t in (
+            pf.tables_at(theta_old), pf.tables_at(theta_i), pf.grads_at(theta_i)))
         expected = np.zeros(2)
         for x in range(2):
             for y in range(2):
@@ -375,9 +374,9 @@ class TestEmQGradient:
 
 
 def quotients(values, grads, j):
-    """Column j of the g tables grad/value, 0 where the value is 0."""
-    return [np.where(f == 0.0, 0.0, g[j] / np.where(f == 0.0, 1.0, f))
-            for f, g in zip(values, grads)]
+    """Row j of the g tables grad/value, 0 where the value is 0."""
+    zero = values == 0.0
+    return np.where(zero, 0.0, grads[j] / np.where(zero, 1.0, values))
 
 
 def linear_form_of(pf, tables, u, v, lam):
@@ -405,8 +404,8 @@ class TestOnePassEqualsPerComponentLoop:
         for _ in range(12):
             pf = random_affine_tree(rng, int(rng.integers(1, 4)))
             tables = pf.tables_at(rng.uniform(-0.5, 0.5, pf.dim))
-            u = [rng.uniform(-0.5, 1.5, t.size) for t in tables]
-            v = [rng.uniform(0.5, 1.5, t.size) for t in tables]
+            u = [rng.uniform(-0.5, 1.5, t.size) for t in per_factor(pf.structure_graph(), tables)]
+            v = [rng.uniform(0.5, 1.5, t.size) for t in per_factor(pf.structure_graph(), tables)]
             form = linear_form_of(pf, tables, u, v, rng.normal(size=pf.dim))
             graph = form.graph_with(tables)
             h_a = compute_zh(WeightedGraph(graph, u)).H
@@ -563,13 +562,14 @@ class TestAffineTables:
                 [(f"x{k}",) for k in range(len(sizes))], base, coeffs,
             )
             theta = rng.uniform(-1.0, 1.0, dim)
-            for t, b, c in zip(pf.tables_at(theta), base, coeffs):
+            structure = pf.structure_graph()
+            for t, b, c in zip(per_factor(structure, pf.tables_at(theta)), base, coeffs):
                 bound = 2 * eps * (np.abs(b) + np.abs(theta) @ np.abs(c))
                 assert (np.abs(t - (b + theta @ c)) <= bound).all()
             grads = pf.grads_at(theta)
-            assert all(np.array_equal(g, c) for g, c in zip(grads, coeffs))
-            grads[0][...] = 0.0
-            assert np.array_equal(pf.grads_at(theta)[0], coeffs[0])
+            assert all(np.array_equal(g, c) for g, c in zip(per_factor(structure, grads), coeffs))
+            grads[...] = 0.0
+            assert np.array_equal(pf.grads_at(theta), np.concatenate(coeffs, axis=1))
 
 
 class TestMismatchedTables:
@@ -608,3 +608,28 @@ class TestMismatchedTables:
         with pytest.raises(ScopeMismatch, match="factor 'p1': base table length 1"):
             ParametricFactorSet.affine(self.args[0], self.args[1], [[1.0, 2.0], [3.0]],
                                        [[[1.0, 0.0]]] * 2)
+
+    @pytest.mark.parametrize("shapes, factor", [
+        # the lengths sum to the total: once read as [8., 8.] without a check
+        (((2, 1), (2, 5)), "p0"),
+        # once a bare numpy broadcast error
+        (((2, 2), (2, 3)), "p1"),
+        # flat tables of dim * n entries are not read as (dim, n)
+        (((4,), (8,)), "p0"),
+    ])
+    def test_gradient_table_length(self, shapes, factor):
+        pf = ParametricFactorSet.from_callables(
+            [("a", 2), ("b", 2)], [("a",), ("a", "b")], 2,
+            lambda th: [np.ones(2), np.ones(4)],
+            lambda th: [np.ones(shape) for shape in shapes],
+        )
+        with pytest.raises(ScopeMismatch, match=f"factor '{factor}': gradient table length"):
+            pf.grads_at(np.zeros(2))
+        with pytest.raises(ScopeMismatch, match=f"factor '{factor}'"):
+            gradient_at(pf, np.zeros(2))
+
+    def test_lam_needs_dim_components(self):
+        # a 1-component lam once gave a 3-dimensional model a 1-component step
+        with pytest.raises(ValueError, match="lam has 1 components, model has 3"):
+            ParametricFactorSet([("x", 2)], [("x",)], 3, u=[[1.0, 2.0]], v=[[1.0, 1.0]],
+                                lam=[1.0], base_tables=[[0.5, 0.5]])

@@ -28,7 +28,15 @@ from fginfer.oracle import (
 )
 from fginfer.propagation import fold_exponent, level_plan, product_of_totals
 
-from conftest import assert_close, bits, heap_tree, random_tree, ulps_apart
+from conftest import (
+    assert_close,
+    bits,
+    heap_tree,
+    per_factor,
+    random_forest,
+    random_tree,
+    ulps_apart,
+)
 from stepwise import (
     MessageStore,
     factor_to_variable,
@@ -305,6 +313,13 @@ class TestRun:
         with pytest.raises(KeyError, match="scope"):
             messages.message(True, 2, 0)
 
+    @pytest.mark.parametrize("fi", [-1, 2])
+    def test_message_accessor_checks_the_factor(self, fi):
+        # -1 once read the last factor's message, 2 raised a bare IndexError
+        _, messages = run(chain3(), SUM_PRODUCT, two_pass=True)
+        with pytest.raises(KeyError, match=f"factor {fi} is not in the graph"):
+            messages.message(True, 1, fi)
+
 
 class TestTotalSum:
     def test_probability_table(self):
@@ -405,21 +420,6 @@ def small_integer_tree(rng):
         for f in g.factors])
 
 
-def random_forest(rng, max_trees=3):
-    """The disjoint union of one to max_trees random trees, with their
-    companion tables."""
-    variables, factors, companions = [], [], []
-    for k in range(int(rng.integers(1, max_trees + 1))):
-        g, comp = random_tree(rng, max_vars=12)
-        variables += [VariableDecl(f"t{k}{v.id}", v.cardinality) for v in g.variables]
-        factors += [
-            FactorTable(f"t{k}{f.id}", tuple(f"t{k}{n}" for n in f.scope), f.values)
-            for f in g.factors
-        ]
-        companions += comp
-    return FactorGraph(variables, factors), companions
-
-
 class TestInvariants:
     def test_power_of_two_rescaling_is_exact(self, rng):
         # metamorphic: multiplying the table of factor i by 2^j_i leaves every
@@ -437,7 +437,8 @@ class TestInvariants:
             for k in (1, 2, 3):
                 comps = [rng.integers(-3, 4, (k, f.values.size)).astype(float)
                          for f in g.factors]
-                cases.append((ENTROPY, comps if k > 1 else [c[0] for c in comps]))
+                cases.append((ENTROPY, np.concatenate(comps, axis=1) if k > 1
+                              else [c[0] for c in comps]))
             for s, comps in cases:
                 def shift(factors):
                     return 0 if s is BOOLEAN else int(js[factors].sum())
@@ -471,8 +472,9 @@ class TestInvariants:
                 if total[0]:
                     assert moved_e - e == shift(slice(None))
                 if exact and s is ENTROPY:
-                    columns = [[np.atleast_2d(c)[i] for c in comps] for i in range(len(total) - 1)]
-                    oracle = [enumerate_z(g)] + [enumerate_h(g, col) for col in columns]
+                    columns = np.atleast_2d(WeightedGraph(g, comps).companions)
+                    oracle = [enumerate_z(g)] + [enumerate_h(g, per_factor(g, col))
+                                                 for col in columns]
                     assert bits(np.ldexp(total, e)) == bits(oracle)
                 elif exact:
                     oracle = {SUM_PRODUCT: enumerate_z, MAX_PRODUCT: max_product_value,
@@ -555,7 +557,7 @@ def aux_row(msg, c: int) -> list:
 
 
 class TestWidthK:
-    """(k, n) companions: k aux columns in one pass."""
+    """(k, total) companions: k aux columns in one pass."""
 
     def test_columns_equal_width_one_passes(self, rng):
         # every message, marginal and (Z, H) of the width-k pass equals, in
@@ -570,11 +572,13 @@ class TestWidthK:
             for c in range(k):
                 for fi in plain:
                     cols[c][fi] = None
-            stacked = [None if fi in plain else np.vstack([cols[c][fi] for c in range(k)])
-                       for fi in range(len(g.factors))]
+            columns = np.concatenate([
+                np.zeros((k, f.values.size)) if fi in plain else
+                np.vstack([cols[c][fi] for c in range(k)]) for fi, f in enumerate(g.factors)],
+                axis=1)
             wide, wide_store = run_spread(g, ENTROPY, two_pass=True,
-                                          tables=carriers(g, ENTROPY, stacked))
-            wide_zh = compute_zh(WeightedGraph(g, stacked))
+                                          tables=carriers(g, ENTROPY, columns))
+            wide_zh = compute_zh(WeightedGraph(g, columns))
             assert wide_zh.H.shape == (k,)
             for c in range(k):
                 one, one_store = run_spread(g, ENTROPY, two_pass=True,
@@ -601,10 +605,11 @@ class TestWidthK:
         for trial in range(20):
             g, _ = random_forest(rng)
             k = 2 + trial % 4
-            stacked = [rng.uniform(-3.0, 3.0, (k, f.values.size)) for f in g.factors]
+            columns = np.concatenate([rng.uniform(-3.0, 3.0, (k, f.values.size))
+                                      for f in g.factors], axis=1)
             _, plain = run_spread(g, SUM_PRODUCT, two_pass=True)
             _, lifted = run_spread(g, ENTROPY, two_pass=True,
-                                   tables=WeightedGraph(g, stacked).carrier_tables(ENTROPY))
+                                   tables=WeightedGraph(g, columns).carrier_tables(ENTROPY))
             for kind in ("q", "r"):
                 for key, msg in getattr(plain, kind).items():
                     scores = getattr(lifted, kind)[key][0]
@@ -617,15 +622,10 @@ class TestWidthK:
 
         for _ in range(10):
             g, _ = random_tree(rng, max_vars=6)
-            stacked = [rng.uniform(-3.0, 3.0, (3, f.values.size)) for f in g.factors]
-            res = compute_zh(WeightedGraph(g, stacked))
+            columns = [rng.uniform(-3.0, 3.0, (3, f.values.size)) for f in g.factors]
+            res = compute_zh(WeightedGraph(g, np.concatenate(columns, axis=1)))
             for c in range(3):
-                assert_close(res.H[c], enumerate_h(g, [t[c] for t in stacked]), what="H_c")
-
-    def test_widths_must_agree(self):
-        g = chain3()
-        with pytest.raises(ValueError, match="column count"):
-            WeightedGraph(g, [np.zeros((2, 4)), np.zeros((3, 4))])
+                assert_close(res.H[c], enumerate_h(g, [t[c] for t in columns]), what="H_c")
 
 
 def assert_run_matches_steps(g, s, root, two_pass, tables):
@@ -657,7 +657,8 @@ class TestLevelPlan:
             cases = [(s, None) for s in (SUM_PRODUCT, MAX_PRODUCT, BOOLEAN, ENTROPY)]
             for k in (1, 2, 3):
                 comps = [rng.uniform(-3.0, 3.0, (k, f.values.size)) for f in g.factors]
-                cases.append((ENTROPY, comps if k > 1 else [c[0] for c in comps]))
+                cases.append((ENTROPY, np.concatenate(comps, axis=1) if k > 1
+                              else [c[0] for c in comps]))
             for s, comps in cases:
                 tables = carriers(g, s, comps)
                 for two_pass in (False, True):
@@ -695,7 +696,8 @@ class TestLevelPlan:
             root = None if trial % 2 else g.variables[int(rng.integers(len(g.variables)))].id
             key = g.variable_position(root) if root else 0
             run(g, SUM_PRODUCT, root=root, two_pass=True)
-            comps = [rng.uniform(-3.0, 3.0, (2, f.values.size)) for f in g.factors]
+            comps = np.concatenate([rng.uniform(-3.0, 3.0, (2, f.values.size))
+                                    for f in g.factors], axis=1)
             for s, c in ((SUM_PRODUCT, None), (MAX_PRODUCT, None), (BOOLEAN, None),
                          (ENTROPY, comps)):
                 tables = carriers(g, s, c)
