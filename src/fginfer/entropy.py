@@ -90,9 +90,8 @@ class WeightedGraph:
         if isinstance(companions, list | tuple) and all(c is None for c in companions):
             companions = None
         if companions is not None:
-            if not (isinstance(companions, np.ndarray) and companions.shape[1:] == g.values.shape):
-                companions = g.lay_out(companions, "companion")
-            companions = _defined_under_zeros(g, companions.astype(float, copy=False))
+            rows = len(companions) if getattr(companions, "ndim", 1) == 2 else None
+            companions = _defined_under_zeros(g, g.lay_out(companions, "companion", rows))
         self.companions = companions
 
     def carrier_tables(self, s: Semiring) -> np.ndarray:

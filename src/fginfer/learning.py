@@ -161,28 +161,19 @@ class ParametricFactorSet:
         Sets whose variables (with their cardinalities), scopes (in order)
         and factor ids are equal share one structure, looked up by that
         content when the set is built, so they share its validated
-        adjacency and its cached level plans. The structure is read only
-        once validated, and like any :class:`~fginfer.graph.FactorGraph`
+        structure arrays and its cached level plans. The structure is read
+        only once validated, and like any :class:`~fginfer.graph.FactorGraph`
         safe to share between threads, except while a plan is compiled.
         """
         return self._structure
 
     def graph_with(self, tables) -> FactorGraph:
         """The structure graph with these tables laid out as its
-        ``values``, and its factors' tables views of them. It shares the
-        validated adjacency and the cached level plans of
-        :meth:`structure_graph`; only the table lengths are checked."""
-        structure = self.structure_graph()
-        graph = copy.copy(structure)
-        graph.values = values = structure.lay_out(tables, "value")
-        offsets = structure.offsets.tolist()
-        new = object.__new__
-        factors = []
-        for f, a, b in zip(structure.factors, offsets, offsets[1:]):
-            table = new(FactorTable)
-            table.id, table.scope, table.values = f.id, f.scope, values[a:b]
-            factors.append(table)
-        graph.factors = factors
+        ``values``. It shares the validated structure arrays and the
+        cached level plans of :meth:`structure_graph`; only the table
+        lengths are checked."""
+        graph = copy.copy(self._structure)
+        graph.values = self._structure.lay_out(tables, "value")
         return graph
 
 

@@ -55,11 +55,8 @@ class AssignmentIterator:
 
 def _joint_setup(g):
     """Per-variable digit vectors over the flattened joint space."""
-    g.ensure_checked()
-    cards = [v.cardinality for v in g.variables]
-    total = 1
-    for c in cards:
-        total *= c
+    cards = g.ensure_checked().cards.tolist()
+    total = math.prod(cards)
     if total > _GUARD:
         raise TooLarge(f"{total} joint assignments exceed the {_GUARD} guard")
     idx = np.arange(total)
@@ -74,8 +71,8 @@ def _joint_setup(g):
 def _factor_indices(g, fi, digits):
     """Flat table index of factor fi under every joint assignment."""
     flat = 0
-    for pos, vi in enumerate(g.factor_vars[fi]):
-        flat = flat * g.factor_cards[fi][pos] + digits[vi]
+    for vi in g.scope_vars[g.scope_offsets[fi]:g.scope_offsets[fi + 1]].tolist():
+        flat = flat * int(g.cards[vi]) + digits[vi]
     return flat
 
 
@@ -113,7 +110,7 @@ def enumerate_h(g, companions) -> float:
     _, total, digits = _joint_setup(g)
     prod = _joint_products(g, digits)
     gsum = np.zeros(total)
-    for fi in range(len(g.factors)):
+    for fi in range(len(g.offsets) - 1):
         comp = companions[fi] if companions is not None else None
         if comp is None:
             continue

@@ -24,15 +24,15 @@ earlier levels only. Component roots are variables, so one level holds
 either variable-to-factor products or contractions; each level is one
 group, sorted by input count so that each sibling rank covers a prefix
 of the group; short sums are padded by zeros, which are added, never
-multiplied. The compile is whole-graph array operations over the flat
-edge arrays, with a Python loop once per group only. The plan holds
-index arrays only, no table values, and runs each group with one call of
-each kernel, looked up on the semiring at call time. A run keeps its
-messages in one buffer: it returns views of the marginals only, and a
-:class:`RunMessages` record that reads any one message on request. The
-tests drive the same kernels one message at a time, along the schedule,
-as the plan's reference: every message of a run equals theirs bit for
-bit.
+multiplied. The compile is whole-graph array operations over the graph's
+structure arrays, whose CSR pair of scopes lists one entry per edge, with
+a Python loop once per group only. The plan holds index arrays only, no
+table values, and runs each group with one call of each kernel, looked
+up on the semiring at call time. A run keeps its messages in one buffer:
+it returns views of the marginals only, and a :class:`RunMessages`
+record that reads any one message on request. The tests drive the same
+kernels one message at a time, along the schedule, as the plan's
+reference: every message of a run equals theirs bit for bit.
 
 Every fresh message is multiplied by 2^-e, which puts its largest score
 magnitude in [1, 2), and e is added to its integer exponent E, so long
@@ -45,10 +45,8 @@ Everything here is single threaded. A run writes only a buffer of its
 own, and nothing writes that buffer once the run has returned.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -98,28 +96,6 @@ def _member(lengths: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(lengths)), lengths)
 
 
-class _Edges(NamedTuple):
-    """Every edge of a graph, factor by factor in scope order: its
-    variable, factor, scope position and cardinality; and per factor, its
-    arity and first edge."""
-
-    var: np.ndarray
-    fac: np.ndarray
-    pos: np.ndarray
-    card: np.ndarray
-    arity: np.ndarray
-    first: np.ndarray
-
-
-def _edges(g: FactorGraph) -> _Edges:
-    flat = itertools.chain.from_iterable
-    arity = np.fromiter(map(len, g.factor_vars), dtype=int, count=len(g.factor_vars))
-    first, pos = _entries(arity)
-    return _Edges(np.fromiter(flat(g.factor_vars), dtype=int, count=g.n_edges),
-                  _member(arity), pos,
-                  np.fromiter(flat(g.factor_cards), dtype=int, count=g.n_edges), arity, first)
-
-
 def _run_heads(*keys) -> np.ndarray:
     """Where each run of equal entries of the keys, taken together, starts."""
     change = np.zeros(len(keys[0]), dtype=bool)
@@ -129,12 +105,13 @@ def _run_heads(*keys) -> np.ndarray:
     return np.flatnonzero(change)
 
 
-def _factor_shapes(edges: _Edges):
+def _factor_shapes(g: FactorGraph):
     """Every factor's cards and index steps, padded to the largest arity
     with cardinality 1, whose digit is always 0; and its table size and
     first entry in the lifted tables."""
-    cards = np.ones((len(edges.arity), edges.arity.max()), dtype=int)
-    cards[edges.fac, edges.pos] = edges.card
+    arity = np.diff(g.scope_offsets)
+    cards = np.ones((len(arity), arity.max()), dtype=int)
+    cards[_member(arity), _entries(arity)[1]] = g.cards[g.scope_vars]
     steps = np.ones_like(cards)
     steps[:, :-1] = np.cumprod(cards[:, :0:-1], axis=1)[:, ::-1]
     sizes = cards.prod(axis=1)
@@ -236,13 +213,13 @@ class LevelPlan:
     entries per computed or all-ones message; an aliased message shares
     its input's slot.
 
-    Message p * |edges| + e is edge e's message of pass p, in
-    :func:`_edges` order; the first pass sends it from the edge's deeper
-    end. A message's level is the maximum depth minus its sender's depth
-    in the first pass and its sender's depth in the second, so every level
-    holds one kind of message: a component root is a variable. The
-    compile runs whole-graph array operations, and a Python loop only
-    once per group.
+    Message p * |edges| + e is edge e's message of pass p, edges in the
+    order of the graph's ``scope_vars``; the first pass sends it from the
+    edge's deeper end. A message's level is the maximum depth minus its
+    sender's depth in the first pass and its sender's depth in the second,
+    so every level holds one kind of message: a component root is a
+    variable. The compile runs whole-graph array operations, and a Python
+    loop only once per group.
     """
 
     def __init__(self, g: FactorGraph, root: str | None, two_pass: bool):
@@ -250,14 +227,13 @@ class LevelPlan:
         schedule = make_schedule(g, root=root, two_pass=two_pass)
         depth, component_roots = schedule.depth, schedule.component_roots
         del schedule
-        edges = _edges(g)
-        cards, steps, sizes, _ = shapes = _factor_shapes(edges)
-        var, fac, pos = edges.var, edges.fac, edges.pos
+        arity = np.diff(g.scope_offsets)
+        first, pos = _entries(arity)
+        var, fac = g.scope_vars, _member(arity)
+        cards, steps, sizes, _ = shapes = _factor_shapes(g)
         n_var, n_edges = len(g.variables), len(var)
         degree = np.bincount(var, minlength=n_var)
-        var_card = np.zeros(n_var, dtype=int)
-        var_card[var] = edges.card
-        # the edges variable by variable, in var_factors order
+        # the edges variable by variable, each in factor order
         by_var = np.argsort(var, kind="stable")
         var_first, var_rank = _entries(degree)
         var_rank[by_var] = var_rank.copy()
@@ -278,9 +254,9 @@ class LevelPlan:
         reads_r = np.concatenate((to_factor, np.ones(len(mvar), dtype=bool)))
         v = np.concatenate((var[e], mvar))
         f = np.concatenate((fac[e], np.zeros(len(mvar), dtype=int)))
-        count = np.concatenate((np.where(to_factor, degree[var[e]], edges.arity[fac[e]]) - 1,
+        count = np.concatenate((np.where(to_factor, degree[var[e]], arity[fac[e]]) - 1,
                                 degree[mvar]))
-        base = np.concatenate((np.where(to_factor, var_first[var[e]], edges.first[fac[e]]),
+        base = np.concatenate((np.where(to_factor, var_first[var[e]], first[fac[e]]),
                                var_first[mvar]))
         rank = np.concatenate((np.where(to_factor, var_rank[e], pos[e]), degree[mvar]))
         sender_depth = np.where(to_factor, var_depth[e], fac_depth[e])
@@ -288,7 +264,7 @@ class LevelPlan:
                                                    list(map(len, roots)))))
         level = np.concatenate((np.where(down, sender_depth, depth.max() - sender_depth),
                                 np.zeros(len(mvar), dtype=int)))
-        card = var_card[v]
+        card = g.cards[v]
 
         def inputs(m, j):
             """Input j of messages m, and its scope position in m's factor."""
@@ -376,13 +352,11 @@ class LevelPlan:
             at = slot[source[first:first + len(r)]]
             lo = self.spans[at]
             self.marginals.append((list(map(names.__getitem__, r.tolist())), at, lo.tolist(),
-                                   (lo + var_card[r]).tolist(), out))
+                                   (lo + g.cards[r]).tolist(), out))
             first += len(r)
-        # every edge's (to_factor, variable, factor, slot), by pass, and
-        # each factor's first edge
+        # every edge's (to_factor, variable, factor, slot), by pass
         self.edges = np.column_stack((to_factor, var[e], fac[e], slot[source[:len(e)]]))
         self.n_up = n_edges
-        self.first = edges.first
 
     def execute(self, s: Semiring, tables: np.ndarray, two_pass: bool):
         """Run the passes over the lifted ``tables``; returns the
@@ -436,13 +410,13 @@ class RunMessages:
         one pass, those toward the leaves, and KeyError for a factor
         outside the graph or a variable outside the factor's scope."""
         g, plan = self._graph, self._plan
-        if not 0 <= fi < len(g.factors):
+        if not 0 <= fi < len(g.scope_offsets) - 1:
             raise KeyError(f"factor {fi} is not in the graph")
-        scope = g.factor_vars[fi]
-        if vi not in scope:
+        lo, hi = g.scope_offsets[fi:fi + 2].tolist()
+        at = np.flatnonzero(g.scope_vars[lo:hi] == vi)
+        if not at.size:
             raise KeyError(f"variable {vi} is not in the scope of factor {fi}")
-        pos = scope.index(vi)
-        e = int(plan.first[fi]) + pos
+        e = lo + int(at[0])
         row = e if bool(plan.edges[e, 0]) == bool(to_factor) else e + plan.n_up
         if row >= self.count:
             ends = (g.variables[vi].id, g.factors[fi].id)
@@ -450,7 +424,7 @@ class RunMessages:
                                     " two_pass=True".format(*(ends if to_factor else ends[::-1])))
         slot = int(plan.edges[row, 3])
         start = int(plan.spans[slot])
-        msg = self._buf[:, start:start + g.factor_cards[fi][pos]]
+        msg = self._buf[:, start:start + int(g.cards[vi])]
         msg.flags.writeable = False
         return msg, int(self._exps[slot])
 

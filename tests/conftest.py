@@ -1,11 +1,20 @@
-"""Shared helpers: random tree generation and tolerance predicates."""
+"""Shared helpers: random tree generation, tolerance predicates, and the
+per-edge references for a graph's structure."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fginfer import FactorGraph, FactorTable, VariableDecl
+from fginfer import (
+    CycleDetected,
+    FactorGraph,
+    FactorTable,
+    ScopeMismatch,
+    UncoveredVariable,
+    UnknownVariable,
+    VariableDecl,
+)
 
 
 def rel_err(a: float, b: float) -> float:
@@ -110,6 +119,63 @@ def per_factor(g, laid_out) -> list:
     validated graph g, along its last axis."""
     ends = g.offsets.tolist()
     return [laid_out[..., a:b] for a, b in zip(ends, ends[1:])]
+
+
+def adjacency(g) -> tuple[list, list]:
+    """The validated graph g's structure as lists: every factor's scope
+    as variable indices in order, and every variable's factors in factor
+    order."""
+    g.ensure_checked()
+    ends, scope = g.scope_offsets.tolist(), g.scope_vars.tolist()
+    factor_vars = [scope[a:b] for a, b in zip(ends, ends[1:])]
+    var_factors = [[] for _ in g.variables]
+    for fi, vids in enumerate(factor_vars):
+        for vi in vids:
+            var_factors[vi].append(fi)
+    return factor_vars, var_factors
+
+
+def reference_check(g) -> None:
+    """Raise the error that validating the unvalidated graph g must
+    raise, by a per-edge union-find over variable and factor nodes that
+    joins the edges in order and stops at the first that closes a cycle;
+    return None if g is a valid forest."""
+    if not g.variables:
+        raise UncoveredVariable("graph declares no variables")
+    nvar = len(g.variables)
+    cards = [v.cardinality for v in g.variables]
+    # factor f is node nvar + f
+    parent = list(range(nvar + len(g.factors)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    covered = [False] * nvar
+    for fi, f in enumerate(g.factors):
+        vids = []
+        for name in f.scope:
+            vi = g.var_index.get(name)
+            if vi is None:
+                raise UnknownVariable(f"factor {f.id!r}: unknown variable {name!r}")
+            vids.append(vi)
+        for vi in vids:
+            rv, rf = find(vi), find(nvar + fi)
+            if rv == rf:
+                raise CycleDetected(
+                    f"factor {f.id!r}: edge to {g.variables[vi].id!r} closes a cycle")
+            parent[rv] = rf
+            covered[vi] = True
+    for vi in range(nvar):
+        if not covered[vi]:
+            raise UncoveredVariable(f"variable {g.variables[vi].id!r} appears in no factor")
+    for f in g.factors:
+        need = math.prod(cards[g.var_index[name]] for name in f.scope)
+        if f.values.size != need:
+            raise ScopeMismatch(f"factor {f.id!r}: value table length {f.values.size},"
+                                f" but its scope needs {need}")
 
 
 @pytest.fixture

@@ -11,12 +11,12 @@ the same four dicts, for comparison.
 from typing import NamedTuple
 
 import numpy as np
+from conftest import adjacency
 
 from fginfer import MarginalResult, MissingDependency, make_schedule, run
 from fginfer.propagation import (
     _LN2,
     _contraction_index,
-    _edges,
     _factor_shapes,
     _rescale,
 )
@@ -32,7 +32,8 @@ class MessageStore:
     the integer exponent E of each message, its scale 2^E. ``tables``
     holds every factor's carrier table side by side in factor order, as
     :meth:`fginfer.WeightedGraph.carrier_tables` returns them; by default
-    the graph's own ``values``, lifted.
+    the graph's own ``values``, lifted. ``factor_vars`` and
+    ``var_factors`` are the graph's :func:`~conftest.adjacency` lists.
     """
 
     def __init__(self, graph, semiring, tables=None):
@@ -40,7 +41,8 @@ class MessageStore:
         self.graph = graph
         self.semiring = semiring
         self.tables = semiring.lift_table(graph.values) if tables is None else tables
-        self.shapes = _factor_shapes(_edges(graph))
+        self.shapes = _factor_shapes(graph)
+        self.factor_vars, self.var_factors = adjacency(graph)
         self.q, self.r, self.q_scale, self.r_scale = {}, {}, {}, {}
 
     def message_count(self) -> int:
@@ -60,7 +62,7 @@ def spread(g, messages) -> Spread:
     """Every message a run computed, read one by one through its
     accessor; the messages it did not compute are left out."""
     out = Spread({}, {}, {}, {})
-    for fi, scope in enumerate(g.factor_vars):
+    for fi, scope in enumerate(adjacency(g)[0]):
         for vi in scope:
             for to_factor, msgs, scales, key in ((True, out.q, out.q_scale, (vi, fi)),
                                                  (False, out.r, out.r_scale, (fi, vi))):
@@ -82,7 +84,7 @@ def _send_v2f(store: MessageStore, vi: int, fi: int):
     s = store.semiring
     msgs = []
     acc = 0
-    for f2 in g.var_factors[vi]:
+    for f2 in store.var_factors[vi]:
         if f2 != fi:
             key = (f2, vi)
             m = store.r.get(key)
@@ -113,7 +115,7 @@ def _send_f2v(store: MessageStore, fi: int, vi: int):
     incoming = []
     acc = 0
     tpos = -1
-    for pos, v2 in enumerate(g.factor_vars[fi]):
+    for pos, v2 in enumerate(store.factor_vars[fi]):
         if v2 == vi:
             tpos = pos
             continue
@@ -134,7 +136,7 @@ def _send_f2v(store: MessageStore, fi: int, vi: int):
                                             [0, 1])
     within = np.arange(sizes[fi])
     digits = [within // steps[fi, p] % cards[fi, p]
-              for p in range(len(g.factor_vars[fi])) if p != tpos]
+              for p in range(len(store.factor_vars[fi])) if p != tpos]
     msg = s.contract(store.tables[:, table], [m[:, d] for m, d in zip(incoming, digits)], terms)
     acc += int(_rescale(s, msg, [0], 0)[0])
     store.r[(fi, vi)] = msg
@@ -170,11 +172,10 @@ def init_leaf_messages(store: MessageStore) -> MessageStore:
     produces exactly that, so this is a convenience wrapper, not a separate
     rule.
     """
-    g = store.graph
-    for vi, touching in enumerate(g.var_factors):
+    for vi, touching in enumerate(store.var_factors):
         if len(touching) == 1 and (vi, touching[0]) not in store.q:
             _send_v2f(store, vi, touching[0])
-    for fi, fvars in enumerate(g.factor_vars):
+    for fi, fvars in enumerate(store.factor_vars):
         if len(fvars) == 1 and (fi, fvars[0]) not in store.r:
             _send_f2v(store, fi, fvars[0])
     return store
@@ -197,7 +198,7 @@ def marginal_at(store: MessageStore, var_id: str) -> MarginalResult:
     vi = g.variable_position(var_id)
     msgs = []
     acc = 0
-    for fi in g.var_factors[vi]:
+    for fi in store.var_factors[vi]:
         key = (fi, vi)
         m = store.r.get(key)
         if m is None:

@@ -124,8 +124,21 @@ class TestLiftGraph:
         g = three_factors([0.0, 1.0])
         with pytest.raises(ValueError, match="factor 'fb': companion must be finite"):
             WeightedGraph(g, np.array([[math.nan, 0.0] + [math.nan] + [1.0] * 5]))
-        with pytest.raises(ScopeMismatch, match="2 companion tables for 3 factors"):
+        # a (k, total) array of the wrong length is not read as k tables
+        with pytest.raises(ScopeMismatch, match=r"shape \(2, 7\), but the graph's layout is"
+                                                r" \(2, 8\)"):
             WeightedGraph(g, np.zeros((2, 7)))
+
+    def test_layout_array_of_the_wrong_length(self):
+        # g has 8 table entries in 3 factors: 7 entries are a short layout
+        # array, not 7 per-factor tables
+        g = three_factors([1.0, 1.0])
+        with pytest.raises(ScopeMismatch, match=r"^companion array of shape \(7,\), but the"
+                                                r" graph's layout is \(8,\)$"):
+            WeightedGraph(g, np.zeros(7))
+        with pytest.raises(ScopeMismatch, match=r"^companion array of shape \(1, 7\), but"
+                                                r" the graph's layout is \(1, 8\)$"):
+            WeightedGraph(g, np.zeros((1, 7)))
 
 
 def three_factors(fa, fc=(1.0, 1.0)):

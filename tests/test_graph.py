@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,17 +11,29 @@ from fginfer import (
     FactorTable,
     OutOfDomain,
     ParametricFactorSet,
+    SUM_PRODUCT,
     ScopeMismatch,
     UncoveredVariable,
     UnknownVariable,
     VariableDecl,
+    WeightedGraph,
     assignment_from_index,
     assignment_index,
+    derive_log2_companions,
     make_schedule,
+    posterior_entropy,
+    run,
     validate,
 )
 
-from conftest import bits, per_factor, random_forest, random_tree
+from conftest import (
+    adjacency,
+    bits,
+    per_factor,
+    random_forest,
+    random_tree,
+    reference_check,
+)
 
 
 def binary_vars(*names):
@@ -143,6 +157,98 @@ class TestValidate:
             assert g.n_edges == n_nodes - n_components
 
 
+def outcome(check, g):
+    """(error kind, text) of what check(g) raises, or None."""
+    try:
+        check(g)
+    except (CycleDetected, ScopeMismatch, UncoveredVariable, UnknownVariable) as e:
+        return type(e).__name__, str(e)
+    return None
+
+
+def random_structure(rng):
+    """A random graph, often cyclic, sometimes naming an undeclared
+    variable, leaving one uncovered or holding a table of the wrong
+    length."""
+    n_var = int(rng.integers(1, 9))
+    cards = rng.integers(1, 4, n_var).tolist()
+    names = [f"x{i}" for i in range(n_var)]
+    ghosts = ["g0", "g1"] if rng.random() < 0.3 else []
+    factors = []
+    for k in range(int(rng.integers(1, 9))):
+        pool = names + ghosts
+        scope = [pool[i] for i in rng.permutation(len(pool))[:int(rng.integers(1, 4))]]
+        size = math.prod(cards[names.index(n)] if n in names else 1 for n in scope)
+        if rng.random() < 0.05:
+            size += 1
+        factors.append(FactorTable(f"f{k}", tuple(scope), rng.uniform(0.5, 2.0, size)))
+    return FactorGraph([VariableDecl(n, c) for n, c in zip(names, cards)], factors)
+
+
+def shuffled_chain(rng, n):
+    """A chain x0 - f0 - x1 - ... - x(n-1), variables and factors
+    declared in shuffled order."""
+    variables = [VariableDecl(f"x{i}", 2) for i in rng.permutation(n).tolist()]
+    factors = [FactorTable(f"f{i}", (f"x{i}", f"x{i + 1}"), np.ones(4))
+               for i in rng.permutation(n - 1).tolist()]
+    return variables, factors
+
+
+class TestValidateMatchesReference:
+    """validate's array checks against a per-edge union-find."""
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(47)
+        kinds = {}
+        for _ in range(1500):
+            g = random_structure(rng)
+            want = outcome(reference_check, g)
+            assert outcome(validate, g) == want
+            kinds[want and want[0]] = kinds.get(want and want[0], 0) + 1
+        # every outcome is well represented
+        assert min(kinds.values()) >= 30 and len(kinds) == 5, kinds
+
+    def test_table_size_does_not_wrap(self):
+        # 2^64 is 0 in int64
+        names = [f"x{i}" for i in range(64)]
+        g = FactorGraph(binary_vars(*names), [FactorTable("f", tuple(names), [1.0])])
+        with pytest.raises(ScopeMismatch, match="factor 'f': value table length 1, but its"
+                                                f" scope needs {2 ** 64}$"):
+            validate(g)
+
+    def test_long_shuffled_chain(self):
+        rng = np.random.default_rng(53)
+        n = 20000
+        variables, factors = shuffled_chain(rng, n)
+        g = validate(FactorGraph(variables, factors))
+        assert g.n_edges == n + (n - 1) - 1
+        # one more factor closes a cycle
+        closing = FactorTable("close", ("x5", "x17000"), np.ones(4))
+        want = outcome(reference_check, FactorGraph(variables, factors + [closing]))
+        assert want == ("CycleDetected", "factor 'close': edge to 'x17000' closes a cycle")
+        assert outcome(validate, FactorGraph(variables, factors + [closing])) == want
+
+    def test_non_finite_entries_are_out_of_domain(self):
+        for x in (math.nan, math.inf, -math.inf):
+            g = FactorGraph(binary_vars("a"), [FactorTable("fa", ("a",), [1.0, x])])
+            text = f"factor 'fa': table entry 1 is {x}, not a finite number"
+            for use in (validate, lambda g: run(g, SUM_PRODUCT), derive_log2_companions,
+                        lambda g: posterior_entropy(WeightedGraph(g, [None]))):
+                with pytest.raises(OutOfDomain, match=f"^{text}$"):
+                    use(g)
+
+    def test_declared_tables_are_left_as_they_were(self):
+        table = FactorTable("fa", ("a",), [1.0, 2.0])
+        values = table.values
+        g = validate(FactorGraph(binary_vars("a"), [table]))
+        assert table.values is values
+        values[0] = 5.0
+        assert g.values.tolist() == [1.0, 2.0]
+        view, = g.factors
+        assert view is not table and view.values.base is g.values
+        assert g.factors[0] is view
+
+
 class TestLayout:
     """A validated graph keeps every table side by side as one array."""
 
@@ -182,6 +288,13 @@ class TestLayout:
         with pytest.raises(ScopeMismatch, match="factor 'fx': v table length 2, but its"
                                                 " scope needs 3 x 2"):
             g.lay_out([flat[:2], wide[:, 2:]], "v", rows=3)
+        # an array of the layout's rank is a layout array, never one table per factor
+        with pytest.raises(ScopeMismatch, match=r"^u array of shape \(2,\), but the graph's"
+                                                r" layout is \(6,\)$"):
+            g.lay_out(np.zeros(2), "u")
+        with pytest.raises(ScopeMismatch, match=r"shape \(2, 2\), but the graph's layout is"
+                                                r" \(2, 6\)"):
+            g.lay_out(np.zeros((2, 2)), "u", rows=2)
 
 
 class TestSchedule:
@@ -218,18 +331,18 @@ class TestSchedule:
         rng = np.random.default_rng(31)
         for _ in range(20):
             g, _ = random_tree(rng, max_vars=9)
-            validate(g)
+            factor_vars, var_factors = adjacency(g)
             for two_pass in (False, True):
                 sched = make_schedule(g, two_pass=two_pass)
                 have_q = set()
                 have_r = set()
                 for to_factor, vi, fi in sched.edges:
                     if to_factor:
-                        feeds = [f for f in g.var_factors[vi] if f != fi]
+                        feeds = [f for f in var_factors[vi] if f != fi]
                         assert all((f, vi) in have_r for f in feeds)
                         have_q.add((vi, fi))
                     else:
-                        feeds = [v for v in g.factor_vars[fi] if v != vi]
+                        feeds = [v for v in factor_vars[fi] if v != vi]
                         assert all((v, fi) in have_q for v in feeds)
                         have_r.add((fi, vi))
 

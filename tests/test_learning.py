@@ -6,6 +6,7 @@ import pytest
 
 from fginfer import (
     DegenerateMStep,
+    FactorTable,
     ScopeMismatch,
     ParametricFactorSet,
     WeightedGraph,
@@ -124,7 +125,7 @@ class TestParametricFactorSet:
         pf = random_affine_tree(rng, 2)
         structure = pf.structure_graph()
         g = pf.graph_with(pf.tables_at(np.zeros(2)))
-        assert g.checked and g.factor_vars is structure.factor_vars
+        assert g.checked and g.scope_vars is structure.scope_vars
         assert g.plans is structure.plans
         gradient_at(pf, np.zeros(2))
         gradient_at(pf, np.ones(2))
@@ -140,6 +141,27 @@ class TestParametricFactorSet:
             t.tolist() for t in per_factor(structure, pf.tables_at(np.zeros(2)))]
         with pytest.raises(ScopeMismatch, match="tables for"):
             pf.graph_with(bad[:-1])
+
+    def test_requests_build_no_factor_tables(self, rng, monkeypatch):
+        # a gradient and an EM step over a shared structure read its arrays
+        # only: neither builds a per-factor FactorTable view
+        pf = random_affine_tree(rng, 2)
+        structure = pf.structure_graph()
+        u = per_factor(structure, rng.uniform(0.5, 1.5, structure.values.size))
+        built = []
+        post_init = FactorTable.__post_init__
+
+        def counting(self):
+            built.append(self.id)
+            post_init(self)
+
+        monkeypatch.setattr(FactorTable, "__post_init__", counting)
+        theta = np.full(2, 0.1)
+        gradient_at(pf, theta)
+        form = ParametricFactorSet.linear_form(pf.variables, pf.scopes, pf.tables_at(theta),
+                                               u, u, np.ones(2), factor_ids=pf.factor_ids)
+        em_linear_step(form)
+        assert built == []
 
     def test_bad_dim(self):
         with pytest.raises(ValueError, match=">= 1"):

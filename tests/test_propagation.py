@@ -29,6 +29,7 @@ from fginfer.oracle import (
 from fginfer.propagation import fold_exponent, level_plan, product_of_totals
 
 from conftest import (
+    adjacency,
     assert_close,
     bits,
     heap_tree,
@@ -394,13 +395,14 @@ def sending_side(g, to_factor: bool, vi: int, fi: int) -> list:
     """The factors on the sending side of the message between variable vi
     and factor fi, found by a walk of the tree that never crosses that
     edge; the sending factor itself is one of them."""
+    factor_vars, var_factors = adjacency(g)
     start = ("v", vi) if to_factor else ("f", fi)
     seen, todo = {("v", vi), ("f", fi)}, [start]
     found = [] if to_factor else [fi]
     while todo:
         kind, n = todo.pop()
-        nbrs = ([("f", f) for f in g.var_factors[n]] if kind == "v"
-                else [("v", v) for v in g.factor_vars[n]])
+        nbrs = ([("f", f) for f in var_factors[n]] if kind == "v"
+                else [("v", v) for v in factor_vars[n]])
         for nb in nbrs:
             if nb not in seen:
                 seen.add(nb)
@@ -460,7 +462,7 @@ class TestInvariants:
                     assert bits(moved[vid].msg) == bits(m.msg)
                     assert m.log_scale == m.exponent * math.log(2.0)
                     if m.msg.any():
-                        behind = [f for fi in g.var_factors[vi]
+                        behind = [f for fi in adjacency(g)[1][vi]
                                   for f in sending_side(g, False, vi, fi)]
                         assert moved[vid].exponent - m.exponent == shift(behind)
                     if exact and s is SUM_PRODUCT:
