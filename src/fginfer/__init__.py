@@ -7,6 +7,8 @@ together with the weighted-log accumulator needed for model entropy, EM
 updates, and gradients.
 """
 
+from types import ModuleType as _ModuleType
+
 from .entropy import (
     EntropyResult,
     WeightedGraph,
@@ -65,55 +67,6 @@ from .semiring import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOOLEAN",
-    "ENTROPY",
-    "MAX_PRODUCT",
-    "SUM_PRODUCT",
-    "CycleDetected",
-    "DegenerateMStep",
-    "EmStepResult",
-    "EntropyResult",
-    "EntropyWeight",
-    "FactorGraph",
-    "FactorGraphError",
-    "FactorTable",
-    "HmmSpec",
-    "MarginalResult",
-    "MissingDependency",
-    "NonFiniteTotal",
-    "OutOfDomain",
-    "ParametricFactorSet",
-    "ParseError",
-    "RunMessages",
-    "Schedule",
-    "ScopeMismatch",
-    "Semiring",
-    "TooLarge",
-    "UncoveredVariable",
-    "UndefinedQuotient",
-    "UnknownVariable",
-    "VariableDecl",
-    "WeightedGraph",
-    "ZeroEvidence",
-    "assignment_from_index",
-    "assignment_index",
-    "compute_zh",
-    "derive_log2_companions",
-    "em_linear_step",
-    "em_q_gradient",
-    "entropy_in_base",
-    "entropy_product_closed_form",
-    "get_semiring",
-    "grad_ascent_step",
-    "gradient_at",
-    "hmm_entropy",
-    "hmm_to_weighted_graph",
-    "lift",
-    "make_schedule",
-    "posterior_entropy",
-    "run",
-    "total_sum",
-    "validate",
-    "verify_axioms",
-]
+# the public names are the ones imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -25,7 +25,7 @@ from .entropy import (
     posterior_entropy,
 )
 from .errors import FactorGraphError, MissingDependency
-from .graph import FactorGraph, FactorTable
+from .graph import FactorGraph
 from .hmm import HmmSpec, hmm_entropy, hmm_to_weighted_graph
 from .learning import em_linear_step, gradient_at
 from .oracle import (
@@ -43,8 +43,6 @@ _LN2 = math.log(2.0)
 
 class UsageError(FactorGraphError):
     """Bad command line: unknown flags, missing arguments, bad values."""
-
-    kind = "UsageError"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -291,15 +289,12 @@ def _check_hmm(h: HmmSpec) -> float:
                _rel_err(math.ldexp(res.Z, res.exponent), enumerate_z(g)))
 
 
-def _refill_graph(graph: FactorGraph, rng) -> tuple[FactorGraph, list]:
+def _refill_graph(graph: FactorGraph, rng) -> tuple[FactorGraph, np.ndarray]:
     """Same structure, fresh random positive tables and companions."""
-    factors = [
-        FactorTable(f.id, f.scope, rng.uniform(0.1, 2.0, f.values.size))
-        for f in graph.factors
-    ]
-    fresh = FactorGraph(graph.variables, factors)
-    companions = [rng.uniform(-2.0, 2.0, f.values.size) for f in factors]
-    return fresh, companions
+    fresh = FactorGraph.from_arrays(graph.variables, graph.factor_ids, graph.scopes,
+                                    rng.uniform(0.1, 2.0, graph.values.size),
+                                    np.diff(graph.offsets))
+    return fresh, rng.uniform(-2.0, 2.0, graph.values.size)
 
 
 def _refill_hmm(h: HmmSpec, rng) -> HmmSpec:

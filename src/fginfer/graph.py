@@ -6,12 +6,11 @@ row major in the mixed-radix sense: the FIRST scope variable is the MOST
 significant digit of the table index. That ordering is normative for the
 on-disk format as well (see docs/file-formats.md).
 
-A validated graph holds its structure and its tables once, as arrays that
-every layer reads: one cardinality per variable, the scopes as one CSR
-pair (every edge's variable, factor by factor in scope order, plus
-per-factor offsets), and every table side by side in one values array
-with per-factor offsets. Companions and gradients come in the tables'
-layout. ``FactorGraph.factors`` is a view of those arrays for API users.
+A graph holds its structure and tables once, from declaration on, as
+arrays that every layer reads: the scopes as one CSR pair (every edge's
+variable, plus per-factor offsets) and every table side by side in one
+values array (plus per-factor offsets). Companions and gradients come in
+the tables' layout; ``FactorGraph.factors`` is a view for API users.
 
 Only trees and forests are accepted by the engine. :func:`validate` checks
 the acyclic criterion |edges| = |nodes| - |components| with array
@@ -20,6 +19,7 @@ operations over the edges, and names the first edge that closes a cycle.
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -62,22 +62,21 @@ class FactorTable:
 
 
 class FactorGraph:
-    """Variables plus factors; the structure arrays are built by :func:`validate`.
+    """Variables plus factors, declared as arrays and checked by :func:`validate`.
 
-    Construction is cheap and defers semantic checks. ``validate`` resolves
-    scopes, checks coverage, table lengths and entries, rejects cycles, and
-    fills in the arrays every layer reads:
-
-    - ``cards[v]``: variable v's cardinality
-    - ``scope_vars``, ``scope_offsets``: the scopes as one CSR pair;
-      ``scope_vars[scope_offsets[f]:scope_offsets[f + 1]]`` holds the
-      variable indices of factor f's scope, in order, one entry per edge
-    - ``values``: every table side by side in factor order, one array;
-      factor f's table is ``values[offsets[f]:offsets[f + 1]]``
-
-    ``factors`` lists the declared tables, which are never modified, until
-    the graph is validated; then :class:`FactorTable` views of ``values``,
-    built on first read and cached with the ``values`` they view.
+    Declared (:meth:`from_arrays`) as ``factor_ids``, ``scopes`` (tuples of
+    variable names) and one array ``values``, every table side by side in
+    factor order: factor f's is ``values[offsets[f]:offsets[f + 1]]``. The
+    scopes resolve into one CSR pair: factor f's variable indices, one per
+    edge, are ``scope_vars[scope_offsets[f]:scope_offsets[f + 1]]``, an
+    undeclared name reading |variables| or more. ``FactorGraph(variables,
+    factors)`` declares the same from one :class:`FactorTable` per factor.
+    Declaring rejects empty scopes, scopes that repeat a variable and
+    repeated ids; ``validate`` checks the rest and adds ``cards`` (one per
+    variable) and the scopes' transpose: variable v's edges, in factor
+    order, are ``var_edges[var_offsets[v]:var_offsets[v + 1]]``.
+    ``factors`` lists :class:`FactorTable` views of ``values``, built on
+    first read and cached with the ``values`` they view.
 
     ``plans`` caches the engine's level plans by root and pass count (see
     :func:`fginfer.propagation.level_plan`), which depend on the structure
@@ -86,33 +85,63 @@ class FactorGraph:
     """
 
     def __init__(self, variables, factors):
-        self.variables = list(variables)
-        self._declared = list(factors)
-        self.var_index: dict[str, int] = {}
-        for i, v in enumerate(self.variables):
-            if v.id in self.var_index:
-                raise ValueError(f"duplicate variable id {v.id!r}")
-            self.var_index[v.id] = i
-        seen = set()
-        for f in self._declared:
-            if f.id in seen:
-                raise ValueError(f"duplicate factor id {f.id!r}")
-            seen.add(f.id)
+        factors = list(factors)
+        self._declare(variables, [f.id for f in factors], [f.scope for f in factors],
+                      np.concatenate([np.zeros(0), *(f.values for f in factors)]),
+                      [f.values.size for f in factors])
+
+    @classmethod
+    def from_arrays(cls, variables, factor_ids, scopes, values, lengths) -> "FactorGraph":
+        """A graph declared from one id and one scope (variable names) per
+        factor, its tables side by side as one array and their lengths."""
+        g = cls.__new__(cls)
+        g._declare(variables, factor_ids, scopes, values, lengths)
+        return g
+
+    def _declare(self, variables, factor_ids, scopes, values, lengths):
+        self.variables, self.factor_ids = list(variables), list(factor_ids)
+        self.scopes = list(map(tuple, scopes))
+        self.values = np.asarray(values, dtype=float)
+        self.offsets = np.append(0, np.cumsum(lengths, dtype=int))
+        if self.values.shape != (self.offsets[-1],):
+            raise ValueError(f"values of shape {self.values.shape} for tables of"
+                             f" {self.offsets[-1]} entries")
+        n_var, n_fac = len(self.variables), len(self.factor_ids)
+        self.var_index = dict(zip((v.id for v in self.variables), range(n_var)))
+        arity = np.fromiter(map(len, self.scopes), dtype=int, count=n_fac)
+        self.scope_offsets = np.append(0, np.cumsum(arity))
+        names = list(chain.from_iterable(self.scopes))
+        codes = np.fromiter(map(self.var_index.get, names, repeat(-1)), int, len(names))
+        # an undeclared name gets an index of its own, from n_var on
+        unknown = np.flatnonzero(codes < 0).tolist()
+        extra: dict = {}
+        codes[unknown] = [n_var + extra.setdefault(names[k], len(extra)) for k in unknown]
+        self.scope_vars, width = codes, n_var + len(extra)
+        pairs = np.sort(np.repeat(np.arange(n_fac), arity) * width + codes)
+        bad = np.append(np.flatnonzero(arity == 0), pairs[1:][pairs[1:] == pairs[:-1]] // width)
+        if bad.size:
+            fi = bad.min()
+            what = "repeats a variable" if arity[fi] else "must name at least one variable"
+            raise ScopeMismatch(f"factor {self.factor_ids[fi]!r}: scope {what}")
+        for kind, ids in (("variable", [v.id for v in self.variables]),
+                          ("factor", self.factor_ids)):
+            if len(set(ids)) < len(ids):
+                first: dict = {}
+                dup = next(i for k, i in enumerate(ids) if first.setdefault(i, k) != k)
+                raise ValueError(f"duplicate {kind} id {dup!r}")
         self.checked = False
-        # the arrays that validate sets
-        self.cards = self.scope_vars = self.scope_offsets = self.values = self.offsets = None
+        self.cards = self.var_edges = self.var_offsets = None
         self.n_edges = 0
         self.plans: dict = {}
         self._views: tuple = (None, [])
 
     @property
     def factors(self) -> list:
-        if not self.checked:
-            return self._declared
         if self._views[0] is not self.values:
             ends = self.offsets.tolist()
-            self._views = (self.values, [FactorTable(f.id, f.scope, self.values[a:b])
-                                         for f, a, b in zip(self._declared, ends, ends[1:])])
+            self._views = (self.values, [
+                FactorTable(i, s, self.values[a:b])
+                for i, s, a, b in zip(self.factor_ids, self.scopes, ends, ends[1:])])
         return self._views[1]
 
     @property
@@ -148,19 +177,17 @@ class FactorGraph:
                 raise ScopeMismatch(f"{what} array of shape {tables.shape}, but the graph's"
                                     f" layout is {shape}")
             return tables.astype(float, copy=False)
-        declared = self._declared
-        if len(tables) != len(declared):
-            missing = (f": factor {declared[len(tables)].id!r} has none"
-                       if len(tables) < len(declared) else "")
-            raise ScopeMismatch(f"{len(tables)} {what} tables for {len(declared)}"
-                                f" factors{missing}")
+        ids = self.factor_ids
+        if len(tables) != len(ids):
+            missing = f": factor {ids[len(tables)]!r} has none" if len(tables) < len(ids) else ""
+            raise ScopeMismatch(f"{len(tables)} {what} tables for {len(ids)} factors{missing}")
         count, sizes = rows or 1, np.diff(self.offsets).tolist()
         out = [np.zeros((count, n)) if t is None else np.asarray(t, dtype=float)
                for t, n in zip(tables, sizes)]
-        for f, t, n in zip(declared, out, sizes):
+        for fid, t, n in zip(ids, out, sizes):
             if t.size != count * n or rows and t.shape[-1:] != (n,):
                 need = n if rows is None else f"{rows} x {n}"
-                raise ScopeMismatch(f"factor {f.id!r}: {what} table length {t.size},"
+                raise ScopeMismatch(f"factor {fid!r}: {what} table length {t.size},"
                                     f" but its scope needs {need}")
         if rows is None:
             return np.concatenate(out, axis=None)
@@ -189,7 +216,7 @@ def _is_forest(n_nodes: int, a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def validate(g: FactorGraph) -> FactorGraph:
-    """Check a factor graph and build its arrays; returns the graph.
+    """Check a factor graph and complete its arrays; returns the graph.
 
     Raises UnknownVariable or CycleDetected, whichever comes in the earlier
     factor (an unknown name first within a factor), then UncoveredVariable,
@@ -200,21 +227,16 @@ def validate(g: FactorGraph) -> FactorGraph:
         return g
     if not g.variables:
         raise UncoveredVariable("graph declares no variables")
-    declared, index = g._declared, g.var_index
-    n_var, n_fac = len(g.variables), len(declared)
+    n_var, n_fac = len(g.variables), len(g.factor_ids)
     cards = np.array([v.cardinality for v in g.variables])
-    arity = np.fromiter((len(f.scope) for f in declared), dtype=int, count=n_fac)
-    scope_offsets = np.append(0, np.cumsum(arity))
-    names = [name for f in declared for name in f.scope]
-    scope_vars = np.fromiter((index.get(name, -1) for name in names), dtype=int,
-                             count=len(names))
-    fac = np.repeat(np.arange(n_fac), arity)
+    scope_vars, scope_offsets = g.scope_vars, g.scope_offsets
+    fac = np.repeat(np.arange(n_fac), np.diff(scope_offsets))
 
     # the first edge that closes a cycle ends the shortest prefix of the
     # edges that is not a forest. Factor f is node n_var + f; the edges
     # before the factor that names the first unknown variable come first
-    unknown = np.flatnonzero(scope_vars < 0)
-    known = int(scope_offsets[fac[unknown[0]]]) if unknown.size else len(names)
+    unknown = np.flatnonzero(scope_vars >= n_var)
+    known = int(scope_offsets[fac[unknown[0]]]) if unknown.size else len(scope_vars)
 
     def cyclic(k):
         return not _is_forest(n_var + n_fac, scope_vars[:k], n_var + fac[:k])
@@ -224,36 +246,49 @@ def validate(g: FactorGraph) -> FactorGraph:
         while known - acyclic > 1:
             mid = (acyclic + known) // 2
             acyclic, known = (acyclic, mid) if cyclic(mid) else (mid, known)
-        raise CycleDetected(f"factor {declared[fac[known - 1]].id!r}: edge to"
+        raise CycleDetected(f"factor {g.factor_ids[fac[known - 1]]!r}: edge to"
                             f" {g.variables[scope_vars[known - 1]].id!r} closes a cycle")
     if unknown.size:
-        raise UnknownVariable(f"factor {declared[fac[unknown[0]]].id!r}: unknown variable"
-                              f" {names[unknown[0]]!r}")
+        fi, k = fac[unknown[0]], unknown[0]
+        raise UnknownVariable(f"factor {g.factor_ids[fi]!r}: unknown variable"
+                              f" {g.scopes[fi][k - scope_offsets[fi]]!r}")
     degree = np.bincount(scope_vars, minlength=n_var)
     if not degree.all():
         raise UncoveredVariable(f"variable {g.variables[degree.argmin()].id!r} appears in"
                                 " no factor")
-
-    # table sizes as products of Python ints, which never wrap
-    sizes = np.multiply.reduceat(cards[scope_vars].astype(object), scope_offsets[:-1])
-    lengths = np.fromiter((f.values.size for f in declared), dtype=int, count=n_fac)
-    wrong = np.flatnonzero(lengths != sizes)
+    lengths = np.diff(g.offsets)
+    wrong = np.flatnonzero(lengths != table_sizes(cards, scope_vars, scope_offsets))
     if wrong.size:
-        raise ScopeMismatch(f"factor {declared[wrong[0]].id!r}: value table length"
-                            f" {lengths[wrong[0]]}, but its scope needs {sizes[wrong[0]]}")
-    offsets = np.append(0, np.cumsum(sizes)).astype(int)
-    values = np.concatenate([f.values for f in declared], axis=None)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        fi = int(np.searchsorted(offsets, bad[0], "right")) - 1
-        raise OutOfDomain(f"factor {declared[fi].id!r}: table entry {bad[0] - offsets[fi]}"
-                          f" is {values[bad[0]]}, not a finite number")
+        fi = wrong[0]
+        need = math.prod(cards[scope_vars[scope_offsets[fi]:scope_offsets[fi + 1]]].tolist())
+        raise ScopeMismatch(f"factor {g.factor_ids[fi]!r}: value table length {lengths[fi]},"
+                            f" but its scope needs {need}")
+    check_finite(g)
 
-    g.cards, g.scope_vars, g.scope_offsets = cards, scope_vars, scope_offsets
-    g.n_edges = len(scope_vars)
-    g.offsets, g.values = offsets, values
+    g.cards, g.n_edges = cards, len(scope_vars)
+    g.var_edges = np.argsort(scope_vars, kind="stable")
+    g.var_offsets = np.append(0, np.cumsum(degree))
     g.checked = True
     return g
+
+
+def table_sizes(cards: np.ndarray, scope_vars: np.ndarray,
+                scope_offsets: np.ndarray) -> np.ndarray:
+    """Every factor's table size as a float, exact below 2**53 and past it
+    never equal to a length that fits in memory (a cardinality past 2**53,
+    maybe a Python int past float range, counts as 2**53)."""
+    clipped = np.minimum(cards[scope_vars], 2 ** 53).astype(float)
+    return np.multiply.reduceat(clipped, scope_offsets[:-1])
+
+
+def check_finite(g: FactorGraph) -> None:
+    """Raise OutOfDomain naming the first entry of ``g.values`` that is not finite."""
+    finite = np.isfinite(g.values)
+    if not finite.all():
+        k = int(finite.argmin())
+        fi = int(np.searchsorted(g.offsets, k, "right")) - 1
+        raise OutOfDomain(f"factor {g.factor_ids[fi]!r}: table entry {k - g.offsets[fi]}"
+                          f" is {g.values[k]}, not a finite number")
 
 
 @dataclass
@@ -293,9 +328,8 @@ def make_schedule(g: FactorGraph, root: str | None = None, two_pass: bool = Fals
     depth = [0] * (nvar + nfac)
     # the CSR pair of scopes and its transpose, as lists
     scope, scope_ends = g.scope_vars.tolist(), g.scope_offsets.tolist()
-    facs = np.repeat(np.arange(nfac), np.diff(g.scope_offsets))
-    facs = facs[np.argsort(g.scope_vars, kind="stable")].tolist()
-    fac_ends = np.append(0, np.cumsum(np.bincount(g.scope_vars, minlength=nvar))).tolist()
+    facs = np.repeat(np.arange(nfac), np.diff(g.scope_offsets))[g.var_edges].tolist()
+    fac_ends = g.var_offsets.tolist()
 
     component_roots = []
     up: list[tuple] = []

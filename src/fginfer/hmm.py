@@ -34,7 +34,7 @@ from .entropy import (
 )
 from .entropy import posterior_entropy  # noqa: F401  (the benchmark's tracer patches this name)
 from .errors import OutOfDomain
-from .graph import FactorGraph, FactorTable, VariableDecl
+from .graph import FactorGraph, VariableDecl
 
 _ROW_TOL = 1e-9
 _LONG_CHAIN = 1000
@@ -91,18 +91,12 @@ class HmmSpec:
             raise ValueError("probabilities must be nonnegative")
         if abs(self.pi.sum() - 1.0) > _ROW_TOL:
             raise ValueError(f"pi sums to {self.pi.sum()!r}, expected 1 within {_ROW_TOL}")
-        rows = self.transition.sum(axis=1)
-        if (np.abs(rows - 1.0) > _ROW_TOL).any():
-            bad = int(np.argmax(np.abs(rows - 1.0)))
-            raise ValueError(
-                f"transition row {bad} sums to {rows[bad]!r}, expected 1 within {_ROW_TOL}"
-            )
-        rows = self.emission.sum(axis=1)
-        if (np.abs(rows - 1.0) > _ROW_TOL).any():
-            bad = int(np.argmax(np.abs(rows - 1.0)))
-            raise ValueError(
-                f"emission row {bad} sums to {rows[bad]!r}, expected 1 within {_ROW_TOL}"
-            )
+        for name, arr in (("transition", self.transition), ("emission", self.emission)):
+            rows = arr.sum(axis=1)
+            if (np.abs(rows - 1.0) > _ROW_TOL).any():
+                bad = int(np.argmax(np.abs(rows - 1.0)))
+                raise ValueError(f"{name} row {bad} sums to {rows[bad]!r},"
+                                 f" expected 1 within {_ROW_TOL}")
         if self.observations.size < 1:
             raise ValueError("observation sequence must not be empty")
         bad = np.flatnonzero(self.observations != observations)
@@ -154,12 +148,11 @@ def hmm_to_weighted_graph(h: HmmSpec) -> WeightedGraph:
     unary, tables, steps = _chain_tables(h)
     pair = tables.take(steps, axis=0).reshape(steps.size, s * s)
     variables = [VariableDecl(f"x{t}", s) for t in range(1, h.num_steps + 1)]
-    factors = [FactorTable("f1", ("x1",), unary)]
-    factors += [
-        FactorTable(f"f{t}", (f"x{t - 1}", f"x{t}"), pair[t - 2])
-        for t in range(2, h.num_steps + 1)
-    ]
-    graph = FactorGraph(variables, factors)
+    later = range(2, h.num_steps + 1)
+    graph = FactorGraph.from_arrays(
+        variables, ["f1"] + [f"f{t}" for t in later],
+        [("x1",)] + [(f"x{t - 1}", f"x{t}") for t in later],
+        np.concatenate((unary, pair.ravel())), [s] + [s * s] * len(later))
     return WeightedGraph(graph, derive_log2_companions(graph))
 
 

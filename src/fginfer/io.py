@@ -14,12 +14,14 @@ parse is bit-identical.
 
 import json
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import FactorGraphError, ParseError, ScopeMismatch, UnknownVariable
-from .graph import FactorGraph, FactorTable, VariableDecl
+from .graph import FactorGraph, FactorTable, VariableDecl, table_sizes
 from .hmm import HmmSpec
 from .learning import ParametricFactorSet
 
@@ -36,44 +38,35 @@ class ParsedGraph:
         return self.companions is not None and all(c is not None for c in self.companions)
 
 
-# A path argument is a JSON path, or a template such as "$.factors[{}].id"
-# that the indices after it fill in; it is formatted only when an error
-# names it, so well-formed documents pay for no path strings.
-
-
-def _at(path: str, where: tuple) -> str:
-    return path.format(*where) if where else path
-
-
-def _need(doc: dict, key: str, path: str, *where):
+def _need(doc: dict, key: str, path: str):
     if not isinstance(doc, dict):
-        raise ParseError(f"{_at(path, where)}: expected an object")
+        raise ParseError(f"{path}: expected an object")
     if key not in doc:
-        raise ParseError(f"{_at(path, where)}.{key}: missing")
+        raise ParseError(f"{path}.{key}: missing")
     return doc[key]
 
 
-def _as_int(x, path: str, *where) -> int:
+def _as_int(x, path: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ParseError(f"{_at(path, where)}: expected an integer, got {x!r}")
+        raise ParseError(f"{path}: expected an integer, got {x!r}")
     return x
 
 
-def _as_str(x, path: str, *where) -> str:
+def _as_str(x, path: str) -> str:
     if not isinstance(x, str):
-        raise ParseError(f"{_at(path, where)}: expected a string, got {x!r}")
+        raise ParseError(f"{path}: expected a string, got {x!r}")
     return x
 
 
-def _as_list(x, path: str, *where) -> list:
+def _as_list(x, path: str) -> list:
     if not isinstance(x, list):
-        raise ParseError(f"{_at(path, where)}: expected an array")
+        raise ParseError(f"{path}: expected an array")
     return x
 
 
-def _as_number(x, path: str, *where) -> float:
+def _as_number(x, path: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ParseError(f"{_at(path, where)}: expected a number, got {x!r}")
+        raise ParseError(f"{path}: expected a number, got {x!r}")
     # Python's json module decodes NaN, Infinity and 1e999 to non-finite
     # floats, and integer literals of any length to int
     try:
@@ -81,123 +74,194 @@ def _as_number(x, path: str, *where) -> float:
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ParseError(f"{_at(path, where)}: expected a finite number, got {value!r}")
+        raise ParseError(f"{path}: expected a finite number, got {value!r}")
     return value
 
 
-def _number_list(x, path: str, *where) -> list:
-    # only entries other than finite floats pay for their path template
-    return [v if type(v) is float and -math.inf < v < math.inf
-            else _as_number(v, _at(path, where) + "[{}]", i)
-            for i, v in enumerate(_as_list(x, path, *where))]
+def _number_list(x, path: str) -> list:
+    return [_as_number(v, f"{path}[{i}]") for i, v in enumerate(_as_list(x, path))]
+
+
+# The bulk readers below accept exactly what the entry-by-entry checks above
+# accept, with one set of types per column and one np.isfinite per array;
+# where a bulk check fails, those checks name the first fault by its path.
+
+
+def _only(items, kinds) -> bool:
+    """Whether every item is an instance of ``kinds`` and none a bool."""
+    return all(issubclass(t, kinds) and not issubclass(t, bool) for t in set(map(type, items)))
+
+
+def _column(items, key: str, kinds):
+    """``item[key]`` of every item, or None unless every item is an object
+    holding ``key`` with a value of ``kinds``."""
+    if _only(items, dict):
+        try:
+            column = list(map(operator.itemgetter(key), items))
+        except KeyError:
+            return None
+        if _only(column, kinds):
+            return column
+    return None
+
+
+def _read_numbers(rows, zero=None):
+    """Lists of finite numbers as one float array and the list lengths, or
+    None; a null entry reads 0.0 where the bool array ``zero`` holds."""
+    if not _only(rows, list):
+        return None
+    flat = list(chain.from_iterable(rows))
+    if zero is not None and None in flat:
+        null = np.fromiter(map(operator.is_, flat, repeat(None)), dtype=bool, count=len(flat))
+        if null.shape != zero.shape or (null & ~zero).any():
+            return None
+        flat = [0.0 if x is None else x for x in flat]
+    if not _only(flat, (int, float)):
+        return None
+    try:
+        # an int past float range raises OverflowError
+        values = np.fromiter(flat, dtype=float, count=len(flat))
+    except OverflowError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values, np.fromiter(map(len, rows), dtype=int, count=len(rows))
+
+
+def _rows(rows, sizes, at, mismatch: str) -> np.ndarray:
+    """The number lists ``rows`` as one float array, where row k must hold
+    ``sizes[k]`` entries. When a bulk check fails, the rows are checked
+    one by one, entries before length, and the first fault is raised: a
+    wrong length as ``mismatch`` formatted with the row's path ``at(k)``,
+    its length and ``sizes[k]``."""
+    read = _read_numbers(rows)
+    if read is not None and np.array_equal(read[1], sizes):
+        return read[0]
+    out: list = []
+    for k, row in enumerate(rows):
+        vals = _number_list(row, at(k))
+        if len(vals) != sizes[k]:
+            raise ParseError(mismatch.format(at(k), len(vals), sizes[k]))
+        out += vals
+    return np.array(out, dtype=float)
 
 
 def parse_graph_document(doc) -> ParsedGraph:
-    """Build a ParsedGraph from a decoded JSON object."""
-    variables = []
+    """Build a ParsedGraph from a decoded JSON object.
+
+    The graph's arrays are read in bulk. Only a document that fails a
+    bulk check is checked entry by entry, which raises its first fault.
+    """
+    read = _read_graph(doc)
+    if read is None:
+        _scan_graph(doc)
+        raise AssertionError("the bulk checks failed on a graph the scan accepts")
+    parametric = _parse_parametric(doc["parametric"], read[0]) if "parametric" in doc else None
+    return ParsedGraph(*read, parametric)
+
+
+def _read_graph(doc):
+    """The graph and companions of a graph document, read in bulk, or None
+    when a bulk check fails."""
+    if not (isinstance(doc, dict) and _only([doc.get("variables"), doc.get("factors")], list)
+            and doc["variables"] and doc["factors"]):
+        return None
+    vs, fs = doc["variables"], doc["factors"]
+    columns = [_column(items, key, kinds) for items, key, kinds in (
+        (vs, "id", str), (vs, "cardinality", int), (fs, "id", str), (fs, "scope", list),
+        (fs, "values", list))]
+    if any(c is None for c in columns):
+        return None
+    vids, cards, ids, scopes, rows = columns
+    table = min(cards) >= 1 and _only(chain.from_iterable(scopes), str) and _read_numbers(rows)
+    if not table:
+        return None
+    values, lengths = table
+    try:
+        graph = FactorGraph.from_arrays(list(map(VariableDecl, vids, cards)), ids, scopes,
+                                        values, lengths)
+    except (FactorGraphError, ValueError):
+        return None
+    if (graph.scope_vars >= len(vids)).any() or (table_sizes(
+            np.array(cards), graph.scope_vars, graph.scope_offsets) != lengths).any():
+        return None
+    has_g = ["g" in f for f in fs]
+    if not any(has_g):
+        return graph, None
+    with_g = np.flatnonzero(has_g)
+    read = _read_numbers([fs[k]["g"] for k in with_g], (values == 0.0)[np.repeat(has_g, lengths)])
+    if read is None or not np.array_equal(read[1], lengths[with_g]):
+        return None
+    tables = iter(np.split(read[0], np.cumsum(read[1])[:-1]))
+    return graph, [next(tables) if h else None for h in has_g]
+
+
+def _scan_graph(doc) -> None:
+    """Check a graph document entry by entry, and raise its first fault."""
+    variables, cards = [], {}
     for i, v in enumerate(_as_list(_need(doc, "variables", "$"), "$.variables")):
-        vid = _as_str(_need(v, "id", "$.variables[{}]", i), "$.variables[{}].id", i)
-        card = _as_int(_need(v, "cardinality", "$.variables[{}]", i),
-                       "$.variables[{}].cardinality", i)
+        vid = _as_str(_need(v, "id", f"$.variables[{i}]"), f"$.variables[{i}].id")
+        card = _as_int(_need(v, "cardinality", f"$.variables[{i}]"),
+                       f"$.variables[{i}].cardinality")
         if card < 1:
             raise ParseError(f"$.variables[{i}].cardinality: must be >= 1, got {card}")
         variables.append(VariableDecl(vid, card))
+        cards[vid] = card
     if not variables:
         raise ParseError("$.variables: must not be empty")
-    cards = {v.id: v.cardinality for v in variables}
-
     factors = []
-    companions: list = []
-    saw_g = False
     for i, f in enumerate(_as_list(_need(doc, "factors", "$"), "$.factors")):
-        fid = _as_str(_need(f, "id", "$.factors[{}]", i), "$.factors[{}].id", i)
-        scope = [
-            _as_str(s, "$.factors[{}].scope[{}]", i, j)
-            for j, s in enumerate(_as_list(_need(f, "scope", "$.factors[{}]", i),
-                                           "$.factors[{}].scope", i))
-        ]
+        at = f"$.factors[{i}]"
+        fid = _as_str(_need(f, "id", at), f"{at}.id")
+        scope = [_as_str(s, f"{at}.scope[{j}]")
+                 for j, s in enumerate(_as_list(_need(f, "scope", at), f"{at}.scope"))]
         for j, s in enumerate(scope):
             if s not in cards:
-                raise UnknownVariable(f"$.factors[{i}].scope[{j}]: undeclared variable {s!r}")
-        values = _number_list(_need(f, "values", "$.factors[{}]", i), "$.factors[{}].values", i)
+                raise UnknownVariable(f"{at}.scope[{j}]: undeclared variable {s!r}")
+        values = _number_list(_need(f, "values", at), f"{at}.values")
         expected = math.prod(cards[s] for s in scope)
         if scope and len(values) != expected:
-            raise ScopeMismatch(
-                f"$.factors[{i}].values: length {len(values)}, scope needs {expected}"
-            )
+            raise ScopeMismatch(f"{at}.values: length {len(values)}, scope needs {expected}")
         try:
-            factors.append(FactorTable(fid, tuple(scope), np.asarray(values)))
+            factors.append(FactorTable(fid, tuple(scope), values))
         except FactorGraphError as e:
-            raise type(e)(f"$.factors[{i}]: {e.detail}") from None
-        except ValueError as e:
-            raise ParseError(f"$.factors[{i}]: {e}") from None
+            raise type(e)(f"{at}: {e.detail}") from None
         if "g" in f:
-            saw_g = True
-            raw = _as_list(f["g"], "$.factors[{}].g", i)
+            raw = _as_list(f["g"], f"{at}.g")
             if len(raw) != len(values):
-                raise ParseError(f"$.factors[{i}].g: length {len(raw)} differs from"
-                                 f" values length {len(values)}")
-            comp = []
+                raise ParseError(f"{at}.g: length {len(raw)} differs from values length"
+                                 f" {len(values)}")
             for j, entry in enumerate(raw):
-                if entry is None:
-                    if values[j] != 0.0:
-                        raise ParseError(
-                            f"$.factors[{i}].g[{j}]: null is only allowed where the value is 0"
-                        )
-                    comp.append(0.0)
-                else:
-                    comp.append(_as_number(entry, "$.factors[{}].g[{}]", i, j))
-            companions.append(np.asarray(comp))
-        else:
-            companions.append(None)
+                if entry is not None:
+                    _as_number(entry, f"{at}.g[{j}]")
+                elif values[j] != 0.0:
+                    raise ParseError(f"{at}.g[{j}]: null is only allowed where the value is 0")
     if not factors:
         raise ParseError("$.factors: must not be empty")
-
     try:
-        graph = FactorGraph(variables, factors)
+        FactorGraph(variables, factors)
     except ValueError as e:
         raise ParseError(f"$: {e}") from None
 
-    parametric = None
-    if "parametric" in doc:
-        parametric = _parse_parametric(doc["parametric"], variables, factors)
 
-    return ParsedGraph(
-        graph=graph,
-        companions=companions if saw_g else None,
-        parametric=parametric,
-    )
-
-
-def _parse_parametric(block, variables, factors) -> ParametricFactorSet:
+def _parse_parametric(block, graph: FactorGraph) -> ParametricFactorSet:
     path = "$.parametric"
     dim = _as_int(_need(block, "dim", path), f"{path}.dim")
     if dim < 1:
         raise ParseError(f"{path}.dim: must be >= 1, got {dim}")
-    sizes = [f.values.size for f in factors]
+    n_fac, sizes = len(graph.factor_ids), np.diff(graph.offsets)
+    differs = "{}: length {} differs from factor table length {}"
 
     def per_factor_tables(key):
         rows = _as_list(block[key], f"{path}.{key}")
-        if len(rows) != len(factors):
-            raise ParseError(
-                f"{path}.{key}: {len(rows)} tables for {len(factors)} factors"
-            )
-        out = []
-        for k, row in enumerate(rows):
-            vals = _number_list(row, f"{path}.{key}[{k}]")
-            if len(vals) != sizes[k]:
-                raise ParseError(
-                    f"{path}.{key}[{k}]: length {len(vals)} differs from factor"
-                    f" table length {sizes[k]}"
-                )
-            out.append(np.asarray(vals))
-        return out
+        if len(rows) != n_fac:
+            raise ParseError(f"{path}.{key}: {len(rows)} tables for {n_fac} factors")
+        return _rows(rows, sizes, lambda k: f"{path}.{key}[{k}]", differs)
 
     lam = None
     if "lambda" in block:
-        lam = _number_list(block["lambda"], f"{path}.lambda")
-        if len(lam) != dim:
-            raise ParseError(f"{path}.lambda: length {len(lam)} differs from dim {dim}")
+        lam = _rows([block["lambda"]], [dim], lambda _: f"{path}.lambda",
+                    "{}: length {} differs from dim {}")
 
     u = per_factor_tables("u") if "u" in block else None
     v = per_factor_tables("v") if "v" in block else None
@@ -209,59 +273,43 @@ def _parse_parametric(block, variables, factors) -> ParametricFactorSet:
     grad = None
     if "grad" in block:
         rows = _as_list(block["grad"], f"{path}.grad")
-        if len(rows) != len(factors):
-            raise ParseError(f"{path}.grad: {len(rows)} entries for {len(factors)} factors")
-        grad = []
-        for k, per_comp in enumerate(rows):
-            per_comp = _as_list(per_comp, f"{path}.grad[{k}]")
-            if len(per_comp) != dim:
-                raise ParseError(
-                    f"{path}.grad[{k}]: {len(per_comp)} component tables for dim {dim}"
-                )
-            tabs = []
-            for j, t in enumerate(per_comp):
-                vals = _number_list(t, f"{path}.grad[{k}][{j}]")
-                if len(vals) != sizes[k]:
-                    raise ParseError(
-                        f"{path}.grad[{k}][{j}]: length {len(vals)} differs from factor"
-                        f" table length {sizes[k]}"
-                    )
-                tabs.append(vals)
-            grad.append(np.asarray(tabs))
+        if len(rows) != n_fac:
+            raise ParseError(f"{path}.grad: {len(rows)} entries for {n_fac} factors")
+        # the tables of the factors before the first with a malformed entry
+        # come first in document order
+        bad = next((k for k, c in enumerate(rows) if not isinstance(c, list) or len(c) != dim),
+                   n_fac)
+        tables = list(chain.from_iterable(rows[:bad]))
+        flat = _rows(tables, [sizes[r // dim] for r in range(len(tables))],
+                     lambda r: f"{path}.grad[{r // dim}][{r % dim}]", differs)
+        if bad < n_fac:
+            per_comp = _as_list(rows[bad], f"{path}.grad[{bad}]")
+            raise ParseError(f"{path}.grad[{bad}]: {len(per_comp)} component tables"
+                             f" for dim {dim}")
+        grad = [t.reshape(dim, -1) for t in np.split(flat, dim * graph.offsets[1:-1])]
     if u is None and grad is None:
         raise ParseError(f"{path}: needs u/v/lambda tables or grad tables")
 
-    scopes = [f.scope for f in factors]
-    ids = [f.id for f in factors]
-    base = [f.values for f in factors]
+    variables, scopes, ids = graph.variables, graph.scopes, graph.factor_ids
     if grad is not None:
-        return ParametricFactorSet.affine(
-            variables, scopes, base, grad, factor_ids=ids, u=u, v=v,
-            lam=None if lam is None else np.asarray(lam),
-        )
-    return ParametricFactorSet.linear_form(
-        variables, scopes, base, u, v, np.asarray(lam), factor_ids=ids,
-    )
+        return ParametricFactorSet.affine(variables, scopes, graph.values, grad,
+                                          factor_ids=ids, u=u, v=v, lam=lam)
+    return ParametricFactorSet.linear_form(variables, scopes, graph.values, u, v, lam,
+                                           factor_ids=ids)
 
 
 def serialize_graph(pg: ParsedGraph) -> dict:
     """The document for a parsed graph; inverse of parse up to g-null
     normalization (null companions become 0.0 at zero-valued entries)."""
-    doc: dict = {
-        "variables": [
-            {"id": v.id, "cardinality": v.cardinality} for v in pg.graph.variables
-        ],
-        "factors": [],
-    }
-    for fi, f in enumerate(pg.graph.factors):
-        entry = {
-            "id": f.id,
-            "scope": list(f.scope),
-            "values": [float(x) for x in f.values],
-        }
-        if pg.companions is not None and pg.companions[fi] is not None:
-            entry["g"] = [float(x) for x in pg.companions[fi]]
-        doc["factors"].append(entry)
+    g = pg.graph
+    ends, values = g.offsets.tolist(), g.values.tolist()
+    factors = [{"id": fid, "scope": list(scope), "values": values[lo:hi]}
+               for fid, scope, lo, hi in zip(g.factor_ids, g.scopes, ends, ends[1:])]
+    for entry, companion in zip(factors, pg.companions or []):
+        if companion is not None:
+            entry["g"] = [float(x) for x in companion]
+    doc: dict = {"variables": [{"id": v.id, "cardinality": v.cardinality}
+                               for v in g.variables], "factors": factors}
     pf = pg.parametric
     if pf is not None:
         block: dict = {"dim": pf.dim}
@@ -286,31 +334,26 @@ def parse_hmm_document(doc) -> HmmSpec:
         raise ParseError(f"$.states: must be >= 1, got {states}")
     if alphabet < 1:
         raise ParseError(f"$.alphabet: must be >= 1, got {alphabet}")
-    pi = _number_list(_need(doc, "pi", "$"), "$.pi")
-    if len(pi) != states:
-        raise ParseError(f"$.pi: length {len(pi)} differs from states {states}")
+    pi = _rows([_need(doc, "pi", "$")], [states], lambda _: "$.pi",
+               "{}: length {} differs from states {}")
 
     def matrix(key, cols):
         rows = _as_list(_need(doc, key, "$"), f"$.{key}")
         if len(rows) != states:
             raise ParseError(f"$.{key}: {len(rows)} rows for {states} states")
-        out = []
-        for i, row in enumerate(rows):
-            vals = _number_list(row, f"$.{key}[{i}]")
-            if len(vals) != cols:
-                raise ParseError(f"$.{key}[{i}]: length {len(vals)}, expected {cols}")
-            out.append(vals)
-        return np.asarray(out)
+        return _rows(rows, [cols] * states, lambda i: f"$.{key}[{i}]",
+                     "{}: length {}, expected {}").reshape(states, cols)
 
     a = matrix("A", states)
     b = matrix("B", alphabet)
     obs = _as_list(_need(doc, "observations", "$"), "$.observations")
-    obs = [_as_int(o, "$.observations[{}]", i) for i, o in enumerate(obs)]
+    if not _only(obs, int):
+        for i, o in enumerate(obs):
+            _as_int(o, f"$.observations[{i}]")
     if not obs:
         raise ParseError("$.observations: must not be empty")
     try:
-        return HmmSpec(pi=np.asarray(pi), transition=a, emission=b,
-                       observations=np.asarray(obs))
+        return HmmSpec(pi=pi, transition=a, emission=b, observations=np.asarray(obs))
     except ValueError as e:
         raise ParseError(f"$: {e}") from None
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .entropy import WeightedGraph, compute_zh
 from .errors import DegenerateMStep, UndefinedQuotient
-from .graph import FactorGraph, FactorTable, VariableDecl
+from .graph import FactorGraph, VariableDecl, check_finite
 from .propagation import fold_exponent
 
 # validated structures by content: every set with the same variables,
@@ -171,9 +171,11 @@ class ParametricFactorSet:
         """The structure graph with these tables laid out as its
         ``values``. It shares the validated structure arrays and the
         cached level plans of :meth:`structure_graph`; only the table
-        lengths are checked."""
+        lengths and entries are checked, and an entry that is not finite
+        raises OutOfDomain as :func:`~fginfer.graph.validate` does."""
         graph = copy.copy(self._structure)
         graph.values = self._structure.lay_out(tables, "value")
+        check_finite(graph)
         return graph
 
 
@@ -185,9 +187,9 @@ def _shared_structure(variables, scopes, factor_ids) -> FactorGraph:
     if structure is None:
         cards = {v.id: v.cardinality for v in variables}
         # an unknown name gets length 1 here and is reported by validation
-        factors = [FactorTable(fid, scope, np.zeros(math.prod(cards.get(n, 1) for n in scope)))
-                   for fid, scope in zip(factor_ids, scopes)]
-        structure = _STRUCTURES[key] = FactorGraph(variables, factors).ensure_checked()
+        lengths = [math.prod(cards.get(n, 1) for n in scope) for scope in scopes]
+        structure = _STRUCTURES[key] = FactorGraph.from_arrays(
+            variables, factor_ids, scopes, np.zeros(sum(lengths)), lengths).ensure_checked()
     return structure
 
 

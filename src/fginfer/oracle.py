@@ -103,19 +103,19 @@ def enumerate_marginal(g, var_id: str) -> np.ndarray:
 def enumerate_h(g, companions) -> float:
     """The aux total: sum over assignments of (product of f) * (sum of g).
 
-    ``companions`` aligns with the factors; None entries count as zero
-    tables. Companion values under zero factor values never matter because
-    the weight of such an assignment is zero.
+    ``companions`` come in the graph's layout or one per factor, where
+    None counts as a zero table (see
+    :meth:`~fginfer.graph.FactorGraph.lay_out`). Companion values under
+    zero factor values never matter because the weight of such an
+    assignment is zero.
     """
     _, total, digits = _joint_setup(g)
     prod = _joint_products(g, digits)
     gsum = np.zeros(total)
-    for fi in range(len(g.offsets) - 1):
-        comp = companions[fi] if companions is not None else None
-        if comp is None:
-            continue
-        comp = np.asarray(comp, dtype=float).ravel()
-        gsum += comp[_factor_indices(g, fi, digits)]
+    if companions is not None:
+        tables = np.split(g.lay_out(companions, "companion"), g.offsets[1:-1])
+        for fi, table in enumerate(tables):
+            gsum += table[_factor_indices(g, fi, digits)]
     return float((prod * gsum).sum())
 
 

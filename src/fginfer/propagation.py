@@ -232,9 +232,9 @@ class LevelPlan:
         var, fac = g.scope_vars, _member(arity)
         cards, steps, sizes, _ = shapes = _factor_shapes(g)
         n_var, n_edges = len(g.variables), len(var)
-        degree = np.bincount(var, minlength=n_var)
+        degree = np.diff(g.var_offsets)
         # the edges variable by variable, each in factor order
-        by_var = np.argsort(var, kind="stable")
+        by_var = g.var_edges
         var_first, var_rank = _entries(degree)
         var_rank[by_var] = var_rank.copy()
         var_depth, fac_depth = depth[var], depth[n_var + fac]

@@ -241,12 +241,7 @@ MAX_PRODUCT = MaxProductSemiring()
 BOOLEAN = BooleanSemiring()
 ENTROPY = EntropySemiring()
 
-SEMIRINGS = {
-    SUM_PRODUCT.name: SUM_PRODUCT,
-    MAX_PRODUCT.name: MAX_PRODUCT,
-    BOOLEAN.name: BOOLEAN,
-    ENTROPY.name: ENTROPY,
-}
+SEMIRINGS = {s.name: s for s in (SUM_PRODUCT, MAX_PRODUCT, BOOLEAN, ENTROPY)}
 
 
 def get_semiring(name: str) -> Semiring:

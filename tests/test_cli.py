@@ -122,6 +122,14 @@ class TestValidate:
         assert code == 1
         assert out["errors"][0]["kind"] == "ParseError"
 
+    def test_boolean_value_named(self, cli, write):
+        # the bulk read declines a bool and the entry-by-entry scan names it
+        code, out, _ = cli("validate", write(unary_doc(values=(1.0, True), g=None)))
+        assert code == 1
+        assert out == {"valid": False, "errors": [{
+            "kind": "ParseError",
+            "detail": "$.factors[0].values[1]: expected a number, got True"}]}
+
 
 class TestPartition:
     def test_star_total(self, cli, write):

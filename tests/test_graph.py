@@ -252,6 +252,45 @@ class TestValidateMatchesReference:
 class TestLayout:
     """A validated graph keeps every table side by side as one array."""
 
+    def test_transpose_of_the_scopes(self, rng):
+        # validate builds each variable's edges once, in factor order, for
+        # the schedule and the level plan
+        for _ in range(20):
+            g, _ = random_forest(rng)
+            _, var_factors = adjacency(validate(g))
+            fac = np.repeat(np.arange(len(g.factor_ids)), np.diff(g.scope_offsets))
+            ends = g.var_offsets.tolist()
+            assert [fac[g.var_edges[a:b]].tolist() for a, b in zip(ends, ends[1:])] == var_factors
+            assert (g.scope_vars[g.var_edges] == np.repeat(np.arange(len(g.variables)),
+                                                           np.diff(g.var_offsets))).all()
+
+    def test_declared_from_arrays(self):
+        # the same declaration as one FactorTable per factor
+        variables = binary_vars("x", "y")
+        g = FactorGraph.from_arrays(variables, ["fx", "fxy"], [["x"], ("x", "y")],
+                                    np.arange(6.0), [2, 4])
+        want = FactorGraph(variables, [FactorTable("fx", ("x",), [0.0, 1.0]),
+                                       FactorTable("fxy", ("x", "y"), [2.0, 3.0, 4.0, 5.0])])
+        for h in (g, want):
+            validate(h)
+        for name in ("values", "offsets", "scope_vars", "scope_offsets"):
+            assert getattr(g, name).tolist() == getattr(want, name).tolist()
+        assert [(f.id, f.scope) for f in g.factors] == [("fx", ("x",)), ("fxy", ("x", "y"))]
+
+    @pytest.mark.parametrize("ids, scopes, exc, text", [
+        (["f", "g"], [("x",), ()], ScopeMismatch, "factor 'g': scope must name at least"),
+        (["f", "g"], [("x", "zz", "zz"), ("x",)], ScopeMismatch, "factor 'f': scope repeats"),
+        (["f", "f"], [("x",), ("x",)], ValueError, "duplicate factor id 'f'"),
+    ])
+    def test_declaration_errors(self, ids, scopes, exc, text):
+        with pytest.raises(exc, match=text):
+            FactorGraph.from_arrays(binary_vars("x"), ids, scopes, np.ones(4), [2, 2])
+
+    def test_declaration_length_mismatch(self):
+        with pytest.raises(ValueError, match=r"values of shape \(3,\) for tables of 4"):
+            FactorGraph.from_arrays(binary_vars("x"), ["f", "g"], [("x",), ("x",)],
+                                    np.ones(3), [2, 2])
+
     def test_factors_are_views_of_the_values(self, rng):
         for trial in range(20):
             g, _ = random_forest(rng)

@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from fginfer import (
+    FactorGraph,
+    FactorTable,
     OutOfDomain,
     ParseError,
     ScopeMismatch,
     UnknownVariable,
+    VariableDecl,
+    validate,
 )
+from fginfer import io
 from fginfer.io import (
     dumps,
     load_graph,
@@ -19,6 +24,8 @@ from fginfer.io import (
     serialize_graph,
     serialize_hmm,
 )
+
+from conftest import bits
 
 
 def doc_star():
@@ -35,6 +42,36 @@ def doc_star():
             {"id": "E", "scope": ["x2", "x5"], "values": [1.0] * 4},
         ],
     }
+
+
+def forest_doc(rng, n_vars):
+    """A random forest document: each factor joins one or two fresh
+    variables to one placed variable, or (one time in a hundred) starts a
+    new component; scopes in random order, cardinalities 2-4."""
+    cards = rng.integers(2, 5, n_vars).tolist()
+    factors, placed = [], 0
+    while placed < n_vars:
+        fresh = min(int(rng.integers(1, 3)), n_vars - placed)
+        scope = list(range(placed, placed + fresh))
+        if placed and rng.random() > 0.01:
+            scope.append(int(rng.integers(placed)))
+        rng.shuffle(scope)
+        placed += fresh
+        size = math.prod(cards[v] for v in scope)
+        factors.append({"id": f"f{len(factors)}", "scope": [f"v{v}" for v in scope],
+                        "values": rng.uniform(0.05, 2.0, size).tolist()})
+    variables = [{"id": f"v{i}", "cardinality": c} for i, c in enumerate(cards)]
+    return {"variables": variables, "factors": factors}
+
+
+def assert_scan_agrees(parse, doc, error):
+    """With every bulk read of numbers declined, so that each number list
+    is checked entry by entry, parsing raises the same error."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_read_numbers", lambda rows, zero=None: None)
+        with pytest.raises(type(error)) as scanned:
+            parse(doc)
+    assert scanned.value.detail == error.detail
 
 
 def doc_unary(values, g=None):
@@ -82,6 +119,14 @@ class TestParseGraphErrors:
         with pytest.raises(exc) as e:
             parse_graph_document(doc)
         assert fragment in e.value.detail
+        # the bulk checks fail exactly where the entry-by-entry scan names
+        # a fault, and the scan raises what parsing raises
+        assert io._read_graph(doc) is None
+        with pytest.raises(exc) as scanned:
+            io._scan_graph(doc)
+        assert scanned.value.detail == e.value.detail
+        assert_scan_agrees(parse_graph_document, doc, e.value)
+        return e.value.detail
 
     def test_missing_variables(self):
         self.assert_raises({"factors": []}, ParseError, "$.variables: missing")
@@ -160,6 +205,96 @@ class TestParseGraphErrors:
         self.assert_raises(
             doc_unary([0.0, 1.0], g=[-math.inf, 0.0]), ParseError, "$.factors[0].g[0]"
         )
+
+    def test_boolean_value(self):
+        # np.fromiter would read True as 1.0; the column's type set rejects it
+        detail = self.assert_raises(doc_unary([1.0, True]), ParseError, "values[1]")
+        assert detail == "$.factors[0].values[1]: expected a number, got True"
+
+    @pytest.mark.parametrize("x", [10 ** 400, -10 ** 400, math.nan, math.inf, -math.inf],
+                             ids=["huge-int", "-huge-int", "nan", "inf", "-inf"])
+    def test_non_finite_value_text(self, x):
+        detail = self.assert_raises(doc_unary([1.0, x]), ParseError, "values[1]")
+        want = math.inf if isinstance(x, int) else x
+        # an int past float range reads inf, whatever its sign
+        assert detail == f"$.factors[0].values[1]: expected a finite number, got {want!r}"
+
+    def test_exact_texts(self):
+        d = doc_unary([1.0, 1.0])
+        d["factors"].append(dict(d["factors"][0]))
+        assert self.assert_raises(d, ParseError, "") == "$: duplicate factor id 'f'"
+        d = doc_unary([1.0])
+        d["factors"][0]["scope"] = []
+        assert self.assert_raises(d, ScopeMismatch, "") == (
+            "$.factors[0]: factor 'f': scope must name at least one variable")
+        d = {"variables": [{"id": "x", "cardinality": 2}],
+             "factors": [{"id": "f", "scope": ["x", "x"], "values": [1.0] * 4}]}
+        assert self.assert_raises(d, ScopeMismatch, "") == (
+            "$.factors[0]: factor 'f': scope repeats a variable")
+        assert self.assert_raises(doc_unary([1.0, 1.0], g=[None, 0.0]), ParseError, "") == (
+            "$.factors[0].g[0]: null is only allowed where the value is 0")
+        d = doc_star()
+        d["variables"].append({"id": "x1", "cardinality": 2})
+        assert self.assert_raises(d, ParseError, "") == "$: duplicate variable id 'x1'"
+
+    def test_first_fault_in_document_order(self):
+        # a later factor's bad value does not hide an earlier factor's fault
+        d = doc_star()
+        d["factors"][4]["values"][0] = "bad"
+        d["factors"][1]["scope"] = ["zz"]
+        assert self.assert_raises(d, UnknownVariable, "") == (
+            "$.factors[1].scope[0]: undeclared variable 'zz'")
+
+
+class TestBulkRead:
+    """Well-formed documents never reach the entry-by-entry scan."""
+
+    @pytest.mark.parametrize("doc", [
+        doc_star(), doc_unary([1, 2]), doc_unary([1.0, 0.0], g=[0.0, None]),
+        doc_unary([0.0, 0.0], g=[None, None]), doc_unary([2 ** 60 + 1, 0.5], g=[3, -1.5]),
+    ], ids=["star", "ints", "null-g", "all-null-g", "int-g"])
+    def test_valid_documents_pass_both(self, doc):
+        graph, companions = io._read_graph(doc)
+        io._scan_graph(doc)
+        values = [x for f in doc["factors"] for x in f["values"]]
+        assert bits(graph.values) == bits([float(x) for x in values])
+        if companions is not None:
+            g = doc["factors"][0]["g"]
+            assert bits(companions[0]) == bits([0.0 if x is None else float(x) for x in g])
+
+    def test_int_values_read_as_float(self):
+        big = 2 ** 60 + 1  # not a float: float(big) rounds it
+        pg = parse_graph_document(doc_unary([big, 3]))
+        assert pg.graph.values.tolist() == [float(big), 3.0]
+        assert bits(pg.graph.factors[0].values) == bits([float(big), 3.0])
+
+
+class TestOneStorage:
+    """A parsed graph and one built from FactorTables hold the same arrays."""
+
+    def assert_same(self, doc):
+        parsed = validate(parse_graph_document(doc).graph)
+        built = validate(FactorGraph(
+            [VariableDecl(v["id"], v["cardinality"]) for v in doc["variables"]],
+            [FactorTable(f["id"], f["scope"], f["values"]) for f in doc["factors"]]))
+        for name in ("values", "offsets", "scope_vars", "scope_offsets", "cards",
+                     "var_edges", "var_offsets"):
+            a, b = getattr(parsed, name), getattr(built, name)
+            assert a.dtype == b.dtype and bits(a) == bits(b), name
+        assert [(f.id, f.scope, bits(f.values)) for f in parsed.factors] == [
+            (f.id, f.scope, bits(f.values)) for f in built.factors]
+
+    def test_large_forest(self):
+        doc = forest_doc(np.random.default_rng(7), 5000)
+        self.assert_same(doc)
+        s1 = serialize_graph(parse_graph_document(doc))
+        assert s1 == doc
+        assert dumps(serialize_graph(parse_graph_document(s1))) == dumps(s1)
+
+    def test_small_graphs(self):
+        rng = np.random.default_rng(11)
+        for doc in [doc_star(), doc_unary([0.5, 0.5])] + [forest_doc(rng, n) for n in (1, 2, 7)]:
+            self.assert_same(doc)
 
 
 class TestParametricBlock:
@@ -305,6 +440,7 @@ class TestHmmDocuments:
         with pytest.raises(exc) as e:
             parse_hmm_document(d)
         assert fragment in e.value.detail
+        assert_scan_agrees(parse_hmm_document, d, e.value)
 
     def test_states_zero(self):
         self.assert_error(lambda d: d.update(states=0), ParseError, "$.states")

@@ -7,6 +7,7 @@ import pytest
 from fginfer import (
     DegenerateMStep,
     FactorTable,
+    OutOfDomain,
     ScopeMismatch,
     ParametricFactorSet,
     WeightedGraph,
@@ -655,3 +656,34 @@ class TestMismatchedTables:
         with pytest.raises(ValueError, match="lam has 1 components, model has 3"):
             ParametricFactorSet([("x", 2)], [("x",)], 3, u=[[1.0, 2.0]], v=[[1.0, 1.0]],
                                 lam=[1.0], base_tables=[[0.5, 0.5]])
+
+
+class TestNonFiniteTables:
+    """Tables laid out for a pass are checked like validated tables: an
+    entry that is not finite raises OutOfDomain naming it."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_affine_base_tables(self, bad):
+        # gradient_at once returned [nan] for a base table [1, inf]
+        pf = ParametricFactorSet.affine([("x", 2)], [("x",)], [[1.0, bad]], [[[1.0, 0.0]]])
+        text = f"^factor 'p0': table entry 1 is {bad}, not a finite number$"
+        for use in (lambda: gradient_at(pf, [0.5]),
+                    lambda: em_q_gradient(pf, [0.5], [0.25])):
+            with pytest.raises(OutOfDomain, match=text):
+                use()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_linear_form_tables(self, bad):
+        # em_linear_step once returned theta_new = [nan]
+        form = ParametricFactorSet.linear_form(
+            [("x", 2), ("y", 2)], [("x",), ("x", "y")], [[1.0, 2.0], [1.0, 1.0, bad, 1.0]],
+            [[1.0, 2.0], [1.0] * 4], [[1.0, 1.0], [1.0] * 4], [1.0])
+        with pytest.raises(OutOfDomain, match=f"^factor 'p1': table entry 2 is {bad},"):
+            em_linear_step(form)
+
+    def test_tables_at_the_evaluation_point(self):
+        # finite coefficients, but theta carries the table past float range
+        pf = ParametricFactorSet.affine([("x", 2)], [("x",)], [[1.0, 1.0]], [[[1e308, 0.0]]])
+        with np.errstate(over="ignore"), pytest.raises(OutOfDomain,
+                                                       match="^factor 'p0': table entry 0 is inf"):
+            gradient_at(pf, [10.0])
