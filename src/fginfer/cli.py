@@ -291,7 +291,7 @@ def _check_hmm(h: HmmSpec) -> float:
 
 def _refill_graph(graph: FactorGraph, rng) -> tuple[FactorGraph, np.ndarray]:
     """Same structure, fresh random positive tables and companions."""
-    fresh = FactorGraph.from_arrays(graph.variables, graph.factor_ids, graph.scopes,
+    fresh = FactorGraph.from_arrays(graph.var_ids, graph.cards, graph.factor_ids, graph.scopes,
                                     rng.uniform(0.1, 2.0, graph.values.size),
                                     np.diff(graph.offsets))
     return fresh, rng.uniform(-2.0, 2.0, graph.values.size)

@@ -77,7 +77,7 @@ class WeightedGraph:
     which makes H a float, or one (k, total) array of k companion columns,
     which makes H a length-k array, even for k = 1. A per-factor list of
     tables, each of its factor's length or None (g = 0), is laid out by
-    :meth:`~fginfer.graph.FactorGraph.lay_out`, and a list of Nones is no
+    :meth:`~fginfer.graph.FactorGraph.lay_out`; one None per factor is no
     companions. Entries may be undefined (NaN or infinite) only where the
     paired value is zero; they become 0, which encodes the
     0 * log(0) = 0 convention. ``companions`` holds the result, or None;
@@ -87,7 +87,8 @@ class WeightedGraph:
 
     def __init__(self, graph: FactorGraph, companions=None):
         g = self.graph = validate(graph)
-        if isinstance(companions, list | tuple) and all(c is None for c in companions):
+        if (isinstance(companions, list | tuple) and len(companions) == len(g.factor_ids)
+                and all(c is None for c in companions)):
             companions = None
         if companions is not None:
             rows = len(companions) if getattr(companions, "ndim", 1) == 2 else None

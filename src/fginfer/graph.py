@@ -7,18 +7,15 @@ significant digit of the table index. That ordering is normative for the
 on-disk format as well (see docs/file-formats.md).
 
 A graph holds its structure and tables once, from declaration on, as
-arrays that every layer reads: the scopes as one CSR pair (every edge's
-variable, plus per-factor offsets) and every table side by side in one
-values array (plus per-factor offsets). Companions and gradients come in
-the tables' layout; ``FactorGraph.factors`` is a view for API users.
-
-Only trees and forests are accepted by the engine. :func:`validate` checks
-the acyclic criterion |edges| = |nodes| - |components| with array
-operations over the edges, and names the first edge that closes a cycle.
+arrays that every layer reads (see :class:`FactorGraph`); companions and
+gradients come in the tables' layout. Only trees and forests are accepted
+by the engine: :func:`validate` checks |edges| = |nodes| - |components|
+with array operations and names the first edge that closes a cycle.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
@@ -32,16 +29,33 @@ from .errors import (
 )
 
 
+def _cardinalities(var_ids: list, cards) -> np.ndarray:
+    """``cards``, one per variable, as an int64 array (uint64 or of Python
+    ints past int64, whose table lengths :func:`validate` reports); raises
+    :class:`VariableDecl`'s ValueError for the first that breaks its rule."""
+    kinds = {cards.dtype.type} if isinstance(cards, np.ndarray) else set(map(type, cards))
+    out = np.array(cards)
+    if out.shape != (len(var_ids),):
+        raise ValueError(f"cardinalities of shape {out.shape} for {len(var_ids)} variables")
+    ints = all(issubclass(t, int | np.integer) and t is not bool for t in kinds)
+    if not ints or (out < 1).any():
+        list(map(VariableDecl, var_ids, cards))
+    return out.astype(np.int64, copy=False) if np.can_cast(out.dtype, np.int64) else out
+
+
 @dataclass(frozen=True, slots=True)
 class VariableDecl:
-    """A named variable with a finite domain {0, ..., cardinality - 1}."""
+    """A named variable with a finite domain {0, ..., cardinality - 1}; the
+    cardinality is an integer (a numpy one too, never a bool) kept as an int."""
 
     id: str
     cardinality: int
 
     def __post_init__(self):
-        if not isinstance(self.cardinality, int) or self.cardinality < 1:
+        c = self.cardinality
+        if not isinstance(c, int | np.integer) or isinstance(c, bool) or c < 1:
             raise ValueError(f"variable {self.id!r}: cardinality must be an integer >= 1")
+        object.__setattr__(self, "cardinality", int(c))
 
 
 @dataclass(slots=True)
@@ -64,19 +78,20 @@ class FactorTable:
 class FactorGraph:
     """Variables plus factors, declared as arrays and checked by :func:`validate`.
 
-    Declared (:meth:`from_arrays`) as ``factor_ids``, ``scopes`` (tuples of
-    variable names) and one array ``values``, every table side by side in
-    factor order: factor f's is ``values[offsets[f]:offsets[f + 1]]``. The
-    scopes resolve into one CSR pair: factor f's variable indices, one per
-    edge, are ``scope_vars[scope_offsets[f]:scope_offsets[f + 1]]``, an
-    undeclared name reading |variables| or more. ``FactorGraph(variables,
-    factors)`` declares the same from one :class:`FactorTable` per factor.
-    Declaring rejects empty scopes, scopes that repeat a variable and
-    repeated ids; ``validate`` checks the rest and adds ``cards`` (one per
-    variable) and the scopes' transpose: variable v's edges, in factor
-    order, are ``var_edges[var_offsets[v]:var_offsets[v + 1]]``.
-    ``factors`` lists :class:`FactorTable` views of ``values``, built on
-    first read and cached with the ``values`` they view.
+    Declared (:meth:`from_arrays`) as ``var_ids`` and ``cards`` (one name
+    and one cardinality per variable), ``factor_ids``, ``scopes`` (tuples
+    of variable names) and one array ``values``, every table side by side
+    in factor order: factor f's is ``values[offsets[f]:offsets[f + 1]]``.
+    The scopes resolve into one CSR pair: factor f's variable indices are
+    ``scope_vars[scope_offsets[f]:scope_offsets[f + 1]]``, an undeclared
+    name reading |variables| or more. ``FactorGraph(variables, factors)``
+    declares the same from :class:`VariableDecl` and :class:`FactorTable`
+    objects. Declaring rejects bad cardinalities, empty scopes, scopes that
+    repeat a variable and repeated ids; ``validate`` checks the rest and
+    adds the scopes' transpose (variable v's edges, in factor order, are
+    ``var_edges[var_offsets[v]:var_offsets[v + 1]]``) and ``component``,
+    each variable's component label: the least variable index in it.
+    ``variables`` and ``factors`` are views, built on first read and cached.
 
     ``plans`` caches the engine's level plans by root and pass count (see
     :func:`fginfer.propagation.level_plan`), which depend on the structure
@@ -85,29 +100,32 @@ class FactorGraph:
     """
 
     def __init__(self, variables, factors):
-        factors = list(factors)
-        self._declare(variables, [f.id for f in factors], [f.scope for f in factors],
+        variables, factors = list(variables), list(factors)
+        self._declare([v.id for v in variables], [v.cardinality for v in variables],
+                      [f.id for f in factors], [f.scope for f in factors],
                       np.concatenate([np.zeros(0), *(f.values for f in factors)]),
                       [f.values.size for f in factors])
 
     @classmethod
-    def from_arrays(cls, variables, factor_ids, scopes, values, lengths) -> "FactorGraph":
-        """A graph declared from one id and one scope (variable names) per
-        factor, its tables side by side as one array and their lengths."""
+    def from_arrays(cls, var_ids, cards, factor_ids, scopes, values, lengths) -> "FactorGraph":
+        """A graph declared from one id and one cardinality per variable, one
+        id and one scope (variable names) per factor, and the tables side by
+        side as one array with their lengths."""
         g = cls.__new__(cls)
-        g._declare(variables, factor_ids, scopes, values, lengths)
+        g._declare(var_ids, cards, factor_ids, scopes, values, lengths)
         return g
 
-    def _declare(self, variables, factor_ids, scopes, values, lengths):
-        self.variables, self.factor_ids = list(variables), list(factor_ids)
+    def _declare(self, var_ids, cards, factor_ids, scopes, values, lengths):
+        self.var_ids, self.factor_ids = list(var_ids), list(factor_ids)
+        self.cards = _cardinalities(self.var_ids, cards)
         self.scopes = list(map(tuple, scopes))
         self.values = np.asarray(values, dtype=float)
         self.offsets = np.append(0, np.cumsum(lengths, dtype=int))
         if self.values.shape != (self.offsets[-1],):
             raise ValueError(f"values of shape {self.values.shape} for tables of"
                              f" {self.offsets[-1]} entries")
-        n_var, n_fac = len(self.variables), len(self.factor_ids)
-        self.var_index = dict(zip((v.id for v in self.variables), range(n_var)))
+        n_var, n_fac = len(self.var_ids), len(self.factor_ids)
+        self.var_index = dict(zip(self.var_ids, range(n_var)))
         arity = np.fromiter(map(len, self.scopes), dtype=int, count=n_fac)
         self.scope_offsets = np.append(0, np.cumsum(arity))
         names = list(chain.from_iterable(self.scopes))
@@ -123,17 +141,20 @@ class FactorGraph:
             fi = bad.min()
             what = "repeats a variable" if arity[fi] else "must name at least one variable"
             raise ScopeMismatch(f"factor {self.factor_ids[fi]!r}: scope {what}")
-        for kind, ids in (("variable", [v.id for v in self.variables]),
-                          ("factor", self.factor_ids)):
+        for kind, ids in (("variable", self.var_ids), ("factor", self.factor_ids)):
             if len(set(ids)) < len(ids):
                 first: dict = {}
                 dup = next(i for k, i in enumerate(ids) if first.setdefault(i, k) != k)
                 raise ValueError(f"duplicate {kind} id {dup!r}")
         self.checked = False
-        self.cards = self.var_edges = self.var_offsets = None
+        self.var_edges = self.var_offsets = self.component = None
         self.n_edges = 0
         self.plans: dict = {}
         self._views: tuple = (None, [])
+
+    @cached_property
+    def variables(self) -> list:
+        return list(map(VariableDecl, self.var_ids, self.cards.tolist()))
 
     @property
     def factors(self) -> list:
@@ -198,16 +219,19 @@ class FactorGraph:
         return self.factors[int(np.searchsorted(self.offsets, entry, "right")) - 1]
 
 
-def _is_forest(n_nodes: int, a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether the edges (a[i], b[i]) join ``n_nodes`` nodes into a forest:
-    |edges| = |nodes| - |components|. Each round hooks every component's
-    root onto the least root across its edges, then jumps pointers until
-    each node points at its root (Shiloach and Vishkin, J. Algorithms 1982)."""
+def _forest_labels(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Every node's component label, the least node index in its
+    component, if the edges (a[i], b[i]) join ``n_nodes`` nodes into a
+    forest (|edges| = |nodes| - |components|), else None. Each round hooks
+    every component's root onto the least root across its edges, then
+    jumps pointers until each node points at its root (Shiloach and
+    Vishkin, J. Algorithms 1982)."""
     label = np.arange(n_nodes)
     while True:
         la, lb = label[a], label[b]
         if (la == lb).all():
-            return len(a) == n_nodes - np.count_nonzero(label == np.arange(n_nodes))
+            n_components = np.count_nonzero(label == np.arange(n_nodes))
+            return label if len(a) == n_nodes - n_components else None
         low = np.minimum(la, lb)
         np.minimum.at(label, la, low)
         np.minimum.at(label, lb, low)
@@ -225,10 +249,9 @@ def validate(g: FactorGraph) -> FactorGraph:
     """
     if g.checked:
         return g
-    if not g.variables:
+    if not g.var_ids:
         raise UncoveredVariable("graph declares no variables")
-    n_var, n_fac = len(g.variables), len(g.factor_ids)
-    cards = np.array([v.cardinality for v in g.variables])
+    n_var, n_fac, cards = len(g.var_ids), len(g.factor_ids), g.cards
     scope_vars, scope_offsets = g.scope_vars, g.scope_offsets
     fac = np.repeat(np.arange(n_fac), np.diff(scope_offsets))
 
@@ -238,23 +261,24 @@ def validate(g: FactorGraph) -> FactorGraph:
     unknown = np.flatnonzero(scope_vars >= n_var)
     known = int(scope_offsets[fac[unknown[0]]]) if unknown.size else len(scope_vars)
 
-    def cyclic(k):
-        return not _is_forest(n_var + n_fac, scope_vars[:k], n_var + fac[:k])
+    def labels(k):
+        return _forest_labels(n_var + n_fac, scope_vars[:k], n_var + fac[:k])
 
-    if cyclic(known):
+    label = labels(known)
+    if label is None:
         acyclic = 0
         while known - acyclic > 1:
             mid = (acyclic + known) // 2
-            acyclic, known = (acyclic, mid) if cyclic(mid) else (mid, known)
+            acyclic, known = (acyclic, mid) if labels(mid) is None else (mid, known)
         raise CycleDetected(f"factor {g.factor_ids[fac[known - 1]]!r}: edge to"
-                            f" {g.variables[scope_vars[known - 1]].id!r} closes a cycle")
+                            f" {g.var_ids[scope_vars[known - 1]]!r} closes a cycle")
     if unknown.size:
         fi, k = fac[unknown[0]], unknown[0]
         raise UnknownVariable(f"factor {g.factor_ids[fi]!r}: unknown variable"
                               f" {g.scopes[fi][k - scope_offsets[fi]]!r}")
     degree = np.bincount(scope_vars, minlength=n_var)
     if not degree.all():
-        raise UncoveredVariable(f"variable {g.variables[degree.argmin()].id!r} appears in"
+        raise UncoveredVariable(f"variable {g.var_ids[degree.argmin()]!r} appears in"
                                 " no factor")
     lengths = np.diff(g.offsets)
     wrong = np.flatnonzero(lengths != table_sizes(cards, scope_vars, scope_offsets))
@@ -265,7 +289,8 @@ def validate(g: FactorGraph) -> FactorGraph:
                             f" but its scope needs {need}")
     check_finite(g)
 
-    g.cards, g.n_edges = cards, len(scope_vars)
+    # every node's label is a variable's, since no scope is empty
+    g.component, g.n_edges = label[:n_var], len(scope_vars)
     g.var_edges = np.argsort(scope_vars, kind="stable")
     g.var_offsets = np.append(0, np.cumsum(degree))
     g.checked = True
@@ -293,23 +318,17 @@ def check_finite(g: FactorGraph) -> None:
 
 @dataclass
 class Schedule:
-    """An ordered list of directed edges, every feeding edge first.
-
-    Each entry is (to_factor, var_idx, fac_idx): variable-to-factor when
-    ``to_factor`` is true, factor-to-variable otherwise. One pass sends
-    every edge toward the root once; a two-pass schedule appends the
-    root-to-leaf orientations, for 2 * |edges| entries total.
+    """Every directed edge of a graph, every feeding edge first.
 
     ``depth`` holds every node's breadth-first distance from its
     component's root, variable v at v and factor f at |variables| + f.
-    Every edge joins depths d and d + 1, and the first pass sends each
-    edge's message from its deeper end.
+    ``edges`` is an int array of rows (to_factor, var_idx, fac_idx), one
+    per message: every edge from its deeper end by falling sender depth,
+    then, for two passes, from its shallower end by rising sender depth.
     """
 
-    root: int
-    component_roots: list[int]
-    edges: list[tuple]
-    two_pass: bool
+    component_roots: np.ndarray
+    edges: np.ndarray
     depth: np.ndarray
 
 
@@ -317,58 +336,39 @@ def make_schedule(g: FactorGraph, root: str | None = None, two_pass: bool = Fals
     """Build a leaf-to-root schedule (plus the return pass if asked).
 
     The root defaults to the first declared variable. On forests every
-    component gets its own local root (the first declared variable not yet
-    reached) and the schedule covers all components.
+    other component is rooted at its first declared variable (its
+    label, see :func:`validate`), and the schedule covers all components.
     """
     g.ensure_checked()
     root_idx = g.variable_position(root) if root is not None else 0
-    nvar, nfac = len(g.variables), len(g.scope_offsets) - 1
-    vvis = bytearray(nvar)
-    fvis = bytearray(nfac)
-    depth = [0] * (nvar + nfac)
-    # the CSR pair of scopes and its transpose, as lists
-    scope, scope_ends = g.scope_vars.tolist(), g.scope_offsets.tolist()
-    facs = np.repeat(np.arange(nfac), np.diff(g.scope_offsets))[g.var_edges].tolist()
-    fac_ends = g.var_offsets.tolist()
+    labels = np.unique(g.component)
+    roots = np.append(root_idx, labels[labels != g.component[root_idx]])
+    n_var, n_fac = len(g.var_ids), len(g.factor_ids)
+    fac = np.repeat(np.arange(n_fac), np.diff(g.scope_offsets))
+    # every node's neighbours as one CSR pair, factor f as node n_var + f
+    near = np.concatenate((n_var + fac[g.var_edges], g.scope_vars)).tolist()
+    ends = np.append(g.var_offsets, g.n_edges + g.scope_offsets[1:]).tolist()
 
-    component_roots = []
-    up: list[tuple] = []
-    down: list[tuple] = []
-    scan = 0  # next declaration-order candidate for a component root
-    seed = root_idx
-    while True:
-        component_roots.append(seed)
-        vvis[seed] = 1
-        # (is_var, idx, parent_idx) in discovery order, read as the queue
-        disc = [(True, seed, -1)]
-        for is_var, idx, _ in disc:
-            if is_var:
-                d = depth[idx] + 1
-                for fi in facs[fac_ends[idx]:fac_ends[idx + 1]]:
-                    if not fvis[fi]:
-                        fvis[fi] = 1
-                        depth[nvar + fi] = d
-                        disc.append((False, fi, idx))
-            else:
-                d = depth[nvar + idx] + 1
-                for vi in scope[scope_ends[idx]:scope_ends[idx + 1]]:
-                    if not vvis[vi]:
-                        vvis[vi] = 1
-                        depth[vi] = d
-                        disc.append((True, vi, idx))
-        del disc[0]
-        up += [(True, i, p) if v else (False, p, i) for v, i, p in reversed(disc)]
-        if two_pass:
-            down += [(False, i, p) if v else (True, p, i) for v, i, p in disc]
-        while scan < nvar and vvis[scan]:
-            scan += 1
-        if scan == nvar:
-            break
-        seed = scan
+    # one breadth-first queue from every component's root at once
+    depth = np.full(n_var + n_fac, -1)
+    depth[roots] = 0
+    depth, queue = depth.tolist(), roots.tolist()
+    for node in queue:
+        d = depth[node] + 1
+        for other in near[ends[node]:ends[node + 1]]:
+            if depth[other] < 0:
+                depth[other] = d
+                queue.append(other)
+    depth = np.array(depth)
 
-    return Schedule(root=root_idx, component_roots=component_roots,
-                    edges=up + down if two_pass else up, two_pass=two_pass,
-                    depth=np.array(depth))
+    var_depth, fac_depth = depth[g.scope_vars], depth[n_var + fac]
+    to_factor = var_depth > fac_depth
+    up = np.argsort(-np.maximum(var_depth, fac_depth), kind="stable")
+    edges = np.column_stack((to_factor, g.scope_vars, fac))[up]
+    if two_pass:
+        down = np.argsort(np.minimum(var_depth, fac_depth), kind="stable")
+        edges = np.concatenate((edges, np.column_stack((~to_factor, g.scope_vars, fac))[down]))
+    return Schedule(component_roots=roots, edges=edges, depth=depth)
 
 
 def assignment_index(cards, assignment) -> int:

@@ -34,7 +34,7 @@ from .entropy import (
 )
 from .entropy import posterior_entropy  # noqa: F401  (the benchmark's tracer patches this name)
 from .errors import OutOfDomain
-from .graph import FactorGraph, VariableDecl
+from .graph import FactorGraph
 
 _ROW_TOL = 1e-9
 _LONG_CHAIN = 1000
@@ -147,10 +147,10 @@ def hmm_to_weighted_graph(h: HmmSpec) -> WeightedGraph:
     s = h.num_states
     unary, tables, steps = _chain_tables(h)
     pair = tables.take(steps, axis=0).reshape(steps.size, s * s)
-    variables = [VariableDecl(f"x{t}", s) for t in range(1, h.num_steps + 1)]
     later = range(2, h.num_steps + 1)
     graph = FactorGraph.from_arrays(
-        variables, ["f1"] + [f"f{t}" for t in later],
+        [f"x{t}" for t in range(1, h.num_steps + 1)], np.full(h.num_steps, s),
+        ["f1"] + [f"f{t}" for t in later],
         [("x1",)] + [(f"x{t - 1}", f"x{t}") for t in later],
         np.concatenate((unary, pair.ravel())), [s] + [s * s] * len(later))
     return WeightedGraph(graph, derive_log2_companions(graph))

@@ -173,17 +173,16 @@ def _read_graph(doc):
     if any(c is None for c in columns):
         return None
     vids, cards, ids, scopes, rows = columns
-    table = min(cards) >= 1 and _only(chain.from_iterable(scopes), str) and _read_numbers(rows)
+    table = _only(chain.from_iterable(scopes), str) and _read_numbers(rows)
     if not table:
         return None
     values, lengths = table
     try:
-        graph = FactorGraph.from_arrays(list(map(VariableDecl, vids, cards)), ids, scopes,
-                                        values, lengths)
+        graph = FactorGraph.from_arrays(vids, cards, ids, scopes, values, lengths)
     except (FactorGraphError, ValueError):
         return None
     if (graph.scope_vars >= len(vids)).any() or (table_sizes(
-            np.array(cards), graph.scope_vars, graph.scope_offsets) != lengths).any():
+            graph.cards, graph.scope_vars, graph.scope_offsets) != lengths).any():
         return None
     has_g = ["g" in f for f in fs]
     if not any(has_g):
@@ -308,8 +307,8 @@ def serialize_graph(pg: ParsedGraph) -> dict:
     for entry, companion in zip(factors, pg.companions or []):
         if companion is not None:
             entry["g"] = [float(x) for x in companion]
-    doc: dict = {"variables": [{"id": v.id, "cardinality": v.cardinality}
-                               for v in g.variables], "factors": factors}
+    doc: dict = {"variables": [{"id": i, "cardinality": c}
+                               for i, c in zip(g.var_ids, g.cards.tolist())], "factors": factors}
     pf = pg.parametric
     if pf is not None:
         block: dict = {"dim": pf.dim}

@@ -189,7 +189,8 @@ def _shared_structure(variables, scopes, factor_ids) -> FactorGraph:
         # an unknown name gets length 1 here and is reported by validation
         lengths = [math.prod(cards.get(n, 1) for n in scope) for scope in scopes]
         structure = _STRUCTURES[key] = FactorGraph.from_arrays(
-            variables, factor_ids, scopes, np.zeros(sum(lengths)), lengths).ensure_checked()
+            [v.id for v in variables], [v.cardinality for v in variables], factor_ids, scopes,
+            np.zeros(sum(lengths)), lengths).ensure_checked()
     return structure
 
 

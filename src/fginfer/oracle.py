@@ -173,8 +173,3 @@ def brute_total(cards, weight_fn) -> float:
     for a in AssignmentIterator(cards):
         acc += weight_fn(a)
     return acc
-
-
-def log2_or_zero(x: float) -> float:
-    """log2 with the 0 -> 0 convention used by entropy companions."""
-    return 0.0 if x == 0.0 else math.log2(x)

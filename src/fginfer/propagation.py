@@ -9,9 +9,10 @@ Two message kinds, both vectors over a variable's domain:
 
 Leaves fall out of the same two rules: a leaf variable sends the all-ones
 vector (empty product) and a unary factor sends its own lifted table (empty
-sum). A schedule from :func:`fginfer.graph.make_schedule` lists directed
-edges so that every feeding message exists before it is needed; one pass
-yields the root marginal, a second pass yields every marginal.
+sum). :func:`fginfer.graph.make_schedule` gives every node's breadth-first
+depth from its component's root; by depth, every feeding message exists
+before it is needed. One pass yields the root marginal, a second pass
+every marginal.
 
 Every message is one (k + 1, card) float array (see
 :mod:`fginfer.semiring`), and a variable-to-factor message with a single
@@ -208,10 +209,10 @@ class _Group:
 class LevelPlan:
     """A run on one graph and root, compiled: everything but the tables.
 
-    Built from the one- or two-pass schedule; a one-pass run executes the
-    groups of the first pass only. Messages live in one buffer, one slot of
-    entries per computed or all-ones message; an aliased message shares
-    its input's slot.
+    Built from the schedule's depths and component roots; a one-pass run
+    executes the groups of the first pass only. Messages live in one
+    buffer, one slot of entries per computed or all-ones message; an
+    aliased message shares its input's slot.
 
     Message p * |edges| + e is edge e's message of pass p, edges in the
     order of the graph's ``scope_vars``; the first pass sends it from the
@@ -223,7 +224,7 @@ class LevelPlan:
     """
 
     def __init__(self, g: FactorGraph, root: str | None, two_pass: bool):
-        # only the depths and roots are kept, not the schedule's edge list
+        # the plan reads the schedule's depths and roots, never its edges
         schedule = make_schedule(g, root=root, two_pass=two_pass)
         depth, component_roots = schedule.depth, schedule.component_roots
         del schedule
@@ -231,7 +232,7 @@ class LevelPlan:
         first, pos = _entries(arity)
         var, fac = g.scope_vars, _member(arity)
         cards, steps, sizes, _ = shapes = _factor_shapes(g)
-        n_var, n_edges = len(g.variables), len(var)
+        n_var, n_edges = len(g.var_ids), len(var)
         degree = np.diff(g.var_offsets)
         # the edges variable by variable, each in factor order
         by_var = g.var_edges
@@ -249,7 +250,7 @@ class LevelPlan:
         e = np.tile(np.arange(n_edges), 1 + two_pass)
         down = np.arange(len(e)) >= n_edges
         to_factor = up_to_factor[e] != down
-        roots = [np.array(component_roots)] + [np.arange(n_var)] * two_pass
+        roots = [component_roots] + [np.arange(n_var)] * two_pass
         mvar = np.concatenate(roots)
         reads_r = np.concatenate((to_factor, np.ones(len(mvar), dtype=bool)))
         v = np.concatenate((var[e], mvar))
@@ -419,7 +420,7 @@ class RunMessages:
         e = lo + int(at[0])
         row = e if bool(plan.edges[e, 0]) == bool(to_factor) else e + plan.n_up
         if row >= self.count:
-            ends = (g.variables[vi].id, g.factors[fi].id)
+            ends = (g.var_ids[vi], g.factor_ids[fi])
             raise MissingDependency("message {!r} -> {!r} was not computed; run with"
                                     " two_pass=True".format(*(ends if to_factor else ends[::-1])))
         slot = int(plan.edges[row, 3])

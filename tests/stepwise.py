@@ -220,7 +220,7 @@ def marginal_at(store: MessageStore, var_id: str) -> MarginalResult:
 def step_reference(g, s, root, two_pass, tables) -> MessageStore:
     """The store of the per-edge step API driven along make_schedule."""
     store = MessageStore(g, s, tables=tables)
-    for to_factor, vi, fi in make_schedule(g, root=root, two_pass=two_pass).edges:
+    for to_factor, vi, fi in make_schedule(g, root=root, two_pass=two_pass).edges.tolist():
         v, f = g.variables[vi].id, g.factors[fi].id
         if to_factor:
             variable_to_factor(store, v, f)

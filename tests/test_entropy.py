@@ -68,6 +68,19 @@ class TestLiftGraph:
         with pytest.raises(ScopeMismatch, match="factor 'f': companion table length 1"):
             unary_weighted([0.5, 0.5], [1.0])
 
+    def test_wrong_companion_count_raises(self):
+        # a list of Nones means no companions only at one entry per factor;
+        # taken as none, [] gave 2.0 bits for [1, 3], whose entropy is 0.811
+        g = FactorGraph([VariableDecl("x", 2)], [FactorTable("f", ("x",), [1.0, 3.0])])
+        assert_close(posterior_entropy(WeightedGraph(g, [None])).entropy_bits, 2.0)
+        assert_close(posterior_entropy(WeightedGraph(g, derive_log2_companions(g))).entropy_bits,
+                     2.0 - 0.75 * math.log2(3.0))
+        with pytest.raises(ScopeMismatch, match="^0 companion tables for 1 factors: factor 'f'"
+                                                " has none$"):
+            WeightedGraph(g, [])
+        with pytest.raises(ScopeMismatch, match="^2 companion tables for 1 factors$"):
+            WeightedGraph(g, [None, None])
+
     def test_nonfinite_companion_under_nonzero_value(self):
         with pytest.raises(ValueError):
             unary_weighted([0.5, 0.5], [math.nan, 0.0])

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from fginfer import (
     CycleDetected,
     FactorGraph,
     FactorTable,
+    HmmSpec,
     OutOfDomain,
     ParametricFactorSet,
     SUM_PRODUCT,
@@ -20,6 +22,7 @@ from fginfer import (
     assignment_from_index,
     assignment_index,
     derive_log2_companions,
+    hmm_to_weighted_graph,
     make_schedule,
     posterior_entropy,
     run,
@@ -34,6 +37,31 @@ from conftest import (
     random_tree,
     reference_check,
 )
+
+
+def reference_search(g, root):
+    """Component roots and every node's depth by a plain breadth-first
+    search over conftest.adjacency: the root's component first, then
+    every other from its first declared variable."""
+    factor_vars, var_factors = adjacency(g)
+    n_var = len(var_factors)
+    depth = [None] * (n_var + len(factor_vars))
+    roots = []
+    for seed in [root] + list(range(n_var)):
+        if depth[seed] is not None:
+            continue
+        roots.append(seed)
+        depth[seed] = 0
+        queue = collections.deque([seed])
+        while queue:
+            node = queue.popleft()
+            near = ([n_var + f for f in var_factors[node]] if node < n_var
+                    else factor_vars[node - n_var])
+            for other in near:
+                if depth[other] is None:
+                    depth[other] = depth[node] + 1
+                    queue.append(other)
+    return roots, depth
 
 
 def binary_vars(*names):
@@ -130,6 +158,43 @@ class TestValidate:
     def test_cardinality_must_be_positive(self):
         with pytest.raises(ValueError):
             VariableDecl("x", 0)
+
+    def test_one_integer_rule_for_cardinalities(self):
+        # numpy integers are integers, stored as Python ints; bools are not
+        for card in (np.int64(3), np.uint8(3), 3):
+            decl = VariableDecl("x", card)
+            assert decl.cardinality == 3 and type(decl.cardinality) is int
+        text = "^variable 'x': cardinality must be an integer >= 1$"
+        for card in (True, False, np.True_, 0, -2, 3.0, np.float64(3.0), "3", None):
+            with pytest.raises(ValueError, match=text):
+                VariableDecl("x", card)
+
+    def test_from_arrays_applies_the_cardinality_rule(self):
+        def declare(cards):
+            return FactorGraph.from_arrays(["x", "y", "z"], cards, ["f"], [("x", "y", "z")],
+                                           np.ones(8), [8])
+
+        for cards in ([2, 2, 2], [np.int64(2), 2, np.uint8(2)], np.full(3, 2, np.int32)):
+            g = validate(declare(cards))
+            assert g.cards.tolist() == [2, 2, 2]
+            assert g.variables == binary_vars("x", "y", "z")
+        for cards, bad in (([2, True, 0], "y"), ([2, 2, 0], "z"), ([2, 2.0, 2], "y"),
+                           (np.array([2, 0, 2]), "y"), (np.ones(3, dtype=bool), "x"),
+                           (np.array([2.0, 2.0, 2.0]), "x"), ([0, 2, None], "x")):
+            with pytest.raises(ValueError, match=f"^variable '{bad}': cardinality must be"
+                                                 " an integer >= 1$"):
+                declare(cards)
+        with pytest.raises(ValueError, match=r"cardinalities of shape \(2,\) for 3 variables"):
+            declare([2, 2])
+
+    @pytest.mark.parametrize("card", [2 ** 63, 2 ** 64, 10 ** 400],
+                             ids=["2**63", "2**64", "10**400"])
+    def test_cardinality_past_int64_is_a_table_length_fault(self, card):
+        text = f"^factor 'f': value table length 1, but its scope needs {card}$"
+        for g in (FactorGraph([VariableDecl("x", card)], [FactorTable("f", ("x",), [1.0])]),
+                  FactorGraph.from_arrays(["x"], [card], ["f"], [("x",)], [1.0], [1])):
+            with pytest.raises(ScopeMismatch, match=text):
+                validate(g)
 
     def test_edge_count_is_nodes_minus_components(self):
         # tree/forest criterion on a batch of random instances
@@ -267,7 +332,7 @@ class TestLayout:
     def test_declared_from_arrays(self):
         # the same declaration as one FactorTable per factor
         variables = binary_vars("x", "y")
-        g = FactorGraph.from_arrays(variables, ["fx", "fxy"], [["x"], ("x", "y")],
+        g = FactorGraph.from_arrays(["x", "y"], [2, 2], ["fx", "fxy"], [["x"], ("x", "y")],
                                     np.arange(6.0), [2, 4])
         want = FactorGraph(variables, [FactorTable("fx", ("x",), [0.0, 1.0]),
                                        FactorTable("fxy", ("x", "y"), [2.0, 3.0, 4.0, 5.0])])
@@ -284,11 +349,11 @@ class TestLayout:
     ])
     def test_declaration_errors(self, ids, scopes, exc, text):
         with pytest.raises(exc, match=text):
-            FactorGraph.from_arrays(binary_vars("x"), ids, scopes, np.ones(4), [2, 2])
+            FactorGraph.from_arrays(["x"], [2], ids, scopes, np.ones(4), [2, 2])
 
     def test_declaration_length_mismatch(self):
         with pytest.raises(ValueError, match=r"values of shape \(3,\) for tables of 4"):
-            FactorGraph.from_arrays(binary_vars("x"), ["f", "g"], [("x",), ("x",)],
+            FactorGraph.from_arrays(["x"], [2], ["f", "g"], [("x",), ("x",)],
                                     np.ones(3), [2, 2])
 
     def test_factors_are_views_of_the_values(self, rng):
@@ -363,7 +428,7 @@ class TestSchedule:
         g = validate(star_tree_graph())
         sched = make_schedule(g, root="x3", two_pass=True)
         assert len(sched.edges) == 2 * g.n_edges == 18
-        assert len(set(sched.edges)) == 18  # each directed edge once
+        assert len(set(map(tuple, sched.edges.tolist()))) == 18  # each directed edge once
 
     def test_dependencies_respected(self):
         # replay the schedule: an edge may fire only when all feeds are done
@@ -389,6 +454,43 @@ class TestSchedule:
         g = validate(star_tree_graph())
         with pytest.raises(UnknownVariable):
             make_schedule(g, root="nope")
+
+    @staticmethod
+    def assert_search_matches_reference(g, root):
+        sched = make_schedule(g, root=g.var_ids[root], two_pass=True)
+        assert (sched.component_roots.tolist(), sched.depth.tolist()) == reference_search(g, root)
+        # the first pass sends from the deeper end, deepest first; the
+        # second from the shallower end, shallowest first
+        to_factor, var, fac = sched.edges.T
+        var_depth, fac_depth = sched.depth[var], sched.depth[len(g.var_ids) + fac]
+        sender = np.where(to_factor == 1, var_depth, fac_depth)
+        assert (np.abs(var_depth - fac_depth) == 1).all()
+        up, down = np.split(sender, 2)
+        assert (up == np.maximum(var_depth, fac_depth)[:g.n_edges]).all()
+        assert (np.diff(up) <= 0).all() and (np.diff(down) >= 0).all()
+
+    def test_search_matches_a_plain_breadth_first_search(self):
+        rng = np.random.default_rng(59)
+        for trial in range(40):
+            g, _ = random_forest(rng) if trial % 2 else random_tree(rng)
+            validate(g)
+            for root in range(len(g.var_ids)):
+                self.assert_search_matches_reference(g, root)
+
+    def test_search_on_a_long_chain_and_a_forest(self):
+        # the S = 2, T = 4001 chain, and a forest rooted in its last component
+        rng = np.random.default_rng(61)
+        obs = rng.integers(0, 2, 4001)
+        chain = hmm_to_weighted_graph(HmmSpec([0.5, 0.5], np.full((2, 2), 0.5),
+                                              np.full((2, 2), 0.5), obs)).graph
+        for root in (0, 2000, 4000):
+            self.assert_search_matches_reference(chain, root)
+        trees, _ = random_forest(rng, max_trees=4)
+        g = FactorGraph(trees.variables + chain.variables, trees.factors + chain.factors)
+        validate(g)
+        assert len(np.unique(g.component)) >= 2
+        self.assert_search_matches_reference(g, len(g.var_ids) - 1)
+        self.assert_search_matches_reference(g, 0)
 
 
 class TestAssignmentIndex:

@@ -274,13 +274,15 @@ class TestOneStorage:
 
     def assert_same(self, doc):
         parsed = validate(parse_graph_document(doc).graph)
+        declared = [VariableDecl(v["id"], v["cardinality"]) for v in doc["variables"]]
         built = validate(FactorGraph(
-            [VariableDecl(v["id"], v["cardinality"]) for v in doc["variables"]],
-            [FactorTable(f["id"], f["scope"], f["values"]) for f in doc["factors"]]))
+            declared, [FactorTable(f["id"], f["scope"], f["values"]) for f in doc["factors"]]))
         for name in ("values", "offsets", "scope_vars", "scope_offsets", "cards",
-                     "var_edges", "var_offsets"):
+                     "var_edges", "var_offsets", "component"):
             a, b = getattr(parsed, name), getattr(built, name)
             assert a.dtype == b.dtype and bits(a) == bits(b), name
+        assert parsed.var_ids == built.var_ids == [v.id for v in declared]
+        assert parsed.variables == built.variables == declared
         assert [(f.id, f.scope, bits(f.values)) for f in parsed.factors] == [
             (f.id, f.scope, bits(f.values)) for f in built.factors]
 
