@@ -57,11 +57,8 @@ from .semiring import (
     ENTROPY,
     MAX_PRODUCT,
     SUM_PRODUCT,
-    EntropyWeight,
     Semiring,
-    entropy_product_closed_form,
     get_semiring,
-    lift,
     verify_axioms,
 )
 

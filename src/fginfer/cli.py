@@ -156,7 +156,7 @@ def cmd_marginal(args):
         marginals, _ = run(pg.graph, s, two_pass=True)
     out, log_scale = {}, {}
     for vid, marg in marginals.items():
-        out[vid], log_scale[vid] = _folded([float(x) for x in marg.scores()], marg.exponent)
+        out[vid], log_scale[vid] = _folded(marg.scores(), marg.exponent)
     return 0, {"marginals": out, "log_scale": log_scale}
 
 

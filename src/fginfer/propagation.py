@@ -173,14 +173,14 @@ class MarginalResult:
     ``log_scale`` = ``exponent`` ln 2."""
 
     variable: str
-    msg: object
+    msg: np.ndarray
     log_scale: float
     semiring: Semiring = field(repr=False)
     exponent: int = 0
 
     def scores(self) -> list:
         """Score components, one float per domain value."""
-        return self.semiring.scores(self.msg)
+        return self.msg[0].tolist()
 
 
 @dataclass
@@ -470,35 +470,24 @@ def product_of_totals(s: Semiring, marginals: dict) -> tuple[list, int]:
     after every component, so that many components cannot overflow it."""
     acc, exponent = None, 0
     for marg in marginals.values():
-        total = s.reduce_terms(marg.msg, np.arange(marg.msg.shape[1])[None, :])
+        total = s.reduce_msg(marg.msg)
         if acc is None:
             acc = total
         else:
             s.mul_entries(acc, total)
-        e = int(scale_exponents(acc[0, 0]))
+        e = int(scale_exponents(acc[0]))
         acc = np.ldexp(acc, -e)
         exponent += marg.exponent + e
-    return acc[:, 0].tolist(), exponent
+    return acc.tolist(), exponent
 
 
-def total_sum(marginal: MarginalResult, s: Semiring | None = None):
-    """Semiring sum of a marginal vector: the per-component total weight.
+def total_sum(marginal: MarginalResult, s: Semiring | None = None) -> np.ndarray:
+    """Semiring sum of a marginal vector: its (k + 1,) total, score first.
 
     The exponent is folded back in exactly, as ldexp(total, exponent); a
     total past float range reads inf. ``s.reduce_msg(marginal.msg)`` is
     the mantissa, to be kept with ``exponent``.
     """
     s = s or marginal.semiring
-    w = s.reduce_msg(marginal.msg)
-    if marginal.exponent:
-        with np.errstate(over="ignore"):
-            if isinstance(w, tuple):
-                w = type(w)(*(_ldexp(x, marginal.exponent) for x in w))
-            else:
-                w = _ldexp(w, marginal.exponent)
-    return w
-
-
-def _ldexp(x, exponent: int):
-    y = np.ldexp(x, exponent)
-    return float(y) if np.ndim(y) == 0 else y
+    with np.errstate(over="ignore"):
+        return np.ldexp(s.reduce_msg(marginal.msg), marginal.exponent)

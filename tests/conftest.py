@@ -1,5 +1,6 @@
-"""Shared helpers: random tree generation, tolerance predicates, and the
-per-edge references for a graph's structure."""
+"""Shared helpers: random tree generation, tolerance predicates, random
+semiring carriers with an independent entropy product, and the per-edge
+references for a graph's structure."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from fginfer import (
+    ENTROPY,
     CycleDetected,
     FactorGraph,
     FactorTable,
@@ -37,6 +39,39 @@ def bits(x) -> list:
     """IEEE bit patterns of floats, so that comparing them is bit for bit
     (0.0 and -0.0 differ, NaN equals itself)."""
     return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+def random_carrier(s, n: int, rng, k: int = 1) -> np.ndarray:
+    """n random values of semiring s as the columns of one carrier array:
+    (k + 1, n) for entropy, (1, n) for the real semirings, drawn where
+    their laws hold (nonnegative for max-product, 0/1 for Boolean)."""
+    if s.name == "entropy":
+        return rng.uniform(-10.0, 10.0, size=(k + 1, n))
+    if s.name == "boolean":
+        return rng.integers(0, 2, size=(1, n)).astype(float)
+    if s.name == "max-product":
+        return rng.uniform(0.0, 10.0, size=(1, n))
+    return rng.uniform(-10.0, 10.0, size=(1, n))
+
+
+def entropy_fold(columns: np.ndarray) -> np.ndarray:
+    """The entropy product of the columns of a (k + 1, n) carrier as the
+    engine forms it: ``ENTROPY.mul_entries`` folded left to right from
+    the one column (1, 0, ..., 0)."""
+    acc = np.zeros(len(columns))
+    acc[0] = 1.0
+    for j in range(columns.shape[1]):
+        ENTROPY.mul_entries(acc, columns[:, j])
+    return acc
+
+
+def entropy_product_closed_form(columns: np.ndarray) -> np.ndarray:
+    """The same product in closed form: the product of the scores, and in
+    each aux row the sum over m of aux_m times the product of every other
+    score, with no product rule applied."""
+    scores = columns[0]
+    others = np.where(np.eye(len(scores), dtype=bool), 1.0, scores).prod(axis=1)
+    return np.concatenate(([scores.prod()], columns[1:] @ others))
 
 
 def heap_tree(n=1200, value=1.5, cards=(2,)):
