@@ -9,31 +9,28 @@ Two message kinds, both vectors over a variable's domain:
 
 Leaves fall out of the same two rules: a leaf variable sends the all-ones
 vector (empty product) and a unary factor sends its own lifted table (empty
-sum). :func:`fginfer.graph.make_schedule` gives every node's breadth-first
-depth from its component's root; by depth, every feeding message exists
-before it is needed. One pass yields the root marginal, a second pass
-every marginal.
+sum). :func:`fginfer.graph.make_schedule` gives every node's depth below
+its component's root; by depth, every feeding message exists before it is
+needed. One pass yields the root marginal, a second pass every marginal.
 
 Every message is one (k + 1, card) float array (see
 :mod:`fginfer.semiring`), and a variable-to-factor message with a single
 input is that input, aliased. :func:`run` compiles the graph, once per
-root, into a level plan that it caches with the graph. Levels come from
-the schedule's breadth-first depths: in the first pass a message's level
-is the maximum depth minus its sender's depth, in the second pass (after
-the first) its sender's depth, so every message reads messages of
-earlier levels only. Component roots are variables, so one level holds
-either variable-to-factor products or contractions; each level is one
-group, sorted by input count so that each sibling rank covers a prefix
-of the group; short sums are padded by zeros, which are added, never
-multiplied. The compile is whole-graph array operations over the graph's
-structure arrays, whose CSR pair of scopes lists one entry per edge, with
-a Python loop once per group only. The plan holds index arrays only, no
-table values, and runs each group with one call of each kernel, looked
-up on the semiring at call time. A run keeps its messages in one buffer:
-it returns views of the marginals only, and a :class:`RunMessages`
-record that reads any one message on request. The tests drive the same
-kernels one message at a time, along the schedule, as the plan's
-reference: every message of a run equals theirs bit for bit.
+root, into a level plan that it caches with the graph. In the first pass
+a message's level is the maximum depth minus its sender's depth, in the
+second pass (after the first) its sender's depth, so every message reads
+messages of earlier levels only. Component roots are variables, so one
+level holds either variable-to-factor products or contractions; each
+level is one group, sorted by falling input count and then by falling
+width, so that each sibling rank and each term rank covers a prefix of
+the group: only an output ahead of a wider one sums padding zeros. The
+plan holds index arrays only, no table values, and runs each group with
+one call of each kernel, looked up on the semiring at call time. A run
+keeps its messages in one buffer: it returns views of the marginals
+only, and a :class:`RunMessages` record that reads any one message on
+request. The tests drive the same kernels one message at a time, along
+the schedule, as the plan's reference: every message of a run equals
+theirs bit for bit.
 
 Every fresh message is multiplied by 2^-e, which puts its largest score
 magnitude in [1, 2), and e is added to its integer exponent E, so long
@@ -83,12 +80,13 @@ def _rescale(s: Semiring, msgs: np.ndarray, starts: np.ndarray, member: np.ndarr
     return e
 
 
-def _entries(lengths: np.ndarray):
+def _entries(lengths: np.ndarray, base=0):
     """(start, within) of a batch of messages laid side by side: each
-    message's first entry, and each entry's position in its message."""
+    message's first entry, and each entry's position in its message plus
+    its message's ``base``."""
     start = np.cumsum(lengths) - lengths
     within = np.arange(int(lengths.sum()))
-    within -= np.repeat(start, lengths)
+    within -= np.repeat(start - base, lengths)
     return start, within
 
 
@@ -97,26 +95,52 @@ def _member(lengths: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(lengths)), lengths)
 
 
-def _run_heads(*keys) -> np.ndarray:
-    """Where each run of equal entries of the keys, taken together, starts."""
-    change = np.zeros(len(keys[0]), dtype=bool)
-    change[:1] = True
-    for key in keys:
-        change[1:] |= key[1:] != key[:-1]
-    return np.flatnonzero(change)
-
-
 def _factor_shapes(g: FactorGraph):
     """Every factor's cards and index steps, padded to the largest arity
-    with cardinality 1, whose digit is always 0; and its table size and
-    first entry in the lifted tables."""
+    with cardinality 1; its table size and first entry in the lifted
+    tables; and where its scope position p starts (``axes[f, p]``) in the
+    digit tables: each table entry's digit on each axis of each shape of
+    factor (row 0), and its index with that axis dropped (row 1), after
+    the digits of a message's own entries."""
     arity = np.diff(g.scope_offsets)
+    rows, cols = _member(arity), _entries(arity)[1]
     cards = np.ones((len(arity), arity.max()), dtype=int)
-    cards[_member(arity), _entries(arity)[1]] = g.cards[g.scope_vars]
+    cards[rows, cols] = g.cards[g.scope_vars]
     steps = np.ones_like(cards)
     steps[:, :-1] = np.cumprod(cards[:, :0:-1], axis=1)[:, ::-1]
     sizes = cards.prod(axis=1)
-    return cards, steps, sizes, np.cumsum(sizes) - sizes
+    shape = arity
+    for col in cards.T:
+        shape = np.unique(shape * (col.max() + 1) + col, return_inverse=True)[1]
+    rep = np.zeros(shape.max() + 1, dtype=int)
+    rep[shape] = np.arange(len(arity))
+    fa, pa = rep[_member(arity[rep])], _entries(arity[rep])[1]
+    step, card = np.append(1, steps[fa, pa]), np.append(g.cards.max(), cards[fa, pa])
+    size = np.append(card[0], sizes[fa])
+    start, k = _entries(size)
+    step, card = np.repeat(step, size), np.repeat(card, size)
+    q = k // step
+    axes = np.zeros_like(cards)
+    axes[rows, cols] = start[1 + (np.cumsum(arity[rep]) - arity[rep])[shape][rows] + cols]
+    return (cards, steps, sizes, np.cumsum(sizes) - sizes, axes,
+            np.stack((q % card, k - (q - q // card) * step)))
+
+
+def _order(*keys) -> np.ndarray:
+    """Indices that sort by nonnegative integer ``keys``, the first most
+    significant, ties in any order: one argsort of a combined key, or a
+    lexsort where that key would pass int64."""
+    spans = [int(k.max()) + 1 for k in keys]
+    if math.prod(spans) >= 2 ** 63:
+        return np.lexsort(keys[::-1])
+    combined = 0
+    for k, span in zip(keys, spans):
+        combined = combined * span + k
+    return np.argsort(combined)
+
+
+def _split(x: np.ndarray, cuts: list) -> list:
+    return [x[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _contraction_index(shapes, fi: np.ndarray, tpos: np.ndarray, bounds) -> tuple[list, list]:
@@ -124,47 +148,39 @@ def _contraction_index(shapes, fi: np.ndarray, tpos: np.ndarray, bounds) -> tupl
     factors ``fi`` to their scope positions ``tpos``, in groups: group g
     holds messages ``bounds[g]:bounds[g + 1]``.
 
-    Returns (table, terms), one array of each per group: the column in
-    the lifted tables of each of the group's table entries, message by
+    Returns (table, terms), one of each per group: the column in the
+    lifted tables of each of the group's table entries, message by
     message in table order; and ``terms`` as
-    :meth:`~fginfer.semiring.Semiring.contract` takes them, indexing the
-    group's entries and padded to the group's widest row.
+    :meth:`~fginfer.semiring.Semiring.contract` takes them, one column
+    per term rank, each indexing the group's entries.
     """
-    cards, steps, sizes, starts = shapes
-    size, tcard, tstep = sizes[fi], cards[fi, tpos], steps[fi, tpos]
+    cards, _, sizes, starts, axes, digits = shapes
+    size, tcard = sizes[fi], cards[fi, tpos]
     bounds = np.asarray(bounds)
-    heads = bounds[:-1]
-    group = _member(np.diff(bounds))
-    width = np.maximum.reduceat(size // tcard, heads)
-    block = np.add.reduceat(tcard, heads) * width
-    # each group's terms are one (outputs, width) block; per message, the
-    # cell of its first output's first term
+    heads, group = bounds[:-1], _member(np.diff(bounds))
+    # a message's rows reach as far as the widest message from it to its
+    # group's end (later groups are lifted less). Column j of a group holds
+    # the rows that reach past j, a prefix of the group's rows: column j of
+    # group g is cells ends[base[g] + j]:ends[base[g] + j + 1]
+    width = size // tcard
+    lift = (group[-1] - group) * (int(width.max()) + 1)
+    reach = np.maximum.accumulate((lift + width)[::-1])[::-1] - lift
+    base = np.append(0, np.cumsum(reach[heads]))
+    m, j = _member(reach), _entries(reach)[1]
+    ends = np.append(0, np.cumsum(np.bincount(base[group[m]] + j, tcard[m]))).astype(int)
+    # term n of output entry x of a message: row x of the message, in
+    # column n of its group
+    first, at = _entries(size, axes[fi, tpos])
+    x, n = digits.take(at, axis=1)
+    cell = ends[n + np.repeat(base[group], size)] + x
     out_start = np.cumsum(tcard) - tcard
-    row0 = (np.cumsum(block) - block)[group] + (out_start - out_start[heads][group]) * width[group]
-    first, within = _entries(size)
-    terms = np.full(int(block.sum()), -1)
-    # table entry hi * tcard * tstep + x * tstep + lo is term n = hi * tstep + lo
-    # of output entry x; with q = hi * tcard + x, n = within - (q - hi) * tstep.
-    # In-place steps keep the batch's temporary entry arrays few
-    ts, tc = np.repeat(tstep, size), np.repeat(tcard, size)
-    q = within // ts
-    cell = q // tc
-    cell -= q
-    cell *= ts
-    cell += within
-    q %= tc
-    q *= np.repeat(width[group], size)
-    cell += q
-    cell += np.repeat(row0, size)
-    del ts, tc, q
-    terms[cell] = within + np.repeat(first - first[heads][group], size)
-    del cell
-    table = within
-    table += np.repeat(starts[fi], size)
-    t = np.append(first[heads], len(table)).tolist()
-    b = np.append(0, np.cumsum(block)).tolist()
-    return ([table[lo:hi] for lo, hi in zip(t, t[1:])],
-            [terms[lo:hi].reshape(-1, w) for lo, hi, w in zip(b, b[1:], width.tolist())])
+    cell += np.repeat(out_start - out_start[heads][group], size)
+    terms = np.full(int(ends[-1]), -1)
+    terms[cell] = _entries(np.add.reduceat(size, heads))[1]
+    table = _entries(size, starts[fi])[1]
+    columns = _split(terms, ends.tolist())
+    return (_split(table, np.append(first[heads], len(table)).tolist()),
+            _split(columns, base.tolist()))
 
 
 @dataclass
@@ -191,8 +207,8 @@ class _Group:
     ``slots`` of its exponent array. ``gathers[j]`` indexes the buffer
     entries of the outputs' j-th inputs, ``exp_in[j]`` the slots of
     those inputs; both cover a prefix of the group, whose messages come
-    in decreasing input count. Contractions also gather their ``table``
-    entries and sum them by ``terms``.
+    in falling input count. Contractions also gather their ``table``
+    entries and sum them by the columns ``terms``.
     """
 
     lo: int
@@ -203,7 +219,7 @@ class _Group:
     starts: np.ndarray
     member: np.ndarray
     table: np.ndarray | None = None
-    terms: np.ndarray | None = None
+    terms: list | None = None
 
 
 class LevelPlan:
@@ -212,26 +228,21 @@ class LevelPlan:
     Built from the schedule's depths and component roots; a one-pass run
     executes the groups of the first pass only. Messages live in one
     buffer, one slot of entries per computed or all-ones message; an
-    aliased message shares its input's slot.
-
-    Message p * |edges| + e is edge e's message of pass p, edges in the
-    order of the graph's ``scope_vars``; the first pass sends it from the
-    edge's deeper end. A message's level is the maximum depth minus its
-    sender's depth in the first pass and its sender's depth in the second,
-    so every level holds one kind of message: a component root is a
-    variable. The compile runs whole-graph array operations, and a Python
-    loop only once per group.
+    aliased message shares its input's slot. Message p * |edges| + e is
+    edge e's message of pass p, edges in the order of the graph's
+    ``scope_vars``; the first pass sends it from the edge's deeper end.
+    The compile is whole-graph array operations, with one sort of the
+    messages by one integer key and a Python loop once per group only.
     """
 
     def __init__(self, g: FactorGraph, root: str | None, two_pass: bool):
         # the plan reads the schedule's depths and roots, never its edges
         schedule = make_schedule(g, root=root, two_pass=two_pass)
         depth, component_roots = schedule.depth, schedule.component_roots
-        del schedule
         arity = np.diff(g.scope_offsets)
         first, pos = _entries(arity)
         var, fac = g.scope_vars, _member(arity)
-        cards, steps, sizes, _ = shapes = _factor_shapes(g)
+        _, _, sizes, _, axes, digits = shapes = _factor_shapes(g)
         n_var, n_edges = len(g.var_ids), len(var)
         degree = np.diff(g.var_offsets)
         # the edges variable by variable, each in factor order
@@ -265,6 +276,7 @@ class LevelPlan:
                                                    list(map(len, roots)))))
         level = np.concatenate((np.where(down, sender_depth, depth.max() - sender_depth),
                                 np.zeros(len(mvar), dtype=int)))
+        group_key = pass_key * (level.max() + 1) + level
         card = g.cards[v]
 
         def inputs(m, j):
@@ -280,7 +292,11 @@ class LevelPlan:
         source[alias] = inputs(alias, 0)[0]
         ones = np.flatnonzero(reads_r & (count == 0))
         computed = np.flatnonzero(~reads_r | (count > 1))
-        computed = computed[np.lexsort((-count[computed], level[computed], pass_key[computed]))]
+        # by pass and level, then falling input count and falling width:
+        # the terms each output entry of a contraction sums
+        width = np.where(reads_r, 0, sizes[f] // card)[computed]
+        computed = computed[_order(group_key[computed], count.max() - count[computed],
+                                   width.max() - width)]
         # slots in execution order, the all-ones messages first
         order = np.concatenate((ones, computed))
         slot = np.zeros(len(v), dtype=int)
@@ -290,8 +306,8 @@ class LevelPlan:
         self.n_entries = int(lengths.sum())
         self.n_ones = int(card[ones].sum())
 
-        # groups: runs of one pass and level, by decreasing input count
-        heads = _run_heads(pass_key[computed], level[computed])
+        # groups: runs of one pass and level
+        heads = np.flatnonzero(np.diff(group_key[computed], prepend=-1))
         bounds = np.append(heads, len(computed))
         group = _member(np.diff(bounds))
         contracts = ~reads_r[computed]
@@ -302,29 +318,25 @@ class LevelPlan:
         # message: the messages with a j-th input are a prefix of the group.
         # Each is gathered entry by entry, by the digit that the entry's
         # position in a product (or in the factor's table) gives it
-        member, j = _member(count[computed]), _entries(count[computed])[1]
-        m, grp = computed[member], group[member]
+        n_in = count[computed]
+        member, j = _member(n_in), _entries(n_in)[1]
+        group_ranks = np.append(0, np.cumsum(n_in[heads]))
+        col = group_ranks[group[member]] + j
+        rank_ends = np.append(0, np.cumsum(np.bincount(col)))
+        by_rank = np.empty_like(member)
+        by_rank[rank_ends[col] + member - bounds[group[member]]] = np.arange(len(member))
+        m, j = computed[member[by_rank]], j[by_rank]
         src, at = inputs(m, j)
         src = slot[source[src]]
         size = np.where(reads_r[m], card[m], sizes[f[m]])
-        step = np.where(reads_r[m], 1, steps[f[m], at])
-        radix = np.where(reads_r[m], card[m], cards[f[m], at])
-        by_rank = np.lexsort((j, grp))
-        src, j, grp, size, step, radix = (x[by_rank] for x in (src, j, grp, size, step, radix))
-        del member, m, at, by_rank
-        gathers = _entries(size)[1]
-        gathers //= np.repeat(step, size)
-        gathers %= np.repeat(radix, size)
+        gathers = digits[0].take(_entries(size, np.where(reads_r[m], 0, axes[f[m], at]))[1])
         gathers += np.repeat(self.spans[src], size)
-        ranks = _run_heads(grp, j)
-        rank_bounds = np.append(ranks, len(j)).tolist()
-        entry_bounds = np.append((np.cumsum(size) - size)[ranks], len(gathers)).tolist()
-        group_ranks = np.searchsorted(grp[ranks], np.arange(len(bounds))).tolist()
+        gathers = _split(gathers, np.append(0, np.cumsum(size))[rank_ends].tolist())
+        exp_in, group_ranks = _split(src, rank_ends.tolist()), group_ranks.tolist()
 
         out_start = self.spans[len(ones):] - self.n_ones
         starts = out_start - out_start[heads][group]
-        out_member = _member(card[computed])
-        out_member -= heads[group][out_member]
+        out_member = np.repeat(np.arange(len(computed)) - heads[group], card[computed])
         out_bounds = np.append(out_start[heads], len(out_member)).tolist()
         self.passes: tuple[list, list] = ([], [])
         marginal_groups = [None, None]
@@ -332,11 +344,8 @@ class LevelPlan:
         for k, (m0, m1) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
             r0, r1 = group_ranks[k], group_ranks[k + 1]
             o0, o1 = out_bounds[k], out_bounds[k + 1]
-            ins = zip(entry_bounds[r0:r1], entry_bounds[r0 + 1:r1 + 1])
-            exp_in = zip(rank_bounds[r0:r1], rank_bounds[r0 + 1:r1 + 1])
             out = _Group(self.n_ones + o0, self.n_ones + o1,
-                         slice(len(ones) + m0, len(ones) + m1),
-                         [gathers[a:b] for a, b in ins], [src[a:b] for a, b in exp_in],
+                         slice(len(ones) + m0, len(ones) + m1), gathers[r0:r1], exp_in[r0:r1],
                          starts[m0:m1], out_member[o0:o1],
                          *(next(contraction) if contracts[m0] else ()))
             key = int(pass_key[computed[m0]])
@@ -346,13 +355,12 @@ class LevelPlan:
                 marginal_groups[key - 2] = out
         # after one pass and after two: the marginals' variables, slots,
         # entry bounds and group
-        names = list(g.var_index)
         first = len(e)
         self.marginals = []
         for r, out in zip(roots, marginal_groups):
             at = slot[source[first:first + len(r)]]
             lo = self.spans[at]
-            self.marginals.append((list(map(names.__getitem__, r.tolist())), at, lo.tolist(),
+            self.marginals.append((list(map(g.var_ids.__getitem__, r.tolist())), at, lo.tolist(),
                                    (lo + g.cards[r]).tolist(), out))
             first += len(r)
         # every edge's (to_factor, variable, factor, slot), by pass
@@ -368,11 +376,11 @@ class LevelPlan:
         ids, slots, lo, hi, marginal_group = self.marginals[two_pass]
         groups = self.passes[0] + self.passes[1] if two_pass else self.passes[0]
         for group in groups + ([marginal_group] if marginal_group else []):
-            ins = [buf[:, i] for i in group.gathers]
+            ins = [buf.take(i, axis=1) for i in group.gathers]
             if group.terms is None:
                 out = s.combine(ins)
             else:
-                out = s.contract(tables[:, group.table], ins, group.terms)
+                out = s.contract(tables.take(group.table, axis=1), ins, group.terms)
             e = _rescale(s, out, group.starts, group.member).astype(np.int64)
             for x in group.exp_in:
                 e[:len(x)] += exps[x]

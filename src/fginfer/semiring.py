@@ -82,16 +82,15 @@ class Semiring:
             self.mul_entries(out[:, :q.shape[-1]], q)
         return out
 
-    def contract(self, table: np.ndarray, incoming: list, terms: np.ndarray) -> np.ndarray:
+    def contract(self, table: np.ndarray, incoming: list, terms: list) -> np.ndarray:
         """Factor-to-variable messages of a batch of table entries.
 
         ``table`` holds carrier entries and each array of ``incoming`` the
         matching entries of one incoming message, in scope order, over a
         prefix of the table entries as in :meth:`combine`; the product
-        runs table first, then the incoming messages in order. Row i of
-        ``terms`` lists the entries that output entry i sums, in table
-        order; the index -1 stands for a 0 that pads short rows. Returns
-        the (k + 1, len(terms)) outputs.
+        runs table first, then the incoming messages in order, and
+        :meth:`reduce_terms` sums the products by ``terms``, reading the
+        index -1 as a 0. Returns the (k + 1, len(terms[0])) outputs.
         """
         prod = np.zeros((len(table), table.shape[1] + 1))
         prod[:, :-1] = table
@@ -99,13 +98,14 @@ class Semiring:
             self.mul_entries(prod[:, :q.shape[-1]], q)
         return self.reduce_terms(prod, terms)
 
-    def reduce_terms(self, x: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        """Column i of the result reduces the entries ``terms[i]`` of x, left
-        to right from zero (``np.sum`` adds pairwise, in another order)."""
+    def reduce_terms(self, x: np.ndarray, terms) -> np.ndarray:
+        """Output i reduces x's entries ``terms[0][i]``, ``terms[1][i]``, ...
+        left to right from zero (``np.sum`` adds pairwise, in another
+        order); each column of ``terms`` covers a prefix of the outputs."""
         fold = self.fold
-        out = fold(x[:, terms[:, 0]], 0.0)
-        for j in range(1, terms.shape[1]):
-            fold(out, x[:, terms[:, j]], out=out)
+        out = fold(x.take(terms[0], axis=1), 0.0)
+        for col in terms[1:]:
+            fold(out[:, :len(col)], x.take(col, axis=1), out=out[:, :len(col)])
         return out
 
     def max_abs_score(self, msgs: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -120,7 +120,7 @@ class Semiring:
     def reduce_msg(self, msg: np.ndarray) -> np.ndarray:
         """Semiring sum over the entries of one message: its (k + 1,)
         total, score first."""
-        return self.reduce_terms(msg, np.arange(msg.shape[1])[None, :])[:, 0]
+        return self.reduce_terms(msg, np.arange(msg.shape[1])[:, None])[:, 0]
 
     def __repr__(self):
         return f"<semiring {self.name}>"

@@ -131,7 +131,7 @@ def _send_f2v(store: MessageStore, fi: int, vi: int):
         raise MissingDependency(
             f"variable {g.variables[vi].id!r} is not in the scope of factor {g.factors[fi].id!r}"
         )
-    cards, steps, sizes, _ = store.shapes
+    cards, steps, sizes = store.shapes[:3]
     (table,), (terms,) = _contraction_index(store.shapes, np.array([fi]), np.array([tpos]),
                                             [0, 1])
     within = np.arange(sizes[fi])

@@ -492,6 +492,51 @@ class TestSchedule:
         self.assert_search_matches_reference(g, len(g.var_ids) - 1)
         self.assert_search_matches_reference(g, 0)
 
+    def test_euler_tour_depths_on_random_forests(self):
+        # 200 forests with a random root, then a root in a later component
+        # and a forest of single-variable components beside a tree
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            g = validate(random_forest(rng, max_trees=4)[0])
+            self.assert_search_matches_reference(g, int(rng.integers(len(g.var_ids))))
+        trees = [random_tree(rng, max_vars=8)[0] for _ in range(3)]
+        g = FactorGraph([VariableDecl(f"t{k}{v.id}", v.cardinality)
+                         for k, t in enumerate(trees) for v in t.variables],
+                        [FactorTable(f"t{k}{f.id}", tuple(f"t{k}{n}" for n in f.scope), f.values)
+                         for k, t in enumerate(trees) for f in t.factors])
+        validate(g)
+        assert len(np.unique(g.component)) == 3
+        self.assert_search_matches_reference(g, len(g.var_ids) - 1)
+        singles = binary_vars("s0", "s1", "s2")
+        g = FactorGraph(singles + trees[0].variables,
+                        [ones_factor(f"u{v.id}", [v.id]) for v in singles] + trees[0].factors)
+        validate(g)
+        for root in (0, 2, 3, len(g.var_ids) - 1):
+            self.assert_search_matches_reference(g, root)
+
+    def test_euler_tour_depths_on_a_hub_and_a_long_chain(self):
+        # a variable of degree 401, and the S = 2, T = 100000 chain
+        leaves = binary_vars(*(f"y{i}" for i in range(400)))
+        hub = FactorGraph([VariableDecl("hub", 3)] + leaves,
+                          [ones_factor("u", ["hub"], [3])]
+                          + [ones_factor(f"f{i}", [v.id, "hub"] if i % 2 else ["hub", v.id], [2, 3])
+                             for i, v in enumerate(leaves)])
+        validate(hub)
+        for root in (0, 8):
+            self.assert_search_matches_reference(hub, root)
+        obs = np.random.default_rng(71).integers(0, 2, 100000)
+        chain = hmm_to_weighted_graph(HmmSpec([0.5, 0.5], np.full((2, 2), 0.5),
+                                              np.full((2, 2), 0.5), obs)).graph
+        sched = make_schedule(chain, root=chain.var_ids[50000])
+        want = reference_search(chain, 50000)
+        assert (sched.component_roots.tolist(), sched.depth.tolist()) == want
+
+    def test_edges_are_built_on_first_read(self):
+        g = validate(star_tree_graph())
+        sched = make_schedule(g, root="x3", two_pass=True)
+        assert "edges" not in vars(sched)
+        assert sched.edges is sched.edges and len(sched.edges) == 2 * g.n_edges
+
 
 class TestAssignmentIndex:
     def test_mixed_radix_examples(self):

@@ -25,7 +25,7 @@ from fginfer.oracle import (
     enumerate_z,
     max_product_value,
 )
-from fginfer.propagation import fold_exponent, level_plan, product_of_totals
+from fginfer.propagation import _order, fold_exponent, level_plan, product_of_totals
 
 from conftest import (
     adjacency,
@@ -756,6 +756,59 @@ class TestLevelPlan:
         g = FactorGraph(variables, factors)
         assert_run_matches_steps(g, SUM_PRODUCT, "y7", True, carriers(g, SUM_PRODUCT, None))
 
+    @staticmethod
+    def contraction_terms(plan):
+        """Every contraction group's table and terms columns, both passes."""
+        return [(grp.table, grp.terms) for groups in plan.passes for grp in groups
+                if grp.terms is not None]
+
+    def test_document_shaped_plan_holds_no_padding(self, rng):
+        # cardinalities 2-4 and arity 1-3, as the benchmark's documents:
+        # width falls whenever input count falls, so the columns of terms
+        # hold one cell per table entry of every contraction, none padded
+        n = 400
+        cards = rng.integers(2, 5, n).tolist()
+        scopes, placed = [], 0
+        while placed < n:
+            scope = [] if not placed or rng.random() < 0.02 else [int(rng.integers(placed))]
+            fresh = min(int(rng.integers(1, 4)) - len(scope), n - placed)
+            scope += range(placed, placed + fresh)
+            placed += fresh
+            scopes.append(rng.permutation(scope).tolist())
+        g = FactorGraph([VariableDecl(f"v{i}", c) for i, c in enumerate(cards)],
+                        [FactorTable(f"f{k}", tuple(f"v{i}" for i in s),
+                                     rng.uniform(0.05, 2.0, math.prod(cards[i] for i in s)))
+                         for k, s in enumerate(scopes)])
+        groups = self.contraction_terms(level_plan(g, two_pass=True))
+        cells = [col for _, terms in groups for col in terms]
+        assert sum(map(len, cells)) == sum(len(table) for table, _ in groups) > 0
+        assert all((col >= 0).all() for col in cells)
+        for two_pass in (False, True):
+            assert_run_matches_steps(g, ENTROPY, None, two_pass, carriers(g, ENTROPY, None))
+
+    def test_width_not_monotone_in_input_count(self, rng):
+        # at root r: an arity-4 factor of binary variables (3 inputs, 8
+        # terms per output) sorts before an arity-3 factor of cardinality-4
+        # variables (2 inputs, 16 terms), so the first message's rows read
+        # padding inside the group's columns; c has cardinality 1
+        variables = ([VariableDecl("r", 2), VariableDecl("c", 1)]
+                     + [VariableDecl(f"a{i}", 2) for i in range(3)]
+                     + [VariableDecl(f"b{i}", 4) for i in range(2)])
+        factors = [FactorTable("fa", ("a0", "r", "a1", "a2"), rng.uniform(0.05, 2.0, 16)),
+                   FactorTable("fb", ("b0", "b1", "r"), rng.uniform(0.05, 2.0, 32)),
+                   FactorTable("fc", ("r", "c"), rng.uniform(0.05, 2.0, 2)),
+                   FactorTable("ub", ("b1",), rng.uniform(0.05, 2.0, 4))]
+        g = FactorGraph(variables, factors)
+        cells = [col for _, terms in self.contraction_terms(level_plan(g, two_pass=True))
+                 for col in terms]
+        assert any((col < 0).any() for col in cells)
+        comps = [rng.uniform(-3.0, 3.0, (2, f.values.size)) for f in factors]
+        for s, c in ((SUM_PRODUCT, None), (MAX_PRODUCT, None), (BOOLEAN, None),
+                     (ENTROPY, np.concatenate(comps, axis=1))):
+            for root in (None, "c", "b0"):
+                for two_pass in (False, True):
+                    assert_run_matches_steps(g, s, root, two_pass, carriers(g, s, c))
+
     def test_root_in_a_later_component(self, rng):
         # the given root's component is reached first; the other
         # components follow from their first declared variable
@@ -770,6 +823,17 @@ class TestLevelPlan:
         assert list(marginals) == [root, "t0x0", "t1x0"]
         for two_pass in (False, True):
             assert_run_matches_steps(g, ENTROPY, root, two_pass, carriers(g, ENTROPY, None))
+
+
+def test_message_order_past_int64():
+    # the compile's sort: one combined key where it fits in int64, a
+    # lexsort where it would not; either way sorted by the keys in turn
+    rng = np.random.default_rng(73)
+    for high in (4, 2 ** 40):
+        keys = [rng.integers(0, high, 300) for _ in range(3)]
+        order = _order(*keys)
+        rows = list(zip(*(k[order].tolist() for k in keys)))
+        assert rows == sorted(rows) and sorted(order.tolist()) == list(range(300))
 
 
 def test_public_names_resolve():
