@@ -37,8 +37,6 @@ from .graph import (
     FactorTable,
     Schedule,
     VariableDecl,
-    assignment_from_index,
-    assignment_index,
     make_schedule,
     validate,
 )
@@ -48,7 +46,6 @@ from .learning import (
     ParametricFactorSet,
     em_linear_step,
     em_q_gradient,
-    grad_ascent_step,
     gradient_at,
 )
 from .propagation import MarginalResult, RunMessages, run, total_sum

@@ -24,7 +24,7 @@ from .entropy import (
     entropy_in_base,
     posterior_entropy,
 )
-from .errors import FactorGraphError, MissingDependency
+from .errors import FactorGraphError, MissingDependency, NonFiniteTotal
 from .graph import FactorGraph
 from .hmm import HmmSpec, hmm_entropy, hmm_to_weighted_graph
 from .learning import em_linear_step, gradient_at
@@ -226,10 +226,15 @@ def cmd_grad(args):
         raise UsageError(f"--theta has {theta.size} components, model has {pf.dim}")
     if args.iters < 1:
         raise UsageError("--iters must be >= 1")
+    if not (math.isfinite(args.step) and math.isfinite(args.tol)):
+        raise UsageError("--step and --tol must be finite")
     trajectory = [[float(x) for x in theta]]
     gradient = None
     for _ in range(args.iters):
-        gradient = gradient_at(pf, theta)
+        try:
+            gradient = gradient_at(pf, theta)
+        except OverflowError:
+            raise NonFiniteTotal("the gradient's totals are past float range") from None
         theta_next = theta + args.step * gradient
         trajectory.append([float(x) for x in theta_next])
         moved = float(np.max(np.abs(theta_next - theta))) if theta.size else 0.0
@@ -317,7 +322,9 @@ def cmd_check(args):
     try:
         seed = int(os.environ.get("FG_SEED", "0"))
     except ValueError:
-        raise UsageError("FG_SEED must be an integer") from None
+        seed = -1
+    if seed < 0:
+        raise UsageError("FG_SEED must be a nonnegative integer")
     worst = 0.0
     if args.hmm is not None:
         h = fgio.load_hmm(args.hmm)
@@ -345,12 +352,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code, payload = args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+            code, payload = args.func(args)
+        try:
+            text = fgio.dumps(payload)
+        except ValueError:  # the one value JSON rejects here: inf or NaN
+            raise NonFiniteTotal("a result is past float range: scale the tables, theta or"
+                                 " the step down") from None
     except FactorGraphError as e:
         print(fgio.dumps({"error": {"kind": e.kind, "detail": e.detail}}))
         print(f"fg: {e.kind}: {e.detail}", file=sys.stderr)
         return e.exit_code
-    print(fgio.dumps(payload))
+    print(text)
     return code
 
 

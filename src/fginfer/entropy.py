@@ -37,7 +37,6 @@ from .propagation import fold_exponent, product_of_totals, run
 from .semiring import ENTROPY, Semiring
 
 _LN2 = math.log(2.0)
-_Z_FLOOR = 1e-300
 
 
 @dataclass
@@ -59,9 +58,6 @@ class EntropyResult:
     @property
     def log_scale(self) -> float:
         return self.exponent * _LN2
-
-    def scaled_h(self) -> float:
-        return self.H * math.exp(self.log_scale)
 
     def log2_z(self) -> float:
         if self.Z <= 0.0:
@@ -110,7 +106,7 @@ def _defined_under_zeros(g: FactorGraph, out: np.ndarray) -> np.ndarray:
     columns = np.flatnonzero(undefined.reshape(-1, g.values.size).any(axis=0))
     nonzero = columns[g.values[columns] != 0.0]
     if nonzero.size:
-        raise ValueError(f"factor {g.factor_at(nonzero[0]).id!r}: companion must be"
+        raise ValueError(f"factor {g.factor_at(nonzero[0])!r}: companion must be"
                          " finite wherever the value is nonzero")
     return np.where(undefined, 0.0, out)
 
@@ -168,14 +164,12 @@ def entropy_from_zh(z: float, h: float, exponent: int) -> EntropyResult:
     """The entropy result of a run's (Z, H) mantissas and exponent E.
 
     Applies the rules :func:`posterior_entropy` documents: ZeroEvidence for
-    Z <= 0 or Z < 1e-300, NonFiniteTotal for a Z or H that is not finite,
-    bits = -H/Z + log2(Z) + E, and roundoff negatives down to -1e-9
-    clamped to 0.
+    Z <= 0, NonFiniteTotal for a Z or H that is not finite, bits =
+    -H/Z + log2(Z) + E, and roundoff negatives down to -1e-9 clamped to 0.
+    Z is a mantissa, so no positive Z is too small: the callers scale it.
     """
     if z <= 0.0:
         raise ZeroEvidence(f"total weight Z = {z}; no assignment has positive weight")
-    if z < _Z_FLOOR:
-        raise ZeroEvidence(f"total weight {z} is below 1e-300")
     if not (math.isfinite(z) and math.isfinite(h)):
         raise NonFiniteTotal(f"totals Z = {z}, H = {h}: table entries are too large for"
                              " a factor's sum to stay in float range; scale them down")
@@ -204,7 +198,7 @@ def derive_log2_companions(graph: FactorGraph) -> np.ndarray:
     values = validate(graph).values
     negative = values < 0.0
     if negative.any():
-        raise OutOfDomain(f"factor {graph.factor_at(negative.argmax()).id!r}:"
+        raise OutOfDomain(f"factor {graph.factor_at(negative.argmax())!r}:"
                           " log companions need nonnegative values")
     return log2_or_zero(values)
 

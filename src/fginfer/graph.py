@@ -214,9 +214,9 @@ class FactorGraph:
             return np.concatenate(out, axis=None)
         return np.concatenate([t.reshape(rows, -1) for t in out], axis=1)
 
-    def factor_at(self, entry: int) -> FactorTable:
-        """The factor whose table holds entry ``entry`` of ``values``."""
-        return self.factors[int(np.searchsorted(self.offsets, entry, "right")) - 1]
+    def factor_at(self, entry: int) -> str:
+        """The id of the factor whose table holds entry ``entry`` of ``values``."""
+        return self.factor_ids[int(np.searchsorted(self.offsets, entry, "right")) - 1]
 
 
 def _forest_labels(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -381,29 +381,3 @@ def make_schedule(g: FactorGraph, root: str | None = None, two_pass: bool = Fals
     depth = np.zeros(len(ends) - 1, dtype=int)
     depth[np.repeat(np.arange(len(depth)), np.diff(ends))[twin]] = np.cumsum(step)[at]
     return Schedule(roots, depth, g, two_pass)
-
-
-def assignment_index(cards, assignment) -> int:
-    """Flat table index of a joint assignment, first variable most significant."""
-    if len(cards) != len(assignment):
-        raise OutOfDomain(
-            f"assignment has {len(assignment)} entries for {len(cards)} variables"
-        )
-    idx = 0
-    for card, a in zip(cards, assignment):
-        if not 0 <= a < card:
-            raise OutOfDomain(f"assignment value {a} outside domain of size {card}")
-        idx = idx * card + a
-    return idx
-
-
-def assignment_from_index(cards, index: int) -> tuple:
-    """Inverse of :func:`assignment_index`."""
-    total = math.prod(cards)
-    if not 0 <= index < total:
-        raise OutOfDomain(f"index {index} outside table of size {total}")
-    out = [0] * len(cards)
-    for p in range(len(cards) - 1, -1, -1):
-        out[p] = index % cards[p]
-        index //= cards[p]
-    return tuple(out)

@@ -33,7 +33,7 @@ from .entropy import (
     log2_or_zero,
 )
 from .entropy import posterior_entropy  # noqa: F401  (the benchmark's tracer patches this name)
-from .errors import OutOfDomain
+from .errors import OutOfDomain, ZeroEvidence
 from .graph import FactorGraph
 
 _ROW_TOL = 1e-9
@@ -237,31 +237,33 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     ``posterior_entropy(hmm_to_weighted_graph(h), rescale=True)`` to
     roundoff, not bit for bit.
 
-    The pass scales u, every table, every product and the vector after
-    every applied block by 2^-k, k the frexp exponent of its sum, and
-    keeps the integer sum E of the k that enter the result. That is
-    exact away from subnormals. A block scaled as a whole still drops
+    The pass scales u, every table, every product, the vector after every
+    applied block and the closing u . v by 2^-k, k the frexp exponent of
+    its sum, and keeps the integer sum E of the k that enter the result.
+    That is exact away from subnormals. A block scaled as a whole still drops
     entries more than the float range below its largest, which a long
     reducible chain can need later. So a product with a positive entry
     below 2^-960 is marked inexact and not applied: its two halves are,
     in turn. So are the halves of a block that sends the vector's sum
     below 2^-52. Down to single steps, that is the engine's pass: the fold.
 
-    ``rescale`` only picks how (Z, H) are reported: as mantissas with
-    ``exponent`` E, or, when false, times 2^E, which raises ZeroEvidence
-    if P(y) underflows. ``rescale=None`` is true for sequences longer than
-    1000 steps. Raises ZeroEvidence when y has zero probability.
+    ``rescale`` only picks how (Z, H) are reported: as mantissas, Z in
+    [0.5, 1), with ``exponent`` E, or, when false, times 2^E, which raises
+    ZeroEvidence once P(y) is not a normal float. ``rescale=None`` is true
+    for sequences longer than 1000 steps. Raises ZeroEvidence when y has
+    zero probability.
     """
     if rescale is None:
         rescale = h.num_steps > _LONG_CHAIN
-    v, gv = np.ones(h.num_states), np.zeros(h.num_states)
-    fold = h.num_states > _PAIR_STATES
-    if fold:  # level 0 holds b = B[:, o] and b * log2 b per symbol o
+    v, gv, exponent = np.ones(h.num_states), np.zeros(h.num_states), 0
+    if h.num_states > _PAIR_STATES:  # the fold, inward from x_T
         a, b = h.transition, np.ascontiguousarray(h.emission.T)
         ga, gb = a * log2_or_zero(a), b * log2_or_zero(b)
         unary = h.pi * b[h.observations[0]]
-        levels = [(b, gb, np.zeros(len(b), dtype=np.int64), np.ones(len(b), dtype=bool))]
-        todo = [(0, o) for o in h.observations[1:].tolist()]
+        for o in h.observations[:0:-1].tolist():
+            bv = b[o] * v
+            v, gv, k = _normalised_vector(a @ bv, ga @ bv + a @ (gb[o] * v + b[o] * gv))
+            exponent += k
     else:
         unary, tables, steps = _chain_tables(h)
         tables, duals, k_tables = _normalised(tables, tables * log2_or_zero(tables))
@@ -272,22 +274,24 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
         if len(steps) > 1 and _must_split(exact[0], f[0] @ v):
             levels = _levels(tables, duals, k_tables, steps, keep=True)
         todo = [(len(levels) - 1, 0)] if len(steps) else []
-    u, gu, exponent = _normalised_vector(unary, unary * log2_or_zero(unary))
-
-    # inward from x_T; a block that is split pushes its right half last, so
-    # that half acts first
-    while todo and v.any():
-        n, i = todo.pop()
-        f, g, k, exact = (x[i] for x in levels[n])
-        if fold:
-            v, gv, f, g = f * v, g * v + f * gv, a, ga
-        w = f @ v
-        if n and _must_split(exact, w):
-            todo += [(n - 1, j) for j in range(2 * i, min(2 * i + 2, len(levels[n - 1][0])))]
-            continue
-        v, gv, k_v = _normalised_vector(w, g @ v + f @ gv)
-        exponent += int(k) + k_v
-    # rescale=False folds 2^E into Z and H; rescale=True reports E
-    shift = 0 if rescale else exponent
-    return entropy_from_zh(math.ldexp(float(u @ v), shift),
-                           math.ldexp(float(gu @ v + u @ gv), shift), exponent - shift)
+        # inward from x_T; a block that is split pushes its right half
+        # last, so that half acts first
+        while todo and v.any():
+            n, i = todo.pop()
+            f, g, k, exact = (x[i] for x in levels[n])
+            w = f @ v
+            if n and _must_split(exact, w):
+                todo += [(n - 1, j) for j in range(2 * i, min(2 * i + 2, len(levels[n - 1][0])))]
+                continue
+            v, gv, k_v = _normalised_vector(w, g @ v + f @ gv)
+            exponent += int(k) + k_v
+    u, gu, k_u = _normalised_vector(unary, unary * log2_or_zero(unary))
+    z, hz = float(u @ v), float(gu @ v + u @ gv)
+    k_z = math.frexp(z)[1]
+    z, hz, exponent = math.ldexp(z, -k_z), math.ldexp(hz, -k_z), exponent + k_u + k_z
+    if not rescale:  # fold 2^E into Z and H
+        if z and exponent < -1021:  # Z 2^E, Z in [0.5, 1), is below the smallest normal float
+            raise ZeroEvidence(f"P(y) = {z} * 2^{exponent} is not a normal float;"
+                               " pass rescale=True")
+        z, hz, exponent = math.ldexp(z, exponent), math.ldexp(hz, exponent), 0
+    return entropy_from_zh(z, hz, exponent)

@@ -101,10 +101,6 @@ class ParametricFactorSet:
         self.base_tables = None if base_tables is None else s.lay_out(base_tables, "base")
 
     @classmethod
-    def from_callables(cls, variables, scopes, dim, tables_fn, grads_fn, **kw):
-        return cls(variables, scopes, dim, tables_fn=tables_fn, grads_fn=grads_fn, **kw)
-
-    @classmethod
     def affine(cls, variables, scopes, base_tables, coeff_tables, **kw):
         """Tables affine in theta: table_k(theta) = base_k + theta . coeffs_k.
 
@@ -215,7 +211,7 @@ def _quotient_companions(pf: ParametricFactorSet, f: np.ndarray, gt: np.ndarray,
     bad = zero & (gt != 0.0).any(axis=0)
     if bad.any():
         raise UndefinedQuotient(
-            f"factor {pf.structure_graph().factor_at(bad.argmax()).id!r} has a zero {what}"
+            f"factor {pf.structure_graph().factor_at(bad.argmax())!r} has a zero {what}"
             " value with a nonzero gradient entry"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -238,13 +234,8 @@ def gradient_at(pf: ParametricFactorSet, theta, rescale: bool = True) -> np.ndar
     values = pf.tables_at(theta)
     companions = _quotient_companions(pf, values, pf.grads_at(theta), "table")
     wg = WeightedGraph(pf.graph_with(values), companions)
-    return compute_zh(wg).scaled_h()
-
-
-def grad_ascent_step(pf: ParametricFactorSet, theta, step: float = 1.0) -> np.ndarray:
-    """One ascent step theta + step * grad p(theta)."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    return theta + step * gradient_at(pf, theta)
+    res = compute_zh(wg)
+    return res.H * math.exp(res.log_scale)
 
 
 def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
@@ -256,8 +247,8 @@ def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
     theta_new = -(H_a / H_b) * lam from the ratio of the mantissas, in
     which 2^E cancels exactly. Totals past float range are reported as
     mantissas with their ``exponent``. Raises DegenerateMStep when the
-    denominator vanishes relative to the numerator, or both reported
-    totals are numerically zero. Raises ValueError when ``theta_old`` is
+    denominator is 0 or below 1e-12 of the numerator; the ratio of
+    mantissas holds its precision at any scale. Raises ValueError when ``theta_old`` is
     given but the set has no table callables or theta has the wrong size.
     """
     if pf.u is None or pf.v is None or pf.lam is None:
@@ -275,7 +266,7 @@ def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
     wg = WeightedGraph(pf.graph_with(tables), uv)
     res = compute_zh(wg)
     (h_a, h_b), exponent = fold_exponent(res.H.tolist(), res.exponent)
-    if (abs(h_a) < 1e-300 and abs(h_b) < 1e-300) or abs(h_b) < 1e-12 * abs(h_a):
+    if h_b == 0.0 or abs(h_b) < 1e-12 * abs(h_a):
         raise DegenerateMStep(
             f"denominator H_b = {h_b!r} vanishes against H_a = {h_a!r};"
             " no rank-one update exists"

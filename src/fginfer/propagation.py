@@ -44,7 +44,7 @@ own, and nothing writes that buffer once the run has returned.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,12 +186,11 @@ def _contraction_index(shapes, fi: np.ndarray, tpos: np.ndarray, bounds) -> tupl
 @dataclass
 class MarginalResult:
     """An unnormalized marginal: ``msg`` times 2^``exponent``, with
-    ``log_scale`` = ``exponent`` ln 2."""
+    ``log_scale`` = ``exponent`` ln 2. The run's dict keys it by variable
+    id; :func:`total_sum` takes the run's semiring with it."""
 
-    variable: str
     msg: np.ndarray
     log_scale: float
-    semiring: Semiring = field(repr=False)
     exponent: int = 0
 
     def scores(self) -> list:
@@ -386,8 +385,7 @@ class LevelPlan:
                 e[:len(x)] += exps[x]
             exps[group.slots] = e
             buf[:, group.lo:group.hi] = out
-        marginals = {vid: MarginalResult(variable=vid, msg=buf[:, a:b], log_scale=x * _LN2,
-                                         semiring=s, exponent=x)
+        marginals = {vid: MarginalResult(buf[:, a:b], x * _LN2, x)
                      for vid, a, b, x in zip(ids, lo, hi, exps[slots].tolist())}
         return marginals, buf, exps
 
@@ -489,13 +487,13 @@ def product_of_totals(s: Semiring, marginals: dict) -> tuple[list, int]:
     return acc.tolist(), exponent
 
 
-def total_sum(marginal: MarginalResult, s: Semiring | None = None) -> np.ndarray:
-    """Semiring sum of a marginal vector: its (k + 1,) total, score first.
+def total_sum(marginal: MarginalResult, s: Semiring) -> np.ndarray:
+    """Sum over semiring ``s``, the run's, of a marginal vector: its
+    (k + 1,) total, score first.
 
     The exponent is folded back in exactly, as ldexp(total, exponent); a
     total past float range reads inf. ``s.reduce_msg(marginal.msg)`` is
     the mantissa, to be kept with ``exponent``.
     """
-    s = s or marginal.semiring
     with np.errstate(over="ignore"):
         return np.ldexp(s.reduce_msg(marginal.msg), marginal.exponent)

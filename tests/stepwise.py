@@ -213,8 +213,7 @@ def marginal_at(store: MessageStore, var_id: str) -> MarginalResult:
     else:
         msg = store.semiring.combine(msgs)
         acc += int(_rescale(store.semiring, msg, [0], 0)[0])
-    return MarginalResult(variable=var_id, msg=msg, log_scale=acc * _LN2,
-                          semiring=store.semiring, exponent=acc)
+    return MarginalResult(msg, acc * _LN2, acc)
 
 
 def step_reference(g, s, root, two_pass, tables) -> MessageStore:

@@ -76,6 +76,23 @@ def hmm_doc(t_len=5):
     }
 
 
+def huge_pair_doc():
+    """Two binary variables under one table of 1e308s: a factor's sum
+    overflows, so Z is past float range."""
+    return {
+        "variables": [{"id": "a", "cardinality": 2}, {"id": "b", "cardinality": 2}],
+        "factors": [{"id": "fab", "scope": ["a", "b"], "values": [1e308] * 4}],
+    }
+
+
+def assert_fails(result, code, kind):
+    """The exit code, the JSON error kind, and one line on stderr: the
+    error's, with no traceback."""
+    got, out, err = result
+    assert (got, out["error"]["kind"]) == (code, kind)
+    assert err.splitlines() == [f"fg: {kind}: {out['error']['detail']}"]
+
+
 @pytest.fixture
 def write(tmp_path):
     def _write(doc, name="doc.json"):
@@ -159,6 +176,12 @@ class TestPartition:
         assert code == 0
         log2_max = math.log2(out["Z"]) + out["log_scale"] / math.log(2.0)
         assert log2_max == pytest.approx(1199 * math.log2(1.5), rel=1e-12)
+
+    def test_non_finite_total(self, cli, write):
+        path = write(huge_pair_doc())
+        assert_fails(cli("partition", path), 2, "NonFiniteTotal")
+        assert_fails(cli("marginal", path, "--all"), 2, "NonFiniteTotal")
+        assert_fails(cli("entropy", path, "--derive-g"), 2, "NonFiniteTotal")
 
     def test_bad_root(self, cli, write):
         code, out, _ = cli("partition", write(star_doc()), "--root", "zz")
@@ -330,6 +353,14 @@ class TestEmStep:
         code, out, _ = cli("em-step", write(em_doc()), "--theta", "1")
         assert (code, out["error"]["kind"]) == (1, "MissingDependency")
 
+    def test_tiny_totals(self, cli, write):
+        # totals of 2e-305 and 3e-305 give an exact step, no DegenerateMStep
+        d = em_doc()
+        d["factors"][0]["values"] = [1e-305, 1e-305]
+        d["parametric"].update({"u": [[1.0, 2.0]], "v": [[1.0, 1.0]]})
+        code, out, _ = cli("em-step", write(d))
+        assert (code, out["theta_new"]) == (0, [-1.5])
+
     def test_degenerate_exit_code(self, cli, write):
         code, out, _ = cli("em-step", write(em_doc(v=(0.0, 0.0))))
         assert code == 2
@@ -391,6 +422,27 @@ class TestGrad:
         assert code == 0
         assert out["gradient"] == [h]
 
+    def test_gradient_past_float_range(self, cli, write):
+        # 700 isolated variables with tables [3, 3]: Z = 6^700, and the
+        # gradient 700 * 6^699 is past float range too
+        d = {
+            "variables": [{"id": f"x{i}", "cardinality": 2} for i in range(700)],
+            "factors": [{"id": f"f{i}", "scope": [f"x{i}"], "values": [3.0, 3.0]}
+                        for i in range(700)],
+            "parametric": {"dim": 1, "grad": [[[1.0, 0.0]]] * 700},
+        }
+        assert_fails(cli("grad", write(d), "--theta", "0"), 2, "NonFiniteTotal")
+
+    @pytest.mark.parametrize("flag, value", [("--step", "nan"), ("--step", "inf"),
+                                             ("--tol", "nan")])
+    def test_non_finite_step_or_tol(self, cli, write, flag, value):
+        assert_fails(cli("grad", write(grad_doc()), "--theta", "0", flag, value),
+                     1, "UsageError")
+
+    def test_trajectory_past_float_range(self, cli, write):
+        result = cli("grad", write(grad_doc()), "--theta", "1e308", "--step", "1e308")
+        assert_fails(result, 2, "NonFiniteTotal")
+
     def test_undefined_quotient_exit_code(self, cli, write):
         d = grad_doc(base=(0.0, 1.0), coeff=(1.0, 0.0))
         code, out, _ = cli("grad", write(d), "--theta", "0")
@@ -438,6 +490,10 @@ class TestCheck:
         monkeypatch.setenv("FG_SEED", "pi")
         code, out, _ = cli("check", write(star_doc()))
         assert (code, out["error"]["kind"]) == (1, "UsageError")
+
+    def test_negative_seed_env(self, cli, write, monkeypatch):
+        monkeypatch.setenv("FG_SEED", "-1")
+        assert_fails(cli("check", write(star_doc()), "--seeds", "2"), 1, "UsageError")
 
     def test_hmm_document(self, cli, write):
         code, out, _ = cli("check", "--hmm", write(hmm_doc()), "--seeds", "3")

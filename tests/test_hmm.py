@@ -346,6 +346,22 @@ class TestDirectPass:
         assert_close(res.entropy_bits, 1.0, 1e-14 * abs(log2_z), "bits")
         assert_close(res.log2_z(), log2_z, 1e-14, "log2 Z")
 
+    @pytest.mark.parametrize("rescale", [None, True, False])
+    @pytest.mark.parametrize("zeros, s", [(1000, 2), (1070, 2), (1000, _PAIR_STATES + 1)])
+    def test_evidence_far_below_1e_300(self, zeros, s, rescale):
+        # one path: state 1 emits y_1 = 1 and every later 0 with 1/2 each.
+        # u . v reads 2.3e-302 (2e-323 at 1070 zeros) before the closing
+        # scale, which once raised a false ZeroEvidence. Unrescaled, Z is
+        # reported while P(y) is a normal float.
+        emission = [[1.0, 0.0], [0.5, 0.5]] + [[0.0, 1.0]] * (s - 2)
+        h = HmmSpec(np.full(s, 1 / s), np.eye(s), emission, [1] + [0] * zeros)
+        log2_z = -(zeros + 1) - math.log2(s)
+        if rescale is False and log2_z < -1022:
+            with pytest.raises(ZeroEvidence):
+                hmm_entropy(h, rescale=False)
+        else:
+            self.assert_matches_closed_form(h, 0.0, log2_z, rescale=rescale)
+
     def test_zero_evidence_on_both_paths(self):
         # x1 = 0 forever under the identity transitions, but y2 needs x2 = 1
         h = HmmSpec([1.0, 0.0], np.eye(2), np.eye(2), [0, 1, 0])

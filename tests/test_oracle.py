@@ -135,7 +135,7 @@ class TestFdGradient:
         from fginfer import ParametricFactorSet
 
         # f = [theta, 1 - theta]: p(theta) = 1 for all theta
-        pf = ParametricFactorSet.from_callables(
+        pf = ParametricFactorSet(
             [VariableDecl("x", 2)],
             [("x",)],
             1,
@@ -149,7 +149,7 @@ class TestFdGradient:
         from fginfer import ParametricFactorSet
 
         # f = [theta^2, 1]: p(theta) = theta^2 + 1, dp/dtheta at 2 is 4
-        pf = ParametricFactorSet.from_callables(
+        pf = ParametricFactorSet(
             [VariableDecl("x", 2)],
             [("x",)],
             1,
