@@ -231,10 +231,7 @@ def cmd_grad(args):
     trajectory = [[float(x) for x in theta]]
     gradient = None
     for _ in range(args.iters):
-        try:
-            gradient = gradient_at(pf, theta)
-        except OverflowError:
-            raise NonFiniteTotal("the gradient's totals are past float range") from None
+        gradient = gradient_at(pf, theta)
         theta_next = theta + args.step * gradient
         trajectory.append([float(x) for x in theta_next])
         moved = float(np.max(np.abs(theta_next - theta))) if theta.size else 0.0
@@ -352,8 +349,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-            code, payload = args.func(args)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+                code, payload = args.func(args)
+        except OverflowError:  # gradient_at's totals are past float range: an inf
+            payload = math.inf
         try:
             text = fgio.dumps(payload)
         except ValueError:  # the one value JSON rejects here: inf or NaN

@@ -237,18 +237,19 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     ``posterior_entropy(hmm_to_weighted_graph(h), rescale=True)`` to
     roundoff, not bit for bit.
 
-    The pass scales u, every table, every product, the vector after every
-    applied block and the closing u . v by 2^-k, k the frexp exponent of
-    its sum, and keeps the integer sum E of the k that enter the result.
-    That is exact away from subnormals. A block scaled as a whole still drops
-    entries more than the float range below its largest, which a long
-    reducible chain can need later. So a product with a positive entry
-    below 2^-960 is marked inexact and not applied: its two halves are,
-    in turn. So are the halves of a block that sends the vector's sum
-    below 2^-52. Down to single steps, that is the engine's pass: the fold.
+    The pass scales u, every table, every product and the vector after
+    every applied block by 2^-k, k the frexp exponent of its sum, and u . v
+    into [1, 2), keeping the integer sum E of the exponents. That is exact
+    away from subnormals, so a subnormal u . v, too few bits of P(y),
+    raises ZeroEvidence. A block scaled as a whole still drops entries
+    more than the float range below its largest, which a long reducible
+    chain can need later. So a product with a positive entry below 2^-960
+    is marked inexact and not applied: its two halves are, in turn. So are
+    the halves of a block that sends the vector's sum below 2^-52. Down to
+    single steps, that is the engine's pass: the fold.
 
     ``rescale`` only picks how (Z, H) are reported: as mantissas, Z in
-    [0.5, 1), with ``exponent`` E, or, when false, times 2^E, which raises
+    [1, 2), with ``exponent`` E, or, when false, times 2^E, which raises
     ZeroEvidence once P(y) is not a normal float. ``rescale=None`` is true
     for sequences longer than 1000 steps. Raises ZeroEvidence when y has
     zero probability.
@@ -287,10 +288,12 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
             exponent += int(k) + k_v
     u, gu, k_u = _normalised_vector(unary, unary * log2_or_zero(unary))
     z, hz = float(u @ v), float(gu @ v + u @ gv)
-    k_z = math.frexp(z)[1]
-    z, hz, exponent = math.ldexp(z, -k_z), math.ldexp(hz, -k_z), exponent + k_u + k_z
+    if 0.0 < z < 2.0 ** -1022:
+        raise ZeroEvidence(f"u . v = {z} is subnormal: the pass kept too few bits of P(y)")
+    e_z = math.frexp(z)[1] - 1  # the engine's mantissa convention, Z in [1, 2)
+    z, hz, exponent = math.ldexp(z, -e_z), math.ldexp(hz, -e_z), exponent + k_u + e_z
     if not rescale:  # fold 2^E into Z and H
-        if z and exponent < -1021:  # Z 2^E, Z in [0.5, 1), is below the smallest normal float
+        if z and exponent < -1022:  # Z 2^E is below the smallest normal float
             raise ZeroEvidence(f"P(y) = {z} * 2^{exponent} is not a normal float;"
                                " pass rescale=True")
         z, hz, exponent = math.ldexp(z, exponent), math.ldexp(hz, exponent), 0

@@ -247,9 +247,10 @@ def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
     theta_new = -(H_a / H_b) * lam from the ratio of the mantissas, in
     which 2^E cancels exactly. Totals past float range are reported as
     mantissas with their ``exponent``. Raises DegenerateMStep when the
-    denominator is 0 or below 1e-12 of the numerator; the ratio of
-    mantissas holds its precision at any scale. Raises ValueError when ``theta_old`` is
-    given but the set has no table callables or theta has the wrong size.
+    denominator is 0, subnormal, or below 1e-12 of the numerator; the ratio
+    of two normal mantissas holds its precision at any scale. Raises
+    ValueError when ``theta_old`` is given but the set has no table
+    callables or theta has the wrong size.
     """
     if pf.u is None or pf.v is None or pf.lam is None:
         raise ValueError("em_linear_step needs the linear-form tables u, v, and lam")
@@ -266,9 +267,9 @@ def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
     wg = WeightedGraph(pf.graph_with(tables), uv)
     res = compute_zh(wg)
     (h_a, h_b), exponent = fold_exponent(res.H.tolist(), res.exponent)
-    if h_b == 0.0 or abs(h_b) < 1e-12 * abs(h_a):
+    if abs(h_b) < 2.0 ** -1022 or abs(h_b) < 1e-12 * abs(h_a):
         raise DegenerateMStep(
-            f"denominator H_b = {h_b!r} vanishes against H_a = {h_a!r};"
+            f"denominator H_b = {h_b!r} is subnormal or vanishes against H_a = {h_a!r};"
             " no rank-one update exists"
         )
     ratio = h_a / h_b

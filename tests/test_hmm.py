@@ -346,21 +346,38 @@ class TestDirectPass:
         assert_close(res.entropy_bits, 1.0, 1e-14 * abs(log2_z), "bits")
         assert_close(res.log2_z(), log2_z, 1e-14, "log2 Z")
 
-    @pytest.mark.parametrize("rescale", [None, True, False])
-    @pytest.mark.parametrize("zeros, s", [(1000, 2), (1070, 2), (1000, _PAIR_STATES + 1)])
-    def test_evidence_far_below_1e_300(self, zeros, s, rescale):
-        # one path: state 1 emits y_1 = 1 and every later 0 with 1/2 each.
-        # u . v reads 2.3e-302 (2e-323 at 1070 zeros) before the closing
-        # scale, which once raised a false ZeroEvidence. Unrescaled, Z is
-        # reported while P(y) is a normal float.
-        emission = [[1.0, 0.0], [0.5, 0.5]] + [[0.0, 1.0]] * (s - 2)
+    @staticmethod
+    def one_path_chain(s, q, zeros):
+        # one path: state 1 emits y_1 = 1 with 1 - q and every later 0 with q
+        emission = [[1.0, 0.0], [q, 1.0 - q]] + [[0.0, 1.0]] * (s - 2)
         h = HmmSpec(np.full(s, 1 / s), np.eye(s), emission, [1] + [0] * zeros)
-        log2_z = -(zeros + 1) - math.log2(s)
+        return h, math.log2(1.0 - q) + zeros * math.log2(q) - math.log2(s)
+
+    @pytest.mark.parametrize("rescale", [None, True, False])
+    @pytest.mark.parametrize("zeros, s, q", [(1000, 2, 0.5), (1000, _PAIR_STATES + 1, 0.5),
+                                             (880, 2, 0.45), (880, _PAIR_STATES + 1, 0.45)])
+    def test_evidence_far_below_1e_300(self, zeros, s, q, rescale):
+        # u . v is a normal float below 1e-300 before the closing scale,
+        # which once raised a false ZeroEvidence. Unrescaled, Z is
+        # reported while P(y) is a normal float.
+        h, log2_z = self.one_path_chain(s, q, zeros)
         if rescale is False and log2_z < -1022:
             with pytest.raises(ZeroEvidence):
                 hmm_entropy(h, rescale=False)
         else:
             self.assert_matches_closed_form(h, 0.0, log2_z, rescale=rescale)
+
+    @pytest.mark.parametrize("rescale", [None, True])
+    @pytest.mark.parametrize("zeros, s, q", [(1070, 2, 0.5), (925, 2, 0.45),
+                                             (925, _PAIR_STATES + 1, 0.45)])
+    def test_subnormal_closing_product_raises(self, zeros, s, q, rescale):
+        # the one path's entry of v decays below 2^-1022 against the
+        # states that emit 0 with 1, so v keeps a few significant bits and
+        # u . v is subnormal: scaled up it read log2 Z and bits tens of
+        # percent off for q = 0.45
+        h, _ = self.one_path_chain(s, q, zeros)
+        with pytest.raises(ZeroEvidence, match="subnormal"):
+            hmm_entropy(h, rescale=rescale)
 
     def test_zero_evidence_on_both_paths(self):
         # x1 = 0 forever under the identity transitions, but y2 needs x2 = 1

@@ -282,8 +282,9 @@ class TestEmLinearStep:
 
     @pytest.mark.parametrize("scale", [1e-290, 1e-305, 1e-320])
     def test_tiny_totals_step(self, scale):
-        # the ratio of the pass's totals keeps its precision at any scale;
-        # totals between 2^-1022 and 1e-300 once raised DegenerateMStep
+        # the pass scales the totals to normal mantissas, whose ratio keeps
+        # its precision; totals between 2^-1022 and 1e-300 once raised
+        # DegenerateMStep
         pf = ParametricFactorSet.linear_form(
             [("x", 2)], [("x",)], [np.array([scale, scale])], [[1.0, 2.0]], [[1.0, 1.0]], [1.0]
         )
@@ -294,6 +295,15 @@ class TestEmLinearStep:
             [("x", 2)], [("x",)], [[0.5, 0.5]], [[2.0, 4.0]], [[0.0, 0.0]], [1.0]
         )
         with pytest.raises(DegenerateMStep):
+            em_linear_step(pf)
+
+    def test_degenerate_subnormal_mantissas(self):
+        # Z is 1, so the H mantissas are the subnormal totals themselves and
+        # their ratio would keep only about a dozen significant bits
+        pf = ParametricFactorSet.linear_form(
+            [("x", 2)], [("x",)], [[0.5, 0.5]], [[1e-320, 2e-320]], [[1e-320, 1e-320]], [1.0]
+        )
+        with pytest.raises(DegenerateMStep, match="subnormal"):
             em_linear_step(pf)
 
     def test_degenerate_both_zero(self):
