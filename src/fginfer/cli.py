@@ -251,44 +251,48 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _worst(errors) -> float:
+    """The largest error, NaN if any is: `main` reports NaN as NonFiniteTotal."""
+    return float(np.max(errors))
+
+
 def _check_graph(graph: FactorGraph, companions) -> float:
-    """Worst relative disagreement between the engine and enumeration."""
-    worst = 0.0
+    """Worst relative disagreement between the engine and enumeration;
+    NaN where a total is not finite."""
     marginals, _ = run(graph, SUM_PRODUCT, two_pass=True)
+    # one marginal per component, at its label; the two-pass plan serves it
+    roots, _ = run(graph, SUM_PRODUCT)
+    errors = []
     for vid, marg in marginals.items():
         # a marginal covers its own component only; on a forest the other
-        # components' totals, from a run rooted at vid, scale it to the
-        # whole graph's
-        roots, _ = run(graph, SUM_PRODUCT, root=vid)
-        del roots[vid]
-        (others,), e = product_of_totals(SUM_PRODUCT, roots) if roots else ((1.0,), 0)
-        oracle_m = enumerate_marginal(graph, vid)
-        for a, b in zip(marg.scores(), oracle_m):
-            worst = max(worst, _rel_err(math.ldexp(a * others, marg.exponent + e), float(b)))
+        # components' totals scale it to the whole graph's
+        own = graph.var_ids[graph.component[graph.var_index[vid]]]
+        rest = {label: m for label, m in roots.items() if label != own}
+        (others,), e = product_of_totals(SUM_PRODUCT, rest) if rest else ((1.0,), 0)
+        errors += [_rel_err(math.ldexp(a * others, marg.exponent + e), float(b))
+                   for a, b in zip(marg.scores(), enumerate_marginal(graph, vid))]
     # Z is the product over the components, as `fg partition` reports it
-    (z,), exponent = product_of_totals(SUM_PRODUCT, run(graph, SUM_PRODUCT)[0])
+    (z,), exponent = product_of_totals(SUM_PRODUCT, roots)
     with np.errstate(over="ignore"):
         z_engine = float(np.ldexp(z, exponent))
-    worst = max(worst, _rel_err(z_engine, enumerate_z(graph)))
-
+    errors.append(_rel_err(z_engine, enumerate_z(graph)))
     if companions is not None:
-        wg = WeightedGraph(graph, companions)
-        res = compute_zh(wg)
-        worst = max(worst, _rel_err(math.ldexp(res.Z, res.exponent), enumerate_z(graph)),
-                    _rel_err(math.ldexp(res.H, res.exponent), enumerate_h(graph, companions)))
+        res = compute_zh(WeightedGraph(graph, companions))
+        errors += [_rel_err(math.ldexp(res.Z, res.exponent), enumerate_z(graph)),
+                   _rel_err(math.ldexp(res.H, res.exponent), enumerate_h(graph, companions))]
     # the posterior-entropy leg only makes sense for nonnegative tables
     # with usable evidence; sum-product legs above cover the rest
     if (graph.values >= 0.0).all() and z_engine > 1e-300:
         post = posterior_entropy(WeightedGraph(graph, derive_log2_companions(graph)))
-        worst = max(worst, _rel_err(post.entropy_bits, enumerate_entropy(graph)))
-    return worst
+        errors.append(_rel_err(post.entropy_bits, enumerate_entropy(graph)))
+    return _worst(errors)
 
 
 def _check_hmm(h: HmmSpec) -> float:
     g = hmm_to_weighted_graph(h).graph
     res = hmm_entropy(h)
-    return max(_rel_err(res.entropy_bits, enumerate_entropy(g)),
-               _rel_err(math.ldexp(res.Z, res.exponent), enumerate_z(g)))
+    return _worst([_rel_err(res.entropy_bits, enumerate_entropy(g)),
+                   _rel_err(math.ldexp(res.Z, res.exponent), enumerate_z(g))])
 
 
 def _refill_graph(graph: FactorGraph, rng) -> tuple[FactorGraph, np.ndarray]:
@@ -322,25 +326,16 @@ def cmd_check(args):
         seed = -1
     if seed < 0:
         raise UsageError("FG_SEED must be a nonnegative integer")
-    worst = 0.0
     if args.hmm is not None:
         h = fgio.load_hmm(args.hmm)
-        if args.seeds <= 0:
-            worst = _check_hmm(h)
-        else:
-            for i in range(args.seeds):
-                rng = np.random.default_rng(seed + i)
-                worst = max(worst, _check_hmm(_refill_hmm(h, rng)))
+        errors = [_check_hmm(_refill_hmm(h, np.random.default_rng(seed + i)))
+                  for i in range(args.seeds)] or [_check_hmm(h)]
     else:
         pg = fgio.load_graph(args.graph)
         pg.graph.ensure_checked()
-        if args.seeds <= 0:
-            worst = _check_graph(pg.graph, pg.companions)
-        else:
-            for i in range(args.seeds):
-                rng = np.random.default_rng(seed + i)
-                fresh, companions = _refill_graph(pg.graph, rng)
-                worst = max(worst, _check_graph(fresh, companions))
+        errors = [_check_graph(*_refill_graph(pg.graph, np.random.default_rng(seed + i)))
+                  for i in range(args.seeds)] or [_check_graph(pg.graph, pg.companions)]
+    worst = _worst(errors)
     ok = worst <= _CHECK_TOL
     return (0 if ok else 1), {"max_rel_err": worst, "pass": ok}
 

@@ -3,7 +3,10 @@
 Everything here walks the full joint assignment space directly, with no
 message passing, no semiring dispatch, and no sharing of arithmetic with
 the engine; it exists so the engine has something independent to be checked
-against. A hard guard refuses joint spaces above one million assignments.
+against. There is one enumeration path: each variable's digit over the
+flattened joint space as an array, and every assignment's product of table
+entries as one vector. A hard guard refuses joint spaces above one million
+assignments.
 
 The joint index convention matches the table convention: the first declared
 variable is the most significant digit.
@@ -16,41 +19,6 @@ import numpy as np
 from .errors import TooLarge, ZeroEvidence
 
 _GUARD = 1_000_000
-
-
-class AssignmentIterator:
-    """Odometer over all joint assignments of the given cardinalities.
-
-    Yields tuples in lexicographic order, last position fastest. Purely
-    local arithmetic; used for small spot checks and anywhere an explicit
-    assignment stream reads better than index math.
-    """
-
-    def __init__(self, cards):
-        self.cards = [int(c) for c in cards]
-        if any(c < 1 for c in self.cards):
-            raise ValueError("cardinalities must be >= 1")
-        total = 1
-        for c in self.cards:
-            total *= c
-        if total > _GUARD:
-            raise TooLarge(f"{total} joint assignments exceed the {_GUARD} guard")
-        self.total = total
-
-    def __len__(self):
-        return self.total
-
-    def __iter__(self):
-        cards = self.cards
-        n = len(cards)
-        cur = [0] * n
-        for _ in range(self.total):
-            yield tuple(cur)
-            for p in range(n - 1, -1, -1):
-                cur[p] += 1
-                if cur[p] < cards[p]:
-                    break
-                cur[p] = 0
 
 
 def _joint_setup(g):
@@ -76,9 +44,9 @@ def _factor_indices(g, fi, digits):
     return flat
 
 
-def _joint_products(g, digits, values=None):
-    """Every assignment's product of tables; ``values`` replaces g's own."""
-    tables = np.split(g.values if values is None else values, g.offsets[1:-1])
+def _joint_products(g, digits):
+    """Every assignment's product of tables."""
+    tables = np.split(g.values, g.offsets[1:-1])
     prod = None
     for fi, table in enumerate(tables):
         term = table[_factor_indices(g, fi, digits)]
@@ -131,45 +99,7 @@ def enumerate_entropy(g) -> float:
     return float(-(pos * np.log2(pos)).sum())
 
 
-def fd_gradient(pf, theta, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of the brute-force total weight.
-
-    Evaluates p(theta) = sum over assignments of the product of the
-    parametric tables, by enumeration, at theta +- h per component.
-    """
-    theta = np.asarray(theta, dtype=float)
-
-    def p_of(t):
-        tables = pf.tables_at(t)
-        g = pf.structure_graph()
-        _, _, digits = _joint_setup(g)
-        return float(_joint_products(g, digits, tables).sum())
-
-    grad = np.zeros(theta.size)
-    for j in range(theta.size):
-        up = theta.copy()
-        dn = theta.copy()
-        up[j] += h
-        dn[j] -= h
-        grad[j] = (p_of(up) - p_of(dn)) / (2.0 * h)
-    return grad
-
-
 def max_product_value(g) -> float:
     """Best single-assignment weight, by enumeration."""
     _, _, digits = _joint_setup(g)
     return float(_joint_products(g, digits).max())
-
-
-def boolean_satisfiable(g) -> float:
-    """1.0 if some assignment has every factor nonzero, else 0.0."""
-    _, _, digits = _joint_setup(g)
-    return 1.0 if bool((_joint_products(g, digits) != 0.0).any()) else 0.0
-
-
-def brute_total(cards, weight_fn) -> float:
-    """Sum weight_fn over every assignment via the odometer iterator."""
-    acc = 0.0
-    for a in AssignmentIterator(cards):
-        acc += weight_fn(a)
-    return acc

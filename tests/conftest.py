@@ -1,6 +1,7 @@
 """Shared helpers: random tree generation, tolerance predicates, random
-semiring carriers with an independent entropy product, and the per-edge
-references for a graph's structure."""
+semiring carriers with an independent entropy product, the per-edge
+references for a graph's structure, and the references that tests build
+on the enumeration oracle (finite differences, satisfiability)."""
 
 import math
 
@@ -17,6 +18,7 @@ from fginfer import (
     UnknownVariable,
     VariableDecl,
 )
+from fginfer.oracle import enumerate_z
 
 
 def rel_err(a: float, b: float) -> float:
@@ -211,6 +213,32 @@ def reference_check(g) -> None:
         if f.values.size != need:
             raise ScopeMismatch(f"factor {f.id!r}: value table length {f.values.size},"
                                 f" but its scope needs {need}")
+
+
+def fd_gradient(pf, theta, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of the brute-force total weight:
+    p(theta) = sum over assignments of the product of the parametric
+    set's tables, by enumeration, at theta +- h per component."""
+    theta = np.asarray(theta, dtype=float)
+    grad = np.zeros(theta.size)
+    for j in range(theta.size):
+        up = theta.copy()
+        dn = theta.copy()
+        up[j] += h
+        dn[j] -= h
+        grad[j] = (enumerate_z(pf.graph_with(pf.tables_at(up)))
+                   - enumerate_z(pf.graph_with(pf.tables_at(dn)))) / (2.0 * h)
+    return grad
+
+
+def boolean_satisfiable(g) -> float:
+    """1.0 if some assignment has every factor nonzero, else 0.0: the
+    enumerated count of such assignments, over the 0/1 indicator tables
+    of g's entries, is exact."""
+    g.ensure_checked()
+    indicators = FactorGraph.from_arrays(g.var_ids, g.cards, g.factor_ids, g.scopes,
+                                         (g.values != 0.0).astype(float), np.diff(g.offsets))
+    return 1.0 if enumerate_z(indicators) > 0.0 else 0.0
 
 
 @pytest.fixture

@@ -46,12 +46,12 @@ from fginfer.oracle import (
     enumerate_h,
     enumerate_marginal,
     enumerate_z,
-    fd_gradient,
 )
 
 from conftest import (
     entropy_fold,
     entropy_product_closed_form,
+    fd_gradient,
     random_carrier,
     random_tree,
     ulps_apart,

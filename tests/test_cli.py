@@ -3,9 +3,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from fginfer.cli import main
+from fginfer import FactorGraph, FactorTable, VariableDecl
+from fginfer.cli import _check_graph, main
 from fginfer.io import dumps
 
 
@@ -83,6 +85,15 @@ def huge_pair_doc():
         "variables": [{"id": "a", "cardinality": 2}, {"id": "b", "cardinality": 2}],
         "factors": [{"id": "fab", "scope": ["a", "b"], "values": [1e308] * 4}],
     }
+
+
+def overflowing_pair_doc():
+    """Two binary variables under [1e308, 1e308, 1e308, -1]: the engine's
+    and the enumerated totals are both inf, and the negative entry rules
+    out the posterior-entropy leg."""
+    doc = huge_pair_doc()
+    doc["factors"][0]["values"][3] = -1.0
+    return doc
 
 
 def assert_fails(result, code, kind):
@@ -474,6 +485,27 @@ class TestCheck:
             code, out, _ = cli("check", path, *extra)
             assert (code, out["pass"]) == (0, True)
             assert out["max_rel_err"] <= 1e-9
+
+    def test_one_plan_per_check(self):
+        # three components: a chain a - b - c, a lone d, and a pair e - f
+        cards = {"a": 2, "b": 3, "c": 2, "d": 2, "e": 3, "f": 2}
+        scopes = [("a", "b"), ("b", "c"), ("d",), ("e", "f"), ("e",)]
+        graph = FactorGraph(
+            [VariableDecl(v, c) for v, c in cards.items()],
+            [FactorTable(f"f{i}", s, np.linspace(0.5, 2.0, math.prod(cards[v] for v in s)))
+             for i, s in enumerate(scopes)],
+        )
+        assert _check_graph(graph, None) <= 1e-9
+        assert len(graph.plans) == 1
+
+    def test_non_finite_totals_exit_2(self, cli, write):
+        path = write(overflowing_pair_doc())
+        assert_fails(cli("check", path), 2, "NonFiniteTotal")
+        assert_fails(cli("partition", path), 2, "NonFiniteTotal")
+        # finite marginal entries, but their sum Z overflows: a NaN after
+        # finite errors must still count
+        path = write(unary_doc(values=(1e308, 1e308, -1.0), g=None), "z.json")
+        assert_fails(cli("check", path), 2, "NonFiniteTotal")
 
     def test_seeded_refills(self, cli, write):
         code, out, _ = cli("check", write(star_doc()), "--seeds", "5")

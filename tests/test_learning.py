@@ -19,9 +19,9 @@ from fginfer import (
     gradient_at,
     learning,
 )
-from fginfer.oracle import enumerate_h, fd_gradient
+from fginfer.oracle import enumerate_h
 
-from conftest import assert_close, bits, heap_tree, per_factor, random_tree
+from conftest import assert_close, bits, fd_gradient, heap_tree, per_factor, random_tree
 
 
 def mixture_factor_set():

@@ -1,20 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 
 from fginfer import ENTROPY, FactorGraph, FactorTable, TooLarge, VariableDecl, ZeroEvidence
 from fginfer.oracle import (
-    AssignmentIterator,
-    brute_total,
     enumerate_entropy,
     enumerate_h,
     enumerate_marginal,
     enumerate_z,
-    fd_gradient,
 )
 
-from conftest import assert_close
+from conftest import assert_close, fd_gradient
 
 
 def unary_graph(values):
@@ -22,24 +17,6 @@ def unary_graph(values):
     return FactorGraph(
         [VariableDecl("x", v.size)], [FactorTable("f", ("x",), v)]
     )
-
-
-class TestAssignmentIterator:
-    def test_visits_each_exactly_once(self):
-        it = AssignmentIterator([2, 3, 2])
-        seen = list(tuple(a) for a in it)
-        assert len(seen) == 12
-        assert len(set(seen)) == 12
-
-    def test_len(self):
-        assert len(AssignmentIterator([4, 5])) == 20
-
-    def test_guard(self):
-        with pytest.raises(TooLarge):
-            AssignmentIterator([100] * 4)
-
-    def test_single_variable(self):
-        assert list(AssignmentIterator([3])) == [(0,), (1,), (2,)]
 
 
 class TestEnumerateZ:
@@ -160,16 +137,12 @@ class TestFdGradient:
         assert abs(grad[0] - 4.0) <= 1e-8
 
 
-def test_brute_total_matches_enumerate_z():
+def test_enumerate_z_sums_a_two_by_three_table():
     g = FactorGraph(
         [VariableDecl("a", 2), VariableDecl("b", 3)],
         [FactorTable("f", ("a", "b"), np.arange(1.0, 7.0))],
     )
-
-    def weight(assign):
-        return float(np.arange(1.0, 7.0)[assign[0] * 3 + assign[1]])
-
-    assert brute_total([2, 3], weight) == enumerate_z(g)
+    assert enumerate_z(g) == 21.0
 
 
 def test_entropy_lifted_first_components_equal_plain_z():

@@ -19,7 +19,6 @@ from fginfer import (
     total_sum,
 )
 from fginfer.oracle import (
-    boolean_satisfiable,
     enumerate_h,
     enumerate_marginal,
     enumerate_z,
@@ -31,6 +30,7 @@ from conftest import (
     adjacency,
     assert_close,
     bits,
+    boolean_satisfiable,
     heap_tree,
     per_factor,
     random_forest,
