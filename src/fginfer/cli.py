@@ -275,10 +275,11 @@ def _check_graph(graph: FactorGraph, companions) -> float:
     (z,), exponent = product_of_totals(SUM_PRODUCT, roots)
     with np.errstate(over="ignore"):
         z_engine = float(np.ldexp(z, exponent))
-    errors.append(_rel_err(z_engine, enumerate_z(graph)))
+    z_enumerated = enumerate_z(graph)
+    errors.append(_rel_err(z_engine, z_enumerated))
     if companions is not None:
         res = compute_zh(WeightedGraph(graph, companions))
-        errors += [_rel_err(math.ldexp(res.Z, res.exponent), enumerate_z(graph)),
+        errors += [_rel_err(math.ldexp(res.Z, res.exponent), z_enumerated),
                    _rel_err(math.ldexp(res.H, res.exponent), enumerate_h(graph, companions))]
     # the posterior-entropy leg only makes sense for nonnegative tables
     # with usable evidence; sum-product legs above cover the rest
@@ -352,8 +353,9 @@ def main(argv=None) -> int:
         try:
             text = fgio.dumps(payload)
         except ValueError:  # the one value JSON rejects here: inf or NaN
-            raise NonFiniteTotal("a result is past float range: scale the tables, theta or"
-                                 " the step down") from None
+            # grad alone takes a theta and a step that can carry it there
+            inputs = "the tables, theta or the step" if args.command == "grad" else "the tables"
+            raise NonFiniteTotal(f"a result is past float range: scale {inputs} down") from None
     except FactorGraphError as e:
         print(fgio.dumps({"error": {"kind": e.kind, "detail": e.detail}}))
         print(f"fg: {e.kind}: {e.detail}", file=sys.stderr)

@@ -14,10 +14,12 @@ posterior-entropy input: the entropy of the state posterior given y.
 
 :func:`hmm_entropy` does not build that graph. Each chain step acts on an
 entropy-semiring pair as the dual-number block matrix [[F, 0], [G, F]]
-with G = F * log2 F. Up to 22 states it reduces the stacked steps pairwise
-in log2 T levels of batched matrix products; wider chains fold a step at a
-time. The tests hold it to the generic engine on :func:`hmm_to_weighted_graph`
-at a relative tolerance, and long reducible chains to their exact values.
+with G = F * log2 F. Up to 22 states it reduces the steps pairwise, once,
+in log2 T levels of batched matrix products, and keeps the levels above the
+steps: a block that lost entries is applied as its halves from the level
+below. Wider chains fold a step at a time. The tests hold it to the
+generic engine on :func:`hmm_to_weighted_graph` at a relative tolerance,
+and long reducible chains to their exact values.
 """
 
 import math
@@ -192,33 +194,26 @@ def _inexact(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (small & np.matmul(a > 0, b > 0)).any(axis=(1, 2))
 
 
-def _levels(tables, duals, k_tables, steps, keep: bool) -> list:
-    """The pairwise reduction of the steps: level n holds the blocks of 2^n
-    steps as (F, G, exponents, exact flags), an odd last block carried up
-    unpaired. Returns every level if ``keep``, else the top one alone,
-    which holds the block of the whole run."""
-    f, g = tables.take(steps, axis=0), duals.take(steps, axis=0)
-    k = k_tables.take(steps).astype(np.int64)  # int64 sums; np.ldexp is far faster on int32
-    levels = [(f, g, k, np.ones(len(f), dtype=bool))]
+def _levels(tables, duals, k_tables, steps) -> list:
+    """The pairwise reduction of the steps, level by level, as (F, G,
+    exponents, exact flags). Level 0 is the per-symbol tables, step t
+    reading entry steps[t]; level n > 0 holds the blocks of 2^n steps, an
+    odd last block carried up unpaired, so the top level holds the block
+    of the whole run."""
+    k_tables = k_tables.astype(np.int64)  # int64 sums; np.ldexp is far faster on int32
+    levels = [(tables, duals, k_tables, np.ones(len(tables), dtype=bool))]
+    f, g, k, exact = (x.take(steps, axis=0) for x in levels[0])
     while len(f) > 1:
         m = len(f) // 2 * 2
         f1, f2, g1, g2 = f[:m:2], f[1:m:2], g[:m:2], g[1:m:2]
-        exact = levels[-1][3]
         product = f1 @ f2
         paired = exact[:m:2] & exact[1:m:2] & ~_inexact(product, f1, f2)
         f, g, k_level = _normalised(np.concatenate((product, f[m:])),
                                     np.concatenate((g1 @ f2 + f1 @ g2, g[m:])))
         k = np.concatenate((k[:m:2] + k[1:m:2], k[m:])) + k_level
-        if not keep:
-            levels.clear()
-        levels.append((f, g, k, np.concatenate((paired, exact[m:]))))
+        exact = np.concatenate((paired, exact[m:]))
+        levels.append((f, g, k, exact))
     return levels
-
-
-def _must_split(exact, w: np.ndarray) -> bool:
-    """Whether a block is applied as its two halves instead: it lost
-    entries, or it sends the rescaled vector's sum below _LOW."""
-    return not exact or w.sum() < _LOW
 
 
 def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
@@ -244,7 +239,8 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     raises ZeroEvidence. A block scaled as a whole still drops entries
     more than the float range below its largest, which a long reducible
     chain can need later. So a product with a positive entry below 2^-960
-    is marked inexact and not applied: its two halves are, in turn. So are
+    is marked inexact and not applied: its two halves are, in turn, read
+    from the one reduction, which keeps every level above the steps. So are
     the halves of a block that sends the vector's sum below 2^-52. Down to
     single steps, that is the engine's pass: the fold.
 
@@ -268,21 +264,18 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     else:
         unary, tables, steps = _chain_tables(h)
         tables, duals, k_tables = _normalised(tables, tables * log2_or_zero(tables))
-        # splitting needs the levels below the top, so they are kept only
-        # when the top block itself must be split
-        levels = _levels(tables, duals, k_tables, steps, keep=False)
-        f, g, k, exact = levels[-1]
-        if len(steps) > 1 and _must_split(exact[0], f[0] @ v):
-            levels = _levels(tables, duals, k_tables, steps, keep=True)
+        levels = _levels(tables, duals, k_tables, steps)
+        sizes = [len(steps)] + [len(x[0]) for x in levels[1:]]
         todo = [(len(levels) - 1, 0)] if len(steps) else []
-        # inward from x_T; a block that is split pushes its right half
-        # last, so that half acts first
+        # inward from x_T; a block that lost entries, or sends the vector's
+        # sum below _LOW, is applied as its two halves, and its right half
+        # is pushed last, so that half acts first
         while todo and v.any():
             n, i = todo.pop()
-            f, g, k, exact = (x[i] for x in levels[n])
+            f, g, k, exact = (x[i if n else steps[i]] for x in levels[n])
             w = f @ v
-            if n and _must_split(exact, w):
-                todo += [(n - 1, j) for j in range(2 * i, min(2 * i + 2, len(levels[n - 1][0])))]
+            if n and (not exact or w.sum() < _LOW):
+                todo += [(n - 1, j) for j in range(2 * i, min(2 * i + 2, sizes[n - 1]))]
                 continue
             v, gv, k_v = _normalised_vector(w, g @ v + f @ gv)
             exponent += int(k) + k_v

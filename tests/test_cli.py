@@ -453,6 +453,7 @@ class TestGrad:
     def test_trajectory_past_float_range(self, cli, write):
         result = cli("grad", write(grad_doc()), "--theta", "1e308", "--step", "1e308")
         assert_fails(result, 2, "NonFiniteTotal")
+        assert result[1]["error"]["detail"].endswith("scale the tables, theta or the step down")
 
     def test_undefined_quotient_exit_code(self, cli, write):
         d = grad_doc(base=(0.0, 1.0), coeff=(1.0, 0.0))
@@ -500,7 +501,11 @@ class TestCheck:
 
     def test_non_finite_totals_exit_2(self, cli, write):
         path = write(overflowing_pair_doc())
-        assert_fails(cli("check", path), 2, "NonFiniteTotal")
+        result = cli("check", path)
+        assert_fails(result, 2, "NonFiniteTotal")
+        # check takes no theta and no step: the detail names the tables alone
+        detail = "a result is past float range: scale the tables down"
+        assert result[1]["error"]["detail"] == detail
         assert_fails(cli("partition", path), 2, "NonFiniteTotal")
         # finite marginal entries, but their sum Z overflows: a NaN after
         # finite errors must still count

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fginfer.hmm
 from fginfer import (
     HmmSpec,
     OutOfDomain,
@@ -263,12 +264,28 @@ class TestDirectPass:
         assert_close(direct.entropy_bits, engine.entropy_bits, 1e-13 * scale, "bits")
         assert_close(direct.log2_z(), engine.log2_z(), 1e-13, "log2 Z")
 
-    def test_reducible_chain_keeps_a_path_below_the_block_range(self):
+    @pytest.mark.parametrize("zeros", [4000, 4001])
+    def test_reducible_chain_keeps_a_path_below_the_block_range(self, zeros):
         # only state 1 emits the last symbol, and each step before it halves
         # state 1 against state 0: a product of more than 1074 of those
-        # steps scaled as a whole reads 0 for the one path that survives
+        # steps scaled as a whole reads 0 for the one path that survives.
+        # An odd step count carries a block up unpaired.
+        h = HmmSpec([0.5, 0.5], np.eye(2), [[1.0, 0.0], [0.5, 0.5]], [0] * zeros + [1])
+        self.assert_matches_closed_form(h, 0.0, -2.0 - zeros)
+
+    def test_split_chain_is_reduced_once(self, monkeypatch):
+        # the top block of this chain is inexact, so it is split, from
+        # the levels of the one reduction
+        calls, levels = [], fginfer.hmm._levels
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return levels(*args, **kwargs)
+
+        monkeypatch.setattr(fginfer.hmm, "_levels", counted)
         h = HmmSpec([0.5, 0.5], np.eye(2), [[1.0, 0.0], [0.5, 0.5]], [0] * 4000 + [1])
-        self.assert_matches_closed_form(h, 0.0, -4002.0)
+        assert hmm_entropy(h).log2_z() == -4002.0
+        assert len(calls) == 1
 
     def test_path_that_falls_and_recovers(self):
         # state 1 falls 2^-1556 behind state 0 over 1100 steps, gains back
@@ -380,13 +397,17 @@ class TestDirectPass:
             hmm_entropy(h, rescale=rescale)
 
     def test_zero_evidence_on_both_paths(self):
-        # x1 = 0 forever under the identity transitions, but y2 needs x2 = 1
-        h = HmmSpec([1.0, 0.0], np.eye(2), np.eye(2), [0, 1, 0])
-        for rescale in (False, True):
+        # x1 = 0 forever under the identity transitions, but y2 needs x2 = 1.
+        # No state emits y4 of the second chain, so its odd last step,
+        # carried up every level, is split down to its own symbol's table.
+        for emission, y in ((np.eye(2), [0, 1, 0]),
+                            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0, 0, 0, 2])):
+            h = HmmSpec([1.0, 0.0], np.eye(2), emission, y)
+            for rescale in (False, True):
+                with pytest.raises(ZeroEvidence):
+                    hmm_entropy(h, rescale=rescale)
             with pytest.raises(ZeroEvidence):
-                hmm_entropy(h, rescale=rescale)
-        with pytest.raises(ZeroEvidence):
-            posterior_entropy(hmm_to_weighted_graph(h))
+                posterior_entropy(hmm_to_weighted_graph(h))
 
     def test_zero_evidence_on_a_wide_chain(self):
         s = _PAIR_STATES + 1
