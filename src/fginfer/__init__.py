@@ -48,7 +48,7 @@ from .learning import (
     em_q_gradient,
     gradient_at,
 )
-from .propagation import MarginalResult, RunMessages, run, total_sum
+from .propagation import MarginalResult, RunMessages, run
 from .semiring import (
     BOOLEAN,
     ENTROPY,

@@ -115,11 +115,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_theta(text: str) -> np.ndarray:
+def _parse_theta(text: str, dim: int) -> np.ndarray:
+    """--theta as an array of ``dim`` finite numbers; UsageError otherwise."""
     try:
-        return np.asarray([float(x) for x in text.split(",") if x.strip() != ""])
+        theta = np.asarray([float(x) for x in text.split(",") if x.strip() != ""])
     except ValueError:
         raise UsageError(f"--theta: not a comma-separated number list: {text!r}") from None
+    if theta.size != dim:
+        raise UsageError(f"--theta has {theta.size} components, model has {dim}")
+    if not np.isfinite(theta).all():
+        raise UsageError(f"--theta must be finite: {text!r}")
+    return theta
 
 
 def cmd_validate(args):
@@ -131,19 +137,12 @@ def cmd_validate(args):
     return 0, {"valid": True, "errors": []}
 
 
-def _folded(mantissas: list, exponent: int) -> tuple[list, float]:
-    """(mantissas * 2^exponent, log scale 0) if those are all finite normal
-    floats or 0, else (mantissas, exponent * ln 2)."""
-    values, exponent = fold_exponent(mantissas, exponent)
-    return values, exponent * _LN2
-
-
 def cmd_partition(args):
     pg = fgio.load_graph(args.graph)
     s = get_semiring(args.semiring)
     marginals, _ = run(pg.graph, s, root=args.root)
-    (z,), log_scale = _folded(*product_of_totals(s, marginals))
-    return 0, {"Z": z, "log_scale": log_scale}
+    (z,), exponent = fold_exponent(*product_of_totals(s, marginals))
+    return 0, {"Z": z, "log_scale": exponent * _LN2}
 
 
 def cmd_marginal(args):
@@ -156,7 +155,8 @@ def cmd_marginal(args):
         marginals, _ = run(pg.graph, s, two_pass=True)
     out, log_scale = {}, {}
     for vid, marg in marginals.items():
-        out[vid], log_scale[vid] = _folded(marg.scores(), marg.exponent)
+        out[vid], exponent = fold_exponent(marg.scores(), marg.exponent)
+        log_scale[vid] = exponent * _LN2
     return 0, {"marginals": out, "log_scale": log_scale}
 
 
@@ -179,13 +179,12 @@ def cmd_entropy(args):
             )
         wg = WeightedGraph(pg.graph, companions)
         res = posterior_entropy(wg, root=args.root)
-    (z, h), log_scale = _folded([res.Z, res.H], res.exponent)
     return 0, {
-        "Z": z,
-        "H": h,
+        "Z": res.Z,
+        "H": res.H,
         "entropy": entropy_in_base(res.entropy_bits, args.base),
         "base": args.base,
-        "log_scale": log_scale,
+        "log_scale": res.log_scale,
     }
 
 
@@ -201,9 +200,7 @@ def cmd_em_step(args):
         if not pf.has_gradients:
             raise MissingDependency("em-step --theta needs grad tables to evaluate"
                                     " the tables at theta")
-        theta_old = _parse_theta(args.theta)
-        if theta_old.size != pf.dim:
-            raise UsageError(f"--theta has {theta_old.size} components, model has {pf.dim}")
+        theta_old = _parse_theta(args.theta, pf.dim)
     step = em_linear_step(pf, theta_old=theta_old)
     return 0, {
         "H_a": step.h_a,
@@ -221,9 +218,7 @@ def cmd_grad(args):
         raise MissingDependency(
             "grad needs a parametric block with grad coefficient tables"
         )
-    theta = _parse_theta(args.theta)
-    if theta.size != pf.dim:
-        raise UsageError(f"--theta has {theta.size} components, model has {pf.dim}")
+    theta = _parse_theta(args.theta, pf.dim)
     if args.iters < 1:
         raise UsageError("--iters must be >= 1")
     if not (math.isfinite(args.step) and math.isfinite(args.tol)):

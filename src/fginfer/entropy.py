@@ -46,8 +46,8 @@ class EntropyResult:
     The true totals are Z * 2^exponent and H * 2^exponent, and
     ``log_scale`` is exponent * ln 2. ``H`` is a float, or a length-k
     array when the companions had k columns. ``entropy_bits`` is filled in
-    by :func:`posterior_entropy` and :func:`entropy_from_zh` and is None
-    otherwise.
+    by :func:`entropy_from_zh`, which every entropy pass returns through,
+    and is None from :func:`compute_zh`.
     """
 
     Z: float
@@ -119,14 +119,6 @@ def _zh_mantissas(wg: WeightedGraph, root: str | None) -> tuple[list, int]:
     return product_of_totals(ENTROPY, marginals)
 
 
-def _folded_result(wg: WeightedGraph, mantissas: list, exponent: int,
-                   bits: float | None = None) -> EntropyResult:
-    (z, *h), exponent = fold_exponent(mantissas, exponent)
-    columns = wg.companions is not None and wg.companions.ndim == 2
-    return EntropyResult(Z=z, H=np.array(h) if columns else h[0], entropy_bits=bits,
-                         exponent=exponent)
-
-
 def compute_zh(wg: WeightedGraph, root: str | None = None) -> EntropyResult:
     """Z and H of a weighted graph in a single entropy-semiring pass.
 
@@ -137,7 +129,9 @@ def compute_zh(wg: WeightedGraph, root: str | None = None) -> EntropyResult:
     are the totals, with ``exponent`` 0, if all are finite normal floats,
     else mantissas (:func:`fginfer.propagation.fold_exponent`).
     """
-    return _folded_result(wg, *_zh_mantissas(wg, root))
+    (z, *h), exponent = fold_exponent(*_zh_mantissas(wg, root))
+    columns = wg.companions is not None and wg.companions.ndim == 2
+    return EntropyResult(Z=z, H=np.array(h) if columns else h[0], exponent=exponent)
 
 
 def posterior_entropy(wg: WeightedGraph, root: str | None = None,
@@ -145,28 +139,29 @@ def posterior_entropy(wg: WeightedGraph, root: str | None = None,
     """Entropy in bits of the distribution defined by a weighted graph.
 
     Requires nonnegative tables whose companions are the base-2 logs of the
-    values (undefined at zeros). Z and H are reported as by
-    :func:`compute_zh`; the bits, -H/Z + log2(Z) + E, come from the pass's
-    mantissas, Z in [1, 2), so ZeroEvidence means no assignment has
-    weight, never that Z underflows. Raises NonFiniteTotal, with no
-    floating-point warning before it, when table entries near the float
-    maximum overflow one factor's sum. Tiny negative outcomes from
-    roundoff (>= -1e-9) are clamped to exactly 0. ``rescale`` has no
-    effect: the benchmark still passes it, and ROADMAP item 1 removes it.
+    values (undefined at zeros), one column of them. Returns
+    :func:`entropy_from_zh` of the pass's mantissas, so ZeroEvidence means
+    no assignment has weight, never that Z underflows. Raises
+    NonFiniteTotal, with no floating-point warning before it, when table
+    entries near the float maximum overflow one factor's sum. ``rescale``
+    has no effect: the benchmark still passes it, and ROADMAP item 1
+    removes it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mantissas, exponent = _zh_mantissas(wg, root)
-    bits = entropy_from_zh(mantissas[0], mantissas[1], exponent).entropy_bits
-    return _folded_result(wg, mantissas, exponent, bits)
+        (z, h, *_), exponent = _zh_mantissas(wg, root)
+    return entropy_from_zh(z, h, exponent)
 
 
 def entropy_from_zh(z: float, h: float, exponent: int) -> EntropyResult:
-    """The entropy result of a run's (Z, H) mantissas and exponent E.
+    """The entropy result of a pass's (Z, H) mantissas and exponent E: the
+    one exit of every entropy pass.
 
-    Applies the rules :func:`posterior_entropy` documents: ZeroEvidence for
-    Z <= 0, NonFiniteTotal for a Z or H that is not finite, bits =
-    -H/Z + log2(Z) + E, and roundoff negatives down to -1e-9 clamped to 0.
-    Z is a mantissa, so no positive Z is too small: the callers scale it.
+    Raises ZeroEvidence for Z <= 0 and NonFiniteTotal for a Z or H that is
+    not finite. The bits, -H/Z + log2(Z) + E, come from the mantissas, and
+    roundoff negatives down to -1e-9 are clamped to 0. Z and H are then
+    reported as :func:`fginfer.propagation.fold_exponent` gives them: the
+    totals, with ``exponent`` 0, if both are finite normal floats or 0,
+    else the mantissas with E.
     """
     if z <= 0.0:
         raise ZeroEvidence(f"total weight Z = {z}; no assignment has positive weight")
@@ -176,6 +171,7 @@ def entropy_from_zh(z: float, h: float, exponent: int) -> EntropyResult:
     bits = -h / z + math.log2(z) + exponent
     if -1e-9 <= bits < 0.0:
         bits = 0.0
+    (z, h), exponent = fold_exponent((z, h), exponent)
     return EntropyResult(z, h, bits, exponent)
 
 

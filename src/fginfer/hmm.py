@@ -229,7 +229,7 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     stacks nothing: inward from x_T, step t's table A diag(b), b = B[:, y_t],
     maps (v, gv) to (A (b v), (A * log2 A)(b v) + A (b log2 b v + b gv)).
     The bracketing differs from the generic engine's, so the result matches
-    ``posterior_entropy(hmm_to_weighted_graph(h), rescale=True)`` to
+    ``posterior_entropy(hmm_to_weighted_graph(h))`` to
     roundoff, not bit for bit.
 
     The pass scales u, every table, every product and the vector after
@@ -244,11 +244,13 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     the halves of a block that sends the vector's sum below 2^-52. Down to
     single steps, that is the engine's pass: the fold.
 
-    ``rescale`` only picks how (Z, H) are reported: as mantissas, Z in
-    [1, 2), with ``exponent`` E, or, when false, times 2^E, which raises
-    ZeroEvidence once P(y) is not a normal float. ``rescale=None`` is true
-    for sequences longer than 1000 steps. Raises ZeroEvidence when y has
-    zero probability.
+    The result is :func:`~fginfer.entropy.entropy_from_zh` of the
+    mantissas, Z in [1, 2), and E: (Z, H) are P(y) and its H with
+    ``exponent`` 0 when both are normal floats, else the mantissas with E.
+    ``rescale`` changes neither: when false, a result left as mantissas
+    raises ZeroEvidence instead. ``rescale=None`` is true for sequences
+    longer than 1000 steps. Raises ZeroEvidence when y has zero
+    probability.
     """
     if rescale is None:
         rescale = h.num_steps > _LONG_CHAIN
@@ -284,10 +286,8 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     if 0.0 < z < 2.0 ** -1022:
         raise ZeroEvidence(f"u . v = {z} is subnormal: the pass kept too few bits of P(y)")
     e_z = math.frexp(z)[1] - 1  # the engine's mantissa convention, Z in [1, 2)
-    z, hz, exponent = math.ldexp(z, -e_z), math.ldexp(hz, -e_z), exponent + k_u + e_z
-    if not rescale:  # fold 2^E into Z and H
-        if z and exponent < -1022:  # Z 2^E is below the smallest normal float
-            raise ZeroEvidence(f"P(y) = {z} * 2^{exponent} is not a normal float;"
-                               " pass rescale=True")
-        z, hz, exponent = math.ldexp(z, exponent), math.ldexp(hz, exponent), 0
-    return entropy_from_zh(z, hz, exponent)
+    res = entropy_from_zh(math.ldexp(z, -e_z), math.ldexp(hz, -e_z), exponent + k_u + e_z)
+    if res.exponent and not rescale:
+        raise ZeroEvidence(f"P(y) = {res.Z} * 2^{res.exponent} is not a normal float;"
+                           " pass rescale=True")
+    return res

@@ -203,6 +203,14 @@ class EmStepResult:
     exponent: int = 0
 
 
+def _point(pf: ParametricFactorSet, theta, name: str) -> np.ndarray:
+    """``theta`` as a flat array of ``pf.dim`` floats, else ValueError."""
+    theta = np.asarray(theta, dtype=float).ravel()
+    if theta.size != pf.dim:
+        raise ValueError(f"{name} has {theta.size} components, model has {pf.dim}")
+    return theta
+
+
 def _quotient_companions(pf: ParametricFactorSet, f: np.ndarray, gt: np.ndarray,
                          what: str) -> np.ndarray:
     """The g tables grad/value, one (dim, total) array from the (total,)
@@ -228,9 +236,7 @@ def gradient_at(pf: ParametricFactorSet, theta, rescale: bool = True) -> np.ndar
     the totals overflow (ROADMAP item 1 makes that exact). ``rescale`` has
     no effect: the benchmark still passes it, and item 1 removes it.
     """
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != pf.dim:
-        raise ValueError(f"theta has {theta.size} components, model has {pf.dim}")
+    theta = _point(pf, theta, "theta")
     values = pf.tables_at(theta)
     companions = _quotient_companions(pf, values, pf.grads_at(theta), "table")
     wg = WeightedGraph(pf.graph_with(values), companions)
@@ -255,10 +261,7 @@ def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
     if pf.u is None or pf.v is None or pf.lam is None:
         raise ValueError("em_linear_step needs the linear-form tables u, v, and lam")
     if theta_old is not None:
-        theta_old = np.asarray(theta_old, dtype=float).ravel()
-        if theta_old.size != pf.dim:
-            raise ValueError(f"theta_old has {theta_old.size} components, model has {pf.dim}")
-        tables = pf.tables_at(theta_old)
+        tables = pf.tables_at(_point(pf, theta_old, "theta_old"))
     elif pf.base_tables is not None:
         tables = pf.base_tables
     else:
@@ -286,8 +289,10 @@ def em_q_gradient(pf: ParametricFactorSet, theta_old, theta_i) -> np.ndarray:
     (d p_k / d theta_j) / p_k at theta_i, all in one pass whose exponent
     is folded back exactly; a component past float range reads
     +-inf. At a theta_new returned by :func:`em_linear_step` for a
-    genuinely linear family this vanishes.
+    genuinely linear family this vanishes. Raises ValueError when either
+    point has the wrong size.
     """
+    theta_old, theta_i = _point(pf, theta_old, "theta_old"), _point(pf, theta_i, "theta_i")
     f_i = pf.tables_at(theta_i)
     companions = _quotient_companions(pf, f_i, pf.grads_at(theta_i), "evaluation-point")
     res = compute_zh(WeightedGraph(pf.graph_with(pf.tables_at(theta_old)), companions))

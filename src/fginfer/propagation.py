@@ -187,7 +187,7 @@ def _contraction_index(shapes, fi: np.ndarray, tpos: np.ndarray, bounds) -> tupl
 class MarginalResult:
     """An unnormalized marginal: ``msg`` times 2^``exponent``, with
     ``log_scale`` = ``exponent`` ln 2. The run's dict keys it by variable
-    id; :func:`total_sum` takes the run's semiring with it."""
+    id; :func:`product_of_totals` reads the run's total from that dict."""
 
     msg: np.ndarray
     log_scale: float
@@ -485,15 +485,3 @@ def product_of_totals(s: Semiring, marginals: dict) -> tuple[list, int]:
         acc = np.ldexp(acc, -e)
         exponent += marg.exponent + e
     return acc.tolist(), exponent
-
-
-def total_sum(marginal: MarginalResult, s: Semiring) -> np.ndarray:
-    """Sum over semiring ``s``, the run's, of a marginal vector: its
-    (k + 1,) total, score first.
-
-    The exponent is folded back in exactly, as ldexp(total, exponent); a
-    total past float range reads inf. ``s.reduce_msg(marginal.msg)`` is
-    the mantissa, to be kept with ``exponent``.
-    """
-    with np.errstate(over="ignore"):
-        return np.ldexp(s.reduce_msg(marginal.msg), marginal.exponent)

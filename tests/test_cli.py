@@ -415,6 +415,17 @@ class TestGrad:
         code, out, _ = cli("grad", write(grad_doc()), "--theta", "a,b")
         assert (code, out["error"]["kind"]) == (1, "UsageError")
 
+    @pytest.mark.parametrize("command, theta", [("grad", "nan"), ("grad", "1e400"),
+                                                ("em-step", "nan"), ("em-step", "inf")])
+    def test_non_finite_theta(self, cli, write, command, theta):
+        # a bad --theta is a usage error, not an OutOfDomain that blames
+        # the document's tables
+        d = grad_doc()
+        d["parametric"].update({"u": [[1.0, 2.0]], "v": [[1.0, 1.0]], "lambda": [1.0]})
+        result = cli(command, write(d), "--theta", theta)
+        assert_fails(result, 1, "UsageError")
+        assert result[1]["error"]["detail"] == f"--theta must be finite: {theta!r}"
+
     def test_iters_must_be_positive(self, cli, write):
         code, out, _ = cli("grad", write(grad_doc()), "--theta", "1", "--iters", "0")
         assert (code, out["error"]["kind"]) == (1, "UsageError")

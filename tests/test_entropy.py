@@ -5,6 +5,7 @@ import pytest
 
 from fginfer import (
     ENTROPY,
+    EntropyResult,
     FactorGraph,
     FactorTable,
     HmmSpec,
@@ -221,6 +222,11 @@ class TestPosteriorEntropy:
         wg = unary_weighted([0.0, 0.0], None)
         with pytest.raises(ZeroEvidence):
             posterior_entropy(wg)
+
+    @pytest.mark.parametrize("z", [0.0, -1.0])
+    def test_log2_of_no_weight(self, z):
+        with pytest.raises(ZeroEvidence, match="log2"):
+            EntropyResult(z, 0.0).log2_z()
 
     def test_matches_oracle_on_random_trees(self, rng):
         for _ in range(20):

@@ -120,6 +120,10 @@ class TestValidate:
         with pytest.raises(UnknownVariable):
             validate(g)
 
+    def test_no_variables(self):
+        with pytest.raises(UncoveredVariable, match="declares no variables"):
+            validate(FactorGraph([], []))
+
     def test_uncovered_variable(self):
         g = FactorGraph(binary_vars("x", "lonely"), [ones_factor("f", ["x"])])
         with pytest.raises(UncoveredVariable):

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -59,6 +60,14 @@ class TestHmmSpec:
         bad = np.array([[0.5 + 2e-9, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError, match="transition row 0"):
             HmmSpec([0.5, 0.5], bad, np.full((2, 2), 0.5), [0])
+
+    def test_no_states(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            HmmSpec([], np.zeros((0, 0)), np.zeros((0, 1)), [0])
+
+    def test_no_symbols(self):
+        with pytest.raises(ValueError, match="at least one symbol"):
+            HmmSpec([1.0], [[1.0]], np.zeros((1, 0)), [0])
 
     def test_empty_observations(self):
         with pytest.raises(ValueError, match="observation sequence"):
@@ -181,6 +190,15 @@ class TestRescaling:
         scaled = hmm_entropy(h, rescale=True)
         assert_close(scaled.entropy_bits, plain.entropy_bits, what="bits")
 
+    def test_bits_do_not_depend_on_rescale(self, rng):
+        # every report comes from the same mantissas; P(y) is a normal
+        # float, so each folds it in, as posterior_entropy does
+        for s in (1, 2, 5, _PAIR_STATES + 1):
+            h = random_hmm(rng, s, 3, 40)
+            results = {repr(hmm_entropy(h, rescale=r)) for r in (None, True, False)}
+            assert len(results) == 1
+            assert hmm_entropy(h, rescale=True).exponent == 0
+
     def test_posterior_entropy_agrees_with_manual_graph(self, rng):
         h = random_hmm(rng, 2, 2, 6)
         wg = hmm_to_weighted_graph(h)
@@ -245,9 +263,17 @@ class TestDirectPass:
                 self.assert_agrees(h, rescale, self.WIDE_TOL, self.WIDE_TOL)
 
     def test_default_rescale_on_long_chain(self, rng):
-        h = random_hmm(rng, 3, 2, 1001)
+        # 4 equiprobable symbols make P(y) = 2^-2T, no normal float: the
+        # default raises at T = 1000, which it does not rescale
+        def chain(t_len):
+            h = random_hmm(rng, 3, 4, t_len)
+            return HmmSpec(h.pi, h.transition, np.full((3, 4), 0.25), h.observations)
+
+        with pytest.raises(ZeroEvidence):
+            hmm_entropy(chain(1000))
+        h = chain(1001)
         self.assert_agrees(h, None)
-        assert hmm_entropy(h).log_scale != 0.0
+        assert hmm_entropy(h).exponent != 0
 
     def assert_matches_closed_form(self, h, bits, log2_z, rescale=None):
         """Against the exact values of a chain whose state never moves, and
@@ -418,16 +444,25 @@ class TestDirectPass:
 
 
 class TestPowerOfTwoRescaling:
-    """Rescaled Z and H shifted back by 2^E equal the plain pass exactly."""
+    """pi times 2^i and A times 2^j, set past validation, scale P(y) by
+    2^(i + j (T - 1)): Z keeps its mantissa bit for bit and its exponent
+    moves by that much, and the bits do not move. Measured on 600 chains
+    like these, the bits moved by at most 1.8e-15 of |i + j (T - 1)| +
+    |log2 Z|, the size of the terms that cancel in them."""
 
     # T - 1 stacked steps: T = 2^k + 1 pairs evenly at every level, T = 2^k
     # carries an odd element at every level
-    @pytest.mark.parametrize("t_len", [1, 2, 3, 4, 5, 16, 17, 32, 33])
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 4, 5, 16, 17, 32, 33, 1200])
     @pytest.mark.parametrize("s", [1, 2, 5, _PAIR_STATES + 1])
     def test_shift_back_is_bit_identical(self, rng, s, t_len):
         h = random_hmm(rng, s, 3, t_len)
-        plain = hmm_entropy(h, rescale=False)
-        scaled = hmm_entropy(h, rescale=True)
-        e = round(scaled.log_scale / math.log(2.0))
-        assert math.ldexp(scaled.Z, e) == plain.Z
-        assert math.ldexp(scaled.H, e) == plain.H
+        base = hmm_entropy(h, rescale=True)
+        mantissa, k = math.frexp(base.Z)
+        for i, j in rng.integers(-60, 61, (3, 2)).tolist():
+            moved = copy.copy(h)
+            moved.pi, moved.transition = h.pi * 2.0 ** i, h.transition * 2.0 ** j
+            res = hmm_entropy(moved, rescale=True)
+            shift = i + j * (t_len - 1)
+            assert math.frexp(res.Z) == (mantissa, k + base.exponent + shift - res.exponent)
+            scale = max(1.0, abs(shift) + abs(base.log2_z()))
+            assert abs(res.entropy_bits - base.entropy_bits) <= 1e-14 * scale

@@ -131,6 +131,16 @@ class TestParseGraphErrors:
     def test_missing_variables(self):
         self.assert_raises({"factors": []}, ParseError, "$.variables: missing")
 
+    def test_id_not_a_string(self):
+        doc = doc_unary([1.0, 1.0])
+        doc["variables"][0]["id"] = 1
+        self.assert_raises(doc, ParseError, "$.variables[0].id: expected a string, got 1")
+
+    def test_scope_not_an_array(self):
+        doc = doc_unary([1.0, 1.0])
+        doc["factors"][0]["scope"] = "x"
+        self.assert_raises(doc, ParseError, "$.factors[0].scope: expected an array")
+
     def test_empty_variables(self):
         self.assert_raises(
             {"variables": [], "factors": []}, ParseError, "$.variables: must not be empty"
@@ -366,6 +376,12 @@ class TestParametricBlock:
             "$.parametric.u[0]",
         )
 
+    def test_grad_wrong_factor_count(self):
+        self.assert_block_error(
+            {"dim": 1, "grad": [[[1.0, -1.0]], [[1.0, -1.0]]]},
+            "$.parametric.grad: 2 entries for 1 factors",
+        )
+
     def test_grad_wrong_component_count(self):
         self.assert_block_error(
             {"dim": 2, "grad": [[[1.0, -1.0]]]}, "$.parametric.grad[0]"
@@ -446,6 +462,10 @@ class TestHmmDocuments:
 
     def test_states_zero(self):
         self.assert_error(lambda d: d.update(states=0), ParseError, "$.states")
+
+    def test_alphabet_zero(self):
+        self.assert_error(lambda d: d.update(alphabet=0), ParseError,
+                          "$.alphabet: must be >= 1, got 0")
 
     def test_pi_length(self):
         self.assert_error(lambda d: d.update(pi=[1.0]), ParseError, "$.pi: length 1")

@@ -118,6 +118,17 @@ class TestParametricFactorSet:
         with pytest.raises(ValueError, match="linear-form"):
             pf.tables_at([0.0])
 
+    def test_linear_form_has_no_gradient_tables(self):
+        pf = ParametricFactorSet.linear_form(
+            [("x", 2)], [("x",)], [[0.5, 0.5]], [[2.0, 4.0]], [[1.0, 1.0]], [1.0]
+        )
+        with pytest.raises(ValueError, match="no gradient tables"):
+            pf.grads_at([0.0])
+
+    def test_factor_ids_and_scopes_disagree(self):
+        with pytest.raises(ValueError, match="disagree in length"):
+            ParametricFactorSet([("x", 2)], [("x",)], 1, factor_ids=["a", "b"])
+
     def test_structure_graph_is_validated_once(self):
         pf = mixture_factor_set()
         assert pf.structure_graph() is pf.structure_graph()
@@ -355,6 +366,14 @@ class TestEmQGradient:
         assert np.allclose(
             em_q_gradient(pf, theta, theta), gradient_at(pf, theta)
         )
+
+    def test_point_sizes_checked(self):
+        # both points, before numpy meets a mismatched matmul
+        pf = mixture_factor_set()
+        with pytest.raises(ValueError, match="theta_old has 2 components, model has 1"):
+            em_q_gradient(pf, [0.5, 2.0], [0.5])
+        with pytest.raises(ValueError, match="theta_i has 2 components, model has 1"):
+            em_q_gradient(pf, [0.5], [0.5, 2.0])
 
     def test_zero_grads_give_zero(self):
         pf = ParametricFactorSet(

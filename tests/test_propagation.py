@@ -16,7 +16,6 @@ from fginfer import (
     compute_zh,
     make_schedule,
     run,
-    total_sum,
 )
 from fginfer.oracle import (
     enumerate_h,
@@ -61,6 +60,15 @@ def carriers(g, s, companions):
 def plain(m) -> list:
     """A marginal's scores times 2^exponent."""
     return np.ldexp(m.scores(), m.exponent).tolist()
+
+
+def total(s, marginals) -> np.ndarray:
+    """The product of a run's totals, score first, as
+    :func:`product_of_totals` reads it, with 2^E folded back in: past
+    float range it reads inf."""
+    mantissas, e = product_of_totals(s, marginals)
+    with np.errstate(over="ignore"):
+        return np.ldexp(mantissas, e)
 
 
 def chain3():
@@ -220,7 +228,7 @@ class TestRun:
         )
         marginals, _ = run(g, SUM_PRODUCT, root="x")
         assert plain(marginals["x"]) == [0.25, 0.75]
-        assert total_sum(marginals["x"], SUM_PRODUCT).tolist() == [1.0]
+        assert total(SUM_PRODUCT, marginals).tolist() == [1.0]
 
     def test_chain_identity_factor(self):
         g = graph_of(
@@ -257,7 +265,7 @@ class TestRun:
     def test_max_product_total(self):
         g = chain3()
         marginals, _ = run(g, MAX_PRODUCT, root="x1")
-        (best,) = total_sum(marginals["x1"], MAX_PRODUCT)
+        (best,) = total(MAX_PRODUCT, marginals)
         from fginfer.oracle import max_product_value
 
         assert_close(best, max_product_value(g))
@@ -271,7 +279,7 @@ class TestRun:
             ],
         )
         marginals, _ = run(g, BOOLEAN, root="x")
-        assert total_sum(marginals["x"], BOOLEAN).tolist() == [0.0]  # supports are disjoint
+        assert total(BOOLEAN, marginals).tolist() == [0.0]  # supports are disjoint
 
     def test_forest_components_each_get_roots(self):
         g = graph_of(
@@ -283,8 +291,8 @@ class TestRun:
         )
         marginals, _ = run(g, SUM_PRODUCT)
         assert set(marginals) == {"a", "b"}
-        z = total_sum(marginals["a"], SUM_PRODUCT)[0] * total_sum(marginals["b"], SUM_PRODUCT)[0]
-        assert z == 9.0
+        a, b = (total(SUM_PRODUCT, {vid: marginals[vid]})[0] for vid in "ab")
+        assert (a, b, total(SUM_PRODUCT, marginals)[0]) == (3.0, 3.0, 9.0)
 
     def test_one_pass_missing_marginal_raises(self):
         # x3's marginal needs f23 -> x3, a message of the second pass
@@ -327,7 +335,7 @@ class TestTotalSum:
             [VariableDecl("x", 2)], [FactorTable("f", ("x",), np.array([0.25, 0.75]))]
         )
         marginals, _ = run(g, SUM_PRODUCT, root="x")
-        assert total_sum(marginals["x"], SUM_PRODUCT).tolist() == [1.0]
+        assert total(SUM_PRODUCT, marginals).tolist() == [1.0]
 
     def test_entropy_pairs(self):
         g = graph_of(
@@ -336,18 +344,18 @@ class TestTotalSum:
         marginals, _ = run(
             g, ENTROPY, root="x", tables=carriers(g, ENTROPY, [np.array([-1.0, -1.0])])
         )
-        assert total_sum(marginals["x"], ENTROPY).tolist() == [1.0, -1.0]
+        assert total(ENTROPY, marginals).tolist() == [1.0, -1.0]
 
     def test_max_product(self):
         g = graph_of(
             [VariableDecl("x", 2)], [FactorTable("f", ("x",), np.array([0.2, 0.7]))]
         )
         marginals, _ = run(g, MAX_PRODUCT, root="x")
-        assert total_sum(marginals["x"], MAX_PRODUCT).tolist() == [0.7]
+        assert total(MAX_PRODUCT, marginals).tolist() == [0.7]
 
     def test_rescaled_total_is_plain_total(self, rng):
-        # total_sum folds 2^E back with ldexp: tables times 2^j give the
-        # same total times 2^(sum of the j), bit for bit, while in range
+        # a total with 2^E folded back in: tables times 2^j give the same
+        # total times 2^(sum of the j), bit for bit, while in range
         scaled_any = False
         for _ in range(100):
             g, companions = random_tree(rng, max_vars=12)
@@ -356,9 +364,9 @@ class TestTotalSum:
                 base, _ = run(g, s, tables=carriers(g, s, companions))
                 moved, _ = run(shifted(g, js), s, tables=carriers(shifted(g, js), s, companions))
                 for vid, m in base.items():
-                    total = total_sum(m, s)
-                    assert bits(total) == bits(np.ldexp(s.reduce_msg(m.msg), m.exponent))
-                    assert bits(total_sum(moved[vid], s)) == bits(np.ldexp(total, js.sum()))
+                    folded = total(s, {vid: m})
+                    assert bits(folded) == bits(np.ldexp(s.reduce_msg(m.msg), m.exponent))
+                    assert bits(total(s, {vid: moved[vid]})) == bits(np.ldexp(folded, js.sum()))
                     scaled_any |= m.exponent != 0
         assert scaled_any
 
@@ -366,7 +374,7 @@ class TestTotalSum:
         marginals, _ = run(heap_tree(), SUM_PRODUCT, root="x0")
         m = marginals["x0"]
         assert math.isfinite(SUM_PRODUCT.reduce_msg(m.msg)[0])
-        assert total_sum(m, SUM_PRODUCT).tolist() == [math.inf]
+        assert total(SUM_PRODUCT, marginals).tolist() == [math.inf]
 
     def test_unrescaled_overflow_stays_inf(self):
         # log2 Z = 600 + 600 log2 3 + 1199 log2 1.5, about 2252.4: the
@@ -378,7 +386,7 @@ class TestTotalSum:
         m = marginals["x0"]
         assert m.exponent == 2251
         assert math.isfinite(SUM_PRODUCT.reduce_msg(m.msg)[0])
-        assert total_sum(m, SUM_PRODUCT).tolist() == [math.inf]
+        assert total(SUM_PRODUCT, {"x0": m}).tolist() == [math.inf]
         for msgs in (store.q, store.r):
             assert all(np.isfinite(m).all() for m in msgs.values())
 
@@ -491,11 +499,8 @@ class TestInvariants:
             for v in g.variables:
                 marginals, _ = run(g, ENTROPY, root=v.id,
                                    tables=carriers(g, ENTROPY, companions))
-                w = total_sum(marginals[v.id], ENTROPY)
-                # forests: fold the other components in
-                for other, marg in marginals.items():
-                    if other != v.id:
-                        ENTROPY.mul_entries(w, total_sum(marg, ENTROPY))
+                # on forests, the product over the components
+                w = total(ENTROPY, marginals)
                 if z_ref is None:
                     z_ref, h_ref = w[0], w[1]
                 else:
@@ -506,10 +511,7 @@ class TestInvariants:
         for _ in range(20):
             g, _ = random_tree(rng)
             marginals, _ = run(g, SUM_PRODUCT)
-            z = 1.0
-            for marg in marginals.values():
-                z *= total_sum(marg, SUM_PRODUCT)[0]
-            assert_close(z, enumerate_z(g), what="Z")
+            assert_close(total(SUM_PRODUCT, marginals)[0], enumerate_z(g), what="Z")
 
     def test_rescaling_invariance(self, rng):
         for _ in range(10):
@@ -843,7 +845,7 @@ def test_public_names_resolve():
     import inspect
 
     import fginfer
-    from fginfer import entropy, graph, hmm, io, learning, propagation, semiring
+    from fginfer import cli, entropy, graph, hmm, io, learning, propagation, semiring
 
     assert len(set(fginfer.__all__)) == len(fginfer.__all__)
     for name in fginfer.__all__:
@@ -854,11 +856,12 @@ def test_public_names_resolve():
         assert name not in fginfer.__all__
         assert not hasattr(fginfer, name) and not hasattr(fginfer.propagation, name)
     for owner, name in ((graph, "assignment_index"), (graph, "assignment_from_index"),
-                        (learning, "grad_ascent_step")):
+                        (learning, "grad_ascent_step"), (propagation, "total_sum")):
         assert name not in fginfer.__all__
         assert not hasattr(fginfer, name) and not hasattr(owner, name)
     for owner, name in ((fginfer.ParametricFactorSet, "from_callables"),
-                        (fginfer.EntropyResult, "scaled_h"), (entropy, "_Z_FLOOR")):
+                        (fginfer.EntropyResult, "scaled_h"), (entropy, "_Z_FLOOR"),
+                        (entropy, "_folded_result"), (cli, "_folded")):
         assert not hasattr(owner, name)
     fields = [f.name for f in dataclasses.fields(fginfer.MarginalResult)]
     assert fields == ["msg", "log_scale", "exponent"]
@@ -884,11 +887,14 @@ def test_public_names_resolve():
     for fn in (propagation.run, entropy.posterior_entropy, learning.gradient_at,
                hmm.hmm_entropy):
         assert "rescale" in inspect.signature(fn).parameters, fn.__name__
-    # hmm_entropy's default rescales chains longer than 1000 steps only
-    half = np.full((2, 2), 0.5)
-    for t_len, rescaled in ((1000, False), (1001, True)):
-        chain = hmm.HmmSpec(half[0], half, half, [0] * t_len)
-        assert (hmm.hmm_entropy(chain).exponent != 0) == rescaled
+    # hmm_entropy's default rescales chains longer than 1000 steps only:
+    # P(y) = 2^-2000 is no normal float, so the shorter chain raises
+    quarter = np.full((4, 4), 0.25)
+    chain = hmm.HmmSpec(quarter[0], quarter, quarter, [0] * 1000)
+    with pytest.raises(fginfer.ZeroEvidence):
+        hmm.hmm_entropy(chain)
+    chain = hmm.HmmSpec(quarter[0], quarter, quarter, [0] * 1001)
+    assert hmm.hmm_entropy(chain).exponent != 0
     g = graph.validate(star_tree())
     assert (g.checked, g.n_edges, len(g.factor_cards)) == (True, 9, 5)
     assert len(propagation.make_schedule(g, two_pass=True).edges) == 18
