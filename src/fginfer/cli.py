@@ -51,6 +51,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _parse_optional(self, arg_string):  # -0.5,1 is a value, as argparse takes -0.5
+        return None if arg_string[1:2] in "0123456789." else super()._parse_optional(arg_string)
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="fg", description="Exact inference on cycle-free factor graphs.")
@@ -164,8 +167,7 @@ def cmd_entropy(args):
     if (args.graph is None) == (args.hmm is None):
         raise UsageError("entropy needs a graph document or --hmm, not both")
     if args.hmm is not None:
-        h = fgio.load_hmm(args.hmm)
-        res = hmm_entropy(h, rescale=True)
+        res = hmm_entropy(fgio.load_hmm(args.hmm), rescale=True)
     else:
         pg = fgio.load_graph(args.graph)
         if args.derive_g:

@@ -139,7 +139,7 @@ def posterior_entropy(wg: WeightedGraph, root: str | None = None,
     """Entropy in bits of the distribution defined by a weighted graph.
 
     Requires nonnegative tables whose companions are the base-2 logs of the
-    values (undefined at zeros), one column of them. Returns
+    values (undefined at zeros), one column of them, else ValueError. Returns
     :func:`entropy_from_zh` of the pass's mantissas, so ZeroEvidence means
     no assignment has weight, never that Z underflows. Raises
     NonFiniteTotal, with no floating-point warning before it, when table
@@ -147,8 +147,10 @@ def posterior_entropy(wg: WeightedGraph, root: str | None = None,
     has no effect: the benchmark still passes it, and ROADMAP item 1
     removes it.
     """
+    if wg.companions is not None and wg.companions.shape[:-1] not in ((), (1,)):
+        raise ValueError(f"companions of shape {wg.companions.shape}: expected one column")
     with np.errstate(over="ignore", invalid="ignore"):
-        (z, h, *_), exponent = _zh_mantissas(wg, root)
+        (z, h), exponent = _zh_mantissas(wg, root)
     return entropy_from_zh(z, h, exponent)
 
 

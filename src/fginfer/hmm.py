@@ -15,9 +15,9 @@ posterior-entropy input: the entropy of the state posterior given y.
 :func:`hmm_entropy` does not build that graph. Each chain step acts on an
 entropy-semiring pair as the dual-number block matrix [[F, 0], [G, F]]
 with G = F * log2 F. Up to 22 states it reduces the steps pairwise, once,
-in log2 T levels of batched matrix products, and keeps the levels above the
-steps: a block that lost entries is applied as its halves from the level
-below. Wider chains fold a step at a time. The tests hold it to the
+in log2 T levels of distinct blocks plus one block code per position, and
+applies a block that lost entries as its halves from the level below.
+Wider chains fold a step at a time. The tests hold it to the
 generic engine on :func:`hmm_to_weighted_graph` at a relative tolerance,
 and long reducible chains to their exact values.
 """
@@ -159,13 +159,12 @@ def hmm_to_weighted_graph(h: HmmSpec) -> WeightedGraph:
     """
     s = h.num_states
     unary, tables, steps = _chain_tables(h)
-    pair = tables.take(steps, axis=0).reshape(steps.size, s * s)
     later = range(2, h.num_steps + 1)
     graph = FactorGraph.from_arrays(
         [f"x{t}" for t in range(1, h.num_steps + 1)], np.full(h.num_steps, s),
         ["f1"] + [f"f{t}" for t in later],
         [("x1",)] + [(f"x{t - 1}", f"x{t}") for t in later],
-        np.concatenate((unary, pair.ravel())), [s] + [s * s] * len(later))
+        np.concatenate((unary, tables.take(steps, axis=0).ravel())), [s] + [s * s] * len(later))
     return WeightedGraph(graph, derive_log2_companions(graph))
 
 
@@ -194,43 +193,43 @@ def _inexact(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (small & np.matmul(a > 0, b > 0)).any(axis=(1, 2))
 
 
-def _levels(tables, duals, k_tables, steps) -> list:
-    """The pairwise reduction of the steps, level by level, as (F, G,
-    exponents, exact flags). Level 0 is the per-symbol tables, step t
-    reading entry steps[t]; level n > 0 holds the blocks of 2^n steps, an
-    odd last block carried up unpaired, so the top level holds the block
-    of the whole run."""
-    k_tables = k_tables.astype(np.int64)  # int64 sums; np.ldexp is far faster on int32
-    levels = [(tables, duals, k_tables, np.ones(len(tables), dtype=bool))]
-    f, g, k, exact = (x.take(steps, axis=0) for x in levels[0])
-    while len(f) > 1:
-        m = len(f) // 2 * 2
-        f1, f2, g1, g2 = f[:m:2], f[1:m:2], g[:m:2], g[1:m:2]
+def _levels(tables, steps) -> list:
+    """The pairwise reduction of the steps, per level (F, G, exponents,
+    exact flags) of its distinct blocks and a block code per position.
+    Level 0 is the normalised tables coded by the steps; level n + 1 the
+    distinct pairs of level n's codes, plus an odd last block carried up."""
+    f, g, k = _normalised(tables, tables * log2_or_zero(tables))
+    # int64 sums; np.ldexp is far faster on the int32 exponents of _normalised
+    levels = [(f, g, k.astype(np.int64), np.ones(len(f), dtype=bool), steps)]
+    while len(levels[-1][4]) > 1:
+        f, g, k, exact, codes = levels[-1]
+        m = len(codes) // 2 * 2
+        pairs, up = np.unique(codes[:m:2] * len(f) + codes[1:m:2], return_inverse=True)
+        a, b, odd = pairs // len(f), pairs % len(f), codes[m:]
+        f1, f2 = f[a], f[b]
         product = f1 @ f2
-        paired = exact[:m:2] & exact[1:m:2] & ~_inexact(product, f1, f2)
-        f, g, k_level = _normalised(np.concatenate((product, f[m:])),
-                                    np.concatenate((g1 @ f2 + f1 @ g2, g[m:])))
-        k = np.concatenate((k[:m:2] + k[1:m:2], k[m:])) + k_level
-        exact = np.concatenate((paired, exact[m:]))
-        levels.append((f, g, k, exact))
+        paired = exact[a] & exact[b] & ~_inexact(product, f1, f2)
+        f, g, k_level = _normalised(np.concatenate((product, f[odd])),
+                                    np.concatenate((g[a] @ f2 + f1 @ g[b], g[odd])))
+        k = np.concatenate((k[a] + k[b], k[odd])) + k_level
+        codes = np.concatenate((up, np.arange(len(pairs), len(pairs) + len(odd))))
+        levels.append((f, g, k, np.concatenate((paired, exact[odd])), codes))
     return levels
 
 
 def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     """Posterior state-sequence entropy H(X | Y = y) in bits.
 
-    Up to 22 states, steps 2..T are stacked as pairs (F, G), F the
-    transition-emission table and G = F * log2 F (0 where F is 0), and
-    reduced pairwise with the block product (F1, G1)(F2, G2) =
-    (F1 F2, G1 F2 + F1 G2): three batched matrix products per level, an
-    odd element carried to the next. Steps that observe the same symbol
-    share one table. The product is applied to the pair (ones, zeros) at
-    x_T, and f1's pair (u, u * log2 u) is folded in last. A wider chain
-    stacks nothing: inward from x_T, step t's table A diag(b), b = B[:, y_t],
+    Up to 22 states, step t = 2..T is the pair (F, G) of its symbol, F the
+    transition-emission table and G = F * log2 F (0 where F is 0), and the
+    steps are reduced pairwise with the block product (F1, G1)(F2, G2) =
+    (F1 F2, G1 F2 + F1 G2): batched over the distinct pairs of a level, an
+    odd block carried to the next. The product is applied to the pair
+    (ones, zeros) at x_T, and f1's pair (u, u * log2 u) is folded in last.
+    A wider chain folds: inward from x_T, step t's table A diag(b), b = B[:, y_t],
     maps (v, gv) to (A (b v), (A * log2 A)(b v) + A (b log2 b v + b gv)).
     The bracketing differs from the generic engine's, so the result matches
-    ``posterior_entropy(hmm_to_weighted_graph(h))`` to
-    roundoff, not bit for bit.
+    ``posterior_entropy(hmm_to_weighted_graph(h))`` to roundoff only.
 
     The pass scales u, every table, every product and the vector after
     every applied block by 2^-k, k the frexp exponent of its sum, and u . v
@@ -240,17 +239,15 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     more than the float range below its largest, which a long reducible
     chain can need later. So a product with a positive entry below 2^-960
     is marked inexact and not applied: its two halves are, in turn, read
-    from the one reduction, which keeps every level above the steps. So are
-    the halves of a block that sends the vector's sum below 2^-52. Down to
-    single steps, that is the engine's pass: the fold.
+    from the level below, and so are the halves of a block that sends the
+    vector's sum below 2^-52. Down to single steps, that is the fold.
 
     The result is :func:`~fginfer.entropy.entropy_from_zh` of the
     mantissas, Z in [1, 2), and E: (Z, H) are P(y) and its H with
     ``exponent`` 0 when both are normal floats, else the mantissas with E.
     ``rescale`` changes neither: when false, a result left as mantissas
     raises ZeroEvidence instead. ``rescale=None`` is true for sequences
-    longer than 1000 steps. Raises ZeroEvidence when y has zero
-    probability.
+    longer than 1000 steps. Raises ZeroEvidence when y has zero probability.
     """
     if rescale is None:
         rescale = h.num_steps > _LONG_CHAIN
@@ -265,19 +262,18 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
             exponent += k
     else:
         unary, tables, steps = _chain_tables(h)
-        tables, duals, k_tables = _normalised(tables, tables * log2_or_zero(tables))
-        levels = _levels(tables, duals, k_tables, steps)
-        sizes = [len(steps)] + [len(x[0]) for x in levels[1:]]
+        levels = _levels(tables, steps)
         todo = [(len(levels) - 1, 0)] if len(steps) else []
         # inward from x_T; a block that lost entries, or sends the vector's
         # sum below _LOW, is applied as its two halves, and its right half
         # is pushed last, so that half acts first
         while todo and v.any():
             n, i = todo.pop()
-            f, g, k, exact = (x[i if n else steps[i]] for x in levels[n])
+            *blocks, codes = levels[n]
+            f, g, k, exact = (x[codes[i]] for x in blocks)
             w = f @ v
             if n and (not exact or w.sum() < _LOW):
-                todo += [(n - 1, j) for j in range(2 * i, min(2 * i + 2, sizes[n - 1]))]
+                todo += [(n - 1, j) for j in range(2 * i, min(2 * i + 2, len(levels[n - 1][4])))]
                 continue
             v, gv, k_v = _normalised_vector(w, g @ v + f @ gv)
             exponent += int(k) + k_v

@@ -360,6 +360,14 @@ class TestEmStep:
         code, out, _ = cli("em-step", path, "--theta", "1,2,3")
         assert (code, out["error"]["kind"]) == (1, "UsageError")
 
+    def test_negative_theta(self, cli, write):
+        # tables [1 + theta, 1] at theta = -1/2 are [1/2, 1]: H_a = 1/2 + 2,
+        # H_b = 3/2; -5e-1 is no number that argparse itself takes as a value
+        d = grad_doc()
+        d["parametric"].update({"u": [[1.0, 2.0]], "v": [[1.0, 1.0]], "lambda": [1.0]})
+        code, out, _ = cli("em-step", write(d), "--theta", "-5e-1")
+        assert (code, out["H_a"], out["H_b"], out["theta_new"]) == (0, 2.5, 1.5, [-2.5 / 1.5])
+
     def test_theta_needs_grad_tables(self, cli, write):
         code, out, _ = cli("em-step", write(em_doc()), "--theta", "1")
         assert (code, out["error"]["kind"]) == (1, "MissingDependency")
@@ -406,6 +414,19 @@ class TestGrad:
         code, out, _ = cli("grad", write(d), "--theta", "0.1", "--iters", "50")
         assert code == 0
         assert len(out["trajectory"]) == 2
+
+    def test_negative_theta(self, capsys, write):
+        d = grad_doc()
+        d["parametric"] = {"dim": 2, "grad": [[[1.0, 0.0], [0.0, 1.0]]]}
+        assert main(["grad", write(d), "--theta", "-0.5,1"]) == 0
+        assert capsys.readouterr().out == '{"gradient": [1.0, 1.0], "theta_next": [0.5, 2.0]}\n'
+
+    @pytest.mark.parametrize("argv", [["--theta"], ["--theta", "--iters", "2"], ["--theta", "-x"]])
+    def test_theta_missing(self, cli, write, argv):
+        # a value that is no number is an option, as argparse reads it
+        result = cli("grad", write(grad_doc()), *argv)
+        assert_fails(result, 1, "UsageError")
+        assert result[1]["error"]["detail"] == "argument --theta: expected one argument"
 
     def test_theta_size_mismatch(self, cli, write):
         code, out, _ = cli("grad", write(grad_doc()), "--theta", "1,2")

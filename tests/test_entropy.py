@@ -223,6 +223,16 @@ class TestPosteriorEntropy:
         with pytest.raises(ZeroEvidence):
             posterior_entropy(wg)
 
+    def test_one_companion_column(self):
+        # a second column of companions has no place in the entropy: it
+        # raises rather than reporting the first column's bits
+        columns = np.array([[0.0, math.log2(3.0)], [1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^companions of shape \(2, 2\): expected one column$"):
+            posterior_entropy(unary_weighted([1.0, 3.0], columns))
+        assert compute_zh(unary_weighted([1.0, 3.0], columns)).H.shape == (2,)
+        res = posterior_entropy(unary_weighted([1.0, 3.0], columns[:1]))
+        assert_close(res.entropy_bits, 2.0 - 0.75 * math.log2(3.0))
+
     @pytest.mark.parametrize("z", [0.0, -1.0])
     def test_log2_of_no_weight(self, z):
         with pytest.raises(ZeroEvidence, match="log2"):

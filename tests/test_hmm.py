@@ -345,7 +345,7 @@ class TestDirectPass:
         assert_close(res.log2_z(), log2_z, 1e-14, "log2 Z")
 
     def test_wide_fold_stacks_no_steps(self, rng):
-        # the pairwise reduction's (T - 1, S, S) stacks peak at 46 MiB here
+        # the pairwise reduction's blocks, forced here, peak at 37.7 MiB
         h = random_hmm(rng, 64, 64, 300)
         tracemalloc.start()
         try:
@@ -443,6 +443,60 @@ class TestDirectPass:
                 hmm_entropy(h, rescale=rescale)
 
 
+class TestOneLayout:
+    """Every level of the pairwise reduction holds its distinct blocks and
+    one block code per position, level 0 the per-symbol tables coded by
+    the steps."""
+
+    @staticmethod
+    def levels_of(h):
+        return fginfer.hmm._levels(*fginfer.hmm._chain_tables(h)[1:])
+
+    @staticmethod
+    def positional_levels(level_0):
+        """The reference: the same reduction over a stack with one block
+        per position, taken from level 0's tables by its codes, the steps."""
+        *tables, steps = level_0
+        f, g, k, exact = (x.take(steps, axis=0) for x in tables)
+        levels = [(f, g, k, exact)]
+        while len(f) > 1:
+            m = len(f) // 2 * 2
+            f1, f2, g1, g2 = f[:m:2], f[1:m:2], g[:m:2], g[1:m:2]
+            product = f1 @ f2
+            paired = exact[:m:2] & exact[1:m:2] & ~fginfer.hmm._inexact(product, f1, f2)
+            f, g, k_level = fginfer.hmm._normalised(np.concatenate((product, f[m:])),
+                                                    np.concatenate((g1 @ f2 + f1 @ g2, g[m:])))
+            k = np.concatenate((k[:m:2] + k[1:m:2], k[m:])) + k_level
+            exact = np.concatenate((paired, exact[m:]))
+            levels.append((f, g, k, exact))
+        return levels
+
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 4, 1000, 4097])
+    def test_one_symbol_chain_holds_two_blocks_a_level(self, rng, t_len):
+        # 2^n steps a block, and at most one odd block carried up
+        levels = self.levels_of(random_hmm(rng, 3, 1, t_len))
+        assert [len(codes) for *_, codes in levels[1:]] == [
+            -(-(t_len - 1) // 2 ** n) for n in range(1, len(levels))]
+        assert all(len(f) <= 2 for f, *_ in levels)
+
+    def test_blocks_read_through_codes_equal_the_positional_reduction(self, rng):
+        chains = [TestDirectPass.one_path_chain(2, 0.5, 4001)[0]]
+        odd, even = rng.integers(2, 1000, 12) * 2 + 1, rng.integers(2, 1001, 12) * 2
+        for i, t_len in enumerate([1, 2, 3, 1999, 2000, *odd.tolist(), *even.tolist()]):
+            s, o = int(rng.integers(1, _PAIR_STATES + 1)), int(rng.integers(1, 6))
+            chains.append(TestDirectPass.random_chain(rng, s, o, t_len, i % 2 == 0))
+        for h in chains:
+            levels = self.levels_of(h)
+            reference = self.positional_levels(levels[0])
+            assert len(levels) == len(reference)
+            if h is chains[0]:  # its upper blocks are inexact
+                assert not reference[-1][3].all()
+            for (*blocks, codes), positional in zip(levels, reference):
+                assert np.unique(codes).size == len(blocks[0])  # every block has a position
+                for x, y in zip(blocks, positional):
+                    assert x.dtype == y.dtype and x[codes].tobytes() == y.tobytes()
+
+
 class TestPowerOfTwoRescaling:
     """pi times 2^i and A times 2^j, set past validation, scale P(y) by
     2^(i + j (T - 1)): Z keeps its mantissa bit for bit and its exponent
@@ -450,7 +504,7 @@ class TestPowerOfTwoRescaling:
     like these, the bits moved by at most 1.8e-15 of |i + j (T - 1)| +
     |log2 Z|, the size of the terms that cancel in them."""
 
-    # T - 1 stacked steps: T = 2^k + 1 pairs evenly at every level, T = 2^k
+    # T - 1 steps: T = 2^k + 1 pairs evenly at every level, T = 2^k
     # carries an odd element at every level
     @pytest.mark.parametrize("t_len", [1, 2, 3, 4, 5, 16, 17, 32, 33, 1200])
     @pytest.mark.parametrize("s", [1, 2, 5, _PAIR_STATES + 1])

@@ -246,6 +246,9 @@ class TestParseGraphErrors:
         d = doc_star()
         d["variables"].append({"id": "x1", "cardinality": 2})
         assert self.assert_raises(d, ParseError, "") == "$: duplicate variable id 'x1'"
+        d = doc_unary([1.0, 1.0])
+        del d["factors"][0]["values"]
+        assert self.assert_raises(d, ParseError, "") == "$.factors[0].values: missing"
 
     def test_first_fault_in_document_order(self):
         # a later factor's bad value does not hide an earlier factor's fault
@@ -344,6 +347,7 @@ class TestParametricBlock:
         with pytest.raises(ParseError) as e:
             parse_graph_document(d)
         assert fragment in e.value.detail
+        return e.value.detail
 
     def test_dim_zero(self):
         self.assert_block_error({"dim": 0, "grad": [[[0.0, 0.0]]]}, "$.parametric.dim")
@@ -375,6 +379,11 @@ class TestParametricBlock:
             {"dim": 1, "u": [[1.0]], "v": [[1.0, 1.0]], "lambda": [1.0]},
             "$.parametric.u[0]",
         )
+
+    def test_u_row_not_an_array(self):
+        # the bulk read declines a row that is no list, and the row scan names it
+        assert self.assert_block_error({"dim": 1, "u": [5], "v": [[1.0, 1.0]], "lambda": [1.0]},
+                                       "") == "$.parametric.u[0]: expected an array"
 
     def test_grad_wrong_factor_count(self):
         self.assert_block_error(
