@@ -15,14 +15,17 @@ posterior-entropy input: the entropy of the state posterior given y.
 :func:`hmm_entropy` does not build that graph. Each chain step acts on an
 entropy-semiring pair as the dual-number block matrix [[F, 0], [G, F]]
 with G = F * log2 F. Up to 22 states it reduces the steps pairwise, once,
-in log2 T levels of distinct blocks plus one block code per position, and
-applies a block that lost entries as its halves from the level below.
-Wider chains fold a step at a time. The tests hold it to the
-generic engine on :func:`hmm_to_weighted_graph` at a relative tolerance,
-and long reducible chains to their exact values.
+in log2 T levels of distinct blocks plus one block code per position,
+each level's distinct pairs found by a bool table over the pair keys, by a
+sort where that table would outgrow the keys, or kept as they are once
+every block is distinct. A block that lost entries is applied as its
+halves from the level below. Wider chains fold a step at a time. The tests
+hold it to the generic engine on :func:`hmm_to_weighted_graph` at a
+relative tolerance, and long reducible chains to their exact values.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,8 +77,6 @@ class HmmSpec:
         self.emission = np.asarray(self.emission, dtype=float)
         raw = self.observations
         observations = np.asarray(raw).ravel()
-        with np.errstate(invalid="ignore"):
-            self.observations = observations.astype(int, copy=False)
         s = self.pi.size
         if s < 1:
             raise ValueError("pi must have at least one state")
@@ -104,25 +105,27 @@ class HmmSpec:
                 bad = int(np.argmax(np.abs(rows - 1.0)))
                 raise ValueError(f"{name} row {bad} sums to {rows[bad]!r},"
                                  f" expected 1 within {_ROW_TOL}")
-        if self.observations.size < 1:
+        if observations.size < 1:
             raise ValueError("observation sequence must not be empty")
-        bad = np.flatnonzero(self.observations != observations)
-        # numpy reads a bool as the symbol 0 or 1, but it is no symbol index
-        kinds = set(map(type, raw)) if isinstance(raw, list | tuple) else {observations.dtype.type}
-        if kinds & {bool, np.bool_}:
-            observations = np.asarray(raw, dtype=object).ravel()
-            bools = [type(o) in (bool, np.bool_) for o in observations]
-            bad = np.union1d(bad, np.flatnonzero(bools))
-        if bad.size:
+        # numpy reads bools as 0 or 1 and ints past int64 inexactly: read those one by one
+        kinds = set(map(type, raw)) if isinstance(raw, list | tuple) else set()
+        kind = observations.dtype.kind
+        with np.errstate(invalid="ignore"):  # NaN, inf and floats past int64 are no index
+            if kinds & {bool, np.bool_} or kind not in "if" or kind == "f" and int in kinds:
+                observations = np.asarray(raw, dtype=object).ravel()
+                bad = [i for i, x in enumerate(observations) if isinstance(x, bool | np.bool_)
+                       or not isinstance(x, numbers.Real) or x % 1 != 0]
+            else:
+                bad = np.flatnonzero(observations.astype(int, copy=False) != observations).tolist()
+        if bad:
             raise ValueError(f"observation at position {bad[0]} is {observations[bad[0]]},"
                              " not a symbol index")
         o = self.emission.shape[1]
-        if (self.observations < 0).any() or (self.observations >= o).any():
-            bad = int(np.argmax((self.observations < 0) | (self.observations >= o)))
-            raise OutOfDomain(
-                f"observation at position {bad} is {self.observations[bad]},"
-                f" outside the alphabet [0, {o})"
-            )
+        if observations.min() < 0 or observations.max() >= o:
+            bad = int(np.argmax((observations < 0) | (observations >= o)))
+            raise OutOfDomain(f"observation at position {bad} is {int(observations[bad])},"
+                              f" outside the alphabet [0, {o})")
+        self.observations = observations.astype(int, copy=False)
 
     @property
     def num_states(self) -> int:
@@ -193,18 +196,30 @@ def _inexact(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (small & np.matmul(a > 0, b > 0)).any(axis=(1, 2))
 
 
+def _distinct(keys: np.ndarray, d: int, n_codes: int):
+    """A level's distinct pair keys c1 * d + c2 and each key's index among them: the keys
+    if every code is used once, else sorted, by a bool table over [0, d^2) or np.unique."""
+    if d == n_codes:
+        return keys, np.arange(len(keys))
+    if d * d <= keys.nbytes:
+        seen = np.zeros(d * d, dtype=bool)
+        seen[keys] = True
+        return np.flatnonzero(seen), (np.cumsum(seen) - 1).take(keys)
+    return np.unique(keys, return_inverse=True)
+
+
 def _levels(tables, steps) -> list:
     """The pairwise reduction of the steps, per level (F, G, exponents,
     exact flags) of its distinct blocks and a block code per position.
     Level 0 is the normalised tables coded by the steps; level n + 1 the
-    distinct pairs of level n's codes, plus an odd last block carried up."""
+    distinct pairs (:func:`_distinct`) of level n's codes, plus an odd last block carried up."""
     f, g, k = _normalised(tables, tables * log2_or_zero(tables))
     # int64 sums; np.ldexp is far faster on the int32 exponents of _normalised
     levels = [(f, g, k.astype(np.int64), np.ones(len(f), dtype=bool), steps)]
     while len(levels[-1][4]) > 1:
         f, g, k, exact, codes = levels[-1]
         m = len(codes) // 2 * 2
-        pairs, up = np.unique(codes[:m:2] * len(f) + codes[1:m:2], return_inverse=True)
+        pairs, up = _distinct(codes[:m:2] * len(f) + codes[1:m:2], len(f), len(codes))
         a, b, odd = pairs // len(f), pairs % len(f), codes[m:]
         f1, f2 = f[a], f[b]
         product = f1 @ f2

@@ -352,7 +352,7 @@ def parse_hmm_document(doc) -> HmmSpec:
     if not obs:
         raise ParseError("$.observations: must not be empty")
     try:
-        return HmmSpec(pi=pi, transition=a, emission=b, observations=np.asarray(obs))
+        return HmmSpec(pi=pi, transition=a, emission=b, observations=obs)
     except ValueError as e:
         raise ParseError(f"$: {e}") from None
 

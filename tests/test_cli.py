@@ -277,6 +277,16 @@ class TestEntropy:
         assert out["error"]["detail"].startswith("$.pi[0]: expected a finite number")
         assert "fg: ParseError" in err
 
+    @pytest.mark.parametrize("command", ["entropy", "check"])
+    @pytest.mark.parametrize("y", [5, 2**63, 2**70])
+    def test_observation_outside_the_alphabet(self, cli, write, command, y):
+        # an int past int64 once exited 2 as NonFiniteTotal, or 1 as a
+        # ParseError that read 2^63 as a float
+        result = cli(command, "--hmm", write(dict(hmm_doc(), observations=[0, y])))
+        assert_fails(result, 1, "OutOfDomain")
+        assert result[1]["error"]["detail"] == (f"observation at position 1 is {y},"
+                                                " outside the alphabet [0, 2)")
+
     def test_non_finite_graph_is_a_parse_error(self, cli, write):
         path = write(dumps(unary_doc(values=(0.5, 0.25))).replace("0.25", "Infinity"))
         code, out, err = cli("entropy", path)

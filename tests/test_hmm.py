@@ -85,6 +85,16 @@ class TestHmmSpec:
         with pytest.raises(ValueError, match=match):
             HmmSpec([0.5, 0.5], np.full((2, 2), 0.5), np.full((2, 2), 0.5), observations)
 
+    @pytest.mark.parametrize("observations", [
+        *([0, big] for big in (2**63, 2**63 + 1, 2**64, 2**70, -2**63 - 1)),
+        np.array([0, 2**63 + 1], dtype=np.uint64), np.array([0, 2**70], dtype=object)])
+    def test_observation_past_int64_is_out_of_domain(self, observations):
+        # numpy reads a list of these as floats or objects: once a bare
+        # OverflowError, or a float reported as no symbol index
+        with pytest.raises(OutOfDomain, match=rf"^observation at position 1 is {observations[1]},"
+                                              r" outside the alphabet \[0, 2\)$"):
+            HmmSpec([0.5, 0.5], np.full((2, 2), 0.5), np.full((2, 2), 0.5), observations)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["pi", "transition", "emission"])
     def test_non_finite_probability(self, name, bad):
@@ -485,6 +495,11 @@ class TestOneLayout:
         for i, t_len in enumerate([1, 2, 3, 1999, 2000, *odd.tolist(), *even.tolist()]):
             s, o = int(rng.integers(1, _PAIR_STATES + 1)), int(rng.integers(1, 6))
             chains.append(TestDirectPass.random_chain(rng, s, o, t_len, i % 2 == 0))
+        # every symbol once: every code is used once from level 0; and 64
+        # symbols over 300 steps repeat pairs too seldom for the pair table
+        chains.append(HmmSpec([0.5, 0.5], np.full((2, 2), 0.5), np.full((2, 64), 1 / 64),
+                              np.arange(64)))
+        chains.append(TestDirectPass.random_chain(rng, 3, 64, 300, False))
         for h in chains:
             levels = self.levels_of(h)
             reference = self.positional_levels(levels[0])
@@ -495,6 +510,37 @@ class TestOneLayout:
                 assert np.unique(codes).size == len(blocks[0])  # every block has a position
                 for x, y in zip(blocks, positional):
                     assert x.dtype == y.dtype and x[codes].tobytes() == y.tobytes()
+
+
+class TestDistinct:
+    """_distinct(keys, d, n_codes) on the pair keys c1 * d + c2 of n_codes
+    codes that use every one of d codes: pairs[up] is keys, pairs are
+    distinct and are the keys' values."""
+
+    @staticmethod
+    def distinct(codes, d):
+        m = len(codes) // 2 * 2
+        keys = codes[:m:2] * d + codes[1:m:2]
+        pairs, up = fginfer.hmm._distinct(keys, d, len(codes))
+        assert np.array_equal(pairs[up], keys)
+        assert np.unique(pairs).size == len(pairs)
+        assert set(pairs.tolist()) == set(keys.tolist())
+        return keys, pairs, up
+
+    @pytest.mark.parametrize("d", [2, 3, 64, 65, 1001])
+    def test_every_code_once_keeps_the_keys(self, rng, d):
+        keys, pairs, up = self.distinct(rng.permutation(d), d)
+        assert np.array_equal(pairs, keys) and np.array_equal(up, np.arange(len(keys)))
+
+    # a bool table over [0, d^2) while d^2 is at most the keys' 8 bytes
+    # each, up to (16, 65) with 32 keys; np.unique from (17, 65) on
+    @pytest.mark.parametrize("d, n_codes", [(1, 2), (2, 9), (4, 1000), (3, 64), (16, 65),
+                                            (17, 65), (64, 65), (200, 300)])
+    def test_repeated_codes_give_what_np_unique_gives(self, rng, d, n_codes):
+        codes = rng.permutation(np.concatenate((np.arange(d), rng.integers(0, d, n_codes - d))))
+        keys, pairs, up = self.distinct(codes, d)
+        expected, inverse = np.unique(keys, return_inverse=True)
+        assert np.array_equal(pairs, expected) and np.array_equal(up, inverse.ravel())
 
 
 class TestPowerOfTwoRescaling:
