@@ -12,12 +12,17 @@ path and the observations, and the total weight is the evidence P(y).
 Companions are the base-2 logs of the tables, which makes the chain a
 posterior-entropy input: the entropy of the state posterior given y.
 
-:func:`hmm_entropy` does not build that graph. Each chain step acts on an entropy-semiring
-pair x = [v; gv] as the dual-number block [[F, 0], [G, F]], G = F * log2 F, and the pass
-holds each pair as one vector and each block as one (2S, S) array [F; G]. Up to 22 states it
-reduces the steps pairwise, once, in log2 T levels of distinct blocks plus a block code per
-position, a block that lost entries applied as its halves from the level below; wider chains
-fold a step at a time. The tests hold it to the engine on :func:`hmm_to_weighted_graph`.
+:func:`hmm_entropy` does not build that graph. Each chain step acts on an
+entropy-semiring pair [v; gv] as the dual-number block [[F, 0], [G, F]]
+with G = F * log2 F, held as one array [F; G]. Up to 22 states it reduces
+the steps pairwise, once, in log2 T levels of distinct blocks plus one
+block code per position, each level's distinct pairs found by a bool table
+over the pair keys, by a sort where that table would outgrow the keys, or
+kept as they are once every block is distinct. A block that lost entries
+is applied as its halves from the level below. Wider chains fold a step at
+a time. The tests hold it to the generic engine on
+:func:`hmm_to_weighted_graph` at a relative tolerance, and long reducible
+chains to their exact values.
 """
 
 import math
@@ -47,9 +52,9 @@ _LONG_CHAIN = 1000
 # subnormal.
 _TINY = 2.0 ** -960
 _LOW = 2.0 ** -52
-# Pairing n blocks costs n/2 products of 3 S^3 multiply-adds and saves n/2 folded steps of
-# 4 S^2 and ~7 us each. Median ms pairwise / fold, T = 300 and 3000, O = S (O = 2), 2 vCPUs:
-# S = 20: 4.6 / 2.9, 24 / 26; 22: 5.8 / 2.9, 29 / 26 (2.4 / 2.8, 10 / 25); 24: 4.1 / 2.9, 33 / 27.
+# Pairing n blocks costs n/2 products of 3 S^3 multiply-adds and saves n/2 folded steps
+# of 3 S^2 and ~7 us each. Median ms pairwise / fold, T = 300 and 3000, O = S, 2 vCPUs:
+# S = 20: 4.3 / 2.7, 24 / 28; S = 22: 4.5 / 3.0, 26 / 29; S = 24: 3.5 / 2.8, 30 / 25.
 _PAIR_STATES = 22
 
 
@@ -168,8 +173,9 @@ def hmm_to_weighted_graph(h: HmmSpec) -> WeightedGraph:
 
 
 def _normalised(fg: np.ndarray):
-    """Each block fg[n] = [F; G] scaled in place by 2^-k[n], k[n] the frexp exponent of
-    the sum of its F half, so that sum lands in [0.5, 1); and the integer exponents k."""
+    """Scale each stacked block fg[n] = [F; G] in place by 2^-k[n], k[n] the
+    frexp exponent of the sum of its F half, so that sum lands in [0.5, 1);
+    returns the scaled stack and the integer exponents k."""
     k = np.frexp(np.einsum("nij->n", fg[:, :fg.shape[2]]))[1]
     return np.ldexp(fg, -k[:, None, None], out=fg), k
 
@@ -181,9 +187,10 @@ def _normalised_vector(x: np.ndarray):
 
 
 def _inexact(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flags, per stacked product c = a @ b of nonnegative blocks, whether an entry that the
-    supports of a and b make positive is below _TINY: only such an entry can have lost terms
-    that fell below the float range, and it may even read 0."""
+    """Flags, per stacked product c = a @ b of nonnegative blocks, whether
+    an entry that the supports of a and b make positive is below _TINY:
+    only such an entry can have lost terms that fell below the float
+    range, and it may even read 0."""
     if c.min() >= _TINY:
         return np.zeros(len(c), dtype=bool)
     return ((c < _TINY) & np.matmul(a > 0, b > 0)).any(axis=(1, 2))
@@ -202,32 +209,29 @@ def _distinct(keys: np.ndarray, d: int, n_codes: int):
 
 
 def _levels(tables, steps) -> list:
-    """The pairwise reduction of the steps, per level (FG, exponents, exact flags) of its
-    distinct blocks FG = [F; G] and a block code per position. Level 0 is the normalised
-    tables coded by the steps; level n + 1 the distinct pairs (:func:`_distinct`) of level
-    n's codes, plus an odd block carried up. Above a level of distinct codes, pairs are views."""
-    s, in_order = tables.shape[2], False
+    """The pairwise reduction of the steps, per level (FG, exponents, exact
+    flags) of its distinct blocks FG = [F; G] and a block code per position.
+    Level 0 is the normalised tables coded by the steps; level n + 1 the
+    distinct pairs (:func:`_distinct`) of level n's codes, plus an odd last block carried up."""
+    s = tables.shape[2]
     fg, k = _normalised(np.concatenate((tables, tables * log2_or_zero(tables)), axis=1))
     # int64 sums; np.ldexp is far faster on the int32 exponents of _normalised
     levels = [(fg, k.astype(np.int64), np.ones(len(fg), dtype=bool), steps)]
     while len(levels[-1][3]) > 1:
         fg, k, exact, codes = levels[-1]
-        d, n, m = len(fg), len(codes), len(codes) // 2 * 2
-        if in_order:  # codes 0, 1, ..., d - 1: pairs and odd block by position
-            a, b, odd, codes = slice(0, m, 2), slice(1, m, 2), slice(m, n), np.arange(n - m // 2)
-        else:
-            pairs, up = _distinct(codes[:m:2] * d + codes[1:m:2], d, n)
-            a, b, odd = pairs // d, pairs % d, codes[m:]
-            codes = np.concatenate((up, np.arange(len(pairs), len(pairs) + n - m)))
-        in_order, fg1, fg2 = d == n, fg[a], fg[b]
-        nxt = np.empty((len(fg1) + n - m, 2 * s, s))  # the products, then the odd block
-        product = np.matmul(fg1, fg2[:, :s], out=nxt[:len(fg1)])  # [F1 F2; G1 F2]
+        d, m = len(fg), len(codes) // 2 * 2
+        pairs, up = _distinct(codes[:m:2] * d + codes[1:m:2], d, len(codes))
+        a, b, odd = pairs // d, pairs % d, codes[m:]
+        fg1, fg2 = fg[a], fg[b]
+        nxt = np.empty((len(pairs) + len(odd), 2 * s, s))  # the products, then the odd block
+        product = np.matmul(fg1, fg2[:, :s], out=nxt[:len(pairs)])  # [F1 F2; G1 F2]
         product[:, s:] += fg1[:, :s] @ fg2[:, s:]  # G1 F2 + F1 G2
-        nxt[len(fg1):] = fg[odd]
+        nxt[len(pairs):] = fg[odd]
         paired = exact[a] & exact[b] & ~_inexact(product[:, :s], fg1[:, :s], fg2[:, :s])
-        del fg1, fg2  # the gathered pairs are freed before the next copies
+        del fg1, fg2  # the gathered pairs are freed before the next level's copies
         fg, k_level = _normalised(nxt)
         k = np.concatenate((k[a] + k[b], k[odd])) + k_level
+        codes = np.concatenate((up, np.arange(len(pairs), len(nxt))))
         levels.append((fg, k, np.concatenate((paired, exact[odd])), codes))
     return levels
 
@@ -235,28 +239,35 @@ def _levels(tables, steps) -> list:
 def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     """Posterior state-sequence entropy H(X | Y = y) in bits.
 
-    Step t = 2..T acts on x = [v; gv] as [[F, 0], [G, F]]: F = A diag(b) is its table, b =
-    B[:, y_t], and G = F * log2 F with 0 log 0 = 0. Up to 22 states the steps, held as
-    [F; G], are reduced pairwise by [F1; G1][F2; G2] = [F1 F2; G1 F2 + F1 G2], batched over
-    the distinct pairs of a level, an odd block carried up, and applied to [ones; zeros] at
-    x_T. A wider chain folds inward from x_T: y = [b; b] * x, y's gv half gains b log2 b * v,
-    and x = W y, W = [[A, 0], [A * log2 A, A]]. f1's pair [u; u * log2 u] is folded in last.
-    ``posterior_entropy(hmm_to_weighted_graph(h))`` brackets differently: equal to roundoff.
+    Step t = 2..T acts on the pair x = [v; gv] as the block [[F, 0], [G, F]],
+    F = A diag(b) its transition-emission table, b = B[:, y_t], and
+    G = F * log2 F (0 where F is 0). Up to 22 states the steps, each held as
+    one array [F; G], are reduced pairwise with the block product
+    [F1; G1][F2; G2] = [F1 F2; G1 F2 + F1 G2]: batched over the distinct
+    pairs of a level, an odd block carried to the next. The product is
+    applied to [ones; zeros] at x_T, and f1's pair [u; u * log2 u] is folded
+    in last. A wider chain folds: inward from x_T, y = [b v; b gv + b log2 b v]
+    and x = [A y_v; [A * log2 A, A] y], 3 S^2 multiply-adds a step.
+    The bracketing differs from the generic engine's, so the result matches
+    ``posterior_entropy(hmm_to_weighted_graph(h))`` to roundoff only.
 
-    The pass scales u, every table, every product and x after every applied block by 2^-k,
-    k the frexp exponent of the sum of its F or v half, and u . v into [1, 2), keeping the
-    integer sum E of the exponents. That is exact away from subnormals, so a subnormal
-    u . v, too few bits of P(y), raises ZeroEvidence. A block scaled as a whole still drops
-    entries more than the float range below its largest, which a long reducible chain can
-    need later. So a product with a positive entry below 2^-960 is marked inexact and not
-    applied: its two halves are, in turn, read from the level below, and so are the halves
-    of a block that sends v's sum below 2^-52. Down to single steps, that is the fold.
+    The pass scales u, every table, every product and x after every applied
+    block by 2^-k, k the frexp exponent of the sum of its F or v half, and
+    u . v into [1, 2), keeping the integer sum E of the exponents. That is
+    exact away from subnormals, so a subnormal u . v, too few bits of P(y),
+    raises ZeroEvidence. A block scaled as a whole still drops entries
+    more than the float range below its largest, which a long reducible
+    chain can need later. So a product with a positive entry below 2^-960
+    is marked inexact and not applied: its two halves are, in turn, read
+    from the level below, and so are the halves of a block that sends v's
+    sum below 2^-52. Down to single steps, that is the fold.
 
-    The result is :func:`~fginfer.entropy.entropy_from_zh` of the mantissas, Z in [1, 2),
-    and E: (Z, H) are P(y) and its H with ``exponent`` 0 when both are normal floats, else
-    the mantissas with E. ``rescale`` changes neither: when false, a result left as
-    mantissas raises ZeroEvidence instead. ``rescale=None`` is true for sequences longer
-    than 1000 steps. Raises ZeroEvidence when y has zero probability.
+    The result is :func:`~fginfer.entropy.entropy_from_zh` of the
+    mantissas, Z in [1, 2), and E: (Z, H) are P(y) and its H with
+    ``exponent`` 0 when both are normal floats, else the mantissas with E.
+    ``rescale`` changes neither: when false, a result left as mantissas
+    raises ZeroEvidence instead. ``rescale=None`` is true for sequences
+    longer than 1000 steps. Raises ZeroEvidence when y has zero probability.
     """
     if rescale is None:
         rescale = h.num_steps > _LONG_CHAIN
@@ -264,14 +275,17 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     x = np.concatenate((np.ones(s), np.zeros(s)))  # [v; gv] at x_T
     if s > _PAIR_STATES:  # the fold, inward from x_T
         a, b = h.transition, np.ascontiguousarray(h.emission.T)
-        w = np.block([[a, np.zeros_like(a)], [a * log2_or_zero(a), a]])
-        unary, bb, gb = h.pi * b[h.observations[0]], list(np.tile(b, 2)), list(b * log2_or_zero(b))
-        y, gy = np.empty(2 * s), np.empty(s)  # a step writes into arrays and views made once
-        v, y_g = x[:s], y[s:]
+        ga_a = np.hstack((a * log2_or_zero(a), a))  # [A * log2 A, A]
+        bb, gb = np.tile(b, 2), b * log2_or_zero(b)  # the rows [b; b] and b log2 b
+        unary = h.pi * b[h.observations[0]]
+        y, gy = np.empty(2 * s), np.empty(s)  # a step writes into arrays made once
+        v, gv = x[:s], x[s:]
+        y_v, y_g = y[:s], y[s:]
         for o in h.observations[:0:-1].tolist():
-            np.multiply(bb[o], x, out=y)
+            np.multiply(bb[o], x, out=y)  # [b v; b gv]
             y_g += np.multiply(gb[o], v, out=gy)
-            np.dot(w, y, out=x)
+            np.dot(a, y_v, out=v)
+            np.dot(ga_a, y, out=gv)
             k = math.frexp(v.sum())[1]
             np.ldexp(x, -k, out=x)
             exponent += k
@@ -279,8 +293,9 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
         unary, tables, steps = _chain_tables(h)
         levels = _levels(tables, steps)
         todo = [(len(levels) - 1, 0)] if len(steps) else []
-        # inward from x_T; a block that lost entries, or sends v's sum below _LOW, is
-        # applied as its two halves, and its right half is pushed last, so it acts first
+        # inward from x_T; a block that lost entries, or sends the sum of v
+        # below _LOW, is applied as its two halves, and its right half is
+        # pushed last, so that half acts first
         while todo and x[:s].any():
             n, i = todo.pop()
             fg, k, exact, codes = levels[n]
