@@ -288,7 +288,7 @@ def _check_graph(graph: FactorGraph, companions) -> float:
 
 def _check_hmm(h: HmmSpec) -> float:
     g = hmm_to_weighted_graph(h).graph
-    res = hmm_entropy(h)
+    res = hmm_entropy(h, rescale=True)
     return _worst([_rel_err(res.entropy_bits, enumerate_entropy(g)),
                    _rel_err(math.ldexp(res.Z, res.exponent), enumerate_z(g))])
 

@@ -14,15 +14,14 @@ posterior-entropy input: the entropy of the state posterior given y.
 
 :func:`hmm_entropy` does not build that graph. Each chain step acts on an
 entropy-semiring pair [v; gv] as the dual-number block [[F, 0], [G, F]]
-with G = F * log2 F, held as one array [F; G]. Up to 22 states it reduces
-the steps pairwise, once, in log2 T levels of distinct blocks plus one
-block code per position, each level's distinct pairs found by a bool table
-over the pair keys, by a sort where that table would outgrow the keys, or
-kept as they are once every block is distinct. A block that lost entries
-is applied as its halves from the level below. Wider chains fold a step at
-a time. The tests hold it to the generic engine on
-:func:`hmm_to_weighted_graph` at a relative tolerance, and long reducible
-chains to their exact values.
+with G = F * log2 F. One reduction applies them: level 0 is the steps,
+each folded into [v; gv] by 3 S^2 multiply-adds, and level n + 1 the
+distinct pairs of level n's blocks, each one array [F; G], with a block
+code per position. A level is built only while counts say that it costs
+less than the positions it removes. A block that lost entries is applied
+as its halves from the level below. The tests hold it to the generic
+engine on :func:`hmm_to_weighted_graph` at a relative tolerance, and long
+reducible chains to their exact values.
 """
 
 import math
@@ -52,10 +51,14 @@ _LONG_CHAIN = 1000
 # subnormal.
 _TINY = 2.0 ** -960
 _LOW = 2.0 ** -52
-# Pairing n blocks costs n/2 products of 3 S^3 multiply-adds and saves n/2 folded steps
-# of 3 S^2 and ~7 us each. Median ms pairwise / fold, T = 300 and 3000, O = S, 2 vCPUs:
-# S = 20: 4.3 / 2.7, 24 / 28; S = 22: 4.5 / 3.0, 26 / 29; S = 24: 3.5 / 2.8, 30 / 25.
-_PAIR_STATES = 22
+# The cut of the reduction, in multiply-adds: a level costs _LEVEL_COST beside
+# its products, 3 S^3 each, and a position applied _STEP_COST beside its 3 S^2.
+# Measured on a shared 2-vCPU machine: 45-60 us a level, 5.5-8 us a position,
+# and a 22-state product 2.4 us in cache, 14 us in a level of 1e4. Fitted to
+# both, 19 states or fewer pair blocks that never repeat. README.md has the
+# chains the cut was timed on.
+_LEVEL_COST = 1.5e5
+_STEP_COST = 2e4
 
 
 @dataclass
@@ -141,19 +144,6 @@ class HmmSpec:
         return self.observations.size
 
 
-def _chain_tables(h: HmmSpec):
-    # unary[i] = pi[i] * B[i, y_1]; step t = 2..T has the table
-    # tables[steps[t - 2]], one per symbol o seen in y_2..y_T, holding
-    # A[i, j] * B[j, o]
-    y = h.observations
-    unary = h.pi * h.emission[:, y[0]]
-    symbols = np.flatnonzero(np.bincount(y[1:], minlength=h.num_symbols))
-    index = np.zeros(h.num_symbols, dtype=np.intp)
-    index[symbols] = np.arange(symbols.size)
-    tables = h.transition[None, :, :] * h.emission[:, symbols].T[:, None, :]
-    return unary, tables, index.take(y[1:])
-
-
 def hmm_to_weighted_graph(h: HmmSpec) -> WeightedGraph:
     """Build the weighted chain for an observation sequence.
 
@@ -161,14 +151,14 @@ def hmm_to_weighted_graph(h: HmmSpec) -> WeightedGraph:
     of the tables. The graph is validated like any other; it is the
     reference that the tests check :func:`hmm_entropy` against.
     """
-    s = h.num_states
-    unary, tables, steps = _chain_tables(h)
+    s, y = h.num_states, h.observations
+    tables = h.transition[None, :, :] * h.emission[:, y[1:]].T[:, None, :]  # A[i, j] B[j, y_t]
     later = range(2, h.num_steps + 1)
     graph = FactorGraph.from_arrays(
         [f"x{t}" for t in range(1, h.num_steps + 1)], np.full(h.num_steps, s),
         ["f1"] + [f"f{t}" for t in later],
         [("x1",)] + [(f"x{t - 1}", f"x{t}") for t in later],
-        np.concatenate((unary, tables.take(steps, axis=0).ravel())), [s] + [s * s] * len(later))
+        np.concatenate((h.pi * h.emission[:, y[0]], tables.ravel())), [s] + [s * s] * len(later))
     return WeightedGraph(graph, derive_log2_companions(graph))
 
 
@@ -178,12 +168,6 @@ def _normalised(fg: np.ndarray):
     returns the scaled stack and the integer exponents k."""
     k = np.frexp(np.einsum("nij->n", fg[:, :fg.shape[2]]))[1]
     return np.ldexp(fg, -k[:, None, None], out=fg), k
-
-
-def _normalised_vector(x: np.ndarray):
-    """x = [v; gv] scaled by 2^-k, k the frexp exponent of the sum of v."""
-    k = math.frexp(x[:len(x) // 2].sum())[1]
-    return np.ldexp(x, -k), k
 
 
 def _inexact(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -208,19 +192,30 @@ def _distinct(keys: np.ndarray, d: int, n_codes: int):
     return np.unique(keys, return_inverse=True)
 
 
-def _levels(tables, steps) -> list:
-    """The pairwise reduction of the steps, per level (FG, exponents, exact
-    flags) of its distinct blocks FG = [F; G] and a block code per position.
-    Level 0 is the normalised tables coded by the steps; level n + 1 the
-    distinct pairs (:func:`_distinct`) of level n's codes, plus an odd last block carried up."""
-    s = tables.shape[2]
-    fg, k = _normalised(np.concatenate((tables, tables * log2_or_zero(tables)), axis=1))
-    # int64 sums; np.ldexp is far faster on the int32 exponents of _normalised
-    levels = [(fg, k.astype(np.int64), np.ones(len(fg), dtype=bool), steps)]
-    while len(levels[-1][3]) > 1:
-        fg, k, exact, codes = levels[-1]
-        d, m = len(fg), len(codes) // 2 * 2
+def _levels(h: HmmSpec):
+    """The symbols seen in y_2..y_T, and the pairwise reduction of the steps
+    per level: (FG, exponents, exact flags) of its distinct blocks
+    FG = [F; G] and a block code per position, built while it pays
+    (_LEVEL_COST). Level 0 codes step t by y_t's index among the symbols,
+    its tables None unless level 1 is built; level n + 1 holds the distinct
+    pairs (:func:`_distinct`) of level n's codes, plus an odd last block."""
+    s, y = h.num_states, h.observations
+    symbols = np.flatnonzero(np.bincount(y[1:], minlength=h.num_symbols))
+    index = np.zeros(h.num_symbols, dtype=np.intp)
+    index[symbols] = np.arange(symbols.size)
+    d, codes = len(symbols), index.take(y[1:])
+    levels = [(None, None, None, codes)]
+    while len(codes) > 1:
+        m = len(codes) // 2 * 2
         pairs, up = _distinct(codes[:m:2] * d + codes[1:m:2], d, len(codes))
+        if len(pairs) * 3 * s ** 3 + _LEVEL_COST >= m // 2 * (3 * s * s + _STEP_COST):
+            break
+        if len(levels) == 1:
+            tables = h.transition[None, :, :] * h.emission[:, symbols].T[:, None, :]
+            fg, k = _normalised(np.concatenate((tables, tables * log2_or_zero(tables)), axis=1))
+            # int64 sums; np.ldexp is far faster on the int32 exponents of _normalised
+            levels[0] = (fg, k.astype(np.int64), np.ones(d, dtype=bool), codes)
+        fg, k, exact, _ = levels[-1]
         a, b, odd = pairs // d, pairs % d, codes[m:]
         fg1, fg2 = fg[a], fg[b]
         nxt = np.empty((len(pairs) + len(odd), 2 * s, s))  # the products, then the odd block
@@ -231,9 +226,9 @@ def _levels(tables, steps) -> list:
         del fg1, fg2  # the gathered pairs are freed before the next level's copies
         fg, k_level = _normalised(nxt)
         k = np.concatenate((k[a] + k[b], k[odd])) + k_level
-        codes = np.concatenate((up, np.arange(len(pairs), len(nxt))))
+        codes, d = np.concatenate((up, np.arange(len(pairs), len(nxt)))), len(nxt)
         levels.append((fg, k, np.concatenate((paired, exact[odd])), codes))
-    return levels
+    return symbols, levels
 
 
 def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
@@ -241,18 +236,18 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
 
     Step t = 2..T acts on the pair x = [v; gv] as the block [[F, 0], [G, F]],
     F = A diag(b) its transition-emission table, b = B[:, y_t], and
-    G = F * log2 F (0 where F is 0). Up to 22 states the steps, each held as
-    one array [F; G], are reduced pairwise with the block product
-    [F1; G1][F2; G2] = [F1 F2; G1 F2 + F1 G2]: batched over the distinct
-    pairs of a level, an odd block carried to the next. The product is
-    applied to [ones; zeros] at x_T, and f1's pair [u; u * log2 u] is folded
-    in last. A wider chain folds: inward from x_T, y = [b v; b gv + b log2 b v]
-    and x = [A y_v; [A * log2 A, A] y], 3 S^2 multiply-adds a step.
-    The bracketing differs from the generic engine's, so the result matches
-    ``posterior_entropy(hmm_to_weighted_graph(h))`` to roundoff only.
+    G = F * log2 F (0 where F is 0). The steps, each one array [F; G], are
+    reduced pairwise, [F1; G1][F2; G2] = [F1 F2; G1 F2 + F1 G2] batched over
+    a level's distinct pairs, up to the first level whose products would
+    cost more than the positions it removes (:func:`_levels`): none when
+    pairs seldom repeat over many states. Inward from x_T = [ones; zeros],
+    the top level's positions act on x: a block as [F v; G v + F gv], a
+    step folded as w = [b v; b gv + b log2 b v], x = [A w_v; [A * log2 A, A] w].
+    f1's pair [u; u * log2 u] is folded in last. The result, bracketed
+    otherwise, matches ``posterior_entropy(hmm_to_weighted_graph(h))`` to roundoff.
 
     The pass scales u, every table, every product and x after every applied
-    block by 2^-k, k the frexp exponent of the sum of its F or v half, and
+    position by 2^-k, k the frexp exponent of the sum of its F or v half, and
     u . v into [1, 2), keeping the integer sum E of the exponents. That is
     exact away from subnormals, so a subnormal u . v, too few bits of P(y),
     raises ZeroEvidence. A block scaled as a whole still drops entries
@@ -260,7 +255,7 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     chain can need later. So a product with a positive entry below 2^-960
     is marked inexact and not applied: its two halves are, in turn, read
     from the level below, and so are the halves of a block that sends v's
-    sum below 2^-52. Down to single steps, that is the fold.
+    sum below 2^-52. At level 0 they are folded steps.
 
     The result is :func:`~fginfer.entropy.entropy_from_zh` of the
     mantissas, Z in [1, 2), and E: (Z, H) are P(y) and its H with
@@ -272,42 +267,44 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     if rescale is None:
         rescale = h.num_steps > _LONG_CHAIN
     s, exponent = h.num_states, 0
+    symbols, levels = _levels(h)
+    a, b, steps = h.transition, h.emission.T[symbols], levels[0][3]
+    ga_a = np.hstack((a * log2_or_zero(a), a))  # [A * log2 A, A]
+    bb, gb = np.tile(b, 2), b * log2_or_zero(b)  # the rows [b; b] and b log2 b
     x = np.concatenate((np.ones(s), np.zeros(s)))  # [v; gv] at x_T
-    if s > _PAIR_STATES:  # the fold, inward from x_T
-        a, b = h.transition, np.ascontiguousarray(h.emission.T)
-        ga_a = np.hstack((a * log2_or_zero(a), a))  # [A * log2 A, A]
-        bb, gb = np.tile(b, 2), b * log2_or_zero(b)  # the rows [b; b] and b log2 b
-        unary = h.pi * b[h.observations[0]]
-        y, gy = np.empty(2 * s), np.empty(s)  # a step writes into arrays made once
-        v, gv = x[:s], x[s:]
-        y_v, y_g = y[:s], y[s:]
-        for o in h.observations[:0:-1].tolist():
-            np.multiply(bb[o], x, out=y)  # [b v; b gv]
-            y_g += np.multiply(gb[o], v, out=gy)
-            np.dot(a, y_v, out=v)
-            np.dot(ga_a, y, out=gv)
-            k = math.frexp(v.sum())[1]
-            np.ldexp(x, -k, out=x)
-            exponent += k
-    else:
-        unary, tables, steps = _chain_tables(h)
-        levels = _levels(tables, steps)
-        todo = [(len(levels) - 1, 0)] if len(steps) else []
-        # inward from x_T; a block that lost entries, or sends the sum of v
-        # below _LOW, is applied as its two halves, and its right half is
-        # pushed last, so that half acts first
-        while todo and x[:s].any():
-            n, i = todo.pop()
-            fg, k, exact, codes = levels[n]
+    w, gw = np.empty(2 * s), np.empty(s)  # a position writes into arrays made once
+    v, gv, w_v, w_g = x[:s], x[s:], w[:s], w[s:]
+    # inward from x_T, ranges (level, lo, hi) of positions from the last; a
+    # block that lost entries, or sends the sum of v below _LOW, is applied
+    # as its two halves, pushed after the rest of its range so they act first
+    todo = [(len(levels) - 1, 0, len(levels[-1][3]))]
+    while todo:
+        n, lo, hi = todo.pop()
+        if not n:  # folded steps
+            for o in steps[lo:hi][::-1].tolist():
+                np.multiply(bb[o], x, out=w)  # [b v; b gv]
+                w_g += np.multiply(gb[o], v, out=gw)
+                np.dot(a, w_v, out=v)
+                np.dot(ga_a, w, out=gv)
+                k_x = math.frexp(v.sum())[1]
+                np.ldexp(x, -k_x, out=x)
+                exponent += k_x
+            continue
+        fg, k, exact, codes = levels[n]
+        for i in range(hi - 1, lo - 1, -1):
             c = codes[i]
-            y = fg[c] @ x[:s]  # [F v; G v], then G v + F gv
-            if n and (not exact[c] or y[:s].sum() < _LOW):
-                todo += [(n - 1, j) for j in range(2 * i, min(2 * i + 2, len(levels[n - 1][3])))]
-                continue
-            y[s:] += fg[c, :s] @ x[s:]
-            x, k_x = _normalised_vector(y)
+            np.dot(fg[c], v, out=w)  # [F v; G v], then G v + F gv
+            if not exact[c] or w_v.sum() < _LOW:
+                if v.any():  # else P(y) = 0 already
+                    todo += [(n, lo, i), (n - 1, 2 * i, min(2 * i + 2, len(levels[n - 1][3])))]
+                break
+            w_g += fg[c, :s] @ gv
+            k_x = math.frexp(w_v.sum())[1]
+            np.ldexp(w, -k_x, out=x)
             exponent += int(k[c]) + k_x
-    u, k_u = _normalised_vector(np.concatenate((unary, unary * log2_or_zero(unary))))
+    unary = h.pi * h.emission[:, h.observations[0]]
+    k_u = math.frexp(unary.sum())[1]
+    u = np.ldexp(np.concatenate((unary, unary * log2_or_zero(unary))), -k_u)
     z, hz = float(u[:s] @ x[:s]), float(u[s:] @ x[:s] + u[:s] @ x[s:])
     if 0.0 < z < 2.0 ** -1022:
         raise ZeroEvidence(f"u . v = {z} is subnormal: the pass kept too few bits of P(y)")

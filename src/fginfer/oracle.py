@@ -26,7 +26,9 @@ def _joint_setup(g):
     cards = g.ensure_checked().cards.tolist()
     total = math.prod(cards)
     if total > _GUARD:
-        raise TooLarge(f"{total} joint assignments exceed the {_GUARD} guard")
+        # log10 of the int: float(total) overflows past 1e308
+        raise TooLarge(f"about 10^{math.log10(total):.1f} joint assignments exceed"
+                       f" the {_GUARD} guard")
     idx = np.arange(total)
     digits = []
     stride = total

@@ -578,6 +578,15 @@ class TestCheck:
         code, out, _ = cli("check", "--hmm", write(hmm_doc()), "--seeds", "3")
         assert (code, out["pass"]) == (0, True)
 
+    def test_hmm_evidence_past_float_range_is_no_rescale_error(self, cli, write):
+        # P(y) = 1e-800: the HMM pass reports it as fg entropy --hmm does, and
+        # the oracle's own total underflows; no option of fg is suggested
+        doc = hmm_doc(4)
+        doc["B"] = [[1e-200, 1.0 - 1e-200]] * 2
+        code, out, _ = cli("check", "--hmm", write(doc))
+        assert (code, out["error"]) == (2, {"kind": "ZeroEvidence",
+                                            "detail": "total weight 0.0 is numerically zero"})
+
     def test_needs_exactly_one_document(self, cli, write):
         code, out, _ = cli("check")
         assert (code, out["error"]["kind"]) == (1, "UsageError")

@@ -14,7 +14,6 @@ from fginfer import (
     hmm_to_weighted_graph,
     posterior_entropy,
 )
-from fginfer.hmm import _PAIR_STATES
 from fginfer.oracle import enumerate_entropy, enumerate_z
 
 from conftest import assert_close
@@ -23,6 +22,11 @@ from conftest import assert_close
 def uniform_hmm(t_len, s=2):
     p = np.full(s, 1.0 / s)
     return HmmSpec(p, np.full((s, s), 1.0 / s), np.full((s, s), 1.0 / s), [0] * t_len)
+
+
+def levels_built(h):
+    """How many levels the reduction builds above the steps: 0 folds every step."""
+    return len(fginfer.hmm._levels(h)[1]) - 1
 
 
 def random_hmm(rng, s, o, t_len):
@@ -171,11 +175,13 @@ class TestHmmEntropy:
             assert_close(res.entropy_bits, enumerate_entropy(g), what="bits")
 
     def test_fold_matches_enumeration(self, rng):
-        # one state over the pairing rule folds; 23^4 = 279841 paths, under the
-        # oracle's guard. Measured on 40 chains like these, half with zero
+        # 3 steps: a level of 23-state products costs more than the one
+        # position it removes, so every step folds; 23^4 = 279841 paths, under
+        # the oracle's guard. Measured on 40 chains like these, half with zero
         # transitions, the worst rel_err was 3.9e-16 on Z and 5.7e-16 on bits.
         for i in range(4):
-            h = TestDirectPass.random_chain(rng, _PAIR_STATES + 1, 3, 4, i % 2 == 0)
+            h = TestDirectPass.random_chain(rng, 23, 3, 4, i % 2 == 0)
+            assert levels_built(h) == 0
             res = hmm_entropy(h, rescale=True)
             g = hmm_to_weighted_graph(h).graph
             assert_close(res.Z * 2.0 ** res.exponent, enumerate_z(g), 1e-14, "evidence")
@@ -213,9 +219,12 @@ class TestRescaling:
 
     def test_bits_do_not_depend_on_rescale(self, rng):
         # every report comes from the same mantissas; P(y) is a normal
-        # float, so each folds it in, as posterior_entropy does
-        for s in (1, 2, 5, _PAIR_STATES + 1):
-            h = random_hmm(rng, s, 3, 40)
+        # float, so each folds it in, as posterior_entropy does. 64 symbols
+        # over 40 steps seldom repeat a pair: 23 states fold them
+        for s, o in ((1, 3), (2, 3), (5, 3), (23, 3), (23, 64)):
+            h = random_hmm(rng, s, o, 40)
+            if o == 64:
+                assert levels_built(h) == 0
             results = {repr(hmm_entropy(h, rescale=r)) for r in (None, True, False)}
             assert len(results) == 1
             assert hmm_entropy(h, rescale=True).exponent == 0
@@ -247,6 +256,8 @@ class TestDirectPass:
     # Measured on 3000 random chains like those below (600 at S = 22 and
     # 24 paired, 2400 at S = 23, 25, 26 and 64 folded; both rescale
     # values), the worst rel_err was 1.4e-15 on bits and 2.9e-15 on log2 Z.
+    # With the path picked from counts, 1050 more (150 of each shape below,
+    # 46 of the 450 with 1-5 symbols paired) read at most 2.4e-15 and 2.6e-15.
     WIDE_TOL = 2e-14
 
     def assert_agrees(self, h, rescale, bits_tol=BITS_TOL, log2z_tol=LOG2Z_TOL):
@@ -275,11 +286,23 @@ class TestDirectPass:
             for rescale in (False, True):
                 self.assert_agrees(h, rescale)
 
-    @pytest.mark.parametrize("s", [_PAIR_STATES, _PAIR_STATES + 1, 64])
+    @pytest.mark.parametrize("s", [22, 23, 64])
     def test_wide_random_models_with_zero_transitions(self, rng, s):
         for i in range(6):
             h = self.random_chain(rng, s, int(rng.integers(1, 6)), int(rng.integers(1, 41)),
                                   i % 2 == 0)
+            for rescale in (False, True):
+                self.assert_agrees(h, rescale, self.WIDE_TOL, self.WIDE_TOL)
+
+    # one symbol repeats every pair, so 20-40 steps pair; 64 symbols over at
+    # most 40 steps seldom repeat one, so 23 and 64 states fold them
+    @pytest.mark.parametrize("s, o, pairs", [(22, 1, True), (23, 1, True), (23, 64, False),
+                                             (64, 64, False)])
+    def test_wide_random_models_by_path(self, rng, s, o, pairs):
+        for i in range(6):
+            h = self.random_chain(rng, s, o, int(rng.integers(20 if pairs else 1, 41)),
+                                  i % 2 == 0)
+            assert (levels_built(h) > 0) == pairs
             for rescale in (False, True):
                 self.assert_agrees(h, rescale, self.WIDE_TOL, self.WIDE_TOL)
 
@@ -354,20 +377,24 @@ class TestDirectPass:
 
     def test_wide_path_that_falls_and_recovers(self):
         # test_path_that_falls_and_recovers with every state but 1 a copy
-        # of state 0, so that the chain folds. Against the exact values
-        # only: the engine takes seconds and 150 MB on this graph.
-        s = _PAIR_STATES + 1
+        # of state 0: its two runs pair 23 states, and the blocks that span
+        # the fall are split. Against the exact values only: the engine
+        # takes seconds and 150 MB on this graph.
+        s = 23
         emission = np.tile([2 / 3, 1 / 3, 0.0], (s, 1))
         emission[1] = [1 / 4, 1 / 2, 1 / 4]
         h = HmmSpec(np.full(s, 1 / s), np.eye(s), emission, [2] + [0] * 1100 + [1] * 1700)
+        assert levels_built(h) > 0
         res = hmm_entropy(h)
         log2_z = -3902.0 - math.log2(s)
         assert_close(res.entropy_bits, 0.0, 1e-14 * abs(log2_z), "bits")
         assert_close(res.log2_z(), log2_z, 1e-14, "log2 Z")
 
     def test_wide_fold_stacks_no_steps(self, rng):
-        # the pairwise reduction's blocks, forced here, peak at 37.7 MiB
+        # the benchmark's hmm-wide shape: no level pays, and every step
+        # folds. Pairing every level peaks at 37.7 MiB
         h = random_hmm(rng, 64, 64, 300)
+        assert levels_built(h) == 0
         tracemalloc.start()
         try:
             hmm_entropy(h, rescale=True)
@@ -418,13 +445,14 @@ class TestDirectPass:
         return h, math.log2(1.0 - q) + zeros * math.log2(q) - math.log2(s)
 
     @pytest.mark.parametrize("rescale", [None, True, False])
-    @pytest.mark.parametrize("zeros, s, q", [(1000, 2, 0.5), (1000, _PAIR_STATES + 1, 0.5),
-                                             (880, 2, 0.45), (880, _PAIR_STATES + 1, 0.45)])
+    @pytest.mark.parametrize("zeros, s, q", [(1000, 2, 0.5), (1000, 23, 0.5),
+                                             (880, 2, 0.45), (880, 23, 0.45)])
     def test_evidence_far_below_1e_300(self, zeros, s, q, rescale):
         # u . v is a normal float below 1e-300 before the closing scale,
         # which once raised a false ZeroEvidence. Unrescaled, Z is
-        # reported while P(y) is a normal float.
+        # reported while P(y) is a normal float. One symbol a step pairs.
         h, log2_z = self.one_path_chain(s, q, zeros)
+        assert levels_built(h) > 0
         if rescale is False and log2_z < -1022:
             with pytest.raises(ZeroEvidence):
                 hmm_entropy(h, rescale=False)
@@ -432,14 +460,14 @@ class TestDirectPass:
             self.assert_matches_closed_form(h, 0.0, log2_z, rescale=rescale)
 
     @pytest.mark.parametrize("rescale", [None, True])
-    @pytest.mark.parametrize("zeros, s, q", [(1070, 2, 0.5), (925, 2, 0.45),
-                                             (925, _PAIR_STATES + 1, 0.45)])
+    @pytest.mark.parametrize("zeros, s, q", [(1070, 2, 0.5), (925, 2, 0.45), (925, 23, 0.45)])
     def test_subnormal_closing_product_raises(self, zeros, s, q, rescale):
         # the one path's entry of v decays below 2^-1022 against the
         # states that emit 0 with 1, so v keeps a few significant bits and
         # u . v is subnormal: scaled up it read log2 Z and bits tens of
         # percent off for q = 0.45
         h, _ = self.one_path_chain(s, q, zeros)
+        assert levels_built(h) > 0
         with pytest.raises(ZeroEvidence, match="subnormal"):
             hmm_entropy(h, rescale=rescale)
 
@@ -457,31 +485,33 @@ class TestDirectPass:
                 posterior_entropy(hmm_to_weighted_graph(h))
 
     def test_zero_evidence_on_a_wide_chain(self):
-        s = _PAIR_STATES + 1
+        s = 23
         h = HmmSpec(np.eye(s)[0], np.eye(s), np.eye(s), [0, 1, 0])
+        assert levels_built(h) == 0
         for rescale in (False, True):
             with pytest.raises(ZeroEvidence):
                 hmm_entropy(h, rescale=rescale)
 
 
 class TestOneLayout:
-    """Every level of the pairwise reduction holds its distinct blocks and
-    one block code per position, level 0 the per-symbol tables coded by
-    the steps."""
+    """Every level the reduction builds holds its distinct blocks and one
+    block code per position, level 0 the per-symbol tables coded by the
+    steps; with no level above it, level 0 holds its codes alone."""
 
     @staticmethod
     def levels_of(h):
-        return fginfer.hmm._levels(*fginfer.hmm._chain_tables(h)[1:])
+        return fginfer.hmm._levels(h)[1]
 
     @staticmethod
-    def positional_levels(level_0):
-        """The reference: the same reduction over a stack with one block
-        per position, taken from level 0's tables by its codes, the steps."""
+    def positional_levels(level_0, top):
+        """The reference: the same reduction up to level ``top`` over a
+        stack with one block per position, taken from level 0's tables by
+        its codes, the steps."""
         *tables, steps = level_0
         fg, k, exact = (x.take(steps, axis=0) for x in tables)
         levels = [(fg, k, exact)]
         s = fg.shape[2]
-        while len(fg) > 1:
+        while len(levels) <= top:
             m = len(fg) // 2 * 2
             fg1, fg2 = fg[:m:2], fg[1:m:2]
             product = fg1 @ fg2[:, :s]
@@ -496,17 +526,21 @@ class TestOneLayout:
 
     @pytest.mark.parametrize("t_len", [1, 2, 3, 4, 1000, 4097])
     def test_one_symbol_chain_holds_two_blocks_a_level(self, rng, t_len):
-        # 2^n steps a block, and at most one odd block carried up
+        # 2^n steps a block, and at most one odd block carried up. Up to 3
+        # steps no level pays; above that, levels stop while their top
+        # still holds more than one position
         levels = self.levels_of(random_hmm(rng, 3, 1, t_len))
+        assert (len(levels) > 1) == (t_len > 4)
+        assert 1 < len(levels[-1][3]) < 32 or t_len <= 4
         assert [len(codes) for *_, codes in levels[1:]] == [
             -(-(t_len - 1) // 2 ** n) for n in range(1, len(levels))]
-        assert all(len(f) <= 2 for f, *_ in levels)
+        assert all(len(f) <= 2 for f, *_ in levels[1:])
 
     def test_blocks_read_through_codes_equal_the_positional_reduction(self, rng):
-        chains = [TestDirectPass.one_path_chain(2, 0.5, 4001)[0]]
+        chains = [TestDirectPass.one_path_chain(2, 1 / 16, 4001)[0]]
         odd, even = rng.integers(2, 1000, 12) * 2 + 1, rng.integers(2, 1001, 12) * 2
         for i, t_len in enumerate([1, 2, 3, 1999, 2000, *odd.tolist(), *even.tolist()]):
-            s, o = int(rng.integers(1, _PAIR_STATES + 1)), int(rng.integers(1, 6))
+            s, o = int(rng.integers(1, 23)), int(rng.integers(1, 6))
             chains.append(TestDirectPass.random_chain(rng, s, o, t_len, i % 2 == 0))
         # every symbol once: every code is used once from level 0; 64 symbols
         # over 300 steps repeat pairs too seldom for the pair table; and 2
@@ -515,9 +549,14 @@ class TestOneLayout:
                               np.arange(64)))
         chains.append(TestDirectPass.random_chain(rng, 3, 64, 300, False))
         chains.append(TestDirectPass.random_chain(rng, 2, 2, 5001, False))
+        built = 0
         for h in chains:
             levels = self.levels_of(h)
-            reference = self.positional_levels(levels[0])
+            if len(levels) == 1:  # no level pays: level 0 is its codes alone
+                assert levels[0][:3] == (None, None, None)
+                continue
+            built += 1
+            reference = self.positional_levels(levels[0], len(levels) - 1)
             assert len(levels) == len(reference)
             if h is chains[0]:  # its upper blocks are inexact
                 assert not reference[-1][2].all()
@@ -525,6 +564,36 @@ class TestOneLayout:
                 assert np.unique(codes).size == len(blocks[0])  # every block has a position
                 for x, y in zip(blocks, positional):
                     assert x.dtype == y.dtype and x[codes].tobytes() == y.tobytes()
+        assert built >= len(chains) - 4
+
+
+class TestCountedCut:
+    """The reduction builds a level only while its products cost less than
+    the positions it removes, both counted from the codes before any
+    product: these checks read the levels built, never a timing."""
+
+    def test_two_states_pair(self, rng):
+        assert levels_built(random_hmm(rng, 2, 2, 1000)) > 0
+
+    def test_two_symbols_pair_wide_chains(self, rng):
+        # a rule on S alone folded 32 states; over 2 symbols the first
+        # levels hold at most 4, 16 and 256 distinct products for 1e4, 5000
+        # and 2500 positions, and the cut comes before every pair is distinct
+        assert 0 < levels_built(random_hmm(rng, 32, 2, 20_000)) < 14
+
+    def test_pairs_that_never_repeat_fold_in_little_memory(self, rng):
+        # 2000 symbols over 2e4 steps: the first level would hold nearly 1e4
+        # distinct 22-state products. Pairing every level peaks at 280.8 MiB;
+        # the fold peaked at 2.20-2.21 MiB on 8 seeds
+        h = random_hmm(rng, 22, 2000, 20_000)
+        assert levels_built(h) == 0
+        tracemalloc.start()
+        try:
+            hmm_entropy(h, rescale=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestDistinct:
@@ -568,9 +637,19 @@ class TestPowerOfTwoRescaling:
     # T - 1 steps: T = 2^k + 1 pairs evenly at every level, T = 2^k
     # carries an odd element at every level
     @pytest.mark.parametrize("t_len", [1, 2, 3, 4, 5, 16, 17, 32, 33, 1200])
-    @pytest.mark.parametrize("s", [1, 2, 5, _PAIR_STATES + 1])
+    @pytest.mark.parametrize("s", [1, 2, 5, 23])
     def test_shift_back_is_bit_identical(self, rng, s, t_len):
-        h = random_hmm(rng, s, 3, t_len)
+        self.assert_shift_back(rng, random_hmm(rng, s, 3, t_len), t_len)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 4, 5, 16, 17, 32, 33, 1200])
+    def test_shift_back_of_folded_steps(self, rng, t_len):
+        # up to 1199 steps seldom repeat a pair of 64 symbols: 23 states fold them
+        h = random_hmm(rng, 23, 64, t_len)
+        assert levels_built(h) == 0
+        self.assert_shift_back(rng, h, t_len)
+
+    @staticmethod
+    def assert_shift_back(rng, h, t_len):
         base = hmm_entropy(h, rescale=True)
         mantissa, k = math.frexp(base.Z)
         for i, j in rng.integers(-60, 61, (3, 2)).tolist():

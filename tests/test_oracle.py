@@ -35,7 +35,8 @@ class TestEnumerateZ:
             [VariableDecl(f"x{i}", 10) for i in range(7)],
             [FactorTable("f", tuple(f"x{i}" for i in range(7)), np.ones(10**7))],
         )
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match=r"^about 10\^7\.0 joint assignments exceed the"
+                                            r" 1000000 guard$"):
             enumerate_z(g)
 
 
