@@ -52,13 +52,14 @@ _LONG_CHAIN = 1000
 _TINY = 2.0 ** -960
 _LOW = 2.0 ** -52
 # The cut of the reduction, in multiply-adds: a level costs _LEVEL_COST beside
-# its products, 3 S^3 each, and a position applied _STEP_COST beside its 3 S^2.
-# Measured on a shared 2-vCPU machine: 45-60 us a level, 5.5-8 us a position,
-# and a 22-state product 2.4 us in cache, 14 us in a level of 1e4. Fitted to
-# both, 19 states or fewer pair blocks that never repeat. README.md has the
-# chains the cut was timed on.
+# its products, 3 S^3 each, and a block it removes _STEP_COST beside its 3 S^2.
+# Measured on a shared 2-vCPU machine: 45-60 us a level, 6-7 us a block, 3-3.8
+# us a folded step, and a 22-state product 2.4 us in cache, 14 us in a level of
+# 1e4. So level 1 saves little but its 3 S^2 and the levels it lets be built:
+# _FOLD_COST, its price of a folded step, is fitted to the chains in README.md.
 _LEVEL_COST = 1.5e5
 _STEP_COST = 2e4
+_FOLD_COST = 4e3
 
 
 @dataclass
@@ -208,7 +209,8 @@ def _levels(h: HmmSpec):
     while len(codes) > 1:
         m = len(codes) // 2 * 2
         pairs, up = _distinct(codes[:m:2] * d + codes[1:m:2], d, len(codes))
-        if len(pairs) * 3 * s ** 3 + _LEVEL_COST >= m // 2 * (3 * s * s + _STEP_COST):
+        step = _FOLD_COST if len(levels) == 1 else _STEP_COST
+        if len(pairs) * 3 * s ** 3 + _LEVEL_COST >= m // 2 * (3 * s * s + step):
             break
         if len(levels) == 1:
             tables = h.transition[None, :, :] * h.emission[:, symbols].T[:, None, :]
@@ -242,20 +244,24 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     cost more than the positions it removes (:func:`_levels`): none when
     pairs seldom repeat over many states. Inward from x_T = [ones; zeros],
     the top level's positions act on x: a block as [F v; G v + F gv], a
-    step folded as w = [b v; b gv + b log2 b v], x = [A w_v; [A * log2 A, A] w].
-    f1's pair [u; u * log2 u] is folded in last. The result, bracketed
-    otherwise, matches ``posterior_entropy(hmm_to_weighted_graph(h))`` to roundoff.
+    step folded as w = [b v; b gv + b log2 b v], x = [A w_v; [A * log2 A, A] w],
+    with v's sum from the same mat-vec as v, [1'A; A] w_v. f1's pair
+    [u; u * log2 u] is folded in last. The result, bracketed otherwise,
+    matches ``posterior_entropy(hmm_to_weighted_graph(h))`` to roundoff.
 
     The pass scales u, every table, every product and x after every applied
-    position by 2^-k, k the frexp exponent of the sum of its F or v half, and
-    u . v into [1, 2), keeping the integer sum E of the exponents. That is
-    exact away from subnormals, so a subnormal u . v, too few bits of P(y),
-    raises ZeroEvidence. A block scaled as a whole still drops entries
-    more than the float range below its largest, which a long reducible
-    chain can need later. So a product with a positive entry below 2^-960
-    is marked inexact and not applied: its two halves are, in turn, read
-    from the level below, and so are the halves of a block that sends v's
-    sum below 2^-52. At level 0 they are folded steps.
+    block by 2^-k, k the frexp exponent of the sum of its F or v half, and
+    u . v into [1, 2), keeping the integer sum E of the exponents. Folded
+    steps scale x by 2^(63 - k) only when v's sum leaves [1, 2^63), and end
+    their range scaled as a block is. That is exact away from subnormals,
+    and x never falls below the x of scaling every step, so a subnormal
+    u . v, too few bits of P(y), raises ZeroEvidence. A block scaled as a
+    whole still drops entries more than the float range below its largest,
+    which a long reducible chain can need later. So a product with a
+    positive entry below 2^-960 is marked inexact and not applied: its two
+    halves are, in turn, read from the level below, and so are the halves
+    of a block that sends v's sum below 2^-52. At level 0 they are folded
+    steps.
 
     The result is :func:`~fginfer.entropy.entropy_from_zh` of the
     mantissas, Z in [1, 2), and E: (Z, H) are P(y) and its H with
@@ -269,26 +275,32 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
     s, exponent = h.num_states, 0
     symbols, levels = _levels(h)
     a, b, steps = h.transition, h.emission.T[symbols], levels[0][3]
-    ga_a = np.hstack((a * log2_or_zero(a), a))  # [A * log2 A, A]
+    ga_a, sum_a = np.hstack((a * log2_or_zero(a), a)), np.vstack((a.sum(axis=0), a))
     bb, gb = np.tile(b, 2), b * log2_or_zero(b)  # the rows [b; b] and b log2 b
-    x = np.concatenate((np.ones(s), np.zeros(s)))  # [v; gv] at x_T
+    x = np.concatenate(([s], np.ones(s), np.zeros(s)))  # [sum v; v; gv] at x_T
     w, gw = np.empty(2 * s), np.empty(s)  # a position writes into arrays made once
-    v, gv, w_v, w_g = x[:s], x[s:], w[:s], w[s:]
+    sv, vg, v, gv, w_v, w_g = x[:s + 1], x[1:], x[1:s + 1], x[s + 1:], w[:s], w[s:]
     # inward from x_T, ranges (level, lo, hi) of positions from the last; a
     # block that lost entries, or sends the sum of v below _LOW, is applied
     # as its two halves, pushed after the rest of its range so they act first
     todo = [(len(levels) - 1, 0, len(levels[-1][3]))]
     while todo:
         n, lo, hi = todo.pop()
-        if not n:  # folded steps
+        if not n:  # folded steps: v's sum, from [1'A; A], kept in [1, 2^63)
             for o in steps[lo:hi][::-1].tolist():
-                np.multiply(bb[o], x, out=w)  # [b v; b gv]
+                np.multiply(bb[o], vg, out=w)  # [b v; b gv]
                 w_g += np.multiply(gb[o], v, out=gw)
-                np.dot(a, w_v, out=v)
+                np.dot(sum_a, w_v, out=sv)  # [sum v; v]
                 np.dot(ga_a, w, out=gv)
-                k_x = math.frexp(v.sum())[1]
-                np.ldexp(x, -k_x, out=x)
-                exponent += k_x
+                k_x = math.frexp(x[0])[1]
+                if not 0 < k_x < 64:
+                    if not x[0]:  # P(y) = 0
+                        break
+                    np.ldexp(x, 63 - k_x, out=x)
+                    exponent += k_x - 63
+            k_x = math.frexp(x[0])[1]  # and left in [0.5, 1), as a block leaves it
+            np.ldexp(x, -k_x, out=x)
+            exponent += k_x
             continue
         fg, k, exact, codes = levels[n]
         for i in range(hi - 1, lo - 1, -1):
@@ -300,12 +312,12 @@ def hmm_entropy(h: HmmSpec, rescale: bool | None = None) -> EntropyResult:
                 break
             w_g += fg[c, :s] @ gv
             k_x = math.frexp(w_v.sum())[1]
-            np.ldexp(w, -k_x, out=x)
+            np.ldexp(w, -k_x, out=vg)
             exponent += int(k[c]) + k_x
     unary = h.pi * h.emission[:, h.observations[0]]
     k_u = math.frexp(unary.sum())[1]
     u = np.ldexp(np.concatenate((unary, unary * log2_or_zero(unary))), -k_u)
-    z, hz = float(u[:s] @ x[:s]), float(u[s:] @ x[:s] + u[:s] @ x[s:])
+    z, hz = float(u[:s] @ v), float(u[s:] @ v + u[:s] @ gv)
     if 0.0 < z < 2.0 ** -1022:
         raise ZeroEvidence(f"u . v = {z} is subnormal: the pass kept too few bits of P(y)")
     e_z = math.frexp(z)[1] - 1  # the engine's mantissa convention, Z in [1, 2)

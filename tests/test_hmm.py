@@ -294,14 +294,15 @@ class TestDirectPass:
             for rescale in (False, True):
                 self.assert_agrees(h, rescale, self.WIDE_TOL, self.WIDE_TOL)
 
-    # one symbol repeats every pair, so 20-40 steps pair; 64 symbols over at
-    # most 40 steps seldom repeat one, so 23 and 64 states fold them
+    # one symbol repeats every pair, so 120-160 steps pair (68 or fewer
+    # fold, which is faster); 64 symbols over at most 40 steps seldom
+    # repeat one, so 23 and 64 states fold them
     @pytest.mark.parametrize("s, o, pairs", [(22, 1, True), (23, 1, True), (23, 64, False),
                                              (64, 64, False)])
     def test_wide_random_models_by_path(self, rng, s, o, pairs):
         for i in range(6):
-            h = self.random_chain(rng, s, o, int(rng.integers(20 if pairs else 1, 41)),
-                                  i % 2 == 0)
+            t_len = int(rng.integers(120, 161) if pairs else rng.integers(1, 41))
+            h = self.random_chain(rng, s, o, t_len, i % 2 == 0)
             assert (levels_built(h) > 0) == pairs
             for rescale in (False, True):
                 self.assert_agrees(h, rescale, self.WIDE_TOL, self.WIDE_TOL)
@@ -492,6 +493,65 @@ class TestDirectPass:
             with pytest.raises(ZeroEvidence):
                 hmm_entropy(h, rescale=rescale)
 
+    @staticmethod
+    def one_path_folded_chain(n):
+        # 24 states that never move: only state 1 emits y_1 = 63, and it emits
+        # each of the n later draws from 0..62 with 1/252, every other state
+        # with 1/63, so its entry of v falls 2^-2n behind theirs
+        s = 24
+        emission = np.zeros((s, 64))
+        emission[:, :63] = 1 / 63
+        emission[1] = [0.25 / 63] * 63 + [0.75]
+        y = [63, *np.random.default_rng(0).integers(0, 63, n).tolist()]
+        h = HmmSpec(np.full(s, 1 / s), np.eye(s), emission, y)
+        return h, -math.log2(s) + n * math.log2(1 / 252) + math.log2(0.75)
+
+    @pytest.mark.parametrize("n", [490, 505])
+    def test_folded_window_keeps_what_every_step_scaling_keeps(self, n):
+        # state 1's entry sits 2^-980 and 2^-1010 below the others: a normal
+        # float when v's sum is in [0.5, 1), and no smaller when the sum is
+        # kept in [1, 2^63). A sum scaled into [0.5, 1) only once it left
+        # [2^-62, 2^62) read -1.85e-7 and 39.85 bits here; one kept in
+        # [2^-62, 2^63) read 0 and -0.016 bits.
+        h, log2_z = self.one_path_folded_chain(n)
+        assert levels_built(h) == 0
+        res = hmm_entropy(h, rescale=True)
+        assert_close(res.entropy_bits, 0.0, 1e-14 * abs(log2_z), "bits")
+        assert_close(res.log2_z(), log2_z, 1e-14, "log2 Z")
+
+    def test_folded_range_ends_with_the_sum_of_v_below_one(self):
+        # at 508 draws, u . v is subnormal when v's sum is in [0.5, 1), as a
+        # folded range leaves it, though not when it is anywhere in [1, 2^63)
+        h, _ = self.one_path_folded_chain(508)
+        assert levels_built(h) == 0
+        with pytest.raises(ZeroEvidence, match="subnormal"):
+            hmm_entropy(h, rescale=True)
+
+    def test_folded_sum_is_that_of_v_not_of_w(self):
+        # one path 0 -> 1: state 1 is entered with 2^-1000 from state 0 and
+        # 2^-100 from itself, so the step shrinks v's sum 2^-100 below the
+        # sum of w = b v; only state 0 on that path emits y_1 = 0, with 2^-100.
+        # Scaled by the sum of w, v leaves u . v subnormal.
+        d, e = 2.0 ** -100, 2.0 ** -1000
+        h = HmmSpec(np.full(3, 1 / 3), [[1 - e, e, 0.0], [1 - d, d, 0.0], [0.0, 0.0, 1.0]],
+                    [[d, 0.0, 1 - d], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], [0, 1])
+        assert levels_built(h) == 0
+        res = hmm_entropy(h, rescale=True)
+        assert res.entropy_bits == 0.0
+        assert_close(res.log2_z(), -1100.0 - math.log2(3.0), 1e-15, "log2 Z")
+
+    def test_every_folded_step_leaves_the_window(self, rng):
+        # every observed symbol has emission 1e-25 or less, so each step shrinks
+        # v's sum by more than 2^-63 and every folded step rescales
+        s, o = 24, 64
+        emission = np.zeros((s, o))
+        emission[:, :-1] = rng.uniform(0.1, 1.0, (s, o - 1)) * 1e-25
+        emission[:, -1] = 1.0 - emission.sum(axis=1)
+        h = self.random_chain(rng, s, o, 40, True)
+        h = HmmSpec(h.pi, h.transition, emission, rng.integers(0, o - 1, 40))
+        assert levels_built(h) == 0
+        self.assert_agrees(h, True, self.WIDE_TOL, self.WIDE_TOL)
+
 
 class TestOneLayout:
     """Every level the reduction builds holds its distinct blocks and one
@@ -524,29 +584,29 @@ class TestOneLayout:
             levels.append((fg, k, exact))
         return levels
 
-    @pytest.mark.parametrize("t_len", [1, 2, 3, 4, 1000, 4097])
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 4, 76, 77, 1000, 4097])
     def test_one_symbol_chain_holds_two_blocks_a_level(self, rng, t_len):
-        # 2^n steps a block, and at most one odd block carried up. Up to 3
+        # 2^n steps a block, and at most one odd block carried up. Up to 76
         # steps no level pays; above that, levels stop while their top
         # still holds more than one position
         levels = self.levels_of(random_hmm(rng, 3, 1, t_len))
-        assert (len(levels) > 1) == (t_len > 4)
-        assert 1 < len(levels[-1][3]) < 32 or t_len <= 4
+        assert (len(levels) > 1) == (t_len > 76)
+        assert 1 < len(levels[-1][3]) < 32 or t_len <= 76
         assert [len(codes) for *_, codes in levels[1:]] == [
             -(-(t_len - 1) // 2 ** n) for n in range(1, len(levels))]
         assert all(len(f) <= 2 for f, *_ in levels[1:])
 
     def test_blocks_read_through_codes_equal_the_positional_reduction(self, rng):
         chains = [TestDirectPass.one_path_chain(2, 1 / 16, 4001)[0]]
-        odd, even = rng.integers(2, 1000, 12) * 2 + 1, rng.integers(2, 1001, 12) * 2
+        odd, even = rng.integers(300, 1000, 12) * 2 + 1, rng.integers(300, 1001, 12) * 2
         for i, t_len in enumerate([1, 2, 3, 1999, 2000, *odd.tolist(), *even.tolist()]):
             s, o = int(rng.integers(1, 23)), int(rng.integers(1, 6))
             chains.append(TestDirectPass.random_chain(rng, s, o, t_len, i % 2 == 0))
         # every symbol once: every code is used once from level 0; 64 symbols
         # over 300 steps repeat pairs too seldom for the pair table; and 2
         # symbols over 5001 steps use every code once from a low level up
-        chains.append(HmmSpec([0.5, 0.5], np.full((2, 2), 0.5), np.full((2, 64), 1 / 64),
-                              np.arange(64)))
+        chains.append(HmmSpec([0.5, 0.5], np.full((2, 2), 0.5), np.full((2, 256), 1 / 256),
+                              np.arange(256)))
         chains.append(TestDirectPass.random_chain(rng, 3, 64, 300, False))
         chains.append(TestDirectPass.random_chain(rng, 2, 2, 5001, False))
         built = 0
@@ -581,19 +641,37 @@ class TestCountedCut:
         # and 2500 positions, and the cut comes before every pair is distinct
         assert 0 < levels_built(random_hmm(rng, 32, 2, 20_000)) < 14
 
-    def test_pairs_that_never_repeat_fold_in_little_memory(self, rng):
-        # 2000 symbols over 2e4 steps: the first level would hold nearly 1e4
-        # distinct 22-state products. Pairing every level peaks at 280.8 MiB;
-        # the fold peaked at 2.20-2.21 MiB on 8 seeds
-        h = random_hmm(rng, 22, 2000, 20_000)
+    def test_small_products_pair_though_pairs_never_repeat(self, rng):
+        # an 8-state product costs 1536 multiply-adds, far less than the block
+        # it removes from the level above: pairing every level ran 2-3x faster
+        # than folding 2e4 steps over 2000 symbols
+        assert levels_built(random_hmm(rng, 8, 2000, 20_000)) > 0
+
+    @staticmethod
+    def folded_peak(h):
+        """The tracemalloc peak of one call on a chain the cut folds."""
         assert levels_built(h) == 0
         tracemalloc.start()
         try:
             hmm_entropy(h, rescale=True)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 2**20
+
+    def test_pairs_that_never_repeat_fold_in_little_memory(self, rng):
+        # 2000 symbols over 2e4 steps: the first level would hold nearly 1e4
+        # distinct 22-state products. Pairing every level peaks at 280.8 MiB;
+        # the fold peaked at 2.20-2.21 MiB on 8 seeds
+        assert self.folded_peak(random_hmm(rng, 22, 2000, 20_000)) < 3 * 2**20
+
+    # a folded step costs about half an applied block, so the cut folds 22
+    # symbols over 5000 steps (one level: 484 distinct 22-state products,
+    # 12.9 MiB) and 19-state blocks that never repeat (6 levels, 209.7 MiB):
+    # level 1 saves little on its own. On 8 seeds each the fold peaked at
+    # 0.106-0.107 and 2.02-2.03 MiB
+    @pytest.mark.parametrize("s, o, t_len, mib", [(22, 22, 5000, 0.2), (19, 2000, 20_000, 3.0)])
+    def test_level_one_pays_only_against_cheap_folded_steps(self, rng, s, o, t_len, mib):
+        assert self.folded_peak(random_hmm(rng, s, o, t_len)) < mib * 2**20
 
 
 class TestDistinct:
