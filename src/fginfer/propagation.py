@@ -21,16 +21,16 @@ a message's level is the maximum depth minus its sender's depth, in the
 second pass (after the first) its sender's depth, so every message reads
 messages of earlier levels only. Component roots are variables, so one
 level holds either variable-to-factor products or contractions; each
-level is one group, sorted by falling input count and then by falling
-width, so that each sibling rank and each term rank covers a prefix of
-the group: only an output ahead of a wider one sums padding zeros. The
-plan holds index arrays only, no table values, and runs each group with
-one call of each kernel, looked up on the semiring at call time. A run
-keeps its messages in one buffer: it returns views of the marginals
-only, and a :class:`RunMessages` record that reads any one message on
-request. The tests drive the same kernels one message at a time, along
-the schedule, as the plan's reference: every message of a run equals
-theirs bit for bit.
+level is one group, sorted by falling input count, so that each input
+rank covers a prefix of the group. A contraction gives each table entry
+one output index in its group, which the semiring's reduction folds it
+into, left to right in table order. The plan holds index arrays only, no
+table values, and runs each group with one call of each kernel, looked
+up on the semiring at call time. A run keeps its messages in one buffer:
+it returns views of the marginals only, and a :class:`RunMessages`
+record that reads any one message on request. The tests drive the same
+kernels one message at a time, along the schedule, as the plan's
+reference: every message of a run equals theirs bit for bit.
 
 Every fresh message is multiplied by 2^-e, which puts its largest score
 magnitude in [1, 2), and e is added to its integer exponent E, so long
@@ -99,9 +99,8 @@ def _factor_shapes(g: FactorGraph):
     """Every factor's cards and index steps, padded to the largest arity
     with cardinality 1; its table size and first entry in the lifted
     tables; and where its scope position p starts (``axes[f, p]``) in the
-    digit tables: each table entry's digit on each axis of each shape of
-    factor (row 0), and its index with that axis dropped (row 1), after
-    the digits of a message's own entries."""
+    digit table: each table entry's digit on each axis of each shape of
+    factor, after the digits of a message's own entries."""
     arity = np.diff(g.scope_offsets)
     rows, cols = _member(arity), _entries(arity)[1]
     cards = np.ones((len(arity), arity.max()), dtype=int)
@@ -118,12 +117,10 @@ def _factor_shapes(g: FactorGraph):
     step, card = np.append(1, steps[fa, pa]), np.append(g.cards.max(), cards[fa, pa])
     size = np.append(card[0], sizes[fa])
     start, k = _entries(size)
-    step, card = np.repeat(step, size), np.repeat(card, size)
-    q = k // step
     axes = np.zeros_like(cards)
     axes[rows, cols] = start[1 + (np.cumsum(arity[rep]) - arity[rep])[shape][rows] + cols]
     return (cards, steps, sizes, np.cumsum(sizes) - sizes, axes,
-            np.stack((q % card, k - (q - q // card) * step)))
+            k // np.repeat(step, size) % np.repeat(card, size))
 
 
 def _order(*keys) -> np.ndarray:
@@ -148,39 +145,21 @@ def _contraction_index(shapes, fi: np.ndarray, tpos: np.ndarray, bounds) -> tupl
     factors ``fi`` to their scope positions ``tpos``, in groups: group g
     holds messages ``bounds[g]:bounds[g + 1]``.
 
-    Returns (table, terms), one of each per group: the column in the
-    lifted tables of each of the group's table entries, message by
-    message in table order; and ``terms`` as
-    :meth:`~fginfer.semiring.Semiring.contract` takes them, one column
-    per term rank, each indexing the group's entries.
+    Returns (table, out), one of each per group: the column in the lifted
+    tables of each of the group's table entries, message by message in
+    table order, and the output each entry sums into: its digit on the
+    target axis plus its message's first output within the group.
     """
     cards, _, sizes, starts, axes, digits = shapes
     size, tcard = sizes[fi], cards[fi, tpos]
     bounds = np.asarray(bounds)
     heads, group = bounds[:-1], _member(np.diff(bounds))
-    # a message's rows reach as far as the widest message from it to its
-    # group's end (later groups are lifted less). Column j of a group holds
-    # the rows that reach past j, a prefix of the group's rows: column j of
-    # group g is cells ends[base[g] + j]:ends[base[g] + j + 1]
-    width = size // tcard
-    lift = (group[-1] - group) * (int(width.max()) + 1)
-    reach = np.maximum.accumulate((lift + width)[::-1])[::-1] - lift
-    base = np.append(0, np.cumsum(reach[heads]))
-    m, j = _member(reach), _entries(reach)[1]
-    ends = np.append(0, np.cumsum(np.bincount(base[group[m]] + j, tcard[m]))).astype(int)
-    # term n of output entry x of a message: row x of the message, in
-    # column n of its group
     first, at = _entries(size, axes[fi, tpos])
-    x, n = digits.take(at, axis=1)
-    cell = ends[n + np.repeat(base[group], size)] + x
     out_start = np.cumsum(tcard) - tcard
-    cell += np.repeat(out_start - out_start[heads][group], size)
-    terms = np.full(int(ends[-1]), -1)
-    terms[cell] = _entries(np.add.reduceat(size, heads))[1]
+    out = digits.take(at) + np.repeat(out_start - out_start[heads][group], size)
     table = _entries(size, starts[fi])[1]
-    columns = _split(terms, ends.tolist())
-    return (_split(table, np.append(first[heads], len(table)).tolist()),
-            _split(columns, base.tolist()))
+    cuts = np.append(first[heads], len(table)).tolist()
+    return _split(table, cuts), _split(out, cuts)
 
 
 @dataclass
@@ -207,7 +186,7 @@ class _Group:
     entries of the outputs' j-th inputs, ``exp_in[j]`` the slots of
     those inputs; both cover a prefix of the group, whose messages come
     in falling input count. Contractions also gather their ``table``
-    entries and sum them by the columns ``terms``.
+    entries and sum each into its output, entry ``out`` of the group.
     """
 
     lo: int
@@ -218,7 +197,7 @@ class _Group:
     starts: np.ndarray
     member: np.ndarray
     table: np.ndarray | None = None
-    terms: list | None = None
+    out: np.ndarray | None = None
 
 
 class LevelPlan:
@@ -291,11 +270,8 @@ class LevelPlan:
         source[alias] = inputs(alias, 0)[0]
         ones = np.flatnonzero(reads_r & (count == 0))
         computed = np.flatnonzero(~reads_r | (count > 1))
-        # by pass and level, then falling input count and falling width:
-        # the terms each output entry of a contraction sums
-        width = np.where(reads_r, 0, sizes[f] // card)[computed]
-        computed = computed[_order(group_key[computed], count.max() - count[computed],
-                                   width.max() - width)]
+        # by pass and level, then falling input count
+        computed = computed[_order(group_key[computed], count.max() - count[computed])]
         # slots in execution order, the all-ones messages first
         order = np.concatenate((ones, computed))
         slot = np.zeros(len(v), dtype=int)
@@ -310,7 +286,7 @@ class LevelPlan:
         bounds = np.append(heads, len(computed))
         group = _member(np.diff(bounds))
         contracts = ~reads_r[computed]
-        tables, terms = _contraction_index(
+        tables, outs = _contraction_index(
             shapes, f[computed[contracts]], rank[computed[contracts]],
             np.append(0, np.cumsum(np.diff(bounds)[contracts[heads]])))
         # every input of every group, ordered by group, then rank j, then
@@ -328,7 +304,7 @@ class LevelPlan:
         src, at = inputs(m, j)
         src = slot[source[src]]
         size = np.where(reads_r[m], card[m], sizes[f[m]])
-        gathers = digits[0].take(_entries(size, np.where(reads_r[m], 0, axes[f[m], at]))[1])
+        gathers = digits.take(_entries(size, np.where(reads_r[m], 0, axes[f[m], at]))[1])
         gathers += np.repeat(self.spans[src], size)
         gathers = _split(gathers, np.append(0, np.cumsum(size))[rank_ends].tolist())
         exp_in, group_ranks = _split(src, rank_ends.tolist()), group_ranks.tolist()
@@ -339,19 +315,19 @@ class LevelPlan:
         out_bounds = np.append(out_start[heads], len(out_member)).tolist()
         self.passes: tuple[list, list] = ([], [])
         marginal_groups = [None, None]
-        contraction = iter(zip(tables, terms))
+        contraction = iter(zip(tables, outs))
         for k, (m0, m1) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
             r0, r1 = group_ranks[k], group_ranks[k + 1]
             o0, o1 = out_bounds[k], out_bounds[k + 1]
-            out = _Group(self.n_ones + o0, self.n_ones + o1,
+            grp = _Group(self.n_ones + o0, self.n_ones + o1,
                          slice(len(ones) + m0, len(ones) + m1), gathers[r0:r1], exp_in[r0:r1],
                          starts[m0:m1], out_member[o0:o1],
                          *(next(contraction) if contracts[m0] else ()))
             key = int(pass_key[computed[m0]])
             if key < 2:
-                self.passes[key].append(out)
+                self.passes[key].append(grp)
             else:
-                marginal_groups[key - 2] = out
+                marginal_groups[key - 2] = grp
         # after one pass and after two: the marginals' variables, slots,
         # entry bounds and group
         first = len(e)
@@ -376,10 +352,11 @@ class LevelPlan:
         groups = self.passes[0] + self.passes[1] if two_pass else self.passes[0]
         for group in groups + ([marginal_group] if marginal_group else []):
             ins = [buf.take(i, axis=1) for i in group.gathers]
-            if group.terms is None:
+            if group.table is None:
                 out = s.combine(ins)
             else:
-                out = s.contract(tables.take(group.table, axis=1), ins, group.terms)
+                out = s.contract(tables.take(group.table, axis=1), ins, group.out,
+                                 group.hi - group.lo)
             e = _rescale(s, out, group.starts, group.member).astype(np.int64)
             for x in group.exp_in:
                 e[:len(x)] += exps[x]

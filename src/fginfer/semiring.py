@@ -82,31 +82,30 @@ class Semiring:
             self.mul_entries(out[:, :q.shape[-1]], q)
         return out
 
-    def contract(self, table: np.ndarray, incoming: list, terms: list) -> np.ndarray:
+    def contract(self, table: np.ndarray, incoming: list, out: np.ndarray,
+                 n_out: int) -> np.ndarray:
         """Factor-to-variable messages of a batch of table entries.
 
-        ``table`` holds carrier entries and each array of ``incoming`` the
-        matching entries of one incoming message, in scope order, over a
-        prefix of the table entries as in :meth:`combine`; the product
-        runs table first, then the incoming messages in order, and
-        :meth:`reduce_terms` sums the products by ``terms``, reading the
-        index -1 as a 0. Returns the (k + 1, len(terms[0])) outputs.
+        ``table`` holds freshly gathered carrier entries and each array of
+        ``incoming`` the matching entries of one incoming message, in scope
+        order, over a prefix of the table entries as in :meth:`combine`;
+        the product runs table first, then the incoming messages in order,
+        in place in ``table``, and :meth:`reduce` sums the products into
+        the ``n_out`` outputs ``out`` names. Returns the (k + 1, n_out)
+        outputs.
         """
-        prod = np.zeros((len(table), table.shape[1] + 1))
-        prod[:, :-1] = table
         for q in incoming:
-            self.mul_entries(prod[:, :q.shape[-1]], q)
-        return self.reduce_terms(prod, terms)
+            self.mul_entries(table[:, :q.shape[-1]], q)
+        return self.reduce(table, out, n_out)
 
-    def reduce_terms(self, x: np.ndarray, terms) -> np.ndarray:
-        """Output i reduces x's entries ``terms[0][i]``, ``terms[1][i]``, ...
-        left to right from zero (``np.sum`` adds pairwise, in another
-        order); each column of ``terms`` covers a prefix of the outputs."""
-        fold = self.fold
-        out = fold(x.take(terms[0], axis=1), 0.0)
-        for col in terms[1:]:
-            fold(out[:, :len(col)], x.take(col, axis=1), out=out[:, :len(col)])
-        return out
+    def reduce(self, x: np.ndarray, out: np.ndarray, n_out: int) -> np.ndarray:
+        """Output i reduces the entries of x that ``out`` sends to i, left
+        to right from zero: ``ufunc.at`` applies the entries one by one, in
+        their order in x (``np.sum`` adds pairwise, in another order)."""
+        res = np.zeros((len(x), n_out))
+        for row, entries in zip(res, x):
+            self.fold.at(row, out, entries)
+        return res
 
     def max_abs_score(self, msgs: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Largest score magnitude of each message of a batch; message i
@@ -120,7 +119,7 @@ class Semiring:
     def reduce_msg(self, msg: np.ndarray) -> np.ndarray:
         """Semiring sum over the entries of one message: its (k + 1,)
         total, score first."""
-        return self.reduce_terms(msg, np.arange(msg.shape[1])[:, None])[:, 0]
+        return self.reduce(msg, np.zeros(msg.shape[1], dtype=int), 1)[:, 0]
 
     def __repr__(self):
         return f"<semiring {self.name}>"

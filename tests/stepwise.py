@@ -132,12 +132,13 @@ def _send_f2v(store: MessageStore, fi: int, vi: int):
             f"variable {g.variables[vi].id!r} is not in the scope of factor {g.factors[fi].id!r}"
         )
     cards, steps, sizes = store.shapes[:3]
-    (table,), (terms,) = _contraction_index(store.shapes, np.array([fi]), np.array([tpos]),
-                                            [0, 1])
+    (table,), (out,) = _contraction_index(store.shapes, np.array([fi]), np.array([tpos]),
+                                          [0, 1])
     within = np.arange(sizes[fi])
     digits = [within // steps[fi, p] % cards[fi, p]
               for p in range(len(store.factor_vars[fi])) if p != tpos]
-    msg = s.contract(store.tables[:, table], [m[:, d] for m, d in zip(incoming, digits)], terms)
+    msg = s.contract(store.tables[:, table], [m[:, d] for m, d in zip(incoming, digits)], out,
+                     int(cards[fi, tpos]))
     acc += int(_rescale(s, msg, [0], 0)[0])
     store.r[(fi, vi)] = msg
     store.r_scale[(fi, vi)] = acc

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -492,6 +493,28 @@ class TestInvariants:
                     zh = compute_zh(WeightedGraph(g, comps))
                     assert ([zh.Z, *np.atleast_1d(zh.H)], zh.exponent) == fold_exponent(total, e)
 
+    def test_outputs_sum_their_terms_left_to_right(self):
+        # one arity-3 factor over cardinality-4 variables: each output at
+        # the root sums 16 terms in table order, a 1.0 and then fifteen
+        # 1e-16s, each of which rounds away. Summed pairwise, as np.sum
+        # does, or right to left, the 1e-16s add up first and count
+        variables = [VariableDecl(n, 4) for n in "abc"]
+        digits = list(itertools.product(range(4), repeat=3))
+        for p, root in enumerate("abc"):
+            values = [1.0 if all(d == 0 for q, d in enumerate(ds) if q != p) else 1e-16
+                      for ds in digits]
+            want, backward = [0.0] * 4, [0.0] * 4
+            for ds, v in zip(digits, values):
+                want[ds[p]] += v
+            for ds, v in zip(digits[::-1], values[::-1]):
+                backward[ds[p]] += v
+            terms = [v for ds, v in zip(digits, values) if ds[p] == 0]
+            assert want[0] != np.sum(terms) and want[0] != backward[0]
+            g = graph_of(variables, [FactorTable("f", ("a", "b", "c"), np.array(values))])
+            for s in (SUM_PRODUCT, ENTROPY):
+                m = run(g, s, root=root)[0][root]
+                assert bits(np.ldexp(m.msg[0], m.exponent)) == bits(want)
+
     def test_root_independence(self, rng):
         for _ in range(10):
             g, companions = random_tree(rng, max_vars=8)
@@ -732,7 +755,7 @@ class TestLevelPlan:
             rows = plan.edges[p * plan.n_up:(p + 1) * plan.n_up]
             senders = []
             for group in groups:
-                products = group.terms is None
+                products = group.table is None
                 to_factor, vi, fi, slot = rows[(rows[:, 0] == products)
                                                & (rows[:, 3] >= group.slots.start)
                                                & (rows[:, 3] < group.slots.stop)].T
@@ -759,15 +782,21 @@ class TestLevelPlan:
         assert_run_matches_steps(g, SUM_PRODUCT, "y7", True, carriers(g, SUM_PRODUCT, None))
 
     @staticmethod
-    def contraction_terms(plan):
-        """Every contraction group's table and terms columns, both passes."""
-        return [(grp.table, grp.terms) for groups in plan.passes for grp in groups
-                if grp.terms is not None]
+    def assert_one_output_per_entry(plan) -> list:
+        """Every contraction group, both passes, sums each table entry into
+        one output, and each of its outputs from at least one entry; returns
+        the groups' term counts per output."""
+        groups = [grp for groups in plan.passes for grp in groups if grp.table is not None]
+        assert groups
+        for grp in groups:
+            assert len(grp.out) == len(grp.table)
+            assert np.array_equal(np.unique(grp.out), np.arange(grp.hi - grp.lo))
+        return [np.bincount(grp.out) for grp in groups]
 
     def test_document_shaped_plan_holds_no_padding(self, rng):
         # cardinalities 2-4 and arity 1-3, as the benchmark's documents:
-        # width falls whenever input count falls, so the columns of terms
-        # hold one cell per table entry of every contraction, none padded
+        # every contraction gathers each table entry once and sums it into
+        # one output of its group, with no padding cell anywhere
         n = 400
         cards = rng.integers(2, 5, n).tolist()
         scopes, placed = [], 0
@@ -781,18 +810,15 @@ class TestLevelPlan:
                         [FactorTable(f"f{k}", tuple(f"v{i}" for i in s),
                                      rng.uniform(0.05, 2.0, math.prod(cards[i] for i in s)))
                          for k, s in enumerate(scopes)])
-        groups = self.contraction_terms(level_plan(g, two_pass=True))
-        cells = [col for _, terms in groups for col in terms]
-        assert sum(map(len, cells)) == sum(len(table) for table, _ in groups) > 0
-        assert all((col >= 0).all() for col in cells)
+        self.assert_one_output_per_entry(level_plan(g, two_pass=True))
         for two_pass in (False, True):
             assert_run_matches_steps(g, ENTROPY, None, two_pass, carriers(g, ENTROPY, None))
 
     def test_width_not_monotone_in_input_count(self, rng):
         # at root r: an arity-4 factor of binary variables (3 inputs, 8
         # terms per output) sorts before an arity-3 factor of cardinality-4
-        # variables (2 inputs, 16 terms), so the first message's rows read
-        # padding inside the group's columns; c has cardinality 1
+        # variables (2 inputs, 16 terms), so the narrower message leads its
+        # group; each still sums its own terms only. c has cardinality 1
         variables = ([VariableDecl("r", 2), VariableDecl("c", 1)]
                      + [VariableDecl(f"a{i}", 2) for i in range(3)]
                      + [VariableDecl(f"b{i}", 4) for i in range(2)])
@@ -801,9 +827,8 @@ class TestLevelPlan:
                    FactorTable("fc", ("r", "c"), rng.uniform(0.05, 2.0, 2)),
                    FactorTable("ub", ("b1",), rng.uniform(0.05, 2.0, 4))]
         g = FactorGraph(variables, factors)
-        cells = [col for _, terms in self.contraction_terms(level_plan(g, two_pass=True))
-                 for col in terms]
-        assert any((col < 0).any() for col in cells)
+        counts = self.assert_one_output_per_entry(level_plan(g, two_pass=True))
+        assert any((np.diff(n) > 0).any() for n in counts)
         comps = [rng.uniform(-3.0, 3.0, (2, f.values.size)) for f in factors]
         for s, c in ((SUM_PRODUCT, None), (MAX_PRODUCT, None), (BOOLEAN, None),
                      (ENTROPY, np.concatenate(comps, axis=1))):
