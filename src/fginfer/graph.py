@@ -182,7 +182,7 @@ class FactorGraph:
     def ensure_checked(self):
         return validate(self)
 
-    def lay_out(self, tables, what: str = "value", rows: int | None = None) -> np.ndarray:
+    def lay_out(self, tables, what: str = "value", rows: int | None = None, into=None):
         """Tables in this graph's layout, by the ``offsets`` that
         :func:`validate` sets: one (total,) float array, or (rows, total)
         with ``rows``, every factor's table side by side in factor order.
@@ -190,14 +190,17 @@ class FactorGraph:
         otherwise ``tables`` holds one table per factor, of its factor's
         length n (shaped (rows, n) with ``rows``) or None for zeros. Raises
         ScopeMismatch for a layout array of another shape, and, naming the
-        factor, for a wrong count or length."""
+        factor, for a wrong count or length. ``into``, if given, receives the layout."""
         total = int(self.offsets[-1])
         shape = (total,) if rows is None else (rows, total)
         if isinstance(tables, np.ndarray) and tables.ndim == len(shape):
             if tables.shape != shape:
                 raise ScopeMismatch(f"{what} array of shape {tables.shape}, but the graph's"
                                     f" layout is {shape}")
-            return tables.astype(float, copy=False)
+            if into is None:
+                return tables.astype(float, copy=False)
+            into[...] = tables
+            return into
         ids = self.factor_ids
         if len(tables) != len(ids):
             missing = f": factor {ids[len(tables)]!r} has none" if len(tables) < len(ids) else ""
@@ -211,8 +214,8 @@ class FactorGraph:
                 raise ScopeMismatch(f"factor {fid!r}: {what} table length {t.size},"
                                     f" but its scope needs {need}")
         if rows is None:
-            return np.concatenate(out, axis=None)
-        return np.concatenate([t.reshape(rows, -1) for t in out], axis=1)
+            return np.concatenate(out, axis=None, out=into)
+        return np.concatenate([t.reshape(rows, -1) for t in out], axis=1, out=into)
 
     def factor_at(self, entry: int) -> str:
         """The id of the factor whose table holds entry ``entry`` of ``values``."""

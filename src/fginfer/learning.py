@@ -37,6 +37,7 @@ theta are one matrix product for all factors.
 """
 
 import copy
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -68,9 +69,9 @@ class ParametricFactorSet:
 
     The structure is resolved and validated on construction (see
     :meth:`structure_graph`), and every table given to a constructor is
-    laid out there (:meth:`~fginfer.graph.FactorGraph.lay_out`): ``u``,
-    ``v`` and ``base_tables`` are (total,) arrays. ``lam`` must have
-    ``dim`` components.
+    laid out there (:meth:`~fginfer.graph.FactorGraph.lay_out`): ``u`` and
+    ``v`` are the rows of one (2, total) array, ``base_tables`` a (total,)
+    array, and ``lam`` must have ``dim`` components.
     """
 
     def __init__(self, variables, scopes, dim, tables_fn=None, grads_fn=None,
@@ -82,21 +83,18 @@ class ParametricFactorSet:
         self.dim = int(dim)
         if self.dim < 1:
             raise ValueError("parameter dimension must be >= 1")
-        self.factor_ids = list(factor_ids) if factor_ids else [
-            f"p{k}" for k in range(len(self.scopes))
-        ]
+        self.factor_ids = list(factor_ids or _default_ids(len(self.scopes)))
         if len(self.factor_ids) != len(self.scopes):
             raise ValueError("factor_ids and scopes disagree in length")
         self._structure = s = _shared_structure(self.variables, self.scopes, self.factor_ids)
-        self._tables_fn = tables_fn
-        self._grads_fn = grads_fn
-        self.u = None if u is None else s.lay_out(u, "u")
-        self.v = None if v is None else s.lay_out(v, "v")
+        self._tables_fn, self._grads_fn = tables_fn, grads_fn
+        self._uv = uv = None if u is None and v is None else np.empty((2, s.values.size))
+        self.u = None if u is None else s.lay_out(u, "u", into=uv[0])
+        self.v = None if v is None else s.lay_out(v, "v", into=uv[1])
         self.lam = None if lam is None else np.asarray(lam, dtype=float).ravel()
         if self.lam is not None and self.lam.size != self.dim:
             raise ValueError(f"lam has {self.lam.size} components, model has {self.dim}")
-        linear = [x for x in (self.u, self.v, self.lam) if x is not None]
-        if linear and not np.isfinite(np.concatenate(linear)).all():
+        if not all(np.isfinite(x).all() for x in (self.u, self.v, self.lam) if x is not None):
             raise ValueError("u, v and lam must be finite")
         self.base_tables = None if base_tables is None else s.lay_out(base_tables, "base")
 
@@ -175,18 +173,23 @@ class ParametricFactorSet:
         return graph
 
 
+@functools.lru_cache(maxsize=16)
+def _default_ids(n: int) -> tuple:
+    return tuple(f"p{k}" for k in range(n))
+
+
 def _shared_structure(variables, scopes, factor_ids) -> FactorGraph:
-    """The validated structure graph of this content, from the registry
-    when a live set already holds it."""
-    key = (tuple(variables), tuple(scopes), tuple(factor_ids))
+    """The validated structure graph of this content, from the registry when
+    a live set already holds it; the key's str and int tuples hash in C."""
+    ids, cards = tuple(v.id for v in variables), tuple(v.cardinality for v in variables)
+    key = (ids, cards, tuple(scopes), tuple(factor_ids))
     structure = _STRUCTURES.get(key)
     if structure is None:
-        cards = {v.id: v.cardinality for v in variables}
+        card_of = dict(zip(ids, cards))
         # an unknown name gets length 1 here and is reported by validation
-        lengths = [math.prod(cards.get(n, 1) for n in scope) for scope in scopes]
+        lengths = [math.prod(card_of.get(n, 1) for n in scope) for scope in scopes]
         structure = _STRUCTURES[key] = FactorGraph.from_arrays(
-            [v.id for v in variables], [v.cardinality for v in variables], factor_ids, scopes,
-            np.zeros(sum(lengths)), lengths).ensure_checked()
+            ids, cards, factor_ids, scopes, np.zeros(sum(lengths)), lengths).ensure_checked()
     return structure
 
 
@@ -214,7 +217,8 @@ def _point(pf: ParametricFactorSet, theta, name: str) -> np.ndarray:
 def _quotient_companions(pf: ParametricFactorSet, f: np.ndarray, gt: np.ndarray,
                          what: str) -> np.ndarray:
     """The g tables grad/value, one (dim, total) array from the (total,)
-    tables and (dim, total) gradients, checking the 0-denominator rule."""
+    tables and (dim, total) gradients, checking the 0-denominator rule, in
+    one allocation: a fresh page faults in at ~1.3 us (2-vCPU VM)."""
     zero = f == 0.0
     bad = zero & (gt != 0.0).any(axis=0)
     if bad.any():
@@ -223,7 +227,9 @@ def _quotient_companions(pf: ParametricFactorSet, f: np.ndarray, gt: np.ndarray,
             " value with a nonzero gradient entry"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(zero, 0.0, gt / np.where(zero, 1.0, f))
+        out = gt / f
+    np.copyto(out, 0.0, where=zero)
+    return out
 
 
 def gradient_at(pf: ParametricFactorSet, theta, rescale: bool = True) -> np.ndarray:
@@ -239,8 +245,7 @@ def gradient_at(pf: ParametricFactorSet, theta, rescale: bool = True) -> np.ndar
     theta = _point(pf, theta, "theta")
     values = pf.tables_at(theta)
     companions = _quotient_companions(pf, values, pf.grads_at(theta), "table")
-    wg = WeightedGraph(pf.graph_with(values), companions)
-    res = compute_zh(wg)
+    res = compute_zh(WeightedGraph(pf.graph_with(values), companions))
     return res.H * math.exp(res.log_scale)
 
 
@@ -266,9 +271,7 @@ def em_linear_step(pf: ParametricFactorSet, theta_old=None) -> EmStepResult:
         tables = pf.base_tables
     else:
         raise ValueError("no tables at the previous point: pass theta_old or base tables")
-    uv = np.vstack((pf.u, pf.v))
-    wg = WeightedGraph(pf.graph_with(tables), uv)
-    res = compute_zh(wg)
+    res = compute_zh(WeightedGraph(pf.graph_with(tables), pf._uv))
     (h_a, h_b), exponent = fold_exponent(res.H.tolist(), res.exponent)
     if abs(h_b) < 2.0 ** -1022 or abs(h_b) < 1e-12 * abs(h_a):
         raise DegenerateMStep(

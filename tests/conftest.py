@@ -4,6 +4,7 @@ references for a graph's structure, and the references that tests build
 on the enumeration oracle (finite differences, satisfiability)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,17 @@ def bits(x) -> list:
     """IEEE bit patterns of floats, so that comparing them is bit for bit
     (0.0 and -0.0 differ, NaN equals itself)."""
     return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+def traced_peak(fn, *args) -> tuple:
+    """The result of ``fn(*args)`` and the peak of the memory that
+    tracemalloc saw it allocate, in bytes (numpy reports its arrays)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_carrier(s, n: int, rng, k: int = 1) -> np.ndarray:

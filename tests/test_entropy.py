@@ -21,9 +21,10 @@ from fginfer import (
     hmm_to_weighted_graph,
     posterior_entropy,
 )
+from fginfer.entropy import log2_or_zero
 from fginfer.oracle import enumerate_entropy, enumerate_h, enumerate_z
 
-from conftest import assert_close, bits, heap_tree, random_forest, random_tree
+from conftest import assert_close, bits, heap_tree, random_forest, random_tree, traced_peak
 
 
 def unary_weighted(values, companions):
@@ -374,3 +375,29 @@ class TestDeriveCompanions:
             derive_log2_companions(g)
         comps = derive_log2_companions(three_factors([0.5, 4.0], fc=[8.0, 0.0]))
         assert comps.tolist() == [-1.0, 2.0] + [0.0] * 4 + [3.0, 0.0]
+
+    def test_log2_or_zero_bits_equal_the_masked_logs(self, rng):
+        # the two-mask form it replaces; zeros of either sign, negatives,
+        # NaN and infinities read 0 or log2, 1.0 reads +0.0, and no
+        # floating-point warning escapes, for flat tables and HMM matrices
+        def masked_logs(values):
+            with np.errstate(divide="ignore"):
+                return np.where(values > 0.0, np.log2(np.where(values > 0.0, values, 1.0)), 0.0)
+
+        values = rng.uniform(-1.0, 4.0, 200)
+        values[rng.integers(0, 200, 30)] = 0.0
+        values[rng.integers(0, 200, 10)] = -0.0
+        values[:6] = [math.nan, math.inf, -math.inf, 1.0, 5e-324, 2.0 ** -1030]
+        for x in (values, values.reshape(20, 10), values[:1]):
+            with np.errstate(all="raise"):
+                logs = log2_or_zero(x)
+            assert logs.shape == x.shape
+            assert bits(logs) == bits(masked_logs(x))
+
+    def test_log2_or_zero_allocates_only_its_logs(self, rng):
+        # a tree-docs-sized table: the masked logs peaked at 2.13 times the
+        # result, the in-place logs at 1.13 (the result and one bool mask)
+        values = rng.uniform(0.0, 1.0, 63500)
+        values[::5] = 0.0
+        logs, peak = traced_peak(log2_or_zero, values)
+        assert peak <= 1.2 * logs.nbytes

@@ -21,7 +21,15 @@ from fginfer import (
 )
 from fginfer.oracle import enumerate_h
 
-from conftest import assert_close, bits, fd_gradient, heap_tree, per_factor, random_tree
+from conftest import (
+    assert_close,
+    bits,
+    fd_gradient,
+    heap_tree,
+    per_factor,
+    random_tree,
+    traced_peak,
+)
 
 
 def mixture_factor_set():
@@ -124,6 +132,29 @@ class TestParametricFactorSet:
         )
         with pytest.raises(ValueError, match="no gradient tables"):
             pf.grads_at([0.0])
+
+    def test_u_and_v_are_the_rows_of_one_array(self, rng):
+        # laid out once, as the (2, total) companions of em_linear_step;
+        # per-factor tables and layout arrays alike are copied in
+        pf = random_affine_tree(rng, 2)
+        structure = pf.structure_graph()
+        u, v = rng.uniform(-0.5, 1.5, (2, structure.values.size))
+        for given in ((per_factor(structure, u), per_factor(structure, v)), (u, v)):
+            form = linear_form_of(pf, pf.tables_at(np.zeros(2)), *given, np.ones(2))
+            assert form.u.base is form.v.base
+            assert form.u.base.shape == (2, structure.values.size)
+            assert bits(form.u) == bits(u) and bits(form.v) == bits(v)
+        u[0] = 9.0
+        assert form.u[0] != 9.0
+
+    def test_default_factor_ids(self):
+        # built once per count; every set still owns its list
+        sets = [ParametricFactorSet([("x", 2), ("y", 2)], [("x",), ("x", "y")], 1)
+                for _ in range(2)]
+        assert sets[0].factor_ids == sets[1].factor_ids == ["p0", "p1"]
+        sets[0].factor_ids.append("p2")
+        assert sets[1].factor_ids == ["p0", "p1"]
+        assert sets[0].structure_graph() is sets[1].structure_graph()
 
     def test_factor_ids_and_scopes_disagree(self):
         with pytest.raises(ValueError, match="disagree in length"):
@@ -239,6 +270,53 @@ class TestGradientAt:
         grad = gradient_at(pf, theta)
         for rescale in (False, True):
             assert bits(gradient_at(pf, theta, rescale=rescale)) == bits(grad)
+
+
+def divided_quotients(f, gt):
+    """The g tables written as two `where` arrays around the division; the
+    one-allocation quotient must return their bits."""
+    zero = f == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(zero, 0.0, gt / np.where(zero, 1.0, f))
+
+
+def one_factor_set(f, gt):
+    """An affine set of one factor whose tables at theta = 0 are f, with
+    gradient tables gt."""
+    return ParametricFactorSet.affine([("x", f.size)], [("x",)], [f], [gt])
+
+
+class TestQuotientCompanions:
+    def test_bits_equal_the_divided_quotients(self, rng):
+        # zeros of either sign under zero values, -0.0 and negative
+        # values, infinite values and gradients; no warning escapes
+        n = 60
+        for dim in (1, 3, 8):
+            f = rng.uniform(-2.0, 2.0, n)
+            f[rng.integers(0, n, 10)] = 0.0
+            f[rng.integers(0, n, 5)] = -0.0
+            f[rng.integers(0, n, 2)] = math.inf
+            gt = rng.uniform(-3.0, 3.0, (dim, n))
+            gt[:, rng.integers(0, n, 6)] = -0.0
+            gt[:, rng.integers(0, n, 2)] = -math.inf
+            zero = f == 0.0
+            gt[:, zero] = rng.choice([0.0, -0.0], size=(dim, int(zero.sum())))
+            with np.errstate(all="raise"):
+                g = learning._quotient_companions(one_factor_set(f, gt), f, gt, "table")
+            assert g.shape == (dim, n)
+            assert bits(g) == bits(divided_quotients(f, gt))
+
+    def test_allocates_only_its_quotient(self, rng):
+        # an 8 x 9000 gradient: the divided quotients peaked at 2.04 times
+        # the result, the one-allocation quotient at 1.03
+        f = rng.uniform(0.5, 1.5, 9000)
+        f[::7] = 0.0
+        gt = rng.uniform(-1.0, 1.0, (8, 9000))
+        gt[:, f == 0.0] = 0.0
+        pf = one_factor_set(f, gt)
+        g, peak = traced_peak(learning._quotient_companions, pf, f, gt, "table")
+        assert g.shape == (8, 9000)
+        assert peak <= 1.1 * g.nbytes
 
 
 class TestEmLinearStep:
@@ -584,7 +662,8 @@ class TestSharedStructure:
 
     def test_entry_released_with_the_last_set(self):
         pf = two_factor_set(factor_ids=("released", "too"))
-        key = (tuple(pf.variables), tuple(pf.scopes), tuple(pf.factor_ids))
+        key = (tuple(v.id for v in pf.variables), tuple(v.cardinality for v in pf.variables),
+               tuple(pf.scopes), tuple(pf.factor_ids))
         structure = weakref.ref(pf.structure_graph())
         assert learning._STRUCTURES[key] is structure()
         del pf

@@ -15,7 +15,14 @@ from fginfer import (
 )
 from fginfer.semiring import EntropySemiring
 
-from conftest import entropy_fold, entropy_product_closed_form, random_carrier, rel_err
+from conftest import (
+    bits,
+    entropy_fold,
+    entropy_product_closed_form,
+    random_carrier,
+    rel_err,
+    traced_peak,
+)
 
 ALL = [SUM_PRODUCT, MAX_PRODUCT, BOOLEAN, ENTROPY]
 
@@ -198,6 +205,61 @@ def test_lift_table_vectorized_matches_scalar_lift():
     assert ENTROPY.lift_table(values, None).tolist() == [values.tolist(), [0.0] * 16]
     assert ENTROPY.lift_table([0.0, 0.5, 1.0], [None, -1.0, 0.0]).tolist() == [
         [0.0, 0.5, 1.0], [0.0, -0.5, 0.0]]
+
+
+def stacked_lift(values, companion):
+    """The entropy lift written as three full-size arrays: the product, a
+    `where` copy and a `vstack` copy. The one-allocation lift must return
+    its bits."""
+    values = np.asarray(values, dtype=float)
+    if companion is None:
+        return np.vstack((values, np.zeros_like(values)))
+    with np.errstate(invalid="ignore"):
+        aux = np.where(values == 0.0, 0.0, values * np.asarray(companion, dtype=float))
+    return np.vstack((values, aux))
+
+
+def lift_cases(rng, n=40):
+    """Tables with zeros, -0.0 and negative entries, under companions of
+    every accepted form: none, one row, (k, n) rows, and lists; undefined
+    companions sit under zero values only."""
+    values = rng.uniform(-2.0, 2.0, n)
+    values[rng.integers(0, n, 8)] = 0.0
+    values[rng.integers(0, n, 4)] = -0.0
+    zero = values == 0.0
+    yield values, None
+    for k in (None, 1, 3, 8):
+        g = rng.uniform(-3.0, 3.0, n if k is None else (k, n))
+        g[..., rng.integers(0, n, 4)] = -0.0
+        g[..., rng.integers(0, n, 4)] = 0.0
+        yield values, g.copy()
+        g[..., zero] = rng.choice([math.nan, math.inf, -math.inf], size=g[..., zero].shape)
+        yield values, g
+    yield values.tolist(), None
+    yield [0.0, -0.0, 0.5, -1.0], [None, math.inf, -2.0, 0.0]
+    yield [0.0, -0.5, 2.0], [[math.nan, 1.0, -0.0], [-math.inf, -0.0, 0.25]]
+
+
+def test_lift_table_bits_equal_the_stacked_lift(rng):
+    # the sign of every zero counts: a lift with no companion gives +0.0
+    # aux entries, never f * 0 (-0.0 under a negative f)
+    for values, companion in lift_cases(rng):
+        with np.errstate(all="raise"):
+            rows = ENTROPY.lift_table(values, companion)
+        expected = stacked_lift(values, companion)
+        assert rows.shape == expected.shape
+        assert bits(rows) == bits(expected)
+
+
+def test_lift_table_allocates_only_its_carrier(rng):
+    # the (9, 9000) carrier of an 8-column companion: the stacked lift
+    # peaked at 1.89 times its size, the one-allocation lift at 1.03
+    values = rng.uniform(0.0, 1.0, 9000)
+    values[::7] = 0.0
+    companion = rng.uniform(-1.0, 1.0, (8, 9000))
+    rows, peak = traced_peak(ENTROPY.lift_table, values, companion)
+    assert rows.shape == (9, 9000)
+    assert peak <= 1.1 * rows.nbytes
 
 
 def test_lift_table_columns():
