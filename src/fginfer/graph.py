@@ -13,6 +13,7 @@ by the engine: :func:`validate` checks |edges| = |nodes| - |components|
 with array operations and names the first edge that closes a cycle.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -190,7 +191,8 @@ class FactorGraph:
         otherwise ``tables`` holds one table per factor, of its factor's
         length n (shaped (rows, n) with ``rows``) or None for zeros. Raises
         ScopeMismatch for a layout array of another shape, and, naming the
-        factor, for a wrong count or length. ``into``, if given, receives the layout."""
+        factor, for a wrong count or length. ``into``, if given, receives the layout.
+        1-D tables that cast to float by kind take one bulk ``np.concatenate``."""
         total = int(self.offsets[-1])
         shape = (total,) if rows is None else (rows, total)
         if isinstance(tables, np.ndarray) and tables.ndim == len(shape):
@@ -206,6 +208,9 @@ class FactorGraph:
             missing = f": factor {ids[len(tables)]!r} has none" if len(tables) < len(ids) else ""
             raise ScopeMismatch(f"{len(tables)} {what} tables for {len(ids)} factors{missing}")
         count, sizes = rows or 1, np.diff(self.offsets).tolist()
+        with contextlib.suppress(TypeError, ValueError):  # else read table by table
+            if rows is None and list(map(len, tables)) == sizes:
+                return np.concatenate(tables, out=np.empty(total) if into is None else into)
         out = [np.zeros((count, n)) if t is None else np.asarray(t, dtype=float)
                for t, n in zip(tables, sizes)]
         for fid, t, n in zip(ids, out, sizes):

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import WeightedGraph, compute_zh
+from .entropy import WeightedGraph, _defined_under_zeros, compute_zh
 from .errors import DegenerateMStep, UndefinedQuotient
 from .graph import FactorGraph, VariableDecl, check_finite
 from .propagation import fold_exponent
@@ -106,8 +106,8 @@ class ParametricFactorSet:
         for dim 1; the gradient tables are the constant coefficients. The
         base tables are the theta = 0 point. Both are laid out once, as a
         (total,) and a (dim, total) array, so the tables at theta are one
-        ``base + theta @ coeffs`` and the gradient tables one copy of
-        ``coeffs``.
+        ``base + theta @ coeffs``; the passes read ``coeffs`` in place as
+        the gradient tables, and :meth:`grads_at` returns a copy.
         """
         coeffs = [np.asarray(c, dtype=float) for c in coeff_tables]
         dims = {len(c) if c.ndim > 1 else 1 for c in coeffs}
@@ -120,10 +120,7 @@ class ParametricFactorSet:
         def tables_fn(theta):
             return base + np.asarray(theta, dtype=float).ravel() @ coeffs
 
-        def grads_fn(theta):
-            return coeffs.copy()
-
-        pf._tables_fn, pf._grads_fn = tables_fn, grads_fn
+        pf._tables_fn, pf._grads_fn = tables_fn, lambda theta: coeffs
         return pf
 
     @classmethod
@@ -143,8 +140,12 @@ class ParametricFactorSet:
         return self._structure.lay_out(self._tables_fn(theta), "value")
 
     def grads_at(self, theta) -> np.ndarray:
-        """The gradient tables at theta, one (dim, total) array: row j
-        holds every table's derivative in theta_j."""
+        """The gradient tables at theta, one (dim, total) array the caller
+        owns: row j holds every table's derivative in theta_j."""
+        return self._gradients(theta).copy()
+
+    def _gradients(self, theta) -> np.ndarray:
+        """The gradient tables at theta as the passes read them, maybe shared."""
         if self._grads_fn is None:
             raise ValueError("this parametric set carries no gradient tables")
         return self._structure.lay_out(self._grads_fn(theta), "gradient", self.dim)
@@ -214,22 +215,39 @@ def _point(pf: ParametricFactorSet, theta, name: str) -> np.ndarray:
     return theta
 
 
-def _quotient_companions(pf: ParametricFactorSet, f: np.ndarray, gt: np.ndarray,
-                         what: str) -> np.ndarray:
-    """The g tables grad/value, one (dim, total) array from the (total,)
-    tables and (dim, total) gradients, checking the 0-denominator rule, in
-    one allocation: a fresh page faults in at ~1.3 us (2-vCPU VM)."""
-    zero = f == 0.0
-    bad = zero & (gt != 0.0).any(axis=0)
-    if bad.any():
-        raise UndefinedQuotient(
-            f"factor {pf.structure_graph().factor_at(bad.argmax())!r} has a zero {what}"
-            " value with a nonzero gradient entry"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = gt / f
-    np.copyto(out, 0.0, where=zero)
-    return out
+class _QuotientGraph(WeightedGraph):
+    """f, the set's tables at ``theta_old`` or else at ``theta_i``, with the
+    companion columns grads / f_i at ``theta_i`` (0 where f_i is 0), in one
+    allocation: the quotients are divided into the rows of the carrier
+    [f; f * (grads / f_i)] and lifted there with the bits of ``lift_table``,
+    so ``companions`` holds the lifted rows. Temporaries are f_i's zeros."""
+
+    def __init__(self, pf: ParametricFactorSet, theta_i, what: str, theta_old=None):
+        f_i, grads = pf.tables_at(theta_i), pf._gradients(theta_i)
+        zero = np.flatnonzero(f_i == 0.0)
+        bad = zero[(grads[:, zero] != 0.0).any(axis=0)]
+        if bad.size:
+            raise UndefinedQuotient(f"factor {pf.structure_graph().factor_at(bad[0])!r} has a"
+                                    f" zero {what} value with a nonzero gradient entry")
+        self.graph = g = pf.graph_with(f_i if theta_old is None else pf.tables_at(theta_old))
+        self._carrier = out = np.empty((len(grads) + 1, f_i.size))
+        out[0] = f = g.values
+        q = self.companions = out[1:]
+        with np.errstate(all="ignore"):
+            np.divide(grads, f_i, out=q)
+        q[:, zero] = 0.0
+        if not (np.isfinite(q.min()) and np.isfinite(q.max())):  # two reductions, no mask
+            j = np.flatnonzero(~np.isfinite(q).all(axis=0) & (f != 0.0))[:1]
+            if j.size and np.isfinite(grads[:, j]).all() and np.isfinite(f_i[j]).all():
+                raise UndefinedQuotient(f"factor {g.factor_at(j[0])!r}: the quotient of a"
+                                        f" gradient entry by its {what} value overflows")
+            _defined_under_zeros(g, q)  # raises ValueError where an input is not finite
+        with np.errstate(invalid="ignore"):
+            np.multiply(q, f, out=q)
+        q[:, np.flatnonzero(f == 0.0)] = 0.0
+
+    def carrier_tables(self, s) -> np.ndarray:
+        return self._carrier
 
 
 def gradient_at(pf: ParametricFactorSet, theta, rescale: bool = True) -> np.ndarray:
@@ -237,15 +255,13 @@ def gradient_at(pf: ParametricFactorSet, theta, rescale: bool = True) -> np.ndar
     engine pass.
 
     Component j is the H-value with f = tables at theta and companion
-    column g_k = (d p_k / d theta_j) / p_k. Raises UndefinedQuotient where a
-    zero table value carries a nonzero gradient, and OverflowError once
-    the totals overflow (ROADMAP item 1 makes that exact). ``rescale`` has
-    no effect: the benchmark still passes it, and item 1 removes it.
+    column g_k = (d p_k / d theta_j) / p_k, lifted in one carrier. Raises
+    UndefinedQuotient where a zero table value carries a nonzero gradient
+    or a quotient overflows, and OverflowError once the totals overflow
+    (ROADMAP item 1). ``rescale`` has no effect; item 1 removes it.
     """
     theta = _point(pf, theta, "theta")
-    values = pf.tables_at(theta)
-    companions = _quotient_companions(pf, values, pf.grads_at(theta), "table")
-    res = compute_zh(WeightedGraph(pf.graph_with(values), companions))
+    res = compute_zh(_QuotientGraph(pf, theta, "table"))
     return res.H * math.exp(res.log_scale)
 
 
@@ -293,11 +309,9 @@ def em_q_gradient(pf: ParametricFactorSet, theta_old, theta_i) -> np.ndarray:
     is folded back exactly; a component past float range reads
     +-inf. At a theta_new returned by :func:`em_linear_step` for a
     genuinely linear family this vanishes. Raises ValueError when either
-    point has the wrong size.
+    point has the wrong size, and UndefinedQuotient as gradient_at does.
     """
     theta_old, theta_i = _point(pf, theta_old, "theta_old"), _point(pf, theta_i, "theta_i")
-    f_i = pf.tables_at(theta_i)
-    companions = _quotient_companions(pf, f_i, pf.grads_at(theta_i), "evaluation-point")
-    res = compute_zh(WeightedGraph(pf.graph_with(pf.tables_at(theta_old)), companions))
+    res = compute_zh(_QuotientGraph(pf, theta_i, "evaluation-point", theta_old))
     with np.errstate(over="ignore"):
         return np.ldexp(res.H, res.exponent)

@@ -503,6 +503,14 @@ class TestGrad:
         assert code == 2
         assert out["error"]["kind"] == "UndefinedQuotient"
 
+    def test_overflowing_quotient(self, cli, write):
+        # 1e10 / 1e-300 overflows: exit 2 naming the factor, where a ValueError
+        # traceback exited 1 with no JSON
+        d = grad_doc(base=(1e-300, 1.0), coeff=(1e10, 0.0))
+        result = cli("grad", write(d), "--theta", "0")
+        assert_fails(result, 2, "UndefinedQuotient")
+        assert result[1]["error"]["detail"].startswith("factor 'f': the quotient")
+
     def test_missing_grad_tables(self, cli, write):
         code, out, _ = cli("grad", write(em_doc()), "--theta", "1")
         assert (code, out["error"]["kind"]) == (1, "MissingDependency")

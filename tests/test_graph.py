@@ -25,6 +25,7 @@ from fginfer import (
     validate,
 )
 
+import fginfer.graph as graph_module
 from conftest import (
     adjacency,
     bits,
@@ -399,6 +400,89 @@ class TestLayout:
         with pytest.raises(ScopeMismatch, match=r"shape \(2, 2\), but the graph's layout is"
                                                 r" \(2, 6\)"):
             g.lay_out(np.zeros((2, 2)), "u", rows=2)
+
+
+def per_table(g, tables, what):
+    """lay_out's table-by-table read of a per-factor list, written out."""
+    ids, sizes = g.factor_ids, np.diff(g.offsets).tolist()
+    if len(tables) != len(ids):
+        missing = f": factor {ids[len(tables)]!r} has none" if len(tables) < len(ids) else ""
+        raise ScopeMismatch(f"{len(tables)} {what} tables for {len(ids)} factors{missing}")
+    out = [np.zeros(n) if t is None else np.asarray(t, dtype=float) for t, n in zip(tables, sizes)]
+    for fid, t, n in zip(ids, out, sizes):
+        if t.size != n:
+            raise ScopeMismatch(f"factor {fid!r}: {what} table length {t.size},"
+                                f" but its scope needs {n}")
+    return np.concatenate(out, axis=None)
+
+
+def result_or_error(fn, *args):
+    """The dtype, shape and bits of fn's result, or its error's type and message."""
+    try:
+        r = fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return r.dtype, r.shape, bits(r)
+
+
+class TestLayOutBulk:
+    """A per-factor list of 1-D tables is laid out with one concatenate;
+    every input gives the bits, or the error, of the table-by-table read."""
+
+    nan = math.nan
+    inputs = {
+        "float": [np.array([1.0, -0.0]), np.array([nan, 2.0, -3.0, math.inf])],
+        "int": [np.array([1, -2]), np.array([3, 4, 2**62 + 1, 6])],
+        "bool": [np.array([True, False]), np.array([1.5, 2.0, 3.0, 4.0])],
+        "mixed-kinds": [np.ones(2, dtype=np.float32) / 3, np.arange(4, dtype=np.uint64)],
+        "lists": [[1, 2.5], [3, 4, 5, 6]],
+        "int-lists": [[2**63, True], [3, 4, 5, 6]],
+        "none": [None, [1.0, 2.0, 3.0, 4.0]],
+        "(n, 1)": [np.ones((2, 1)), np.arange(4.0).reshape(4, 1)],
+        "(2, 2) for 4": [np.ones(2), np.arange(4.0).reshape(2, 2)],
+        # the trap: len 2 matches the first factor, size 4 does not
+        "(2, n)": [np.ones((2, 2)), np.ones(4)],
+        "object-none": [np.array([None, 1.0], dtype=object), np.ones(4)],
+        "list-none": [[None, 1.0], np.ones(4)],
+        "past-int64": [[2**70, 1], np.ones(4)],
+        "strings": [["1.5", "2"], np.ones(4)],
+        "scalar": [1.0, np.ones(4)],
+        "too-few": [np.ones(2)],
+        "too-many": [np.ones(2)] * 3,
+        "lengths": [np.ones(3), np.ones(3)],
+        "lengths-summing-right": [np.ones(1), np.ones(5)],
+        "strided": [np.arange(10.0)[::5], np.arange(8.0)[::2]],
+        "2-d array": np.arange(4.0).reshape(2, 2),
+    }
+
+    @pytest.mark.parametrize("name", list(inputs))
+    def test_same_bits_or_error(self, name):
+        g = validate(FactorGraph(binary_vars("x", "y"), [
+            ones_factor("fx", ["x"]), ones_factor("fxy", ["x", "y"])]))
+        tables = self.inputs[name]
+        expected = result_or_error(per_table, g, tables, "u")
+        assert result_or_error(g.lay_out, tables, "u") == expected
+        into = np.full(6, 7.0)
+
+        def laid_into(tables, what):
+            result = g.lay_out(tables, what, into=into)
+            assert result is into
+            return result
+        assert result_or_error(laid_into, tables, "u") == expected
+
+    @pytest.mark.parametrize("name", ["float", "int", "bool", "mixed-kinds", "lists",
+                                      "int-lists", "strided"])
+    def test_bulk_read_converts_no_table(self, name, monkeypatch):
+        # the table-by-table read converts each table with np.asarray
+        class NoAsarray:
+            def __getattr__(self, attr):
+                assert attr != "asarray", "read table by table"
+                return getattr(np, attr)
+
+        g = validate(FactorGraph(binary_vars("x", "y"), [
+            ones_factor("fx", ["x"]), ones_factor("fxy", ["x", "y"])]))
+        monkeypatch.setattr(graph_module, "np", NoAsarray())
+        assert g.lay_out(self.inputs[name], "u").shape == (6,)
 
 
 class TestSchedule:

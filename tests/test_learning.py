@@ -17,9 +17,11 @@ from fginfer import (
     em_linear_step,
     em_q_gradient,
     gradient_at,
+    entropy,
     learning,
 )
 from fginfer.oracle import enumerate_h
+from fginfer.semiring import ENTROPY
 
 from conftest import (
     assert_close,
@@ -280,43 +282,100 @@ def divided_quotients(f, gt):
         return np.where(zero, 0.0, gt / np.where(zero, 1.0, f))
 
 
-def one_factor_set(f, gt):
-    """An affine set of one factor whose tables at theta = 0 are f, with
-    gradient tables gt."""
-    return ParametricFactorSet.affine([("x", f.size)], [("x",)], [f], [gt])
+def one_factor_set(f, gt, f_old=None):
+    """A one-factor set whose tables are f, with gradient tables gt, and
+    f_old at theta = [1, ...] if it is given."""
+    return ParametricFactorSet([("x", f.size)], [("x",)], len(gt),
+                               lambda th: f if f_old is None or th[0] == 0.0 else f_old,
+                               lambda th: gt)
 
 
-class TestQuotientCompanions:
+def lifted(f, g):
+    """The entropy lift [f; f * g] with (0, 0) under zero values, written out."""
+    return np.vstack([f, np.where(f == 0.0, 0.0, f * g)])
+
+
+class TestQuotientGraph:
+    """The quotients grad / f_i, divided and lifted in one (dim + 1, total)
+    carrier, against the divided quotients and the lift written out."""
+
+    def zeros_and_signs(self, rng, n, dim):
+        # zeros of either sign under zero values, -0.0 and negative values
+        f = rng.uniform(-2.0, 2.0, n)
+        f[rng.integers(0, n, 10)] = 0.0
+        f[rng.integers(0, n, 5)] = -0.0
+        gt = rng.uniform(-3.0, 3.0, (dim, n))
+        gt[:, rng.integers(0, n, 6)] = -0.0
+        zero = f == 0.0
+        gt[:, zero] = rng.choice([0.0, -0.0], size=(dim, int(zero.sum())))
+        return f, gt
+
     def test_bits_equal_the_divided_quotients(self, rng):
-        # zeros of either sign under zero values, -0.0 and negative
-        # values, infinite values and gradients; no warning escapes
+        # no warning escapes, and at theta_old the quotients at theta_i are
+        # lifted by other values, some of them zero
         n = 60
         for dim in (1, 3, 8):
-            f = rng.uniform(-2.0, 2.0, n)
-            f[rng.integers(0, n, 10)] = 0.0
-            f[rng.integers(0, n, 5)] = -0.0
-            f[rng.integers(0, n, 2)] = math.inf
-            gt = rng.uniform(-3.0, 3.0, (dim, n))
-            gt[:, rng.integers(0, n, 6)] = -0.0
-            gt[:, rng.integers(0, n, 2)] = -math.inf
-            zero = f == 0.0
-            gt[:, zero] = rng.choice([0.0, -0.0], size=(dim, int(zero.sum())))
+            f, gt = self.zeros_and_signs(rng, n, dim)
+            f_old = rng.uniform(0.5, 2.0, n)
+            f_old[rng.integers(0, n, 8)] = rng.choice([0.0, -0.0], 8)
+            pf = one_factor_set(f, gt, f_old)
             with np.errstate(all="raise"):
-                g = learning._quotient_companions(one_factor_set(f, gt), f, gt, "table")
-            assert g.shape == (dim, n)
-            assert bits(g) == bits(divided_quotients(f, gt))
+                wg = learning._QuotientGraph(pf, np.zeros(dim), "table")
+                at_old = learning._QuotientGraph(pf, np.zeros(dim), "table", np.ones(dim))
+            carrier = wg.carrier_tables(ENTROPY)
+            assert carrier.shape == (dim + 1, n)
+            assert bits(carrier) == bits(lifted(f, divided_quotients(f, gt)))
+            assert bits(at_old.carrier_tables(ENTROPY)) == bits(
+                lifted(f_old, divided_quotients(f, gt)))
+            assert wg.companions.base is carrier
 
-    def test_allocates_only_its_quotient(self, rng):
+    def test_errors_in_their_order(self, rng):
+        f, gt = self.zeros_and_signs(rng, 60, 3)
+        nonzero = np.flatnonzero(f != 0.0)
+        zero = np.flatnonzero(f == 0.0)
+
+        def raises(f, gt, error, match):
+            with np.errstate(all="raise"), pytest.raises(error, match=match):
+                learning._QuotientGraph(one_factor_set(f, gt), np.zeros(3), "table")
+
+        # a zero value with a nonzero gradient entry, before an infinite value
+        bad = gt.copy()
+        bad[1, zero[0]] = 1.0
+        inf_f = f.copy()
+        inf_f[nonzero[0]] = math.inf
+        raises(inf_f, bad, UndefinedQuotient, "^factor 'p0' has a zero table value")
+        raises(inf_f, gt, OutOfDomain, "not a finite number$")
+        # an infinite gradient entry, and a quotient that overflows
+        bad = gt.copy()
+        bad[2, nonzero[0]] = -math.inf
+        raises(f, bad, ValueError, "^factor 'p0': companion must be finite wherever")
+        tiny = f.copy()
+        tiny[nonzero[0]] = 1e-300
+        bad = gt.copy()
+        bad[0, nonzero[0]] = 1e10
+        raises(tiny, bad, UndefinedQuotient, "^factor 'p0': the quotient of a gradient entry"
+                                             " by its table value overflows$")
+        # under a zero of the other point's tables the overflow is lifted to 0
+        f_old = np.ones(60)
+        f_old[nonzero[0]] = 0.0
+        with np.errstate(all="raise"):
+            wg = learning._QuotientGraph(one_factor_set(tiny, bad, f_old), np.zeros(3),
+                                         "table", np.ones(3))
+        assert (wg.carrier_tables(ENTROPY)[1:, nonzero[0]] == 0.0).all()
+
+    def test_allocates_only_its_carrier(self, rng):
         # an 8 x 9000 gradient: the divided quotients peaked at 2.04 times
-        # the result, the one-allocation quotient at 1.03
+        # the quotients, their one-allocation division at 1.03, and the
+        # quotients divided and lifted in the carrier at 1.05 times the carrier
         f = rng.uniform(0.5, 1.5, 9000)
         f[::7] = 0.0
         gt = rng.uniform(-1.0, 1.0, (8, 9000))
         gt[:, f == 0.0] = 0.0
         pf = one_factor_set(f, gt)
-        g, peak = traced_peak(learning._quotient_companions, pf, f, gt, "table")
-        assert g.shape == (8, 9000)
-        assert peak <= 1.1 * g.nbytes
+        wg, peak = traced_peak(learning._QuotientGraph, pf, np.zeros(8), "table")
+        carrier = wg.carrier_tables(ENTROPY)
+        assert carrier.shape == (9, 9000)
+        assert peak <= 1.1 * carrier.nbytes
 
 
 class TestEmLinearStep:
@@ -554,6 +613,119 @@ class TestOnePassEqualsPerComponentLoop:
             loop = [compute_zh(WeightedGraph(graph, quotients(f_i, g_i, j))).H
                     for j in range(dim)]
             assert bits(em_q_gradient(pf, theta_old, theta_i)) == bits(loop)
+
+
+def formula_pass(pf, theta_old, theta_i):
+    """The pass of gradient_at (theta_old = theta_i) and em_q_gradient as
+    it was written before the one-carrier lift: the divided quotients at
+    theta_i, a WeightedGraph of the tables at theta_old, then compute_zh."""
+    quotients = divided_quotients(pf.tables_at(theta_i), pf.grads_at(theta_i))
+    return compute_zh(WeightedGraph(pf.graph_with(pf.tables_at(theta_old)), quotients))
+
+
+def affine_with_zeros(rng, dim):
+    """A random affine tree whose tables hold zeros of either sign, with
+    zero gradients of either sign under them, and -0.0 gradient entries."""
+    g, _ = random_tree(rng, max_vars=6, min_value=0.5, max_value=2.0)
+    base = [f.values.copy() for f in g.factors]
+    coeffs = [rng.uniform(-0.1, 0.1, (dim, t.size)) for t in base]
+    for b, c in zip(base, coeffs):
+        zero = rng.random(b.size) < 0.25
+        b[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+        c[:, zero] = rng.choice([0.0, -0.0], (dim, int(zero.sum())))
+        c[:, rng.random(b.size) < 0.2] = -0.0
+    return ParametricFactorSet.affine([(v.id, v.cardinality) for v in g.variables],
+                                      [f.scope for f in g.factors], base, coeffs)
+
+
+class TestOneCarrierEqualsTheFormula:
+    """gradient_at and em_q_gradient, which divide and lift in one carrier,
+    against the divided quotients lifted by WeightedGraph, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_gradient(self, rng, dim):
+        for trial in range(8):
+            pf = (random_affine_tree if trial % 2 else affine_with_zeros)(rng, dim)
+            theta = rng.uniform(-0.5, 0.5, dim)
+            res = formula_pass(pf, theta, theta)
+            assert bits(gradient_at(pf, theta)) == bits(res.H * math.exp(res.log_scale))
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_em_q_gradient(self, rng, dim):
+        for trial in range(8):
+            pf = (random_affine_tree if trial % 2 else affine_with_zeros)(rng, dim)
+            theta_old, theta_i = rng.uniform(-0.5, 0.5, (2, dim))
+            res = formula_pass(pf, theta_old, theta_i)
+            with np.errstate(over="ignore"):
+                expected = np.ldexp(res.H, res.exponent)
+            assert bits(em_q_gradient(pf, theta_old, theta_i)) == bits(expected)
+
+    def test_one_pass_per_call(self, rng, monkeypatch):
+        # the benchmark's tracer counts passes as calls of learning.compute_zh,
+        # and runs as calls of entropy.run
+        calls = {"compute_zh": 0, "run": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(learning, "compute_zh", counted("compute_zh", learning.compute_zh))
+        monkeypatch.setattr(entropy, "run", counted("run", entropy.run))
+        pf = random_affine_tree(rng, 3)
+        theta = rng.uniform(-0.5, 0.5, 3)
+        tables = pf.tables_at(theta)
+        u = [rng.uniform(0.5, 1.5, t.size) for t in per_factor(pf.structure_graph(), tables)]
+        form = linear_form_of(pf, tables, u, u, rng.normal(size=3))
+        for use in (lambda: gradient_at(pf, theta), lambda: em_linear_step(form),
+                    lambda: em_q_gradient(pf, theta, -theta)):
+            before = dict(calls)
+            use()
+            assert calls == {k: n + 1 for k, n in before.items()}
+
+
+def learn_grad_tree(rng, n=1000, card=3, dim=8):
+    """The benchmark's learn-grad shape: a random n-variable tree of a
+    prior and n - 1 conditional tables, affine in a dim-component theta,
+    each coefficient at most 5% of its entry."""
+    parent = [0] + [int(rng.integers(i)) for i in range(1, n)]
+    base = [rng.dirichlet(np.ones(card))] + [
+        rng.dirichlet(np.ones(card), card).ravel() for _ in range(1, n)]
+    return ParametricFactorSet.affine(
+        [(f"x{i}", card) for i in range(n)],
+        [("x0",)] + [(f"x{parent[i]}", f"x{i}") for i in range(1, n)],
+        base, [b * rng.uniform(-0.05, 0.05, (dim, b.size)) for b in base])
+
+
+def test_learn_grad_gradient_allocates_one_carrier(rng):
+    # tracemalloc peaks of gradient_at, once its plans are compiled, over
+    # its (9, 8994) carrier on this tree: 3.27 with a copy of the gradient
+    # tables and the quotients apart from the carrier, 2.38 with the
+    # quotients divided and lifted in it (3.14 and 2.25 on another seed)
+    pf = learn_grad_tree(rng)
+    theta = rng.uniform(-1.0, 1.0, pf.dim)
+    grad = gradient_at(pf, theta)
+    carrier = np.empty((pf.dim + 1, pf.structure_graph().values.size))
+    _, peak = traced_peak(gradient_at, pf, theta)
+    assert peak <= 2.5 * carrier.nbytes
+    # the gradient tables grads_at returns are the caller's to write
+    pf.grads_at(theta)[...] = 1.0
+    assert bits(gradient_at(pf, theta)) == bits(grad)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_quotient_is_undefined():
+    # 1e10 / 1e-300 overflows: a typed error naming the factor, with no
+    # floating-point warning before it (was a RuntimeWarning, then a
+    # ValueError); the true gradient, 1e10, is representable
+    pf = ParametricFactorSet.affine([("x", 2), ("y", 2)], [("x",), ("y",)],
+                                    [[1.0, 1.0], [1e-300, 1.0]], [[[0.0, 0.0]], [[1e10, 0.0]]],
+                                    factor_ids=["fx", "fy"])
+    with pytest.raises(UndefinedQuotient, match="^factor 'fy': the quotient"):
+        gradient_at(pf, [0.0])
+    with pytest.raises(UndefinedQuotient, match="^factor 'fy': the quotient"):
+        em_q_gradient(pf, [0.0], [0.0])
 
 
 class TestPastFloatRange:
